@@ -1,0 +1,67 @@
+"""Golden corpus: CLI output must match the committed bytes exactly.
+
+Each case runs `desing.cli.main` on an input under `inputs/` or
+`tests/golden/inputs/` and compares stdout with `tests/golden/expected/`.
+The dense fields of degree 8, 12 and 16 have irrational divisor roots, so
+their JSON reports pin the isolating interval endpoints: a change to the
+bisection path fails here even when the classification is unchanged.
+
+A change that alters an output on purpose regenerates the files with
+`PYTHONPATH=src python tests/test_golden.py` and says which file changed
+and why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from desing.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+QUADRATIC = ROOT / "inputs" / "quadratic.vf"
+CUBIC = ROOT / "inputs" / "weighted_cubic.vf"
+
+
+def _cases():
+    cases = {}
+    for a in ("1", "2"):
+        for model in ("sphere", "directional", "hyperbolic-x", "hyperbolic-y"):
+            for fmt, ext in (("text", "txt"), ("json", "json")):
+                cases[f"analyze-quadratic-a{a}-{model}.{ext}"] = (
+                    ["analyze", QUADRATIC, "--param", f"a={a}", "--model", model, "--format", fmt]
+                )
+    for name, path in (("quadratic", QUADRATIC), ("cubic", CUBIC)):
+        for fmt, ext in (("text", "txt"), ("json", "json")):
+            cases[f"weights-{name}.{ext}"] = ["weights", path, "--format", fmt]
+            for model in ("directional", "sphere", "hyperbolic-x"):
+                cases[f"blowup-{name}-{model}.{ext}"] = ["blowup", path, "--model", model, "--format", fmt]
+    for fmt, ext in (("text", "txt"), ("json", "json")):
+        cases[f"analyze-cubic.{ext}"] = ["analyze", CUBIC, "--format", fmt]
+    for n in (8, 12, 16):
+        cases[f"analyze-dense-d{n}.json"] = ["analyze", GOLDEN / "inputs" / f"dense_d{n}.vf", "--format", "json"]
+    return {name: [str(a) for a in argv] for name, argv in cases.items()}
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, capsys):
+    assert main(CASES[name]) == 0
+    out = capsys.readouterr().out
+    expected = (GOLDEN / "expected" / name).read_text(encoding="utf-8")
+    assert out == expected
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    (GOLDEN / "expected").mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            if main(argv) != 0:
+                raise SystemExit(f"{name}: non-zero exit")
+        (GOLDEN / "expected" / name).write_text(buf.getvalue(), encoding="utf-8")
