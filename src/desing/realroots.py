@@ -6,13 +6,26 @@ multiplicities, exact extraction of rational roots by the rational-root
 theorem, then Sturm-sequence isolation plus sign-change bisection for the
 irrational remainder.  Everything is exact, so no root is ever missed or
 invented; irrational roots come back as certified enclosures.
+
+The decision paths run over integers, not Fractions.  A polynomial's
+integer form is its coefficient list times the positive lcm of the
+denominators (divided by the positive content where only signs matter).
+A rational point is a pair (n, d) with d > 0, and the sign of p(n/d) is the
+sign of the homogenised value sum c_i n^i d^(deg - i) = d^deg p(n/d).  The
+Sturm chain is a primitive integer remainder sequence: each member is a
+positive multiple of the classical -rem/|lc(rem)| member.  Interval Horner
+runs over integer endpoints with the box on one common denominator and
+divides once at the end.  Every rescaling is by a positive factor, which
+keeps every sign, every comparison, and the min/max in interval products, so
+the bisection visits the same rational points and returns the same
+Fractions as evaluating p in Fraction arithmetic would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 _Z = Fraction(0)
@@ -105,6 +118,42 @@ def _zip_pad(a, b):
         yield (a[i] if i < len(a) else _Z, b[i] if i < len(b) else _Z)
 
 
+# -- integer forms ----------------------------------------------------------------
+
+
+def _integer_form(cs) -> "list[int]":
+    """The coefficients times the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in cs)) if cs else 1
+    return [c.numerator * (den // c.denominator) for c in cs]
+
+
+def _primitive(ints) -> "list[int]":
+    """Divide out the positive content; signs and roots are unchanged."""
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else list(ints)
+
+
+def _homogeneous_value(ints, n: int, d: int) -> int:
+    """sum c_i n^i d^(deg - i), which is d^deg p(n/d); d > 0."""
+    if not ints:
+        return 0
+    acc = ints[-1]
+    if d == 1:
+        for i in range(len(ints) - 2, -1, -1):
+            acc = acc * n + ints[i]
+        return acc
+    dp = d
+    for i in range(len(ints) - 2, -1, -1):
+        acc = acc * n + ints[i] * dp
+        dp *= d
+    return acc
+
+
+def _sign_at(ints, n: int, d: int) -> int:
+    v = _homogeneous_value(ints, n, d)
+    return (v > 0) - (v < 0)
+
+
 # -- rational roots -------------------------------------------------------------
 
 
@@ -138,26 +187,21 @@ def rational_roots(p) -> "tuple[list[Fraction], list[Fraction]]":
         roots.append(_Z)
     if poly_degree(p) < 1:
         return roots, p
-    denom_lcm = 1
-    for c in p:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p]
+    ints = _integer_form(p)
     low = _divisors(ints[0])
     high = _divisors(ints[-1])
     if low is None or high is None:
         return roots, p  # coefficients too large; leave roots to isolation
-    seen = set()
     for num in low:
         for den in high:
             if gcd(num, den) != 1:
                 continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if poly_eval(p, cand) == 0:
+            for n in (num, -num):
+                if _homogeneous_value(ints, n, den) == 0:
+                    cand = Fraction(n, den)
                     roots.append(cand)
                     p, _ = poly_divmod(p, [-cand, Fraction(1)])
+                    ints = _integer_form(p)
     return roots, p
 
 
@@ -170,24 +214,57 @@ def cauchy_bound(p) -> Fraction:
     return Fraction(1) + mx / lead
 
 
-def sturm_chain(p) -> "list[list[Fraction]]":
-    chain = [poly_trim(p), poly_derivative(p)]
+def _pseudo_remainder(a, b) -> "list[int]":
+    """|lc(b)|^k * rem(a, b) for some k >= 0, over the integers: a positive
+    multiple of the remainder, so it has the remainder's signs."""
+    r = list(a)
+    nb = len(b)
+    scale = abs(b[-1])
+    negate = b[-1] < 0
+    while len(r) >= nb:
+        lead = r.pop()
+        if lead:
+            if negate:
+                lead = -lead
+            shift = len(r) - (nb - 1)
+            if scale != 1:
+                r = [scale * c for c in r]
+            for j in range(nb - 1):
+                r[shift + j] -= lead * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def sturm_chain(p) -> "list[list[int]]":
+    """Sturm sequence p, p', -rem, ... as primitive integer lists.
+
+    Each member is a positive multiple of the classical member (p, p', then
+    -rem/|lc(rem)|), so every sign count is the classical one."""
+    p = _primitive(_integer_form(poly_trim(p)))
+    chain = [p, _primitive([c * i for i, c in enumerate(p)][1:])]
     while chain[-1]:
-        _, r = poly_divmod(chain[-2], chain[-1])
+        r = _pseudo_remainder(chain[-2], chain[-1])
         if not r:
             break
-        lead = abs(r[-1])
-        chain.append([-c / lead for c in r])
+        chain.append([-c for c in _primitive(r)])
     return [c for c in chain if c]
 
 
-def sign_variations(chain, x: Fraction) -> int:
-    signs = []
+def _variations(chain, n: int, d: int) -> int:
+    count = 0
+    last = 0
     for p in chain:
-        v = poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        s = _sign_at(p, n, d)
+        if s:
+            if last and s != last:
+                count += 1
+            last = s
+    return count
+
+
+def sign_variations(chain, x: Fraction) -> int:
+    return _variations(chain, x.numerator, x.denominator)
 
 
 def isolate_squarefree(p) -> "tuple[list[Fraction], list[tuple[Fraction, Fraction]]]":
@@ -200,42 +277,48 @@ def isolate_squarefree(p) -> "tuple[list[Fraction], list[tuple[Fraction, Fractio
     if poly_degree(p) < 1:
         return [], []
     chain = sturm_chain(p)
+    ints = chain[0]  # a positive multiple of p
     bound = cauchy_bound(p)
-    var = lambda x: sign_variations(chain, x)
     exact: "list[Fraction]" = []
     intervals: "list[tuple[Fraction, Fraction]]" = []
 
-    def rec(lo, hi, vlo, vhi):
+    # Points are integer numerators over the common denominator d of the
+    # interval being split; bisection doubles d.
+    def rec(lo, hi, d, vlo, vhi):
         n = vlo - vhi
         if n <= 0:
             return
-        if n == 1 and poly_eval(p, lo) * poly_eval(p, hi) < 0:
-            intervals.append((lo, hi))
+        if n == 1 and _sign_at(ints, lo, d) * _sign_at(ints, hi, d) < 0:
+            intervals.append((Fraction(lo, d), Fraction(hi, d)))
             return
-        mid = (lo + hi) / 2
-        if poly_eval(p, mid) == 0:
-            exact.append(mid)
-            d = (hi - lo) / 64
+        mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
+        if _sign_at(ints, mid, d) == 0:
+            exact.append(Fraction(mid, d))
+            # probe mid -+ (hi - lo)/64, halving the offset until both probes
+            # lie inside, miss the root and are one Sturm count apart
+            offset = hi - lo
+            lo, hi, mid, d = 64 * lo, 64 * hi, 64 * mid, 64 * d
             while True:
-                a, b = mid - d, mid + d
+                a, b = mid - offset, mid + offset
                 if (
                     lo < a
                     and b < hi
-                    and poly_eval(p, a) != 0
-                    and poly_eval(p, b) != 0
+                    and _sign_at(ints, a, d) != 0
+                    and _sign_at(ints, b, d) != 0
                 ):
-                    va, vb = var(a), var(b)
+                    va, vb = _variations(chain, a, d), _variations(chain, b, d)
                     if va - vb == 1:
-                        rec(lo, a, vlo, va)
-                        rec(b, hi, vb, vhi)
+                        rec(lo, a, d, vlo, va)
+                        rec(b, hi, d, vb, vhi)
                         return
-                d /= 2
+                lo, hi, mid, d = 2 * lo, 2 * hi, 2 * mid, 2 * d
         else:
-            vmid = var(mid)
-            rec(lo, mid, vlo, vmid)
-            rec(mid, hi, vmid, vhi)
+            vmid = _variations(chain, mid, d)
+            rec(lo, mid, d, vlo, vmid)
+            rec(mid, hi, d, vmid, vhi)
 
-    rec(-bound, bound, var(-bound), var(bound))
+    bn, bd = bound.numerator, bound.denominator
+    rec(-bn, bn, bd, _variations(chain, -bn, bd), _variations(chain, bn, bd))
     return exact, intervals
 
 
@@ -245,17 +328,22 @@ def refine(p, lo: Fraction, hi: Fraction, width: Fraction):
     Returns ('exact', root) when a bisection point lands on the root,
     otherwise ('interval', lo, hi).
     """
-    flo = poly_eval(p, lo)
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        fmid = poly_eval(p, mid)
-        if fmid == 0:
-            return ("exact", mid)
-        if (flo < 0) != (fmid < 0):
-            hi = mid
+    ints = _primitive(_integer_form(p))
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    wn, wd = width.numerator, width.denominator
+    slo = _sign_at(ints, a, d)
+    while (b - a) * wd >= wn * d:
+        mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        smid = _sign_at(ints, mid, d)
+        if smid == 0:
+            return ("exact", Fraction(mid, d))
+        if (slo < 0) != (smid < 0):
+            b = mid
         else:
-            lo, flo = mid, fmid
-    return ("interval", lo, hi)
+            a, slo = mid, smid
+    return ("interval", Fraction(a, d), Fraction(b, d))
 
 
 # -- public root records ------------------------------------------------------------
@@ -378,7 +466,24 @@ def _as_interval(x) -> RatInterval:
 
 
 def interval_eval(coeffs, box: RatInterval) -> RatInterval:
-    acc = RatInterval.point(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * box + RatInterval.point(c)
-    return acc
+    """Interval Horner of `coeffs` over `box`, exactly as RatInterval
+    arithmetic would compute it.
+
+    Runs over integers: after t steps the enclosure is [lo, hi] / (L d^t),
+    with L the lcm of the coefficient denominators and d the common
+    denominator of the box, so it divides once at the end."""
+    cs = list(coeffs)
+    if not cs:
+        return RatInterval.point(0)
+    ks = _integer_form(cs)
+    d = lcm(box.lo.denominator, box.hi.denominator)
+    a = box.lo.numerator * (d // box.lo.denominator)
+    b = box.hi.numerator * (d // box.hi.denominator)
+    lo = hi = 0
+    dp = 1
+    for k in reversed(ks):
+        dp *= d
+        prods = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(prods) + k * dp, max(prods) + k * dp
+    scale = lcm(*(c.denominator for c in cs)) * dp
+    return RatInterval(Fraction(lo, scale), Fraction(hi, scale))

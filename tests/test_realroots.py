@@ -1,9 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desing.realroots import (
     RatInterval,
+    _integer_form,
+    _primitive,
+    _sign_at,
     cauchy_bound,
     interval_eval,
     poly_divmod,
@@ -157,3 +162,90 @@ def test_close_roots_separated():
     p = from_roots(F(1, 1000), F(2, 1000))
     roots = real_roots(p)
     assert [r.value for r in roots] == [F(1, 1000), F(2, 1000)]
+
+
+# -- properties against Fraction references and a sympy oracle ----------------------
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def polynomials(draw, max_degree=8):
+    """Nonzero coefficient lists; half of them get planted rational roots,
+    some repeated, so exact hits and multiplicities occur."""
+    cs = draw(st.lists(rationals, min_size=1, max_size=max_degree - 1))
+    if not any(cs):
+        cs[-1] = F(1)
+    if draw(st.booleans()):
+        for r in draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=3)):
+            cs = [F(0)] + cs
+            for i in range(len(cs) - 1):
+                cs[i] -= r * cs[i + 1]
+    while cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _fraction_horner(cs, x):
+    acc = F(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _sympy_poly(sympy, cs):
+    x = sympy.Symbol("x")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(cs)], x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials(), rationals)
+def test_integer_sign_matches_fraction_horner(cs, x):
+    value = _fraction_horner(cs, x)
+    expected = (value > 0) - (value < 0)
+    ints = _integer_form(cs)
+    assert _sign_at(ints, x.numerator, x.denominator) == expected
+    assert _sign_at(_primitive(ints), x.numerator, x.denominator) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials(), rationals, rationals)
+def test_interval_eval_matches_fraction_interval_horner(cs, a, b):
+    box = RatInterval(min(a, b), max(a, b))
+    acc = RatInterval.point(0)
+    for c in reversed(cs):
+        acc = acc * box + RatInterval.point(c)
+    out = interval_eval(cs, box)
+    assert (out.lo, out.hi) == (acc.lo, acc.hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials())
+def test_sturm_count_matches_sympy(cs):
+    sympy = pytest.importorskip("sympy")
+    if len(cs) < 2:
+        return
+    chain = sturm_chain(cs)
+    bound = cauchy_bound(cs)
+    count = sign_variations(chain, -bound) - sign_variations(chain, bound)
+    assert count == _sympy_poly(sympy, cs).count_roots()
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials())
+def test_real_roots_match_sympy(cs):
+    sympy = pytest.importorskip("sympy")
+    if len(cs) < 2:
+        return
+    poly = _sympy_poly(sympy, cs)
+    roots = real_roots(cs)
+    assert len(roots) == poly.count_roots()
+    for left, right in zip(roots, roots[1:]):
+        assert left.as_interval()[1] < right.as_interval()[0]
+    for root in roots:
+        if root.exact:
+            assert poly.eval(sympy.Rational(root.value.numerator, root.value.denominator)) == 0
+        else:
+            lo = sympy.Rational(root.lo.numerator, root.lo.denominator)
+            hi = sympy.Rational(root.hi.numerator, root.hi.denominator)
+            assert poly.count_roots(lo, hi) == 1
