@@ -126,7 +126,7 @@ def _positive_candidates(rows) -> "list[tuple[int, int, int]]":
 def infer_weights(f: VectorField) -> Weights:
     """Primitive positive (alpha, beta, k) solving every monomial constraint."""
     if f.is_zero():
-        raise ValueError("the zero field has no quasi-homogeneous type")
+        raise NotQuasiHomogeneous("the zero field has no quasi-homogeneous type")
     rows = _constraint_rows(f)
     basis = _nullspace(rows)
     if not basis:

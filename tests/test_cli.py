@@ -69,6 +69,16 @@ def test_analyze_parse_error_exit(tmp_path, capsys):
     assert "undeclared identifier" in err
 
 
+@pytest.mark.parametrize("command", ["weights", "analyze"])
+def test_zero_field_one_line_error(tmp_path, capsys, command):
+    zero = tmp_path / "zero.vf"
+    zero.write_text("var x y; dx/dt = 0; dy/dt = 0;")
+    code, out, err = run(capsys, command, str(zero))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"{command}: the zero field has no quasi-homogeneous type"]
+
+
 def test_missing_file_exit(capsys):
     code, _, err = run(capsys, "analyze", "no-such-file.vf")
     assert code == 1

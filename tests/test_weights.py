@@ -36,7 +36,7 @@ def test_mixed_field_is_type_1_1():
 
 def test_zero_field_rejected():
     f = VectorField(Poly.zero(("x", "y")), Poly.zero(("x", "y")), ("x", "y"))
-    with pytest.raises(ValueError):
+    with pytest.raises(NotQuasiHomogeneous):
         infer_weights(f)
 
 
