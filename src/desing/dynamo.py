@@ -97,7 +97,8 @@ def integrate(
     radial_index: "int | None" = None,
 ) -> Trajectory:
     """Classic RK4 with fixed step h, stopping at t_end, domain exit
-    (radial < 0 or |coordinate| > 1e6) or step underflow."""
+    (radial < 0, |coordinate| > 1e6, or a stage evaluation overflowing) or
+    step underflow."""
     if h <= 0:
         raise ValueError("step size must be positive")
     if t_end <= 0:
@@ -121,10 +122,15 @@ def integrate(
             # final partial step just means t_end is within rounding of t
             termination = TERM_STEP_UNDERFLOW if step == h else TERM_MAX_TIME
             break
-        k1u, k1v = field(u, v)
-        k2u, k2v = field(u + 0.5 * step * k1u, v + 0.5 * step * k1v)
-        k3u, k3v = field(u + 0.5 * step * k2u, v + 0.5 * step * k2v)
-        k4u, k4v = field(u + step * k3u, v + step * k3v)
+        try:
+            k1u, k1v = field(u, v)
+            k2u, k2v = field(u + 0.5 * step * k1u, v + 0.5 * step * k1v)
+            k3u, k3v = field(u + 0.5 * step * k2u, v + 0.5 * step * k2v)
+            k4u, k4v = field(u + step * k3u, v + step * k3v)
+        except OverflowError:
+            # float ** or cosh overflows when the orbit escapes within one step
+            termination = TERM_LEFT_DOMAIN
+            break
         nu = u + step / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         nv = v + step / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if not (math.isfinite(nu) and math.isfinite(nv)):

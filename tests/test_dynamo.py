@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from desing.charts import ChartId, blow_up_in_chart
+from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.dynamo import (
     GridSpec,
     conjugacy_check,
@@ -18,11 +19,11 @@ from desing.dynamo import (
     sample_portrait,
 )
 from desing.errors import NonFiniteField
-from desing.polar import SPHERE, desingularize_polar, polar_pushforward
+from desing.polar import HYPERBOLA, SPHERE, Branch, desingularize_polar, polar_pushforward
 from desing.poly import Poly, poly_vars
 from desing.selfcheck import check_conjugacy, check_divisor_invariance, demo_system
 from desing.vectorfield import VectorField
-from desing.weights import Weights
+from desing.weights import Weights, infer_weights
 
 F = demo_system()
 W = Weights(1, 1, 1)
@@ -81,6 +82,27 @@ def test_domain_guard_terminates_escape():
     tr = integrate(lambda u, v: (u * u, 0.0), (1.0, 0.0), 10.0, 1e-3)
     assert tr.termination == "left-domain"
     assert all(abs(u) <= 1e6 for _, u, _ in tr.points)
+
+
+def test_chart_overflow_ends_in_left_domain():
+    # K1 of x' = -y^3, y' = x^3 has w' = 1 + w^4: w escapes in finite time,
+    # and float ** overflows inside one RK4 step before the domain guard
+    f = lower_to_polynomials(parse_field_spec("var x y; dx/dt = -y^3; dy/dt = x^3;"))
+    ff = frame_chart(blow_up_in_chart(f, infer_weights(f), ChartId.K1), {})
+    for field in (ff, ff.negated()):
+        tr = integrate(field, (0.1, 0.5), 2.0, 0.01)
+        assert tr.termination == "left-domain"
+        assert tr.points[-1][0] < 2.0
+        assert all(math.isfinite(u) and math.isfinite(v) for _, u, v in tr.points)
+
+
+def test_hyperbolic_overflow_ends_in_left_domain():
+    # cosh overflows on the x-hyperbola of the demo field at a = 1
+    pf = desingularize_polar(polar_pushforward(F, HYPERBOLA, Branch.X))
+    trajs = sample_portrait(frame_polar(pf, A1), GridSpec(-1.0, 1.0, 4, 0.1, 1.0, 3, t_end=1.0, step=0.005))
+    assert len(trajs) == 24
+    assert any(tr.termination == "left-domain" for tr in trajs)
+    assert all(math.isfinite(u) and math.isfinite(v) for tr in trajs for _, u, v in tr.points)
 
 
 def test_radial_guard():
