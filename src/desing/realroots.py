@@ -76,14 +76,12 @@ def poly_divmod(a, b):
 
 
 def poly_gcd(a, b) -> "list[Fraction]":
-    a, b = poly_trim(a), poly_trim(b)
+    """The monic gcd, by a primitive integer remainder sequence."""
+    a = _primitive(_integer_form(poly_trim(a)))
+    b = _primitive(_integer_form(poly_trim(b)))
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return [Fraction(c, a[-1]) for c in a]
 
 
 def yun_squarefree(p) -> "list[tuple[list[Fraction], int]]":
