@@ -136,10 +136,6 @@ def _homogeneous_value(ints, n: int, d: int) -> int:
     if not ints:
         return 0
     acc = ints[-1]
-    if d == 1:
-        for i in range(len(ints) - 2, -1, -1):
-            acc = acc * n + ints[i]
-        return acc
     dp = d
     for i in range(len(ints) - 2, -1, -1):
         acc = acc * n + ints[i] * dp
