@@ -121,7 +121,7 @@ def _zip_pad(a, b):
 
 def _integer_form(cs) -> "list[int]":
     """The coefficients times the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in cs)) if cs else 1
+    den = lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs]
 
 
