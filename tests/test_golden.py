@@ -5,6 +5,9 @@ Each case runs `desing.cli.main` on an input under `inputs/` or
 The dense fields of degree 8, 12 and 16 have irrational divisor roots, so
 their JSON reports pin the isolating interval endpoints: a change to the
 bisection path fails here even when the classification is unchanged.
+The portrait CSVs pin the term order of the chart and polar fields: the
+float evaluators sum in term order, so a reordered field changes the last
+digits of the trajectories.
 
 A change that alters an output on purpose regenerates the files with
 `PYTHONPATH=src python tests/test_golden.py` and says which file changed
@@ -34,12 +37,24 @@ def _cases():
     for name, path in (("quadratic", QUADRATIC), ("cubic", CUBIC)):
         for fmt, ext in (("text", "txt"), ("json", "json")):
             cases[f"weights-{name}.{ext}"] = ["weights", path, "--format", fmt]
-            for model in ("directional", "sphere", "hyperbolic-x"):
+            for model in ("directional", "sphere", "hyperbolic-x", "hyperbolic-y"):
                 cases[f"blowup-{name}-{model}.{ext}"] = ["blowup", path, "--model", model, "--format", fmt]
     for fmt, ext in (("text", "txt"), ("json", "json")):
         cases[f"analyze-cubic.{ext}"] = ["analyze", CUBIC, "--format", fmt]
     for n in (8, 12, 16):
         cases[f"analyze-dense-d{n}.json"] = ["analyze", GOLDEN / "inputs" / f"dense_d{n}.vf", "--format", "json"]
+    portraits = (
+        ("quadratic-K1", QUADRATIC, "K1", "0.1:0.5:2,0.1:0.5:2"),
+        ("quadratic-K2", QUADRATIC, "K2", "0.1:0.5:2,0.1:0.5:2"),
+        ("quadratic-sphere", QUADRATIC, "sphere", "0.2:2.8:2,0.1:0.4:2"),
+        ("quadratic-hyperbolic-x", QUADRATIC, "hyperbolic-x", "0.15:0.65:2,0.1:0.4:2"),
+        ("cubic-K1", CUBIC, "K1", "0.1:0.5:2,0.1:0.5:2"),
+    )
+    for name, path, frame, grid in portraits:
+        params = ["--param", "a=1"] if path == QUADRATIC else []
+        cases[f"portrait-{name}.csv"] = [
+            "portrait", path, *params, "--frame", frame, f"--grid={grid}", "--t-end", "0.2",
+        ]
     return {name: [str(a) for a in argv] for name, argv in cases.items()}
 
 
