@@ -8,11 +8,15 @@ coordinate r >= 0:
     K3 (x < 0):  x = -r^alpha,      y =  r^beta * w
     K4 (y < 0):  x =  r^alpha * w,  y = -r^beta
 
-Pushing the field through an embedding gives a triangular system: the
-component carrying the pure +-r power determines r', then the remaining
-equation yields w'.  Both solves are exact polynomial divisions, and the
-raw chart field always factors as radial^k times the desingularized one
-when the supplied weights verify.
+Each embedding sends every variable to a signed monomial, so pushing the
+field through it is `Poly.monomial_map`, an exponent rewrite.  The result
+is a triangular system: the component carrying the pure +-r power
+determines r', then the remaining equation yields w'.  Both solves divide
+by a constant times a power of r, and desingularizing divides by r^k; all
+three are `Poly.shift`, which raises NotDivisible if a term lacks the power.
+When the weights verify, every term of the pushed x-component (for K1/K3)
+carries exactly r^(alpha+k), so none of the divisions can fail.  The chart
+fields come out in grlex-descending term order over params + (r, w).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import OutOfDomain
+from .errors import NameCollision, OutOfDomain
 from .poly import Poly
 from .vectorfield import Param, VectorField, check_param_bindings
 from .weights import Weights, verify_weights
@@ -76,7 +80,7 @@ class ChartField:
         order = (self.radial_var, self.angular_var)
         compiled = []
         for comp in pair:
-            p = comp.substitute({k: v for k, v in bound.items() if k in comp.vars})
+            p = comp.bind({k: v for k, v in bound.items() if k in comp.vars})
             compiled.append(p.float_terms(order))
 
         def field(r: float, w: float):
@@ -107,10 +111,11 @@ def blow_up_in_chart(f: VectorField, w: Weights, chart: ChartId) -> ChartField:
     if not verify_weights(f, w):
         raise ValueError(f"weights {w} do not verify on the field; cannot blow up")
     radial, angular, x_radial, sign = _CHART_INFO[chart]
-    taken = set(f.f1.vars) | set(f.f2.vars)
+    # a shared name would make the monomial map merge two exponents
+    taken = set(f.f1.vars) | set(f.f2.vars) | set(f.param_names())
     for name in (radial, angular):
         if name in taken:
-            raise ValueError(f"chart variable '{name}' collides with a field variable")
+            raise NameCollision(f"chart variable '{name}' collides with a field variable")
 
     r = Poly.var(radial)
     wv = Poly.var(angular)
@@ -122,22 +127,21 @@ def blow_up_in_chart(f: VectorField, w: Weights, chart: ChartId) -> ChartField:
         sub = {sx: (r**alpha) * wv, sy: sign * r**beta}
 
     def push(poly):
-        return poly.substitute({v: b for v, b in sub.items() if v in poly.vars})
+        return poly.monomial_map({v: b for v, b in sub.items() if v in poly.vars})
 
     F1, F2 = push(f.f1), push(f.f2)
     if x_radial:
         # x' = sign*alpha*r^(alpha-1) * r'  and  y' = beta*r^(beta-1)*w*r' + r^beta*w'
-        r_raw = (sign * F1).div_exact(alpha * r ** (alpha - 1))
-        w_raw = (F2 - beta * (r ** (beta - 1)) * wv * r_raw).div_exact(r**beta)
+        r_raw = (sign * F1).shift({radial: alpha - 1}, alpha)
+        w_raw = (F2 - beta * (r ** (beta - 1)) * wv * r_raw).shift({radial: beta})
     else:
-        r_raw = (sign * F2).div_exact(beta * r ** (beta - 1))
-        w_raw = (F1 - alpha * (r ** (alpha - 1)) * wv * r_raw).div_exact(r**alpha)
+        r_raw = (sign * F2).shift({radial: beta - 1}, beta)
+        w_raw = (F1 - alpha * (r ** (alpha - 1)) * wv * r_raw).shift({radial: alpha})
 
     order = tuple(p.name for p in f.params) + (radial, angular)
     r_raw = r_raw.reordered(order)
     w_raw = w_raw.reordered(order)
-    rk = r**k
-    desing = (r_raw.div_exact(rk).reordered(order), w_raw.div_exact(rk).reordered(order))
+    desing = (r_raw.shift({radial: k}).reordered(order), w_raw.shift({radial: k}).reordered(order))
     return ChartField(
         chart=chart,
         weights=w,

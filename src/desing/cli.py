@@ -334,7 +334,7 @@ def _cmd_blowup(args) -> int:
     sigma = SPHERE if args.model == MODEL_SPHERE else HYPERBOLA
     branch = Branch.Y if args.model == MODEL_HYPERBOLIC_Y else Branch.X
     raw = polar_pushforward(f, sigma, branch)
-    des = desingularize_polar(polar_pushforward(f, sigma, branch))
+    des = desingularize_polar(raw)
     payload = {
         "weights": {"alpha": w.alpha, "beta": w.beta, "k": w.k},
         "raw": _polar_payload(raw),

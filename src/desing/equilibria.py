@@ -218,7 +218,7 @@ def _classify_interval(jac_int) -> "str | None":
 
 def _bind_params(poly: Poly, bound: Mapping[str, Fraction]) -> Poly:
     subs = {k: v for k, v in bound.items() if k in poly.vars}
-    return poly.substitute(subs) if subs else poly
+    return poly.bind(subs) if subs else poly
 
 
 def _univariate(poly: Poly, var: str) -> "list[Fraction]":
@@ -290,7 +290,7 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> "list[Equilibrium]"
     rvar, wvar = cf.radial_var, cf.angular_var
     des_r = _bind_params(cf.desing[0], bound)
     des_w = _bind_params(cf.desing[1], bound)
-    on_divisor = des_w.substitute({rvar: 0}) if rvar in des_w.vars else des_w
+    on_divisor = des_w.bind({rvar: 0}) if rvar in des_w.vars else des_w
     coeffs = _univariate(on_divisor, wvar)
     if not coeffs or all(c == 0 for c in coeffs):
         raise DegenerateChart(cf.chart.value)
@@ -303,7 +303,7 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> "list[Equilibrium]"
     # lists, for interval evaluation at enclosed roots
     jac_coeffs = tuple(
         tuple(
-            _univariate(p.substitute({rvar: 0}) if rvar in p.vars else p, wvar)
+            _univariate(p.bind({rvar: 0}) if rvar in p.vars else p, wvar)
             for p in row
         )
         for row in jac_polys
@@ -441,20 +441,21 @@ def _chart_coordinate_of_angle(chart: ChartId, theta: float, weights: Weights) -
     return c / t**alpha
 
 
-def _angular_flow_sign(chart_fields, weights, bound, theta: float) -> int:
+def _angular_flow_sign(chart_fields, angulars, weights, theta: float) -> int:
     chart, orient = _chart_for_angle(theta)
     cf = chart_fields[chart.value]
     w_val = _chart_coordinate_of_angle(chart, theta, weights)
-    des_w = _bind_params(cf.desing[1], bound)
-    value = des_w.eval_float({cf.radial_var: 0.0, cf.angular_var: w_val})
+    value = angulars[chart.value].eval_float({cf.radial_var: 0.0, cf.angular_var: w_val})
     if abs(value) <= _FLOW_ZERO_TOL:
         return 0
     return orient * (1 if value > 0 else -1)
 
 
 def _circle_flow(chart_fields, weights, bound, merged) -> "list[FlowArc]":
+    # each chart's desingularized angular component, parameters bound once
+    angulars = {name: _bind_params(cf.desing[1], bound) for name, cf in chart_fields.items()}
     if not merged:
-        sign = _angular_flow_sign(chart_fields, weights, bound, 1.0)
+        sign = _angular_flow_sign(chart_fields, angulars, weights, 1.0)
         return [FlowArc(0.0, TWO_PI, sign)]
     arcs = []
     angles = [m.angle for m in merged]
@@ -465,7 +466,7 @@ def _circle_flow(chart_fields, weights, bound, merged) -> "list[FlowArc]":
             span = TWO_PI
         mid = (start + span / 2.0) % TWO_PI
         arcs.append(
-            FlowArc(start, end, _angular_flow_sign(chart_fields, weights, bound, mid))
+            FlowArc(start, end, _angular_flow_sign(chart_fields, angulars, weights, mid))
         )
     return arcs
 
@@ -473,17 +474,17 @@ def _circle_flow(chart_fields, weights, bound, merged) -> "list[FlowArc]":
 # -- hyperbolic models --------------------------------------------------------------------
 
 
-def _hyperbolic_equilibria(f, w, bound, branch: Branch, chart_field: ChartField):
+def _hyperbolic_equilibria(bound, branch: Branch, chart_field: ChartField, hh: PolarField):
     """Divisor equilibria on one hyperboloid wing, through the chart bridge.
 
     The wing corresponds to the x-chart (resp. y-chart) with the angular
     coordinate inside (-1, 1) via w = tanh(angle); the bridge is an analytic
     diffeomorphism and the desingularized fields match up to the positive
     factor cosh(angle), so the chart classification transfers unchanged and
-    chart eigenvalues scale by cosh(angle).
+    chart eigenvalues scale by cosh(angle).  `hh` is the desingularized
+    field on the wing.
     """
     chart_eqs = divisor_equilibria(chart_field, bound)
-    hh = desingularize_polar(polar_pushforward(f, HYPERBOLA, branch))
     jac_q = (
         (angular_derivative(hh.angular), radial_derivative(hh.angular)),
         (angular_derivative(hh.radial), radial_derivative(hh.radial)),
@@ -531,7 +532,7 @@ def _hyperbolic_equilibria(f, w, bound, branch: Branch, chart_field: ChartField)
             )
         )
     out.sort(key=lambda e: e.divisor_angle)
-    return out, hh
+    return out
 
 
 def _line_flow(polar_desing: PolarField, bound, angles) -> "list[FlowArc]":
@@ -576,18 +577,19 @@ def global_divisor_report(
         branch = Branch.X if model == MODEL_HYPERBOLIC_X else Branch.Y
         chart = ChartId.K1 if branch is Branch.X else ChartId.K2
         cf = blow_up_in_chart(f, w, chart)
+        raw = polar_pushforward(f, HYPERBOLA, branch)
+        hh = desingularize_polar(raw)
         degenerate: "list[str]" = []
         try:
-            eqs, hh = _hyperbolic_equilibria(f, w, bound, branch, cf)
+            eqs = _hyperbolic_equilibria(bound, branch, cf, hh)
         except DegenerateChart:
             degenerate.append(chart.value)
-            eqs, hh = [], desingularize_polar(polar_pushforward(f, HYPERBOLA, branch))
+            eqs = []
         merged = [
             MergedEquilibrium(angle=e.divisor_angle, members=[e], classification=e.classification)
             for e in eqs
         ]
         flow = _line_flow(hh, {k: float(v) for k, v in bound.items()}, [e.divisor_angle for e in eqs])
-        raw = polar_pushforward(f, HYPERBOLA, branch)
         return GlobalReport(
             model=model,
             weights=w,

@@ -40,6 +40,11 @@ class AmbiguousWeights(DesingError):
         super().__init__(msg)
 
 
+class NameCollision(DesingError, ValueError):
+    """A field variable or parameter reuses a name the blow-up introduces
+    (a chart's radial or angular variable, or a quotient-ring variable)."""
+
+
 class OutOfDomain(DesingError):
     """A chart transition was requested outside the overlap domain."""
 

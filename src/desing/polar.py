@@ -1,10 +1,12 @@
 """Polar blow-up through the circle or the hyperbola, in the quotient ring.
 
 The blow-up substitutes x = radius*c, y = radius*s where (c, s) satisfies
-c^2 + sigma*s^2 = 1 and differentiates through the parametrization.  The
+c^2 + sigma*s^2 = 1 and differentiates through the parametrization.  Both
+images are monomials, so the substitution is `Poly.monomial_map`.  The
 resulting 2x2 linear system for (radial', angular') has determinant exactly
-radius in the quotient ring, so the solve needs one exact division by the
-radial variable and nothing else.  Trigonometric or hyperbolic functions
+radius in the quotient ring, so the solve needs one division by the radial
+variable and nothing else; it and the desingularizing division by radius^k
+are `QuotientPoly.div_radial`, an exponent shift.  Trigonometric or hyperbolic functions
 are never expanded symbolically; they only appear at float-evaluation time.
 
 Branch conventions for the hyperbola:
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
 
-from .errors import SingularAngle
+from .errors import NameCollision, SingularAngle
 from .poly import Poly
 from .quotient import COS, RADIAL, RESERVED, SIN, QuotientPoly
 from .vectorfield import Param, VectorField
@@ -76,7 +78,7 @@ def _check_names(f: VectorField):
     taken = set(f.param_names())
     clash = taken & set(RESERVED)
     if clash:
-        raise ValueError(
+        raise NameCollision(
             f"parameter name(s) {sorted(clash)} collide with the quotient-ring "
             f"variables {RESERVED}"
         )
@@ -97,7 +99,7 @@ def polar_pushforward(f: VectorField, sigma: int, branch: Branch = Branch.X) -> 
         sub = {sx: r * s, sy: r * c}
 
     def push(poly):
-        return QuotientPoly(sigma, poly.substitute({v: b for v, b in sub.items() if v in poly.vars}))
+        return QuotientPoly(sigma, poly.monomial_map({v: b for v, b in sub.items() if v in poly.vars}))
 
     F1, F2 = push(f.f1), push(f.f2)
     C = QuotientPoly(sigma, c)

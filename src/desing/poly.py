@@ -10,6 +10,24 @@ vector, both descending) everywhere an order matters: canonical printing
 and the leading-term choice inside exact division.  Binary operations
 align variable sets automatically, keeping the left operand's order and
 appending unseen variables of the right operand.
+
+Two kinds of operation live side by side:
+
+* General ones: `substitute` composes with arbitrary polynomials and
+  `div_exact` runs grlex long division by any divisor.
+* Monomial ones, which are exponent rewrites costing one pass over the
+  terms: `monomial_map` substitutes signed monomials (x -> -r^2,
+  y -> r*w), `shift` divides by c times a monomial, and `bind` substitutes
+  rationals.  Each returns exactly what the general operation returns for
+  the same arguments, variable order and term order included, so the
+  float evaluators, which sum in term order, see the same polynomial
+  either way.  The blow-ups use these; the general ones stay as the
+  independent reference the self-checks compare against.
+
+`Poly(...)` validates and normalises its input.  Polynomials built inside
+this module go through `Poly._raw` instead, which trusts its caller to pass
+a tuple of distinct names and a fresh dict of exponent tuples (right length,
+non-negative ints) to nonzero Fractions, and adopts that dict uncopied.
 """
 
 from __future__ import annotations
@@ -49,6 +67,14 @@ class Poly:
         self.vars = vs
         self.terms = clean
 
+    @classmethod
+    def _raw(cls, variables: "tuple[str, ...]", terms: dict) -> "Poly":
+        """Trusted constructor: adopt `terms` as is (see the module docstring)."""
+        p = object.__new__(cls)
+        p.vars = variables
+        p.terms = terms
+        return p
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -62,7 +88,7 @@ class Poly:
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls((name,), {(1,): Fraction(1)})
+        return cls._raw((name,), {(1,): Fraction(1)})
 
     # -- basic queries ------------------------------------------------------
 
@@ -107,6 +133,8 @@ class Poly:
     # -- variable bookkeeping -----------------------------------------------
 
     def _remapped(self, variables: "tuple[str, ...]") -> dict:
+        if variables == self.vars:
+            return dict(self.terms)
         idx = [variables.index(v) for v in self.vars]
         out = {}
         for exps, c in self.terms.items():
@@ -129,9 +157,11 @@ class Poly:
         missing = set(self.effective_vars()) - set(vs)
         if missing:
             raise ValueError(f"reorder drops live variables {sorted(missing)}")
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"duplicate variable names: {vs}")
         keep = tuple(v for v in self.vars if v in vs)
-        dropped = self if keep == self.vars else Poly(keep, self._drop_dead(keep))
-        return Poly(vs, dropped._remapped(vs))
+        dropped = self if keep == self.vars else Poly._raw(keep, self._drop_dead(keep))
+        return Poly._raw(vs, dropped._remapped(vs))
 
     def _drop_dead(self, keep: "tuple[str, ...]") -> dict:
         sel = [self.vars.index(v) for v in keep]
@@ -147,7 +177,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
+            return Poly._raw((), {(): Fraction(other)} if other else {})
         return None
 
     def __add__(self, other):
@@ -162,12 +192,12 @@ class Poly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return Poly(vs, terms)
+        return Poly._raw(vs, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         q = self._lift(other)
@@ -197,7 +227,7 @@ class Poly:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return Poly(vs, terms)
+        return Poly._raw(vs, terms)
 
     __rmul__ = __mul__
 
@@ -260,6 +290,88 @@ class Poly:
             acc = acc + term
         return acc
 
+    def _check_bound(self, bindings) -> None:
+        bad = [v for v in bindings if v not in self.vars]
+        if bad:
+            raise ValueError(f"binding for unknown variable(s) {bad}; have {self.vars}")
+
+    def monomial_map(self, images: Mapping[str, "Poly"]) -> "Poly":
+        """`substitute` for images that are signed monomials (+-1 times a
+        power product), as one exponent rewrite per term.
+
+        Returns exactly `self.substitute(images)`: unbound variables first,
+        then each image's variables in the order the terms first use them,
+        and the terms in the same order.  Monomials the map merges add their
+        coefficients, as in `substitute`.
+        """
+        self._check_bound(images)
+        rows = {}
+        for v, img in images.items():
+            if len(img.terms) != 1 or next(iter(img.terms.values())) not in (1, -1):
+                raise ValueError(f"image of {v} is not a signed monomial: {img}")
+            rows[v] = next(iter(img.terms.items()))
+        out = [v for v in self.vars if v not in images]
+        pending = [(i, images[v].vars) for i, v in enumerate(self.vars) if v in images]
+        for exps in self.terms:
+            if not pending:
+                break
+            for i, names in pending:
+                if exps[i]:
+                    out.extend([n for n in names if n not in out])
+            pending = [(i, names) for i, names in pending if not exps[i]]
+        vs = tuple(out)
+        pos = {v: j for j, v in enumerate(vs)}
+        plan = []  # per variable of self: (image sign, ((target index, exponent), ...))
+        for v in self.vars:
+            if v not in images:
+                plan.append((1, ((pos[v], 1),)))
+            elif all(n in pos for n in images[v].vars):
+                iexps, sign = rows[v]
+                plan.append((sign, tuple((pos[n], k) for n, k in zip(images[v].vars, iexps) if k)))
+            else:  # v has exponent 0 in every term
+                plan.append((1, ()))
+        terms: dict = {}
+        for exps, c in self.terms.items():
+            new = [0] * len(vs)
+            for e, (sign, targets) in zip(exps, plan):
+                if e:
+                    if sign < 0 and e & 1:
+                        c = -c
+                    for t, k in targets:
+                        new[t] += e * k
+            key = tuple(new)
+            s = terms.get(key, _ZERO) + c
+            if s:
+                terms[key] = s
+            else:
+                terms.pop(key, None)
+        return Poly._raw(vs, terms)
+
+    def bind(self, values: Mapping[str, Scalar]) -> "Poly":
+        """`substitute` for rational values: drop the bound variables and fold
+        their powers into the coefficients.  Returns exactly
+        `self.substitute(values)`, variable and term order included."""
+        self._check_bound(values)
+        keep = [i for i, v in enumerate(self.vars) if v not in values]
+        bound = [(i, Fraction(values[v])) for i, v in enumerate(self.vars) if v in values]
+        powers: dict = {}
+        terms: dict = {}
+        for exps, c in self.terms.items():
+            for i, val in bound:
+                e = exps[i]
+                if e:
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[(i, e)] = val**e
+                    c = c * pw
+            key = tuple(exps[i] for i in keep)
+            s = terms.get(key, _ZERO) + c
+            if s:
+                terms[key] = s
+            else:
+                terms.pop(key, None)
+        return Poly._raw(tuple(self.vars[i] for i in keep), terms)
+
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Exact evaluation; every live variable must be given a rational value."""
         missing = [v for v in self.effective_vars() if v not in values]
@@ -313,7 +425,7 @@ class Poly:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-        return Poly(self.vars, terms)
+        return Poly._raw(self.vars, terms)
 
     # -- exact division -------------------------------------------------------
 
@@ -355,6 +467,33 @@ class Poly:
                 else:
                     rem.pop(key, None)
         return Poly(vs, quot)
+
+    def shift(self, monomial: Mapping[str, int], coeff: Scalar = 1) -> "Poly":
+        """Exact division by `coeff` times the monomial {variable: exponent},
+        as one exponent subtraction per term.
+
+        Returns exactly what `div_exact` returns for that divisor: this
+        polynomial's variables followed by the monomial's new ones, and the
+        quotient terms in grlex-descending order.  Raises NotDivisible
+        exactly when `div_exact` does, that is when a term lacks the monomial.
+        """
+        if any(e < 0 for e in monomial.values()):
+            raise ValueError(f"negative exponent in divisor {dict(monomial)}")
+        c0 = Fraction(coeff)
+        if not c0:
+            raise ZeroDivisionError("exact division by the zero polynomial")
+        vs = self.vars + tuple(v for v in monomial if v not in self.vars)
+        pad = (0,) * (len(vs) - len(self.vars))
+        drop = [(vs.index(v), e) for v, e in monomial.items() if e]
+        terms: dict = {}
+        for exps, c in sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True):
+            new = list(exps + pad)
+            for i, e in drop:
+                new[i] -= e
+                if new[i] < 0:
+                    raise NotDivisible(f"{self} is not divisible by {dict(monomial)}")
+            terms[tuple(new)] = c if c0 == 1 else c / c0
+        return Poly._raw(vs, terms)
 
     # -- printing --------------------------------------------------------------
 

@@ -14,6 +14,7 @@ powers of r termwise exact whenever it is possible at all.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Union
 
 from .poly import Poly
@@ -26,32 +27,46 @@ RESERVED = (COS, SIN, RADIAL)
 
 Scalar = Union[int, Fraction]
 
+_ZERO = Fraction(0)
+
 
 def _relation_rhs(sigma: int) -> Poly:
     # what c^2 rewrites to: 1 - sigma*s^2
     return Poly.const(1) - sigma * (Poly.var(SIN) ** 2)
 
 
+@lru_cache(maxsize=None)
+def _rhs_power(sigma: int, q: int) -> "tuple[tuple[int, Fraction], ...]":
+    """(1 - sigma*s^2)^q as (exponent of s, coefficient) pairs in term order."""
+    return tuple((e[0], c) for e, c in (_relation_rhs(sigma) ** q).terms.items())
+
+
 def reduce_poly(base: Poly, sigma: int) -> Poly:
-    """Rewrite every power c^e with e >= 2 using c^2 = 1 - sigma*s^2."""
+    """Rewrite every power c^e with e >= 2 using c^2 = 1 - sigma*s^2.
+
+    Each term c^(2q+e)*m becomes c^e*m*(1 - sigma*s^2)^q, and the results
+    are summed into one term map in the order the terms are met.
+    """
     if COS not in base.vars or base.degree_in(COS) <= 1:
         return base
-    ci = base.vars.index(COS)
-    rhs = _relation_rhs(sigma)
-    rhs_powers = {0: Poly.const(1)}
-    acc = Poly.zero(base.vars)
+    vs = base.vars if SIN in base.vars else base.vars + (SIN,)
+    ci, si = vs.index(COS), vs.index(SIN)
+    pad = [0] * (len(vs) - len(base.vars))
+    terms: dict = {}
     for exps, coeff in base.terms.items():
-        e = exps[ci]
-        q, rem = divmod(e, 2)
-        stripped = list(exps)
+        q, rem = divmod(exps[ci], 2)
+        stripped = list(exps) + pad
         stripped[ci] = rem
-        term = Poly(base.vars, {tuple(stripped): coeff})
-        if q:
-            if q not in rhs_powers:
-                rhs_powers[q] = rhs**q
-            term = term * rhs_powers[q]
-        acc = acc + term
-    return acc
+        for j, c in _rhs_power(sigma, q):
+            key = list(stripped)
+            key[si] += j
+            key = tuple(key)
+            s = terms.get(key, _ZERO) + coeff * c
+            if s:
+                terms[key] = s
+            else:
+                terms.pop(key, None)
+    return Poly._raw(vs, terms)
 
 
 class QuotientPoly:
@@ -143,8 +158,7 @@ class QuotientPoly:
         """Exact division by r^k (raises NotDivisible if some term lacks r^k)."""
         if k == 0:
             return self
-        divisor = Poly((RADIAL,), {(k,): 1})
-        return QuotientPoly(self.sigma, self.base.div_exact(divisor))
+        return QuotientPoly(self.sigma, self.base.shift({RADIAL: k}))
 
     # -- evaluation ---------------------------------------------------------------
 

@@ -80,8 +80,8 @@ class VectorField:
         bound = self.check_bindings(bindings)
         sx, sy = self.state_vars
         subs = {n: v for n, v in bound.items()}
-        p1 = self.f1.substitute({k: v for k, v in subs.items() if k in self.f1.vars})
-        p2 = self.f2.substitute({k: v for k, v in subs.items() if k in self.f2.vars})
+        p1 = self.f1.bind({k: v for k, v in subs.items() if k in self.f1.vars})
+        p2 = self.f2.bind({k: v for k, v in subs.items() if k in self.f2.vars})
         t1 = p1.float_terms((sx, sy))
         t2 = p2.float_terms((sx, sy))
 

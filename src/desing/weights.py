@@ -151,18 +151,18 @@ def infer_weights(f: VectorField) -> Weights:
 
 
 def verify_weights(f: VectorField, w: Weights) -> bool:
-    """Check f(r^alpha x, r^beta y) == (r^(alpha+k) f1, r^(beta+k) f2) symbolically."""
+    """Whether f(r^alpha x, r^beta y) == (r^(alpha+k) f1, r^(beta+k) f2).
+
+    The scaling sends a term c*x^m*y^n*(params) to the same term times
+    r^(alpha*m + beta*n).  That map is injective on monomials, since it keeps
+    every exponent and only adds one for r, so no two terms of the scaled
+    component can merge or cancel.  The identity therefore holds exactly
+    when each term of f1 satisfies alpha*m + beta*n == alpha + k and each
+    term of f2 satisfies alpha*m + beta*n == beta + k: one integer test per
+    term, with no polynomial arithmetic.
+    """
     sx, sy = f.state_vars
-    taken = set(f.f1.vars) | set(f.f2.vars) | {sx, sy}
-    fresh = "r"
-    while fresh in taken:
-        fresh += "_"
-    r = Poly.var(fresh)
-    subs_x = (r**w.alpha) * Poly.var(sx)
-    subs_y = (r**w.beta) * Poly.var(sy)
-
-    def scaled(poly, shift):
-        bind = {v: b for v, b in ((sx, subs_x), (sy, subs_y)) if v in poly.vars}
-        return poly.substitute(bind) == (r ** shift) * poly
-
-    return scaled(f.f1, w.alpha + w.k) and scaled(f.f2, w.beta + w.k)
+    a, b = w.alpha, w.beta
+    return all(a * m + b * n == a + w.k for m, n in _state_exponents(f.f1, sx, sy)) and all(
+        a * m + b * n == b + w.k for m, n in _state_exponents(f.f2, sx, sy)
+    )
