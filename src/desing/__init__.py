@@ -30,6 +30,7 @@ from .errors import (
     AmbiguousWeights,
     DegenerateChart,
     DesingError,
+    NameCollision,
     NonFiniteField,
     NotDivisible,
     NotQuasiHomogeneous,
@@ -61,6 +62,7 @@ __all__ = [
     "ChartId",
     "DegenerateChart",
     "DesingError",
+    "NameCollision",
     "Equilibrium",
     "FieldSpec",
     "FrameField",

@@ -49,13 +49,6 @@ def poly_degree(cs) -> int:
     return len(cs) - 1
 
 
-def poly_eval(cs, x: Fraction) -> Fraction:
-    acc = _Z
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
 def poly_derivative(cs) -> "list[Fraction]":
     return [c * i for i, c in enumerate(cs)][1:]
 

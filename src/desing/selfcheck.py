@@ -455,7 +455,7 @@ def check_bridge_conjugacy(f: VectorField, w: Weights, bindings, seed: int, case
     the chart field by cosh(phi)."""
     rng = random.Random(seed)
     raw_h = polar_pushforward(f, HYPERBOLA, Branch.X)
-    des_h = desingularize_polar(polar_pushforward(f, HYPERBOLA, Branch.X))
+    des_h = desingularize_polar(raw_h)
     cf = blow_up_in_chart(f, w, ChartId.K1)
     raw_k = cf.as_callable(bindings, desingularized=False)
     des_k = cf.as_callable(bindings, desingularized=True)

@@ -79,6 +79,26 @@ def test_zero_field_one_line_error(tmp_path, capsys, command):
     assert err.splitlines() == [f"{command}: the zero field has no quasi-homogeneous type"]
 
 
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("r1", ["analyze"], "chart variable 'r1' collides with a field variable"),
+        ("y1", ["blowup"], "chart variable 'y1' collides with a field variable"),
+        ("x2", ["analyze", "--model", "directional"], "chart variable 'x2' collides with a field variable"),
+        ("c", ["blowup", "--model", "sphere"], "parameter name(s) ['c'] collide with the quotient-ring variables ('c', 's', 'r')"),
+        ("s", ["analyze", "--model", "hyperbolic-y"], "parameter name(s) ['s'] collide with the quotient-ring variables ('c', 's', 'r')"),
+    ],
+    ids=["r1-analyze", "y1-blowup", "x2-directional", "c-sphere", "s-hyperbolic-y"],
+)
+def test_name_collision_one_line_error(tmp_path, capsys, name, argv, message):
+    src = tmp_path / "clash.vf"
+    src.write_text(f"param {name} > 0; var x y; dx/dt = {name}*x^2 - 2*x*y; dy/dt = y^2 - x*y;")
+    code, out, err = run(capsys, argv[0], str(src), "--param", f"{name}=1", *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"{argv[0]}: {message}"]
+
+
 def test_missing_file_exit(capsys):
     code, _, err = run(capsys, "analyze", "no-such-file.vf")
     assert code == 1

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from desing.charts import ChartId, blow_up_in_chart
 from desing.errors import NotDivisible
 from desing.poly import Poly, poly_vars
 from desing.selfcheck import (
@@ -10,6 +13,8 @@ from desing.selfcheck import (
     check_ring_axioms,
     check_substitution_homomorphism,
 )
+from desing.vectorfield import Param, VectorField
+from desing.weights import Weights, verify_weights
 
 x, y, a = poly_vars("x", "y", "a")
 r, c, s = poly_vars("r", "c", "s")
@@ -165,3 +170,122 @@ def test_random_division_never_invents_quotients():
         hits += 1
         assert h * q == p
     assert hits > 0
+
+
+# -- the monomial primitives against the general operations ------------------------
+
+coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+
+
+@st.composite
+def polys(draw, pool=("a", "x", "y", "r", "w"), max_exp=3):
+    names = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)))
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(names))
+    return Poly(names, draw(st.dictionaries(exps, coefficients, max_size=6)))
+
+
+@st.composite
+def signed_monomials(draw, pool=("r", "w", "c", "a", "x")):
+    names = tuple(draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)))
+    exps = tuple(draw(st.integers(0, 3)) for _ in names)
+    return Poly(names, {exps: draw(st.sampled_from((1, -1)))})
+
+
+def identical(p, q):
+    """Same variables in the same order and the same terms in the same order."""
+    return p.vars == q.vars and list(p.terms.items()) == list(q.terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_monomial_map_is_substitute(data):
+    # image variables may coincide with unbound ones, so monomials can merge
+    p = data.draw(polys())
+    bound = data.draw(st.lists(st.sampled_from(p.vars), unique=True))
+    images = {v: data.draw(signed_monomials()) for v in bound}
+    assert identical(p.monomial_map(images), p.substitute(images))
+
+
+def test_monomial_map_rejects_non_monomial_images():
+    with pytest.raises(ValueError):
+        (x * y).monomial_map({"x": r + c})
+    with pytest.raises(ValueError):
+        (x * y).monomial_map({"x": 2 * r})
+    with pytest.raises(ValueError):
+        x.monomial_map({"z": r})
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), st.dictionaries(st.sampled_from(("a", "x", "r", "z")), st.integers(0, 2), max_size=2), coefficients)
+def test_shift_is_div_exact_by_the_monomial(p, monomial, coeff):
+    divisor = Poly(tuple(monomial), {tuple(monomial.values()): coeff})
+    try:
+        expected = p.div_exact(divisor)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            p.shift(monomial, coeff)
+        return
+    assert identical(p.shift(monomial, coeff), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_bind_is_substitute_with_constants(data):
+    p = data.draw(polys())
+    values = data.draw(
+        st.dictionaries(st.sampled_from(p.vars), st.one_of(st.just(0), coefficients), max_size=3)
+    )
+    assert identical(p.bind(values), p.substitute(values))
+
+
+# -- the exponent-row weight test against the symbolic one ---------------------------
+
+
+def symbolic_verify(f, w):
+    """f(r^alpha x, r^beta y) == (r^(alpha+k) f1, r^(beta+k) f2), by substitution."""
+    sx, sy = f.state_vars
+    rr = Poly.var("r")
+    subs = {sx: rr**w.alpha * Poly.var(sx), sy: rr**w.beta * Poly.var(sy)}
+
+    def scaled(poly, shift):
+        bind = {v: b for v, b in subs.items() if v in poly.vars}
+        return poly.substitute(bind) == rr**shift * poly
+
+    return scaled(f.f1, w.alpha + w.k) and scaled(f.f2, w.beta + w.k)
+
+
+@st.composite
+def fields_and_weights(draw):
+    """A field over (a, x, y) that is often, not always, quasi-homogeneous for
+    the drawn weights: each term satisfies the row test with high probability."""
+    w = Weights(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 4)))
+
+    def component(target):
+        fits = [(m, n) for m in range(7) for n in range(7) if w.alpha * m + w.beta * n == target]
+        pick = st.sampled_from(fits) if fits else st.nothing()
+        any_mn = st.tuples(st.integers(0, 4), st.integers(0, 4))
+        mns = draw(st.lists(st.one_of(pick, pick, pick, any_mn), max_size=4))
+        return Poly(("a", "x", "y"), {(draw(st.integers(0, 2)), m, n): draw(coefficients) for m, n in mns})
+
+    f = VectorField(component(w.alpha + w.k), component(w.beta + w.k), ("x", "y"), (Param("a"),))
+    return f, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields_and_weights())
+def test_row_weight_test_matches_symbolic_check(fw):
+    f, w = fw
+    assert verify_weights(f, w) == symbolic_verify(f, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields_and_weights(), st.sampled_from(list(ChartId)))
+def test_blow_up_raises_exactly_on_unverified_weights(fw, chart):
+    f, w = fw
+    if symbolic_verify(f, w):
+        cf = blow_up_in_chart(f, w, chart)
+        rk = Poly.var(cf.radial_var) ** w.k
+        assert rk * cf.desing[0] == cf.raw[0] and rk * cf.desing[1] == cf.raw[1]
+    else:
+        with pytest.raises(ValueError):
+            blow_up_in_chart(f, w, chart)
