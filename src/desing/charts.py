@@ -14,9 +14,11 @@ is a triangular system: the component carrying the pure +-r power
 determines r', then the remaining equation yields w'.  Both solves divide
 by a constant times a power of r, and desingularizing divides by r^k; all
 three are `Poly.shift`, which raises NotDivisible if a term lacks the power.
-When the weights verify, every term of the pushed x-component (for K1/K3)
-carries exactly r^(alpha+k), so none of the divisions can fail.  The chart
-fields come out in grlex-descending term order over params + (r, w).
+When the weights verify, every term of the pushed x-component carries
+exactly r^(alpha+k) and every term of the y-component r^(beta+k), so none
+of the divisions can fail.  Both primitives return what `substitute` and
+`div_exact` would, term order included; for a field from the DSL the chart
+fields come out grlex-descending over params + (r, w).
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ c^2 + sigma*s^2 = 1 and differentiates through the parametrization.  Both
 images are monomials, so the substitution is `Poly.monomial_map`.  The
 resulting 2x2 linear system for (radial', angular') has determinant exactly
 radius in the quotient ring, so the solve needs one division by the radial
-variable and nothing else; it and the desingularizing division by radius^k
-are `QuotientPoly.div_radial`, an exponent shift.  Trigonometric or hyperbolic functions
-are never expanded symbolically; they only appear at float-evaluation time.
+variable and nothing else.  That division and the desingularizing one by
+radius^k are `QuotientPoly.div_radial`, an exponent shift.  Trigonometric
+or hyperbolic functions are never expanded symbolically; they only appear
+at float-evaluation time.
 
 Branch conventions for the hyperbola:
 

@@ -305,11 +305,9 @@ class Poly:
         coefficients, as in `substitute`.
         """
         self._check_bound(images)
-        rows = {}
         for v, img in images.items():
             if len(img.terms) != 1 or next(iter(img.terms.values())) not in (1, -1):
                 raise ValueError(f"image of {v} is not a signed monomial: {img}")
-            rows[v] = next(iter(img.terms.items()))
         out = [v for v in self.vars if v not in images]
         pending = [(i, images[v].vars) for i, v in enumerate(self.vars) if v in images]
         for exps in self.terms:
@@ -323,11 +321,12 @@ class Poly:
         pos = {v: j for j, v in enumerate(vs)}
         plan = []  # per variable of self: (image sign, ((target index, exponent), ...))
         for v in self.vars:
-            if v not in images:
+            img = images.get(v)
+            if img is None:
                 plan.append((1, ((pos[v], 1),)))
-            elif all(n in pos for n in images[v].vars):
-                iexps, sign = rows[v]
-                plan.append((sign, tuple((pos[n], k) for n, k in zip(images[v].vars, iexps) if k)))
+            elif all(n in pos for n in img.vars):
+                ((iexps, sign),) = img.terms.items()
+                plan.append((sign, tuple((pos[n], k) for n, k in zip(img.vars, iexps) if k)))
             else:  # v has exponent 0 in every term
                 plan.append((1, ()))
         terms: dict = {}

@@ -14,7 +14,7 @@ powers of r termwise exact whenever it is possible at all.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import comb
 from typing import Mapping, Union
 
 from .poly import Poly
@@ -30,22 +30,12 @@ Scalar = Union[int, Fraction]
 _ZERO = Fraction(0)
 
 
-def _relation_rhs(sigma: int) -> Poly:
-    # what c^2 rewrites to: 1 - sigma*s^2
-    return Poly.const(1) - sigma * (Poly.var(SIN) ** 2)
-
-
-@lru_cache(maxsize=None)
-def _rhs_power(sigma: int, q: int) -> "tuple[tuple[int, Fraction], ...]":
-    """(1 - sigma*s^2)^q as (exponent of s, coefficient) pairs in term order."""
-    return tuple((e[0], c) for e, c in (_relation_rhs(sigma) ** q).terms.items())
-
-
 def reduce_poly(base: Poly, sigma: int) -> Poly:
     """Rewrite every power c^e with e >= 2 using c^2 = 1 - sigma*s^2.
 
-    Each term c^(2q+e)*m becomes c^e*m*(1 - sigma*s^2)^q, and the results
-    are summed into one term map in the order the terms are met.
+    Each term c^(2q+e)*m becomes c^e*m*(1 - sigma*s^2)^q, expanded by the
+    binomial theorem in ascending powers of s, and the results are summed
+    into one term map in the order they are met.
     """
     if COS not in base.vars or base.degree_in(COS) <= 1:
         return base
@@ -57,11 +47,11 @@ def reduce_poly(base: Poly, sigma: int) -> Poly:
         q, rem = divmod(exps[ci], 2)
         stripped = list(exps) + pad
         stripped[ci] = rem
-        for j, c in _rhs_power(sigma, q):
+        for j in range(q + 1):
             key = list(stripped)
-            key[si] += j
+            key[si] += 2 * j
             key = tuple(key)
-            s = terms.get(key, _ZERO) + coeff * c
+            s = terms.get(key, _ZERO) + coeff * (comb(q, j) * (-sigma) ** j)
             if s:
                 terms[key] = s
             else:
