@@ -308,6 +308,8 @@ class Poly:
         for v, img in images.items():
             if len(img.terms) != 1 or next(iter(img.terms.values())) not in (1, -1):
                 raise ValueError(f"image of {v} is not a signed monomial: {img}")
+        # substitute's variable order: an image's variables join when a term
+        # first uses the variable it replaces
         out = [v for v in self.vars if v not in images]
         pending = [(i, images[v].vars) for i, v in enumerate(self.vars) if v in images]
         for exps in self.terms:
