@@ -43,15 +43,21 @@ def _cases():
         cases[f"analyze-cubic.{ext}"] = ["analyze", CUBIC, "--format", fmt]
     for n in (8, 12, 16):
         cases[f"analyze-dense-d{n}.json"] = ["analyze", GOLDEN / "inputs" / f"dense_d{n}.vf", "--format", "json"]
+    a1 = ["--param", "a=1"]
     portraits = (
-        ("quadratic-K1", QUADRATIC, "K1", "0.1:0.5:2,0.1:0.5:2"),
-        ("quadratic-K2", QUADRATIC, "K2", "0.1:0.5:2,0.1:0.5:2"),
-        ("quadratic-sphere", QUADRATIC, "sphere", "0.2:2.8:2,0.1:0.4:2"),
-        ("quadratic-hyperbolic-x", QUADRATIC, "hyperbolic-x", "0.15:0.65:2,0.1:0.4:2"),
-        ("cubic-K1", CUBIC, "K1", "0.1:0.5:2,0.1:0.5:2"),
+        ("quadratic-original", QUADRATIC, a1, "original", "0.1:0.5:2,0.1:0.5:2"),
+        ("quadratic-K1", QUADRATIC, a1, "K1", "0.1:0.5:2,0.1:0.5:2"),
+        ("quadratic-K2", QUADRATIC, a1, "K2", "0.1:0.5:2,0.1:0.5:2"),
+        ("quadratic-K3", QUADRATIC, a1, "K3", "0.1:0.5:2,-0.5:-0.1:2"),
+        ("quadratic-K4", QUADRATIC, a1, "K4", "0.1:0.5:2,-0.5:-0.1:2"),
+        ("quadratic-sphere", QUADRATIC, a1, "sphere", "0.2:2.8:2,0.1:0.4:2"),
+        # a non-dyadic parameter value exercises the exact parameter binding
+        ("quadratic-a7_10-sphere", QUADRATIC, ["--param", "a=7/10"], "sphere", "0.2:2.8:2,0.1:0.4:2"),
+        ("quadratic-hyperbolic-x", QUADRATIC, a1, "hyperbolic-x", "0.15:0.65:2,0.1:0.4:2"),
+        ("quadratic-hyperbolic-y", QUADRATIC, a1, "hyperbolic-y", "0.15:0.65:2,0.1:0.4:2"),
+        ("cubic-K1", CUBIC, [], "K1", "0.1:0.5:2,0.1:0.5:2"),
     )
-    for name, path, frame, grid in portraits:
-        params = ["--param", "a=1"] if path == QUADRATIC else []
+    for name, path, params, frame, grid in portraits:
         cases[f"portrait-{name}.csv"] = [
             "portrait", path, *params, "--frame", frame, f"--grid={grid}", "--t-end", "0.2",
         ]
