@@ -30,7 +30,7 @@ from typing import Callable, Mapping
 
 from .errors import NameCollision, OutOfDomain
 from .poly import Poly
-from .vectorfield import Param, VectorField, check_param_bindings
+from .vectorfield import Param, VectorField, float_field
 from .weights import Weights, verify_weights
 
 
@@ -77,24 +77,8 @@ class ChartField:
 
     def as_callable(self, bindings, desingularized: bool = True) -> Callable:
         """Float evaluator (r, w) -> (r', w') with parameters bound."""
-        bound = check_param_bindings(self.params, bindings)
         pair = self.desing if desingularized else self.raw
-        order = (self.radial_var, self.angular_var)
-        compiled = []
-        for comp in pair:
-            p = comp.bind({k: v for k, v in bound.items() if k in comp.vars})
-            compiled.append(p.float_terms(order))
-
-        def field(r: float, w: float):
-            out = []
-            for terms in compiled:
-                acc = 0.0
-                for c, (i, j) in terms:
-                    acc += c * r**i * w**j
-                out.append(acc)
-            return tuple(out)
-
-        return field
+        return float_field(pair, self.params, bindings, (self.radial_var, self.angular_var))
 
     def pretty(self) -> str:
         r, w = self.radial_var, self.angular_var

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -51,11 +52,25 @@ def _grid(text: str):
         uspec, vspec = text.split(",")
         u0, u1, nu = uspec.split(":")
         v0, v1, nv = vspec.split(":")
-        return (float(u0), float(u1), int(nu), float(v0), float(v1), int(nv))
+        u0, u1, v0, v1 = (float(b) for b in (u0, u1, v0, v1))
+        nu, nv = int(nu), int(nv)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected umin:umax:nu,vmin:vmax:nv, got {text!r}: {exc}"
         )
+    if not all(map(math.isfinite, (u0, u1, v0, v1))) or min(nu, nv) < 0:
+        raise argparse.ArgumentTypeError(f"grid bounds must be finite and counts >= 0, got {text!r}")
+    return (u0, u1, nu, v0, v1, nv)
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--frame", choices=_FRAMES, default="original")
     p.add_argument("--grid", type=_grid, required=True, metavar="U0:U1:NU,V0:V1:NV")
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=1e-2)
+    p.add_argument("--t-end", type=_positive_float, default=1.0)
+    p.add_argument("--step", type=_positive_float, default=1e-2)
 
     p = sub.add_parser("verify", help="run the invariant suite and report pass/fail")
     p.add_argument("input", nargs="?", default=None, help="optional field file ('-' for stdin)")

@@ -19,7 +19,7 @@ import numpy as np
 from .charts import ChartField
 from .errors import NonFiniteField
 from .polar import PolarField
-from .vectorfield import VectorField, check_param_bindings
+from .vectorfield import VectorField
 
 MAX_COORD = 1e6
 
@@ -63,12 +63,7 @@ def frame_chart(cf: ChartField, bindings: Mapping, desingularized: bool = True) 
 
 def frame_polar(pf: PolarField, bindings: Mapping) -> FrameField:
     name = "sphere" if pf.sigma == 1 else f"hyperbolic-{pf.branch.value}"
-    bound = {k: float(v) for k, v in check_param_bindings(pf.params, bindings).items()}
-
-    def func(angle, radius):
-        return pf.field_at(angle, radius, bound)
-
-    return FrameField(name, func, radial_index=1)
+    return FrameField(name, pf.as_callable(bindings), radial_index=1)
 
 
 @dataclass(frozen=True)

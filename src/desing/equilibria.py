@@ -40,7 +40,7 @@ from .realroots import (
     real_roots,
     refine_root,
 )
-from .vectorfield import VectorField, check_param_bindings
+from .vectorfield import VectorField, bind_params, check_param_bindings, float_field
 from .weights import Weights
 
 TWO_PI = 2.0 * math.pi
@@ -216,11 +216,6 @@ def _classify_interval(jac_int) -> "str | None":
 # -- chart-local analysis ----------------------------------------------------------------
 
 
-def _bind_params(poly: Poly, bound: Mapping[str, Fraction]) -> Poly:
-    subs = {k: v for k, v in bound.items() if k in poly.vars}
-    return poly.bind(subs) if subs else poly
-
-
 def _univariate(poly: Poly, var: str) -> "list[Fraction]":
     extra = set(poly.effective_vars()) - {var}
     if extra:
@@ -267,16 +262,27 @@ def divisor_angle(chart: ChartId, w_value: float, weights: Weights) -> float:
     return math.atan2(y, x) % TWO_PI
 
 
-def _jacobian_exact(jac_polys, rvar, wvar, value: Fraction):
-    at = {rvar: Fraction(0), wvar: value}
-    return tuple(
-        tuple(p.evaluate({k: v for k, v in at.items() if k in p.effective_vars()}) for p in row)
-        for row in jac_polys
-    )
-
-
 def _jacobian_interval(jac_coeffs, box: RatInterval):
     return tuple(tuple(interval_eval(cs, box) for cs in row) for row in jac_coeffs)
+
+
+def _exact_equilibrium(cf: ChartField, value: Fraction, jac_coeffs) -> "Equilibrium":
+    """The classified divisor equilibrium at the rational root w = value."""
+    point = RatInterval.point(value)
+    jac = tuple(tuple(interval_eval(cs, point).lo for cs in row) for row in jac_coeffs)
+    cls, eig_exact, eig_float = classify_exact(jac)
+    return Equilibrium(
+        chart=cf.chart.value,
+        coords=(Fraction(0), value),
+        coords_float=(0.0, float(value)),
+        exact=True,
+        interval=None,
+        jacobian=jac,
+        eigenvalues=eig_float,
+        eigenvalues_exact=eig_exact,
+        classification=cls,
+        divisor_angle=divisor_angle(cf.chart, float(value), cf.weights),
+    )
 
 
 def divisor_equilibria(cf: ChartField, bindings: Mapping) -> "list[Equilibrium]":
@@ -288,8 +294,8 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> "list[Equilibrium]"
     """
     bound = check_param_bindings(cf.params, bindings)
     rvar, wvar = cf.radial_var, cf.angular_var
-    des_r = _bind_params(cf.desing[0], bound)
-    des_w = _bind_params(cf.desing[1], bound)
+    des_r = bind_params(cf.desing[0], bound)
+    des_w = bind_params(cf.desing[1], bound)
     on_divisor = des_w.bind({rvar: 0}) if rvar in des_w.vars else des_w
     coeffs = _univariate(on_divisor, wvar)
     if not coeffs or all(c == 0 for c in coeffs):
@@ -300,7 +306,8 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> "list[Equilibrium]"
         (des_w.derivative(rvar), des_w.derivative(wvar)),
     )
     # divisor restrictions of the Jacobian entries, as univariate coefficient
-    # lists, for interval evaluation at enclosed roots
+    # lists, for exact evaluation at rational roots and interval evaluation
+    # at enclosed ones
     jac_coeffs = tuple(
         tuple(
             _univariate(p.bind({rvar: 0}) if rvar in p.vars else p, wvar)
@@ -312,28 +319,14 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> "list[Equilibrium]"
     out = []
     for root in real_roots(coeffs):
         if root.exact:
-            jac = _jacobian_exact(jac_polys, rvar, wvar, root.value)
-            cls, eig_exact, eig_float = classify_exact(jac)
-            eq = Equilibrium(
-                chart=cf.chart.value,
-                coords=(Fraction(0), root.value),
-                coords_float=(0.0, float(root.value)),
-                exact=True,
-                interval=None,
-                jacobian=jac,
-                eigenvalues=eig_float,
-                eigenvalues_exact=eig_exact,
-                classification=cls,
-                divisor_angle=divisor_angle(cf.chart, float(root.value), cf.weights),
-            )
+            out.append(_exact_equilibrium(cf, root.value, jac_coeffs))
         else:
-            eq = _interval_equilibrium(cf, root, jac_polys, jac_coeffs, rvar, wvar)
-        out.append(eq)
+            out.append(_interval_equilibrium(cf, root, jac_coeffs))
     out.sort(key=lambda e: e.coords_float[1])
     return out
 
 
-def _interval_equilibrium(cf, root: RealRoot, jac_polys, jac_coeffs, rvar, wvar):
+def _interval_equilibrium(cf, root: RealRoot, jac_coeffs):
     cls = None
     width = DEFAULT_WIDTH
     for _ in range(3):
@@ -345,20 +338,7 @@ def _interval_equilibrium(cf, root: RealRoot, jac_polys, jac_coeffs, rvar, wvar)
         width = width * DEFAULT_WIDTH  # square the precision and retry
         root = refine_root(root, width)
         if root.exact:
-            jac = _jacobian_exact(jac_polys, rvar, wvar, root.value)
-            cls, eig_exact, eig_float = classify_exact(jac)
-            return Equilibrium(
-                chart=cf.chart.value,
-                coords=(Fraction(0), root.value),
-                coords_float=(0.0, float(root.value)),
-                exact=True,
-                interval=None,
-                jacobian=jac,
-                eigenvalues=eig_float,
-                eigenvalues_exact=eig_exact,
-                classification=cls,
-                divisor_angle=divisor_angle(cf.chart, float(root.value), cf.weights),
-            )
+            return _exact_equilibrium(cf, root.value, jac_coeffs)
     if cls is None:
         cls = CLASS_NON_HYPERBOLIC  # enclosure never separated from zero
     mid = root.approx
@@ -441,22 +421,23 @@ def _chart_coordinate_of_angle(chart: ChartId, theta: float, weights: Weights) -
     return c / t**alpha
 
 
-def _angular_flow_sign(chart_fields, angulars, weights, theta: float) -> int:
-    chart, orient = _chart_for_angle(theta)
-    cf = chart_fields[chart.value]
-    w_val = _chart_coordinate_of_angle(chart, theta, weights)
-    value = angulars[chart.value].eval_float({cf.radial_var: 0.0, cf.angular_var: w_val})
-    if abs(value) <= _FLOW_ZERO_TOL:
-        return 0
-    return orient * (1 if value > 0 else -1)
-
-
 def _circle_flow(chart_fields, weights, bound, merged) -> "list[FlowArc]":
-    # each chart's desingularized angular component, parameters bound once
-    angulars = {name: _bind_params(cf.desing[1], bound) for name, cf in chart_fields.items()}
+    angulars = {}  # chart -> float desingularized angular component, built on first use
+
+    def flow_sign(theta: float) -> int:
+        chart, orient = _chart_for_angle(theta)
+        if chart not in angulars:
+            cf = chart_fields[chart.value]
+            angulars[chart] = float_field(
+                (cf.desing[1],), cf.params, bound, (cf.radial_var, cf.angular_var)
+            )
+        (value,) = angulars[chart](0.0, _chart_coordinate_of_angle(chart, theta, weights))
+        if abs(value) <= _FLOW_ZERO_TOL:
+            return 0
+        return orient * (1 if value > 0 else -1)
+
     if not merged:
-        sign = _angular_flow_sign(chart_fields, angulars, weights, 1.0)
-        return [FlowArc(0.0, TWO_PI, sign)]
+        return [FlowArc(0.0, TWO_PI, flow_sign(1.0))]
     arcs = []
     angles = [m.angle for m in merged]
     for i, start in enumerate(angles):
@@ -465,9 +446,7 @@ def _circle_flow(chart_fields, weights, bound, merged) -> "list[FlowArc]":
         if span == 0.0:
             span = TWO_PI
         mid = (start + span / 2.0) % TWO_PI
-        arcs.append(
-            FlowArc(start, end, _angular_flow_sign(chart_fields, angulars, weights, mid))
-        )
+        arcs.append(FlowArc(start, end, flow_sign(mid)))
     return arcs
 
 
@@ -489,6 +468,7 @@ def _hyperbolic_equilibria(bound, branch: Branch, chart_field: ChartField, hh: P
         (angular_derivative(hh.angular), radial_derivative(hh.angular)),
         (angular_derivative(hh.radial), radial_derivative(hh.radial)),
     )
+    jac_float = None  # the four entries in floats, built on first use
     out = []
     for eq in chart_eqs:
         w_norm = eq.coords[1]
@@ -509,12 +489,13 @@ def _hyperbolic_equilibria(bound, branch: Branch, chart_field: ChartField, hh: P
             )
             cls, eig_exact, eig_float = classify_exact(jac)
         else:
-            values = {COS: cosh_phi, SIN: w_float * cosh_phi, RADIAL: 0.0}
-            values.update({k: float(v) for k, v in bound.items()})
-            jac = tuple(tuple(q.base.eval_float(values) for q in row) for row in jac_q)
-            tr = jac[0][0] + jac[1][1]
-            det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
-            eig_float = _float_eigenvalues(tr, det)
+            if jac_float is None:
+                jac_float = float_field(
+                    [q.base for row in jac_q for q in row], hh.params, bound, (COS, SIN, RADIAL)
+                )
+            a, b, c, d = jac_float(cosh_phi, w_float * cosh_phi, 0.0)
+            jac = ((a, b), (c, d))
+            eig_float = _float_eigenvalues(a + d, a * d - b * c)
             eig_exact = None
             cls = eq.classification  # transfers through the positive rescaling
         out.append(
@@ -544,9 +525,10 @@ def _line_flow(polar_desing: PolarField, bound, angles) -> "list[FlowArc]":
         for a, b in zip(angles, angles[1:]):
             samples.append((a, b, (a + b) / 2.0))
         samples.append((angles[-1], None, angles[-1] + 1.0))
+    field = polar_desing.as_callable(bound)
     arcs = []
     for start, end, at in samples:
-        value = polar_desing.angular.eval_float(at, 0.0, bound)
+        value, _ = field(at, 0.0)
         sign = 0 if abs(value) <= _FLOW_ZERO_TOL else (1 if value > 0 else -1)
         arcs.append(FlowArc(start, end, sign))
     return arcs
@@ -589,7 +571,7 @@ def global_divisor_report(
             MergedEquilibrium(angle=e.divisor_angle, members=[e], classification=e.classification)
             for e in eqs
         ]
-        flow = _line_flow(hh, {k: float(v) for k, v in bound.items()}, [e.divisor_angle for e in eqs])
+        flow = _line_flow(hh, bound, [e.divisor_angle for e in eqs])
         return GlobalReport(
             model=model,
             weights=w,

@@ -7,8 +7,10 @@ resulting 2x2 linear system for (radial', angular') has determinant exactly
 radius in the quotient ring, so the solve needs one division by the radial
 variable and nothing else.  That division and the desingularizing one by
 radius^k are `QuotientPoly.div_radial`, an exponent shift.  Trigonometric
-or hyperbolic functions are never expanded symbolically; they only appear
-at float-evaluation time.
+or hyperbolic functions are never expanded symbolically: `as_callable`
+binds the parameters, compiles both components over (c, s, r) with the
+same evaluator the plane and chart views use, and feeds it the (cos, sin)
+or (cosh, sinh) of the angle.
 
 Branch conventions for the hyperbola:
 
@@ -21,12 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import NameCollision, SingularAngle
 from .poly import Poly
-from .quotient import COS, RADIAL, RESERVED, SIN, QuotientPoly
-from .vectorfield import Param, VectorField
+from .quotient import COS, RADIAL, RESERVED, SIN, TRIG, QuotientPoly
+from .vectorfield import Param, VectorField, float_field
 
 SPHERE = 1
 HYPERBOLA = -1
@@ -59,13 +61,14 @@ class PolarField:
     def radial_name(self) -> str:
         return "r" if self.sigma == SPHERE else "rho"
 
-    def field_at(self, angle: float, radius: float, bindings: "Mapping | None" = None):
-        """Float evaluation -> (angle', radius')."""
-        b = {k: float(v) for k, v in (bindings or {}).items()}
-        return (
-            self.angular.eval_float(angle, radius, b),
-            self.radial.eval_float(angle, radius, b),
+    def as_callable(self, bindings: Mapping) -> Callable:
+        """Float evaluator (angle, radius) -> (angle', radius') with
+        parameters bound."""
+        cos, sin = TRIG[self.sigma]
+        field = float_field(
+            (self.angular.base, self.radial.base), self.params, bindings, (COS, SIN, RADIAL)
         )
+        return lambda angle, radius: field(cos(angle), sin(angle), radius)
 
     def pretty(self) -> str:
         a, r = self.angle_name, self.radial_name

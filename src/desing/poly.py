@@ -3,7 +3,8 @@
 A polynomial carries an ordered tuple of variable names and a map from
 exponent vectors (one non-negative integer per variable) to nonzero
 `fractions.Fraction` coefficients.  All arithmetic is exact; floats only
-appear when explicitly requested through `eval_float` / `float_terms`.
+appear in `float_evaluator`, which compiles polynomials into one float
+function and is the single place where a field becomes floats.
 
 Term order is graded lexicographic (total degree first, then the exponent
 vector, both descending) everywhere an order matters: canonical printing
@@ -19,8 +20,8 @@ Two kinds of operation live side by side:
   terms: `monomial_map` substitutes signed monomials (x -> -r^2,
   y -> r*w), `shift` divides by c times a monomial, and `bind` substitutes
   rationals.  Each returns exactly what the general operation returns for
-  the same arguments, variable order and term order included, so the
-  float evaluators, which sum in term order, see the same polynomial
+  the same arguments, variable order and term order included, so
+  `float_evaluator`, which sums in term order, sees the same polynomial
   either way.  The blow-ups use these; the general ones stay as the
   independent reference the self-checks compare against.
 
@@ -33,7 +34,7 @@ non-negative ints) to nonzero Fractions, and adopts that dict uncopied.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .errors import NotDivisible
 
@@ -95,19 +96,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return _ZERO
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
             return 0
@@ -166,10 +154,6 @@ class Poly:
     def _drop_dead(self, keep: "tuple[str, ...]") -> dict:
         sel = [self.vars.index(v) for v in keep]
         return {tuple(e[i] for i in sel): c for e, c in self.terms.items()}
-
-    def rename(self, mapping: Mapping[str, str]) -> "Poly":
-        vs = tuple(mapping.get(v, v) for v in self.vars)
-        return Poly(vs, dict(self.terms))
 
     # -- ring operations ----------------------------------------------------
 
@@ -366,11 +350,14 @@ class Poly:
                         pw = powers[(i, e)] = val**e
                     c = c * pw
             key = tuple(exps[i] for i in keep)
-            s = terms.get(key, _ZERO) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
+            if key in terms:
+                s = terms[key] + c
+                if s:
+                    terms[key] = s
+                else:
+                    del terms[key]
+            elif c:
+                terms[key] = c
         return Poly._raw(tuple(self.vars[i] for i in keep), terms)
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
@@ -387,25 +374,6 @@ class Poly:
                     t *= val**e
             total += t
         return total
-
-    def eval_float(self, values: Mapping[str, float]) -> float:
-        missing = [v for v in self.effective_vars() if v not in values]
-        if missing:
-            raise ValueError(f"no value for variable(s) {missing}")
-        vals = [float(values.get(v, 0.0)) for v in self.vars]
-        total = 0.0
-        for exps, c in self.terms.items():
-            t = float(c)
-            for val, e in zip(vals, exps):
-                if e:
-                    t *= val**e
-            total += t
-        return total
-
-    def float_terms(self, order: Sequence[str]) -> "list[tuple[float, tuple[int, ...]]]":
-        """Precompiled (coefficient, exponents) pairs over `order`, for fast
-        repeated float evaluation in integrators."""
-        return [(float(c), e) for e, c in self.reordered(order).terms.items()]
 
     # -- calculus ------------------------------------------------------------
 
@@ -538,3 +506,32 @@ class Poly:
 def poly_vars(*names: str) -> "tuple[Poly, ...]":
     """Convenience: `x, y = poly_vars("x", "y")`."""
     return tuple(Poly.var(n) for n in names)
+
+
+def float_evaluator(polys: Sequence[Poly], order: Sequence[str]) -> Callable:
+    """Compile the polynomials into one float function of the variables in
+    `order`, returning a tuple with one value per polynomial.
+
+    Every variable a polynomial uses must be in `order`; bind parameters
+    first.  Each value sums the terms left to right in term order, each
+    term evaluated as `c * x1**e1 * x2**e2 ...` with c the coefficient
+    rounded to a float and exponent-0 factors left out (exact, as
+    c * 1.0 == c).  Powers stay `**`, so an overflowing power raises
+    OverflowError.  The generated source holds one statement per term (a
+    single sum of thousands of terms would overflow the compiler's
+    recursion limit) and only generated names and float literals.
+    """
+    order = tuple(order)
+    args = ", ".join(f"x{i}" for i in range(len(order)))
+    lines = [f"def field({args}):"]
+    for k, p in enumerate(polys):
+        lines.append(f"    a{k} = 0.0")
+        terms = p.terms if p.vars == order else p.reordered(order).terms
+        for exps, c in terms.items():
+            factors = [repr(float(c))]
+            factors += [f"x{i}" if e == 1 else f"x{i}**{e}" for i, e in enumerate(exps) if e]
+            lines.append(f"    a{k} += {' * '.join(factors)}")
+    lines.append(f"    return ({''.join(f'a{k}, ' for k in range(len(polys)))})")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<float_evaluator>", "exec"), namespace)
+    return namespace["field"]

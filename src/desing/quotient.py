@@ -9,21 +9,28 @@ Both relations are monic in c^2, so rewriting c^2 -> 1 - sigma*s^2 gives a
 unique normal form with c-degree <= 1 in every term.  The radial variable r
 and any parameters are untouched by reduction, which makes division by
 powers of r termwise exact whenever it is possible at all.
+
+Floats enter only through `TRIG`, the one table of (cos, sin) or
+(cosh, sinh) by signature, and `poly.float_evaluator`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import comb
 from typing import Mapping, Union
 
-from .poly import Poly
+from .poly import Poly, float_evaluator
 
 COS = "c"
 SIN = "s"
 RADIAL = "r"
 
 RESERVED = (COS, SIN, RADIAL)
+
+# float values of (c, s) at an angle, by signature
+TRIG = {1: (math.cos, math.sin), -1: (math.cosh, math.sinh)}
 
 Scalar = Union[int, Fraction]
 
@@ -160,16 +167,10 @@ class QuotientPoly:
         return self.base.evaluate(values)
 
     def eval_float(self, angle: float, radius: float, bindings: "Mapping[str, Scalar] | None" = None) -> float:
-        import math
-
-        if self.sigma == 1:
-            cv, sv = math.cos(angle), math.sin(angle)
-        else:
-            cv, sv = math.cosh(angle), math.sinh(angle)
-        values = {COS: cv, SIN: sv, RADIAL: float(radius)}
-        for name, val in (bindings or {}).items():
-            values[name] = float(val)
-        return self.base.eval_float(values)
+        """One-point float evaluation; parameters are bound exactly first."""
+        cos, sin = TRIG[self.sigma]
+        base = self.base.bind({k: v for k, v in (bindings or {}).items() if k in self.base.vars})
+        return float_evaluator([base], (COS, SIN, RADIAL))(cos(angle), sin(angle), radius)[0]
 
     # -- printing ------------------------------------------------------------------
 

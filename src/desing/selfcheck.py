@@ -392,15 +392,14 @@ def check_polar_finite_difference(f: VectorField, bindings, seed: int, cases: in
     """Spherical polar components vs finite differences of the inverse polar
     map along integrated orbits."""
     rng = random.Random(seed)
-    pf = polar_pushforward(f, SPHERE)
+    pfield = polar_pushforward(f, SPHERE).as_callable(bindings)
     fn = f.as_callable(bindings)
-    bound = {k: float(v) for k, v in dict(bindings).items()}
     done = attempts = 0
     while done < cases and attempts < 100 * cases:
         attempts += 1
         theta = rng.uniform(0.0, 2.0 * math.pi)
         radius = rng.uniform(0.3, 1.0)
-        exp_a, exp_r = pf.field_at(theta, radius, bound)
+        exp_a, exp_r = pfield(theta, radius)
         if abs(exp_a) < 0.05 or abs(exp_r) < 0.05:
             continue  # relative comparison needs values away from the roots
         x0 = (radius * math.cos(theta), radius * math.sin(theta))
@@ -426,15 +425,14 @@ def check_hyperbolic_finite_difference(f: VectorField, bindings, seed: int, case
     inverse along orbits: this is the check that arbitrates the sign of the
     last radial term."""
     rng = random.Random(seed)
-    hh = polar_pushforward(f, HYPERBOLA, Branch.X)
+    hfield = polar_pushforward(f, HYPERBOLA, Branch.X).as_callable(bindings)
     fn = f.as_callable(bindings)
-    bound = {k: float(v) for k, v in dict(bindings).items()}
     done = attempts = 0
     while done < cases and attempts < 100 * cases:
         attempts += 1
         phi = rng.uniform(-1.2, 1.2)
         rho = rng.uniform(0.3, 1.0)
-        exp_a, exp_r = hh.field_at(phi, rho, bound)
+        exp_a, exp_r = hfield(phi, rho)
         if abs(exp_a) < 0.05 or abs(exp_r) < 0.05:
             continue
         x0 = (rho * math.cosh(phi), rho * math.sinh(phi))
@@ -459,15 +457,16 @@ def check_bridge_conjugacy(f: VectorField, w: Weights, bindings, seed: int, case
     cf = blow_up_in_chart(f, w, ChartId.K1)
     raw_k = cf.as_callable(bindings, desingularized=False)
     des_k = cf.as_callable(bindings, desingularized=True)
-    bound = {k: float(v) for k, v in dict(bindings).items()}
+    raw_hf = raw_h.as_callable(bindings)
+    des_hf = des_h.as_callable(bindings)
     for i in range(cases):
         phi = rng.uniform(-1.5, 1.5)
         rho = rng.uniform(0.05, 1.0)
         r1, y1 = bridge_beta1(phi, rho)
         ch, sh = math.cosh(phi), math.sinh(phi)
         sech2 = 1.0 / (ch * ch)
-        for hfield, kfield, scale in ((raw_h, raw_k, 1.0), (des_h, des_k, ch)):
-            da, dr = hfield.field_at(phi, rho, bound)
+        for hfield, kfield, scale in ((raw_hf, raw_k, 1.0), (des_hf, des_k, ch)):
+            da, dr = hfield(phi, rho)
             lhs = (rho * sh * da + ch * dr, sech2 * da)
             kv = kfield(r1, y1)
             rhs = (scale * kv[0], scale * kv[1])

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import DesingError, UnboundParameter
-from .poly import Poly
+from .poly import Poly, float_evaluator
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,19 @@ def check_param_bindings(params, bindings: Mapping) -> "dict[str, Fraction]":
     if unknown:
         raise DesingError(f"binding for unknown parameter(s) {sorted(unknown)}")
     return out
+
+
+def bind_params(poly: Poly, bound: Mapping[str, Fraction]) -> Poly:
+    """`poly` with the parameters it uses replaced by their exact values."""
+    subs = {k: v for k, v in bound.items() if k in poly.vars}
+    return poly.bind(subs) if subs else poly
+
+
+def float_field(polys, params, bindings: Mapping, order) -> Callable:
+    """Float view of a field: bind the parameters exactly, then compile the
+    components into one function of the variables in `order`."""
+    bound = check_param_bindings(params, bindings)
+    return float_evaluator([bind_params(p, bound) for p in polys], order)
 
 
 @dataclass(frozen=True)
@@ -77,24 +90,7 @@ class VectorField:
 
     def as_callable(self, bindings: Mapping[str, "Fraction | int | str"]) -> Callable:
         """Float evaluator (u, v) -> (f1, f2) with parameters bound."""
-        bound = self.check_bindings(bindings)
-        sx, sy = self.state_vars
-        subs = {n: v for n, v in bound.items()}
-        p1 = self.f1.bind({k: v for k, v in subs.items() if k in self.f1.vars})
-        p2 = self.f2.bind({k: v for k, v in subs.items() if k in self.f2.vars})
-        t1 = p1.float_terms((sx, sy))
-        t2 = p2.float_terms((sx, sy))
-
-        def field(u: float, v: float):
-            a = 0.0
-            for c, (i, j) in t1:
-                a += c * u**i * v**j
-            b = 0.0
-            for c, (i, j) in t2:
-                b += c * u**i * v**j
-            return (a, b)
-
-        return field
+        return float_field(self.components(), self.params, bindings, self.state_vars)
 
     def __str__(self):
         sx, sy = self.state_vars

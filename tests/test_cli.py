@@ -110,6 +110,31 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--step", "0"),
+        ("--step", "-1"),
+        ("--step", "nan"),
+        ("--step", "inf"),
+        ("--t-end", "0"),
+        ("--t-end", "nan"),
+        ("--grid", "0.1:0.5:-3,0.1:0.5:2"),
+        ("--grid", "0.1:0.5:2,0.1:0.5:-1"),
+        ("--grid", "0.1:nan:2,0.1:0.5:2"),
+        ("--grid", "0.1:0.5:2,-inf:0.5:2"),
+    ],
+)
+def test_portrait_rejects_bad_numbers(capsys, option, value):
+    argv = ["portrait", QUADRATIC, "--param", "a=1", "--grid", "0.1:0.5:2,0.1:0.5:2", option, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(f"desing portrait: error: argument {option}: ")
+
+
 def test_json_analysis_roundtrips_bytes(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _, _ = run(capsys, "analyze", QUADRATIC, "--param", "a=1", "--format", "json", "-o", str(out_path))

@@ -77,7 +77,7 @@ def test_y_branch_swaps_roles():
     x, y = poly_vars("x", "y")
     f = F
     swapped = VectorField(
-        f.f2.substitute({"x": y, "y": x}).rename({}),
+        f.f2.substitute({"x": y, "y": x}),
         f.f1.substitute({"x": y, "y": x}),
         ("x", "y"),
         f.params,

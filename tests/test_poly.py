@@ -1,4 +1,6 @@
+import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from desing.charts import ChartId, blow_up_in_chart
 from desing.errors import NotDivisible
-from desing.poly import Poly, poly_vars
+from desing.polar import SPHERE, desingularize_polar, polar_pushforward
+from desing.poly import Poly, float_evaluator, poly_vars
+from desing.quotient import COS, RADIAL, SIN
 from desing.selfcheck import (
     check_exact_division,
     check_ring_axioms,
@@ -122,7 +126,7 @@ def test_evaluate_exact_and_float():
     p = a * x**2 - 2 * x * y
     val = p.evaluate({"a": Fraction(1, 2), "x": Fraction(2), "y": Fraction(3)})
     assert val == Fraction(1, 2) * 4 - 12
-    assert p.eval_float({"a": 0.5, "x": 2.0, "y": 3.0}) == pytest.approx(-10.0)
+    assert float_evaluator([p], ("a", "x", "y"))(0.5, 2.0, 3.0) == (-10.0,)
     with pytest.raises(ValueError):
         p.evaluate({"a": 1, "x": 2})
 
@@ -289,3 +293,70 @@ def test_blow_up_raises_exactly_on_unverified_weights(fw, chart):
     else:
         with pytest.raises(ValueError):
             blow_up_in_chart(f, w, chart)
+
+
+# -- the compiled float evaluator -----------------------------------------------------------
+
+
+def term_loop(p, order, point):
+    """The float term loop the plane and chart views ran before
+    `float_evaluator`: float coefficient times every power, exponent 0
+    included, summed in term order."""
+    total = 0.0
+    for exps, c in p.reordered(order).terms.items():
+        t = float(c)
+        for val, e in zip(point, exps):
+            t = t * val**e
+        total += t
+    return total
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+float_coefficients = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_float_evaluator_is_the_term_loop_bit_for_bit(data):
+    order = ("x", "y", "z")[: data.draw(st.integers(2, 3))]
+    exps = st.tuples(*[st.integers(0, 4)] * len(order))
+    # sums of two term maps, so that shared monomials merge
+    ps = [
+        Poly(order, data.draw(st.dictionaries(exps, float_coefficients, max_size=6)))
+        + Poly(order, data.draw(st.dictionaries(exps, float_coefficients, max_size=6)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    point = tuple(data.draw(floats) for _ in order)
+    got = float_evaluator(ps, order)(*point)
+    assert bits(got) == bits(term_loop(p, order, point) for p in ps)
+
+
+def test_float_evaluator_compiles_five_thousand_terms():
+    p = Poly(("x", "y"), {(i, j): Fraction(i + 1, j + 2) for i in range(100) for j in range(50)})
+    assert len(p.terms) == 5000
+    (value,) = float_evaluator([p], ("x", "y"))(0.5, -0.75)
+    assert bits([value]) == bits([term_loop(p, ("x", "y"), (0.5, -0.75))])
+
+
+def test_float_evaluator_overflow_raises():
+    with pytest.raises(OverflowError):
+        float_evaluator([x**3 - y], ("x", "y"))(1e200, 1.0)
+
+
+def test_polar_view_binds_parameters_exactly():
+    # the a-terms merge with the parameter-free ones once a is bound, and
+    # the polar view evaluates the exactly bound polynomials
+    f = VectorField(3 * a * x**2 + x**2 - 2 * x * y, y**2 - a * x * y, ("x", "y"), (Param("a"),))
+    pf = desingularize_polar(polar_pushforward(f, SPHERE))
+    value = Fraction(1, 10)
+    bound = [q.base.bind({"a": value}) for q in (pf.angular, pf.radial)]
+    assert sum(len(p.terms) for p in bound) < len(pf.angular.base.terms) + len(pf.radial.base.terms)
+    reference = float_evaluator(bound, (COS, SIN, RADIAL))
+    field = pf.as_callable({"a": value})
+    for angle, radius in ((0.3, 0.5), (2.0, 1.5), (4.1, 0.0)):
+        expected = reference(math.cos(angle), math.sin(angle), radius)
+        assert bits(field(angle, radius)) == bits(expected)
