@@ -31,7 +31,7 @@ from .charts import ChartField, ChartId, blow_up_in_chart
 from .errors import DegenerateChart, DesingError
 from .polar import Branch, HYPERBOLA, PolarField, desingularize_polar, polar_pushforward
 from .poly import Poly
-from .quotient import COS, RADIAL, SIN, angular_derivative, radial_derivative
+from .quotient import COS, RADIAL, SIN, TRIG, angular_derivative, radial_derivative
 from .realroots import (
     DEFAULT_WIDTH,
     RatInterval,
@@ -422,16 +422,20 @@ def _chart_coordinate_of_angle(chart: ChartId, theta: float, weights: Weights) -
 
 
 def _circle_flow(chart_fields, weights, bound, merged) -> "list[FlowArc]":
-    angulars = {}  # chart -> float desingularized angular component, built on first use
+    # One evaluator for the four charts' desingularized angular components,
+    # since compiling costs far more than evaluating; each component reads
+    # only its own chart's (radial, angular) pair.
+    charts = list(chart_fields.values())
+    order = tuple(v for cf in charts for v in (cf.radial_var, cf.angular_var))
+    angulars = float_field([cf.desing[1] for cf in charts], charts[0].params, bound, order)
+    slot = {cf.chart: i for i, cf in enumerate(charts)}
 
     def flow_sign(theta: float) -> int:
         chart, orient = _chart_for_angle(theta)
-        if chart not in angulars:
-            cf = chart_fields[chart.value]
-            angulars[chart] = float_field(
-                (cf.desing[1],), cf.params, bound, (cf.radial_var, cf.angular_var)
-            )
-        (value,) = angulars[chart](0.0, _chart_coordinate_of_angle(chart, theta, weights))
+        i = slot[chart]
+        point = [0.0] * len(order)
+        point[2 * i + 1] = _chart_coordinate_of_angle(chart, theta, weights)
+        value = angulars(*point)[i]
         if abs(value) <= _FLOW_ZERO_TOL:
             return 0
         return orient * (1 if value > 0 else -1)
@@ -453,22 +457,25 @@ def _circle_flow(chart_fields, weights, bound, merged) -> "list[FlowArc]":
 # -- hyperbolic models --------------------------------------------------------------------
 
 
-def _hyperbolic_equilibria(bound, branch: Branch, chart_field: ChartField, hh: PolarField):
+def _polar_jacobian(pf: PolarField):
+    return (
+        (angular_derivative(pf.angular), radial_derivative(pf.angular)),
+        (angular_derivative(pf.radial), radial_derivative(pf.radial)),
+    )
+
+
+def _hyperbolic_equilibria(bound, branch: Branch, chart_field: ChartField, jac_q, field):
     """Divisor equilibria on one hyperboloid wing, through the chart bridge.
 
     The wing corresponds to the x-chart (resp. y-chart) with the angular
     coordinate inside (-1, 1) via w = tanh(angle); the bridge is an analytic
     diffeomorphism and the desingularized fields match up to the positive
     factor cosh(angle), so the chart classification transfers unchanged and
-    chart eigenvalues scale by cosh(angle).  `hh` is the desingularized
-    field on the wing.
+    chart eigenvalues scale by cosh(angle).  `jac_q` is the Jacobian of the
+    desingularized field on the wing and `field` evaluates its four entries
+    (first in its output) in floats over (c, s, r).
     """
     chart_eqs = divisor_equilibria(chart_field, bound)
-    jac_q = (
-        (angular_derivative(hh.angular), radial_derivative(hh.angular)),
-        (angular_derivative(hh.radial), radial_derivative(hh.radial)),
-    )
-    jac_float = None  # the four entries in floats, built on first use
     out = []
     for eq in chart_eqs:
         w_norm = eq.coords[1]
@@ -489,11 +496,7 @@ def _hyperbolic_equilibria(bound, branch: Branch, chart_field: ChartField, hh: P
             )
             cls, eig_exact, eig_float = classify_exact(jac)
         else:
-            if jac_float is None:
-                jac_float = float_field(
-                    [q.base for row in jac_q for q in row], hh.params, bound, (COS, SIN, RADIAL)
-                )
-            a, b, c, d = jac_float(cosh_phi, w_float * cosh_phi, 0.0)
+            a, b, c, d = field(cosh_phi, w_float * cosh_phi, 0.0)[:4]
             jac = ((a, b), (c, d))
             eig_float = _float_eigenvalues(a + d, a * d - b * c)
             eig_exact = None
@@ -516,7 +519,10 @@ def _hyperbolic_equilibria(bound, branch: Branch, chart_field: ChartField, hh: P
     return out
 
 
-def _line_flow(polar_desing: PolarField, bound, angles) -> "list[FlowArc]":
+def _line_flow(field, angles) -> "list[FlowArc]":
+    """Flow signs along the hyperbola's divisor; `field` evaluates the
+    desingularized angular component last in its output, over (c, s, r)."""
+    cosh, sinh = TRIG[HYPERBOLA]
     samples = []
     if not angles:
         samples.append((None, None, 0.0))
@@ -525,10 +531,9 @@ def _line_flow(polar_desing: PolarField, bound, angles) -> "list[FlowArc]":
         for a, b in zip(angles, angles[1:]):
             samples.append((a, b, (a + b) / 2.0))
         samples.append((angles[-1], None, angles[-1] + 1.0))
-    field = polar_desing.as_callable(bound)
     arcs = []
     for start, end, at in samples:
-        value, _ = field(at, 0.0)
+        value = field(cosh(at), sinh(at), 0.0)[-1]
         sign = 0 if abs(value) <= _FLOW_ZERO_TOL else (1 if value > 0 else -1)
         arcs.append(FlowArc(start, end, sign))
     return arcs
@@ -561,9 +566,16 @@ def global_divisor_report(
         cf = blow_up_in_chart(f, w, chart)
         raw = polar_pushforward(f, HYPERBOLA, branch)
         hh = desingularize_polar(raw)
+        # one evaluator for the report: the Jacobian entries of hh, then its
+        # angular component
+        jac_q = _polar_jacobian(hh)
+        field = float_field(
+            [q.base for row in jac_q for q in row] + [hh.angular.base],
+            hh.params, bound, (COS, SIN, RADIAL),
+        )
         degenerate: "list[str]" = []
         try:
-            eqs = _hyperbolic_equilibria(bound, branch, cf, hh)
+            eqs = _hyperbolic_equilibria(bound, branch, cf, jac_q, field)
         except DegenerateChart:
             degenerate.append(chart.value)
             eqs = []
@@ -571,7 +583,7 @@ def global_divisor_report(
             MergedEquilibrium(angle=e.divisor_angle, members=[e], classification=e.classification)
             for e in eqs
         ]
-        flow = _line_flow(hh, bound, [e.divisor_angle for e in eqs])
+        flow = _line_flow(field, [e.divisor_angle for e in eqs])
         return GlobalReport(
             model=model,
             weights=w,
