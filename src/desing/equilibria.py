@@ -566,8 +566,8 @@ def global_divisor_report(
         cf = blow_up_in_chart(f, w, chart)
         raw = polar_pushforward(f, HYPERBOLA, branch)
         hh = desingularize_polar(raw)
-        # one evaluator for the report: the Jacobian entries of hh, then its
-        # angular component
+        # one evaluator for the report, since compiling costs far more than
+        # evaluating: the Jacobian entries of hh, then its angular component
         jac_q = _polar_jacobian(hh)
         field = float_field(
             [q.base for row in jac_q for q in row] + [hh.angular.base],
