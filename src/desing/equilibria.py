@@ -14,9 +14,13 @@ in rational interval arithmetic and the same sign logic applies, refining
 the enclosure until the signs are certain (or conservatively reporting
 non-hyperbolic when they never become certain).
 
-Each chart point on the divisor is keyed by the angle of its direction on
-the unit circle (K1 point (0, w) maps to atan2(w, 1) for unit weights),
-which lets findings from overlapping charts be merged into one global list.
+Each divisor point is keyed by its owning chart and exact root: K1 and K3
+own their roots with |w| <= 1, K2 and K4 those with |w| < 1.  The chart
+transitions map |w| = 1 to |w| = 1 for any weights, so every direction has
+exactly one owner, and ownership is decided exactly on an isolating
+enclosure.  Flow signs along the divisor follow from the root
+multiplicities and the sign of the leading coefficient, with no evaluation.
+The angle of a point's direction on the unit circle is for display only.
 """
 
 from __future__ import annotations
@@ -24,28 +28,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 from math import isqrt
 from typing import Mapping
 
-from .charts import ChartField, ChartId, blow_up_in_chart
+from .charts import _SOURCE_SIGN, ChartField, ChartId, blow_up_in_chart
 from .errors import DegenerateChart, DesingError
 from .polar import Branch, HYPERBOLA, PolarField, desingularize_polar, polar_pushforward
 from .poly import Poly
-from .quotient import COS, RADIAL, SIN, TRIG, angular_derivative, radial_derivative
+from .quotient import COS, RADIAL, SIN, angular_derivative, radial_derivative
 from .realroots import (
     DEFAULT_WIDTH,
     RatInterval,
     RealRoot,
+    compare_root,
     interval_eval,
     real_roots,
+    refine_apart,
     refine_root,
 )
 from .vectorfield import VectorField, bind_params, check_param_bindings, float_field
 from .weights import Weights
 
 TWO_PI = 2.0 * math.pi
-ANGLE_MERGE_TOL = 1e-9
-_FLOW_ZERO_TOL = 1e-15
 
 CLASS_SADDLE = "hyperbolic-saddle"
 CLASS_STABLE_NODE = "hyperbolic-stable-node"
@@ -114,6 +119,18 @@ class Equilibrium:
     eigenvalues_exact: "tuple[Fraction, Fraction] | None"
     classification: str
     divisor_angle: float
+    root: "RealRoot | None" = None  # the root w of a directional chart point (0, w)
+
+
+class ChartEquilibria(list):
+    """One chart's divisor equilibria in exact increasing order of the root,
+    with the sign of the leading coefficient of the angular component on the
+    divisor.  With the root multiplicities, that sign fixes the component's
+    sign between any two roots."""
+
+    def __init__(self, lead_sign: int):
+        super().__init__()
+        self.lead_sign = lead_sign
 
 
 @dataclass
@@ -266,8 +283,9 @@ def _jacobian_interval(jac_coeffs, box: RatInterval):
     return tuple(tuple(interval_eval(cs, box) for cs in row) for row in jac_coeffs)
 
 
-def _exact_equilibrium(cf: ChartField, value: Fraction, jac_coeffs) -> "Equilibrium":
-    """The classified divisor equilibrium at the rational root w = value."""
+def _exact_equilibrium(cf: ChartField, root: RealRoot, jac_coeffs) -> "Equilibrium":
+    """The classified divisor equilibrium at an exact rational root."""
+    value = root.value
     point = RatInterval.point(value)
     jac = tuple(tuple(interval_eval(cs, point).lo for cs in row) for row in jac_coeffs)
     cls, eig_exact, eig_float = classify_exact(jac)
@@ -282,11 +300,12 @@ def _exact_equilibrium(cf: ChartField, value: Fraction, jac_coeffs) -> "Equilibr
         eigenvalues_exact=eig_exact,
         classification=cls,
         divisor_angle=divisor_angle(cf.chart, float(value), cf.weights),
+        root=root,
     )
 
 
-def divisor_equilibria(cf: ChartField, bindings: Mapping) -> "list[Equilibrium]":
-    """All divisor equilibria of one chart, classified.
+def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
+    """All divisor equilibria of one chart, classified, in exact root order.
 
     Raises DegenerateChart when the angular component vanishes identically
     on the divisor (a line of equilibria); report builders catch this and
@@ -316,13 +335,13 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> "list[Equilibrium]"
         for row in jac_polys
     )
 
-    out = []
+    lead = next(c for c in reversed(coeffs) if c)
+    out = ChartEquilibria(1 if lead > 0 else -1)
     for root in real_roots(coeffs):
         if root.exact:
-            out.append(_exact_equilibrium(cf, root.value, jac_coeffs))
+            out.append(_exact_equilibrium(cf, root, jac_coeffs))
         else:
             out.append(_interval_equilibrium(cf, root, jac_coeffs))
-    out.sort(key=lambda e: e.coords_float[1])
     return out
 
 
@@ -338,7 +357,7 @@ def _interval_equilibrium(cf, root: RealRoot, jac_coeffs):
         width = width * DEFAULT_WIDTH  # square the precision and retry
         root = refine_root(root, width)
         if root.exact:
-            return _exact_equilibrium(cf, root.value, jac_coeffs)
+            return _exact_equilibrium(cf, root, jac_coeffs)
     if cls is None:
         cls = CLASS_NON_HYPERBOLIC  # enclosure never separated from zero
     mid = root.approx
@@ -359,99 +378,80 @@ def _interval_equilibrium(cf, root: RealRoot, jac_coeffs):
         eigenvalues_exact=None,
         classification=cls,
         divisor_angle=divisor_angle(cf.chart, mid, cf.weights),
+        root=root,
     )
 
 
-# -- global merge -----------------------------------------------------------------------
+# -- global picture ----------------------------------------------------------------------
+
+# +1 where the angle on the circle increases with the chart's angular coordinate
+_ORIENT = {ChartId.K1: 1, ChartId.K2: -1, ChartId.K3: -1, ChartId.K4: 1}
+# the four overlap halves, one open quadrant each; _SOURCE_SIGN gives each
+# chart's side of w there
+_HALVES = (
+    (ChartId.K1, ChartId.K2),
+    (ChartId.K2, ChartId.K3),
+    (ChartId.K3, ChartId.K4),
+    (ChartId.K4, ChartId.K1),
+)
 
 
-def _merge_by_angle(equilibria, tol=ANGLE_MERGE_TOL) -> "list[MergedEquilibrium]":
-    if not equilibria:
-        return []
-    eqs = sorted(equilibria, key=lambda e: e.divisor_angle)
-    clusters: "list[list[Equilibrium]]" = [[eqs[0]]]
-    for eq in eqs[1:]:
-        if eq.divisor_angle - clusters[-1][-1].divisor_angle <= tol:
-            clusters[-1].append(eq)
-        else:
-            clusters.append([eq])
-    # wrap-around: an angle just below 2*pi matches one at 0; keep the
-    # near-zero members first so the cluster is keyed near 0
-    if len(clusters) > 1:
-        first, last = clusters[0], clusters[-1]
-        if first[0].divisor_angle + TWO_PI - last[-1].divisor_angle <= tol:
-            clusters[0] = first + last
-            clusters.pop()
-    merged = []
-    for members in clusters:
+def _sign_below(eqs: ChartEquilibria, k: int) -> int:
+    """Sign of the chart's angular component on the divisor just below its
+    k-th root (beyond every root for k = len(eqs)): each root above flips
+    the leading sign once per unit of multiplicity."""
+    flips = sum(e.root.multiplicity for e in eqs[k:])
+    return -eqs.lead_sign if flips % 2 else eqs.lead_sign
+
+
+def _owned_points(charts: "dict[ChartId, ChartEquilibria]"):
+    """Every divisor point once, as (owner chart, root index, side of w,
+    members), in circle order from angle 0.
+
+    A root at w = 0 is seen by its chart alone.  On an overlap half the
+    transition maps |w| > 1 monotonically onto |w'| < 1, so the two charts'
+    roots there pair up in reverse |w| order; K1 or K3 owns a pair when its
+    |w| <= 1, K2 or K4 otherwise."""
+    sides: "dict[tuple[ChartId, int], list[int]]" = {}
+    for chart, eqs in charts.items():
+        for i, e in enumerate(eqs):
+            sides.setdefault((chart, compare_root(e.root, 0)), []).append(i)
+    points = [(chart, i, 0, [charts[chart][i]]) for chart in charts for i in sides.get((chart, 0), ())]
+    for a, b in _HALVES:
+        sa, sb = _SOURCE_SIGN[a, b], _SOURCE_SIGN[b, a]
+        by_abs = sides.get((a, sa), [])[::sa]  # increasing |w|
+        reverse_abs = sides.get((b, sb), [])[::-sb]
+        for i, j in zip(by_abs, reverse_abs, strict=True):
+            xs, ys = (a, i, sa), (b, j, sb)
+            if a in (ChartId.K2, ChartId.K4):
+                xs, ys = ys, xs
+            chart, k, side = xs  # K1 or K3; |w| - 1 has the sign of side * (w - side)
+            owner = xs if side * compare_root(charts[chart][k].root, side) <= 0 else ys
+            points.append((*owner, [charts[a][i], charts[b][j]]))
+
+    def circle_order(point):
+        chart, i, side, _ = point
+        sector = 4 if chart is ChartId.K1 and side < 0 else list(ChartId).index(chart)
+        return (sector, _ORIENT[chart] * i)
+
+    return sorted(points, key=circle_order)
+
+
+def _circle_picture(charts: "dict[ChartId, ChartEquilibria]"):
+    """The merged divisor points and the flow arcs between them."""
+    merged, signs = [], []
+    for chart, i, _, members in _owned_points(charts):
+        members.sort(key=lambda e: (e.divisor_angle, e.chart))
         rep = next((e for e in members if e.exact), members[0])
-        merged.append(
-            MergedEquilibrium(
-                angle=rep.divisor_angle,
-                members=members,
-                classification=rep.classification,
-            )
-        )
-    merged.sort(key=lambda m: m.angle)
-    return merged
-
-
-def _chart_for_angle(theta: float) -> "tuple[ChartId, int]":
-    """Covering chart and flow orientation (+1 when the chart's angular
-    coordinate increases with the angle)."""
-    c, s = math.cos(theta), math.sin(theta)
-    if abs(c) >= abs(s):
-        return (ChartId.K1, 1) if c > 0 else (ChartId.K3, -1)
-    return (ChartId.K2, -1) if s > 0 else (ChartId.K4, 1)
-
-
-def _chart_coordinate_of_angle(chart: ChartId, theta: float, weights: Weights) -> float:
-    c, s = math.cos(theta), math.sin(theta)
-    alpha, beta = weights.alpha, weights.beta
-    if chart is ChartId.K1:
-        t = c ** (1.0 / alpha)
-        return s / t**beta
-    if chart is ChartId.K3:
-        t = (-c) ** (1.0 / alpha)
-        return s / t**beta
-    if chart is ChartId.K2:
-        t = s ** (1.0 / beta)
-        return c / t**alpha
-    t = (-s) ** (1.0 / beta)
-    return c / t**alpha
-
-
-def _circle_flow(chart_fields, weights, bound, merged) -> "list[FlowArc]":
-    # One evaluator for the four charts' desingularized angular components,
-    # since compiling costs far more than evaluating; each component reads
-    # only its own chart's (radial, angular) pair.
-    charts = list(chart_fields.values())
-    order = tuple(v for cf in charts for v in (cf.radial_var, cf.angular_var))
-    angulars = float_field([cf.desing[1] for cf in charts], charts[0].params, bound, order)
-    slot = {cf.chart: i for i, cf in enumerate(charts)}
-
-    def flow_sign(theta: float) -> int:
-        chart, orient = _chart_for_angle(theta)
-        i = slot[chart]
-        point = [0.0] * len(order)
-        point[2 * i + 1] = _chart_coordinate_of_angle(chart, theta, weights)
-        value = angulars(*point)[i]
-        if abs(value) <= _FLOW_ZERO_TOL:
-            return 0
-        return orient * (1 if value > 0 else -1)
-
+        merged.append(MergedEquilibrium(rep.divisor_angle, members, rep.classification))
+        # the arc leaves the owner root in the direction of increasing angle
+        orient = _ORIENT[chart]
+        signs.append(orient * _sign_below(charts[chart], i + (orient > 0)))
     if not merged:
-        return [FlowArc(0.0, TWO_PI, flow_sign(1.0))]
-    arcs = []
+        return [], [FlowArc(0.0, TWO_PI, _sign_below(charts[ChartId.K1], 0))]
     angles = [m.angle for m in merged]
-    for i, start in enumerate(angles):
-        end = angles[(i + 1) % len(angles)]
-        span = (end - start) % TWO_PI
-        if span == 0.0:
-            span = TWO_PI
-        mid = (start + span / 2.0) % TWO_PI
-        arcs.append(FlowArc(start, end, flow_sign(mid)))
-    return arcs
+    arcs = [FlowArc(a, b, sign) for a, b, sign in zip(angles, angles[1:] + angles[:1], signs)]
+    return merged, arcs
 
 
 # -- hyperbolic models --------------------------------------------------------------------
@@ -464,79 +464,66 @@ def _polar_jacobian(pf: PolarField):
     )
 
 
-def _hyperbolic_equilibria(bound, branch: Branch, chart_field: ChartField, jac_q, field):
-    """Divisor equilibria on one hyperboloid wing, through the chart bridge.
+def _wing_equilibrium(eq: Equilibrium, model: str, bound, jac_q, jac_field) -> Equilibrium:
+    """A chart divisor equilibrium with |w| < 1 on its hyperboloid wing.
 
     The wing corresponds to the x-chart (resp. y-chart) with the angular
     coordinate inside (-1, 1) via w = tanh(angle); the bridge is an analytic
     diffeomorphism and the desingularized fields match up to the positive
     factor cosh(angle), so the chart classification transfers unchanged and
     chart eigenvalues scale by cosh(angle).  `jac_q` is the Jacobian of the
-    desingularized field on the wing and `field` evaluates its four entries
-    (first in its output) in floats over (c, s, r).
+    desingularized field on the wing and `jac_field` evaluates its four
+    entries in floats over (c, s, r).
     """
-    chart_eqs = divisor_equilibria(chart_field, bound)
-    out = []
-    for eq in chart_eqs:
-        w_norm = eq.coords[1]
-        w_float = eq.coords_float[1]
-        if eq.exact:
-            inside = abs(w_norm) < 1
-        else:
-            lo, hi = eq.interval
-            inside = -1 < lo and hi < 1
-        if not inside:
-            continue
+    w_float = eq.coords_float[1]
+    if abs(w_float) < 1.0:
         phi = math.atanh(w_float)
         cosh_phi = 1.0 / math.sqrt(1.0 - w_float * w_float)
-        at_axis = eq.exact and w_norm == 0
-        if at_axis:
-            jac = tuple(
-                tuple(q.eval_exact(1, 0, 0, bound) for q in row) for row in jac_q
-            )
-            cls, eig_exact, eig_float = classify_exact(jac)
-        else:
-            a, b, c, d = field(cosh_phi, w_float * cosh_phi, 0.0)[:4]
-            jac = ((a, b), (c, d))
-            eig_float = _float_eigenvalues(a + d, a * d - b * c)
-            eig_exact = None
-            cls = eq.classification  # transfers through the positive rescaling
-        out.append(
-            Equilibrium(
-                chart=MODEL_HYPERBOLIC_X if branch is Branch.X else MODEL_HYPERBOLIC_Y,
-                coords=(Fraction(0) if at_axis else phi, Fraction(0)),
-                coords_float=(phi, 0.0),
-                exact=at_axis,
-                interval=None,
-                jacobian=jac,
-                eigenvalues=eig_float,
-                eigenvalues_exact=eig_exact,
-                classification=cls,
-                divisor_angle=phi,
-            )
-        )
-    out.sort(key=lambda e: e.divisor_angle)
-    return out
-
-
-def _line_flow(field, angles) -> "list[FlowArc]":
-    """Flow signs along the hyperbola's divisor; `field` evaluates the
-    desingularized angular component last in its output, over (c, s, r)."""
-    cosh, sinh = TRIG[HYPERBOLA]
-    samples = []
-    if not angles:
-        samples.append((None, None, 0.0))
     else:
-        samples.append((None, angles[0], angles[0] - 1.0))
-        for a, b in zip(angles, angles[1:]):
-            samples.append((a, b, (a + b) / 2.0))
-        samples.append((angles[-1], None, angles[-1] + 1.0))
-    arcs = []
-    for start, end, at in samples:
-        value = field(cosh(at), sinh(at), 0.0)[-1]
-        sign = 0 if abs(value) <= _FLOW_ZERO_TOL else (1 if value > 0 else -1)
-        arcs.append(FlowArc(start, end, sign))
-    return arcs
+        # the float rounds to +-1: take logs of the exact w = n/d instead
+        root = refine_apart(eq.root, int(w_float))
+        w = root.value if root.exact else (root.lo + root.hi) / 2
+        n, d = w.numerator, w.denominator
+        phi = (math.log(d + n) - math.log(d - n)) / 2.0
+        cosh_phi = math.exp(math.log(d) - (math.log(d - n) + math.log(d + n)) / 2.0)
+    at_axis = eq.exact and eq.coords[1] == 0
+    if at_axis:
+        jac = tuple(tuple(q.eval_exact(1, 0, 0, bound) for q in row) for row in jac_q)
+        cls, eig_exact, eig_float = classify_exact(jac)
+    else:
+        a, b, c, d = jac_field(cosh_phi, w_float * cosh_phi, 0.0)
+        jac = ((a, b), (c, d))
+        eig_float = _float_eigenvalues(a + d, a * d - b * c)
+        eig_exact = None
+        cls = eq.classification  # transfers through the positive rescaling
+    return Equilibrium(
+        chart=model,
+        coords=(Fraction(0) if at_axis else phi, Fraction(0)),
+        coords_float=(phi, 0.0),
+        exact=at_axis,
+        interval=None,
+        jacobian=jac,
+        eigenvalues=eig_float,
+        eigenvalues_exact=eig_exact,
+        classification=cls,
+        divisor_angle=phi,
+    )
+
+
+def _wing_picture(eqs: ChartEquilibria, model: str, bound, jac_q, jac_field):
+    """The wing's divisor points and flow arcs.  The wing holds the chart
+    roots with |w| < 1, in increasing w and so increasing angle; because
+    cosh(angle) > 0, the chart gives each arc's sign directly."""
+    first = sum(1 for e in eqs if compare_root(e.root, -1) <= 0)
+    inside = list(takewhile(lambda e: compare_root(e.root, 1) < 0, eqs[first:]))
+    wing = [_wing_equilibrium(e, model, bound, jac_q, jac_field) for e in inside]
+    merged = [MergedEquilibrium(e.divisor_angle, [e], e.classification) for e in wing]
+    angles = [e.divisor_angle for e in wing]
+    arcs = [
+        FlowArc(a, b, _sign_below(eqs, k))
+        for k, (a, b) in enumerate(zip([None] + angles, angles + [None]), first)
+    ]
+    return merged, arcs
 
 
 # -- reports -----------------------------------------------------------------------------
@@ -550,9 +537,9 @@ def global_divisor_report(
 ) -> GlobalReport:
     """Merge chart-local divisor findings into a global picture.
 
-    sphere / directional: analyse all four sign charts, key equilibria by
-    their circle angle, dedup within 1e-9 and attach the angular flow signs
-    between consecutive equilibria.  hyperbolic-x / hyperbolic-y: analyse
+    sphere / directional: analyse all four sign charts, key every divisor
+    point by its owning chart and exact root, and attach the angular flow
+    signs between consecutive points.  hyperbolic-x / hyperbolic-y: analyse
     the wing covered by the corresponding directional chart.
     """
     bound = check_param_bindings(f.params, bindings)
@@ -566,24 +553,20 @@ def global_divisor_report(
         cf = blow_up_in_chart(f, w, chart)
         raw = polar_pushforward(f, HYPERBOLA, branch)
         hh = desingularize_polar(raw)
-        # one evaluator for the report, since compiling costs far more than
-        # evaluating: the Jacobian entries of hh, then its angular component
+        # one evaluator for the Jacobian entries of hh, since compiling costs
+        # far more than evaluating
         jac_q = _polar_jacobian(hh)
-        field = float_field(
-            [q.base for row in jac_q for q in row] + [hh.angular.base],
-            hh.params, bound, (COS, SIN, RADIAL),
+        jac_field = float_field(
+            [q.base for row in jac_q for q in row], hh.params, bound, (COS, SIN, RADIAL)
         )
         degenerate: "list[str]" = []
         try:
-            eqs = _hyperbolic_equilibria(bound, branch, cf, jac_q, field)
+            eqs = divisor_equilibria(cf, bound)
         except DegenerateChart:
             degenerate.append(chart.value)
-            eqs = []
-        merged = [
-            MergedEquilibrium(angle=e.divisor_angle, members=[e], classification=e.classification)
-            for e in eqs
-        ]
-        flow = _line_flow(field, [e.divisor_angle for e in eqs])
+            merged, flow = [], [FlowArc(None, None, 0)]
+        else:
+            merged, flow = _wing_picture(eqs, model, bound, jac_q, jac_field)
         return GlobalReport(
             model=model,
             weights=w,
@@ -602,16 +585,18 @@ def global_divisor_report(
         raise DesingError(f"unknown model '{model}'")
 
     chart_fields = {}
-    all_eqs = []
+    charts = {}
     degenerate = []
     for chart in ChartId:
         cf = blow_up_in_chart(f, w, chart)
         chart_fields[chart.value] = cf
         try:
-            all_eqs.extend(divisor_equilibria(cf, bound))
+            charts[chart] = divisor_equilibria(cf, bound)
         except DegenerateChart:
             degenerate.append(chart.value)
-    merged = _merge_by_angle(all_eqs)
+    # a chart is degenerate when the angular component vanishes on the whole
+    # divisor, and then it does in every chart
+    merged, flow = _circle_picture(charts) if not degenerate else ([], [])
     for m in merged:
         kinds = {e.classification for e in m.members}
         if len(kinds) > 1:
@@ -623,7 +608,6 @@ def global_divisor_report(
                 f"non-hyperbolic divisor equilibrium at angle {m.angle:.12g}: "
                 "a further blow-up would be needed there (not performed)"
             )
-    flow = _circle_flow(chart_fields, w, bound, merged) if not degenerate else []
     polar_raw = polar_desing = None
     if model == MODEL_SPHERE and (w.alpha, w.beta) == (1, 1):
         polar_raw = polar_pushforward(f, 1)

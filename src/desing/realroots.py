@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Sequence
 
@@ -369,8 +370,48 @@ def refine_root(root: RealRoot, width: Fraction) -> RealRoot:
     return RealRoot(None, status[1], status[2], root.multiplicity, root.factor)
 
 
+def refine_apart(root: RealRoot, c: "Fraction | int") -> RealRoot:
+    """The same root with an enclosure that excludes the rational c, or exact.
+
+    Refines a copy until the enclosure misses c.  A rational root whose
+    coefficients are too large for the rational-root search comes back as an
+    enclosure, so c is first tested as a root of the factor: refining could
+    never exclude it, and the root is c exactly."""
+    if not root.exact and root.lo < c < root.hi:
+        if _homogeneous_value(_integer_form(root.factor), c.numerator, c.denominator) == 0:
+            return RealRoot(Fraction(c), None, None, root.multiplicity, root.factor)
+        while not root.exact and root.lo < c < root.hi:
+            root = refine_root(root, (root.hi - root.lo) / 2)
+    return root
+
+
+def compare_root(root: RealRoot, c: "Fraction | int") -> int:
+    """The exact sign of root - c, for a rational c."""
+    root = refine_apart(root, c)
+    if root.exact:
+        return (root.value > c) - (root.value < c)
+    return 1 if c <= root.lo else -1  # enclosure endpoints are never roots
+
+
+def _compare_roots(a: RealRoot, b: RealRoot) -> int:
+    """The exact order of two distinct roots; refines copies of overlapping
+    enclosures, which terminates because the roots differ."""
+    while True:
+        if b.exact:
+            return compare_root(a, b.value)
+        if a.exact:
+            return -compare_root(b, a.value)
+        if a.hi <= b.lo:
+            return -1
+        if b.hi <= a.lo:
+            return 1
+        a = refine_root(a, (a.hi - a.lo) / 2)
+        b = refine_root(b, (b.hi - b.lo) / 2)
+
+
 def real_roots(coeffs: Sequence[Fraction], width: Fraction = DEFAULT_WIDTH) -> "list[RealRoot]":
-    """All distinct real roots with multiplicities, sorted increasingly."""
+    """All distinct real roots with multiplicities, in exact increasing order;
+    the reported enclosures are the ones isolation returned."""
     p = poly_trim(coeffs)
     if not p:
         raise ValueError("the zero polynomial has every point as a root")
@@ -391,7 +432,7 @@ def real_roots(coeffs: Sequence[Fraction], width: Fraction = DEFAULT_WIDTH) -> "
                     found.append(
                         RealRoot(None, status[1], status[2], mult, tuple(rest))
                     )
-    found.sort(key=lambda r: r.approx)
+    found.sort(key=cmp_to_key(_compare_roots))
     return found
 
 

@@ -183,6 +183,17 @@ def test_analyze_hyperbolic(capsys):
     assert "divisor equilibria (1):" in out
 
 
+def test_analyze_hyperbolic_root_rounding_to_one(tmp_path, capsys):
+    # the wing root w = 1 - 10^-17 is certified inside (-1, 1) but its float
+    # is 1.0; phi comes from the exact w, not from atanh(1.0)
+    path = tmp_path / "near_one.vf"
+    path.write_text("var x y; dx/dt = 0; dy/dt = y^2 - 99999999999999999/100000000000000000*x*y;")
+    code, out, err = run(capsys, "analyze", str(path), "--model", "hyperbolic-x")
+    assert code == 0, err
+    assert "divisor equilibria (2):" in out
+    assert "[2] phi = 19.9185468807  non-hyperbolic" in out
+
+
 def test_portrait_csv(tmp_path, capsys):
     out_path = tmp_path / "traj.csv"
     code, _, _ = run(

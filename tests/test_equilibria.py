@@ -2,18 +2,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desing.charts import ChartField, ChartId, blow_up_in_chart, transition
 from desing.equilibria import (
     CLASS_NON_HYPERBOLIC,
     CLASS_SADDLE,
     CLASS_UNSTABLE_NODE,
-    Equilibrium,
     MODEL_HYPERBOLIC_X,
     MODEL_HYPERBOLIC_Y,
     classify_exact,
     divisor_angle,
     divisor_equilibria,
+    _owned_points,
     global_divisor_report,
 )
 from desing.errors import DegenerateChart, DesingError, UnboundParameter
@@ -190,28 +192,6 @@ def test_irrational_double_root_certified_non_hyperbolic():
         assert eq.classification == CLASS_NON_HYPERBOLIC
 
 
-def test_merge_wraps_around_full_circle():
-    from desing.equilibria import _merge_by_angle
-
-    def fake(angle):
-        return Equilibrium(
-            chart="K1",
-            coords=(Fraction(0), Fraction(0)),
-            coords_float=(0.0, 0.0),
-            exact=True,
-            interval=None,
-            jacobian=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-            eigenvalues=(complex(1), complex(1)),
-            eigenvalues_exact=(Fraction(1), Fraction(1)),
-            classification=CLASS_UNSTABLE_NODE,
-            divisor_angle=angle,
-        )
-
-    merged = _merge_by_angle([fake(2 * math.pi - 1e-10), fake(0.0), fake(1.0)])
-    assert len(merged) == 2
-    assert len(merged[0].members) == 2
-
-
 def test_hyperbolic_wing_without_equilibria():
     # K1 angular restriction 1 + w^2 has no real roots, so the x-wing is empty
     x, y = poly_vars("x", "y")
@@ -336,3 +316,123 @@ def test_zero_field_reports_degenerate_charts():
     report = global_divisor_report(zero, Weights(1, 1, 0), {})
     assert report.degenerate_charts == ["K1", "K2", "K3", "K4"]
     assert report.equilibria == []
+
+
+# -- exact chart ownership --------------------------------------------------------------
+
+
+def _dy_only(f2) -> VectorField:
+    x, y = poly_vars("x", "y")
+    return VectorField(Poly.zero(("x", "y")), f2(x, y), ("x", "y"))
+
+
+EPS_FIELD = _dy_only(lambda x, y: y**2 - Fraction(1, 10**10) * x * y)
+BIG_RATIONAL_FIELD = _dy_only(lambda x, y: 3 * y**2 - 10000000000037 * x * y)
+# K1's divisor polynomial 10^13 w^2 - (10^13 - 7) w - 7 has the rational roots
+# 1 and -7/10^13, but its leading coefficient is too large for the
+# rational-root search, so both come back as enclosures
+UNIT_INTERVAL_FIELD = _dy_only(lambda x, y: 10**13 * y**2 - (10**13 - 7) * x * y - 7 * x**2)
+
+
+def _owners(f, bindings=None):
+    w = infer_weights(f)
+    charts = {c: divisor_equilibria(blow_up_in_chart(f, w, c), bindings or {}) for c in ChartId}
+    return [(owner, charts[owner][i], members) for owner, i, _, members in _owned_points(charts)]
+
+
+def test_eps_field_keeps_close_roots_apart():
+    # K1's roots 0 and 1/10^10 are 1e-10 rad apart on the circle
+    report = global_divisor_report(EPS_FIELD, infer_weights(EPS_FIELD), {})
+    assert len(report.equilibria) == 6
+    members = [e for m in report.equilibria for e in m.members]
+    assert len(members) == 8
+    assert all(e.exact for e in members)
+    assert [e.coords[1] for e in report.equilibria[1].members] == [Fraction(1, 10**10), 10**10]
+    assert len(report.flow) == 6
+
+
+def test_big_rational_field_has_six_points():
+    # K1's interval root near 3.3e12 lies within 1e-9 rad of pi/2, where K2's
+    # exact root w = 0 sits
+    report = global_divisor_report(BIG_RATIONAL_FIELD, infer_weights(BIG_RATIONAL_FIELD), {})
+    assert len(report.equilibria) == 6
+    assert [len(m.members) for m in report.equilibria] == [1, 2, 1, 1, 2, 1]
+
+
+def test_interval_root_at_one_is_owned_by_k1():
+    owners = _owners(UNIT_INTERVAL_FIELD)
+    assert len(owners) == 6
+    owner, eq, members = owners[0]
+    assert owner is ChartId.K1 and not eq.exact
+    assert eq.interval[0] < 1 < eq.interval[1]
+    assert [e.chart for e in members] == ["K1", "K2"]
+    # K3 owns the direction of its own w = -1 as well
+    k3 = [sorted(e.chart for e in ms) for o, _, ms in owners if o is ChartId.K3]
+    assert k3 == [["K2", "K3"], ["K3", "K4"]]
+
+
+def test_quadratic_k1_owns_exact_one():
+    # a = 3/2: K1's root 2a/3 = 1 and K2's root 3/(2a) = 1 are one direction
+    owners = _owners(F, {"a": Fraction(3, 2)})
+    assert len(owners) == 6
+    k1_one = [(o, ms) for o, eq, ms in owners if eq.chart == "K1" and eq.coords[1] == 1]
+    assert len(k1_one) == 1
+    owner, members = k1_one[0]
+    assert owner is ChartId.K1
+    assert [(e.chart, e.coords[1]) for e in members] == [("K1", 1), ("K2", 1)]
+
+
+# Unit-weight fields x' = -y*P + x*Q, y' = x*P + y*Q with P a product of
+# powers of distinct linear forms, so x*f2 - y*f1 = (x^2 + y^2)*P: the
+# divisor points are the two directions of each line P vanishes on.
+SLOPES = [Fraction(s) for s in ("0", "1", "-1", "1/2", "-1/2", "2", "-2", "3", "-3")] + [None]
+
+
+def _line(slope, x, y):
+    return x if slope is None else y - slope * x  # None: the vertical line x = 0
+
+
+def _line_angles(slope):
+    base = math.pi / 2 if slope is None else math.atan(slope) % math.pi
+    return [base, base + math.pi]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(SLOPES), min_size=1, max_size=4, unique=True),
+    st.data(),
+)
+def test_report_follows_linear_factors(slopes, data):
+    powers = [data.draw(st.integers(1, 2)) for _ in slopes]
+    lead = data.draw(st.sampled_from((1, -1)))
+    q = data.draw(st.sampled_from((0, 1, -2)))
+    deg = sum(powers)
+
+    def p_of(x, y):
+        out = lead
+        for slope, k in zip(slopes, powers):
+            out = out * _line(slope, x, y) ** k
+        return out
+
+    def components(x, y):
+        p, qq = p_of(x, y), q * x**deg
+        return -y * p + x * qq, x * p + y * qq
+
+    x, y = poly_vars("x", "y")
+    f = VectorField(*components(x, y), ("x", "y"))
+    report = global_divisor_report(f, Weights(1, 1, deg), {})
+
+    want = sorted(a for s in slopes for a in _line_angles(s))
+    assert len(report.equilibria) == 2 * len(slopes)
+    for m, angle in zip(report.equilibria, want):
+        assert abs(m.angle - angle) < 1e-9
+    assert len(report.flow) == len(want)
+    for i, arc in enumerate(report.flow):
+        assert arc.start == report.equilibria[i].angle
+        lo, hi = want[i], want[(i + 1) % len(want)] + (2 * math.pi if i + 1 == len(want) else 0)
+        mid = (lo + hi) / 2
+        cx = Fraction(math.cos(mid)).limit_denominator(10**6)
+        cy = Fraction(math.sin(mid)).limit_denominator(10**6)
+        f1, f2 = components(cx, cy)
+        g = cx * f2 - cy * f1
+        assert arc.sign == (1 if g > 0 else -1)

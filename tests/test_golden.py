@@ -2,9 +2,12 @@
 
 Each case runs `desing.cli.main` on an input under `inputs/` or
 `tests/golden/inputs/` and compares stdout with `tests/golden/expected/`.
-The dense fields of degree 8, 12 and 16 have irrational divisor roots, so
-their JSON reports pin the isolating interval endpoints: a change to the
-bisection path fails here even when the classification is unchanged.
+The eps_merge field has two divisor points 1e-10 rad apart, and the
+unit_interval field has a point on a chart-overlap boundary (|w| = 1) whose
+root comes back as an enclosure; both pin the chart-ownership key.  The dense
+fields of degree 8, 12 and 16 have irrational divisor roots, so their JSON
+reports pin the isolating interval endpoints: a change to the bisection path
+fails here even when the classification is unchanged.
 The portrait CSVs pin the term order of the chart and polar fields: the
 float evaluators sum in term order, so a reordered field changes the last
 digits of the trajectories.
@@ -41,6 +44,9 @@ def _cases():
                 cases[f"blowup-{name}-{model}.{ext}"] = ["blowup", path, "--model", model, "--format", fmt]
     for fmt, ext in (("text", "txt"), ("json", "json")):
         cases[f"analyze-cubic.{ext}"] = ["analyze", CUBIC, "--format", fmt]
+    for name in ("eps_merge", "unit_interval"):
+        for fmt, ext in (("text", "txt"), ("json", "json")):
+            cases[f"analyze-{name}.{ext}"] = ["analyze", GOLDEN / "inputs" / f"{name}.vf", "--format", fmt]
     for n in (8, 12, 16):
         cases[f"analyze-dense-d{n}.json"] = ["analyze", GOLDEN / "inputs" / f"dense_d{n}.vf", "--format", "json"]
     a1 = ["--param", "a=1"]

@@ -10,6 +10,7 @@ from desing.realroots import (
     _primitive,
     _sign_at,
     cauchy_bound,
+    compare_root,
     interval_eval,
     poly_divmod,
     poly_gcd,
@@ -248,3 +249,28 @@ def test_real_roots_match_sympy(cs):
             lo = sympy.Rational(root.lo.numerator, root.lo.denominator)
             hi = sympy.Rational(root.hi.numerator, root.hi.denominator)
             assert poly.count_roots(lo, hi) == 1
+
+
+def test_roots_closer_than_a_float_ulp_sort_exactly():
+    # (w - a)^2 (w - b) with a < b both rounding to 1.0: neither linear factor
+    # passes the rational-root search, so both roots come back as enclosures
+    # wide enough to hold both
+    a, b = 1 + F(1, 10**17), 1 + F(2, 10**17)
+    roots = real_roots(from_roots(a, a, b))
+    assert [r.multiplicity for r in roots] == [2, 1]
+    assert compare_root(roots[0], a) == 0 and compare_root(roots[1], b) == 0
+    # the reported enclosures are the ones isolation returned
+    assert roots[0].as_interval() == real_roots(from_roots(a))[0].as_interval()
+    assert roots[1].as_interval() == real_roots(from_roots(b))[0].as_interval()
+
+
+def test_compare_root_recognizes_a_rational_root_left_to_isolation():
+    # 10^13 w - (10^13 - 7): the root is 1 - 7/10^13, found only as an enclosure
+    (root,) = real_roots([F(-(10**13 - 7)), F(10**13)])
+    assert not root.exact
+    assert compare_root(root, 1 - F(7, 10**13)) == 0
+    assert compare_root(root, F(1)) == -1
+    assert compare_root(root, 1 - F(8, 10**13)) == 1
+    # and the unit root of 10^13 w^2 - (10^13 - 7) w - 7 ends as well
+    unit = [r for r in real_roots([F(-7), F(-(10**13 - 7)), F(10**13)]) if r.approx > 0]
+    assert compare_root(unit[0], F(1)) == 0
