@@ -2,17 +2,17 @@
 
 Restricting the desingularized angular component to the divisor gives a
 univariate rational polynomial; its real roots are the chart's divisor
-equilibria.  Rational roots are recognized exactly and give exact rational
-Jacobians, for which hyperbolicity is decidable with no tolerance at all:
+equilibria.  The classification needs only the exact signs of the Jacobian's
+determinant, trace and discriminant at the root, with no tolerance at all:
 
     det < 0                 -> saddle
     det = 0 or trace = 0    -> non-hyperbolic (a zero-real-part eigenvalue)
     det > 0, trace != 0     -> node (disc >= 0) or focus (disc < 0)
 
-Irrational roots carry certified enclosures; Jacobian entries are evaluated
-in rational interval arithmetic and the same sign logic applies, refining
-the enclosure until the signs are certain (or conservatively reporting
-non-hyperbolic when they never become certain).
+At a rational root the Jacobian is exact.  At an irrational root the three
+invariants are polynomials in the root, built once per chart, and
+`value_at_root` decides each sign exactly on the root's enclosure; the
+printed Jacobian and eigenvalues are floats that agree with those signs.
 
 Each divisor point is keyed by its owning chart and exact root: K1 and K3
 own their roots with |w| <= 1, K2 and K4 those with |w| < 1.  The chart
@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import takewhile
-from math import isqrt
+from itertools import takewhile, zip_longest
+from math import isqrt, lcm
 from typing import Mapping
 
 from .charts import _SOURCE_SIGN, ChartField, ChartId, blow_up_in_chart
@@ -37,16 +37,7 @@ from .errors import DegenerateChart, DesingError
 from .polar import Branch, HYPERBOLA, PolarField, desingularize_polar, polar_pushforward
 from .poly import Poly
 from .quotient import COS, RADIAL, SIN, angular_derivative, radial_derivative
-from .realroots import (
-    DEFAULT_WIDTH,
-    RatInterval,
-    RealRoot,
-    compare_root,
-    interval_eval,
-    real_roots,
-    refine_apart,
-    refine_root,
-)
+from .realroots import RealRoot, compare_root, poly_value, real_roots, refine_apart, value_at_root
 from .vectorfield import VectorField, bind_params, check_param_bindings, float_field
 from .weights import Weights
 
@@ -186,48 +177,29 @@ def _float_eigenvalues(tr: float, det: float) -> "tuple[complex, complex]":
     return tuple(sorted(pair, key=lambda z: (z.real, z.imag)))
 
 
+def _classify(det, tr, disc) -> str:
+    """The class from exact values or values with the exact signs; `disc` is
+    read only when det > 0 and tr != 0."""
+    if det < 0:
+        return CLASS_SADDLE
+    if det == 0 or tr == 0:
+        return CLASS_NON_HYPERBOLIC
+    if disc >= 0:
+        return CLASS_STABLE_NODE if tr < 0 else CLASS_UNSTABLE_NODE
+    return CLASS_STABLE_FOCUS if tr < 0 else CLASS_UNSTABLE_FOCUS
+
+
 def classify_exact(jac) -> "tuple[str, tuple | None, tuple[complex, complex]]":
     """Classification of an exact rational 2x2 Jacobian: no tolerances."""
     (a, b), (c, d) = jac
     tr = a + d
     det = a * d - b * c
     disc = tr * tr - 4 * det
-    if det < 0:
-        cls = CLASS_SADDLE
-    elif det == 0 or tr == 0:
-        cls = CLASS_NON_HYPERBOLIC
-    elif disc >= 0:
-        cls = CLASS_STABLE_NODE if tr < 0 else CLASS_UNSTABLE_NODE
-    else:
-        cls = CLASS_STABLE_FOCUS if tr < 0 else CLASS_UNSTABLE_FOCUS
     exact_pair = None
     root = _exact_sqrt(disc)
     if root is not None:
         exact_pair = tuple(sorted(((tr - root) / 2, (tr + root) / 2)))
-    return cls, exact_pair, _float_eigenvalues(float(tr), float(det))
-
-
-def _classify_interval(jac_int) -> "str | None":
-    """Return a classification when every needed sign is certain, else None."""
-    (a, b), (c, d) = jac_int
-    tr = a + d
-    det = a * d - b * c
-    det_sign = det.sign()
-    if det_sign < 0:
-        return CLASS_SADDLE
-    if det_sign == 0:
-        return None
-    tr_sign = tr.sign()
-    if tr_sign == 0:
-        return None
-    disc = tr * tr - RatInterval.point(4) * det
-    disc_sign = disc.sign()
-    if disc_sign == 0:
-        # hyperbolicity is already certain; settle node-vs-focus by midpoint
-        disc_sign = 1 if disc.mid >= 0 else -1
-    if disc_sign > 0:
-        return CLASS_STABLE_NODE if tr_sign < 0 else CLASS_UNSTABLE_NODE
-    return CLASS_STABLE_FOCUS if tr_sign < 0 else CLASS_UNSTABLE_FOCUS
+    return _classify(det, tr, disc), exact_pair, _float_eigenvalues(float(tr), float(det))
 
 
 # -- chart-local analysis ----------------------------------------------------------------
@@ -279,15 +251,51 @@ def divisor_angle(chart: ChartId, w_value: float, weights: Weights) -> float:
     return math.atan2(y, x) % TWO_PI
 
 
-def _jacobian_interval(jac_coeffs, box: RatInterval):
-    return tuple(tuple(interval_eval(cs, box) for cs in row) for row in jac_coeffs)
+def _add(p, q, s=1):
+    """p + s*q for integer coefficient lists, trimmed."""
+    out = [x + s * y for x, y in zip_longest(p, q, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _exact_equilibrium(cf: ChartField, root: RealRoot, jac_coeffs) -> "Equilibrium":
+def _mul(p, q):
+    """p * q for integer coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+@dataclass(frozen=True)
+class _DivisorJacobian:
+    """The Jacobian entries (a, b, c, d) restricted to the divisor, as
+    integer coefficient lists over one positive common denominator `den`, and
+    the trace, determinant and discriminant over den, den^2 and den^2."""
+
+    den: int
+    entries: "list[list[int]]"
+    tr: "list[int]"
+    det: "list[int]"
+    disc: "list[int]"
+
+    @classmethod
+    def of(cls, des_r: Poly, des_w: Poly, rvar: str, wvar: str) -> "_DivisorJacobian":
+        polys = [des.derivative(v) for des in (des_r, des_w) for v in (rvar, wvar)]
+        fracs = [_univariate(p.bind({rvar: 0}) if rvar in p.vars else p, wvar) for p in polys]
+        den = lcm(*(x.denominator for cs in fracs for x in cs))
+        a, b, c, d = entries = [[x.numerator * (den // x.denominator) for x in cs] for cs in fracs]
+        tr = _add(a, d)
+        det = _add(_mul(a, d), _mul(b, c), -1)
+        return cls(den, entries, tr, det, _add(_mul(tr, tr), det, -4))
+
+
+def _exact_equilibrium(cf: ChartField, root: RealRoot, dj: _DivisorJacobian) -> Equilibrium:
     """The classified divisor equilibrium at an exact rational root."""
     value = root.value
-    point = RatInterval.point(value)
-    jac = tuple(tuple(interval_eval(cs, point).lo for cs in row) for row in jac_coeffs)
+    a, b, c, d = (poly_value(e, value) / dj.den for e in dj.entries)
+    jac = ((a, b), (c, d))
     cls, eig_exact, eig_float = classify_exact(jac)
     return Equilibrium(
         chart=cf.chart.value,
@@ -320,64 +328,41 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
     if not coeffs or all(c == 0 for c in coeffs):
         raise DegenerateChart(cf.chart.value)
 
-    jac_polys = (
-        (des_r.derivative(rvar), des_r.derivative(wvar)),
-        (des_w.derivative(rvar), des_w.derivative(wvar)),
-    )
-    # divisor restrictions of the Jacobian entries, as univariate coefficient
-    # lists, for exact evaluation at rational roots and interval evaluation
-    # at enclosed ones
-    jac_coeffs = tuple(
-        tuple(
-            _univariate(p.bind({rvar: 0}) if rvar in p.vars else p, wvar)
-            for p in row
-        )
-        for row in jac_polys
-    )
-
+    dj = _DivisorJacobian.of(des_r, des_w, rvar, wvar)
     lead = next(c for c in reversed(coeffs) if c)
     out = ChartEquilibria(1 if lead > 0 else -1)
     for root in real_roots(coeffs):
         if root.exact:
-            out.append(_exact_equilibrium(cf, root, jac_coeffs))
+            out.append(_exact_equilibrium(cf, root, dj))
         else:
-            out.append(_interval_equilibrium(cf, root, jac_coeffs))
+            out.append(_interval_equilibrium(cf, root, dj))
     return out
 
 
-def _interval_equilibrium(cf, root: RealRoot, jac_coeffs):
-    cls = None
-    width = DEFAULT_WIDTH
-    for _ in range(3):
-        box = RatInterval(root.lo, root.hi)
-        jac_int = _jacobian_interval(jac_coeffs, box)
-        cls = _classify_interval(jac_int)
-        if cls is not None:
-            break
-        width = width * DEFAULT_WIDTH  # square the precision and retry
-        root = refine_root(root, width)
-        if root.exact:
-            return _exact_equilibrium(cf, root, jac_coeffs)
-    if cls is None:
-        cls = CLASS_NON_HYPERBOLIC  # enclosure never separated from zero
-    mid = root.approx
-    jac_mid = tuple(
-        tuple(sum(float(c) * mid**i for i, c in enumerate(cs)) for cs in row)
-        for row in jac_coeffs
-    )
-    tr = jac_mid[0][0] + jac_mid[1][1]
-    det = jac_mid[0][0] * jac_mid[1][1] - jac_mid[0][1] * jac_mid[1][0]
+def _interval_equilibrium(cf, root: RealRoot, dj: _DivisorJacobian) -> Equilibrium:
+    """The classified divisor equilibrium at an irrational root.  The signs
+    of det, trace and disc at the root are exact; the Jacobian is evaluated
+    exactly at the enclosure's midpoint and rounded once, and the
+    eigenvalues come from the trace and determinant values of the sign
+    test, so a zero sign prints a zero."""
+    den = dj.den
+    det = value_at_root(dj.det, root)
+    tr = value_at_root(dj.tr, root)
+    disc = value_at_root(dj.disc, root) if det > 0 and tr else None
+    mid = (root.lo + root.hi) / 2
+    a, b, c, d = (float(poly_value(e, mid) / den) for e in dj.entries)
+    w = float(mid)
     return Equilibrium(
         chart=cf.chart.value,
-        coords=(0.0, mid),
-        coords_float=(0.0, mid),
+        coords=(0.0, w),
+        coords_float=(0.0, w),
         exact=False,
         interval=(root.lo, root.hi),
-        jacobian=jac_mid,
-        eigenvalues=_float_eigenvalues(tr, det),
+        jacobian=((a, b), (c, d)),
+        eigenvalues=_float_eigenvalues(float(tr / den), float(det / den**2)),
         eigenvalues_exact=None,
-        classification=cls,
-        divisor_angle=divisor_angle(cf.chart, mid, cf.weights),
+        classification=_classify(det, tr, disc),
+        divisor_angle=divisor_angle(cf.chart, w, cf.weights),
         root=root,
     )
 

@@ -1,11 +1,20 @@
 """Certified real-root isolation for univariate rational polynomials.
 
 Coefficient lists are dense, index = degree, over `fractions.Fraction`.
-The pipeline is classical: Yun's square-free decomposition to recover
-multiplicities, exact extraction of rational roots by the rational-root
-theorem, then Sturm-sequence isolation plus sign-change bisection for the
-irrational remainder.  Everything is exact, so no root is ever missed or
-invented; irrational roots come back as certified enclosures.
+The pipeline is classical: Yun's square-free decomposition recovers
+multiplicities, then Sturm-sequence isolation plus sign-change bisection
+encloses every real root of each square-free factor.  A rational root n/d of
+a factor whose primitive integer form leads with L has d | L, so it is m/L
+for an integer m; an enclosure narrower than 1/L holds at most one such
+point, and testing that one point decides whether the root is rational.
+Everything is exact, so no root is ever missed or invented; rational roots
+come back exact and irrational roots as certified enclosures.
+
+The sign of a polynomial q at a root is decided exactly as well (Yap,
+Fundamental Problems of Algorithmic Algebra, 2000, ch. 7): interval Horner
+over the enclosure settles it unless the enclosure of q straddles 0, and then
+q vanishes at the root exactly when gcd(factor, q) changes sign across the
+enclosure; otherwise refining the root makes the enclosure of q exclude 0.
 
 The decision paths run over integers, not Fractions.  A polynomial's
 integer form is its coefficient list times the positive lcm of the
@@ -30,10 +39,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 _Z = Fraction(0)
-_DIVISOR_LIMIT = 10**12
 DEFAULT_WIDTH = Fraction(1, 10**12)
-
-Coeffs = "list[Fraction]"
 
 
 # -- dense polynomial helpers -------------------------------------------------
@@ -140,57 +146,6 @@ def _homogeneous_value(ints, n: int, d: int) -> int:
 def _sign_at(ints, n: int, d: int) -> int:
     v = _homogeneous_value(ints, n, d)
     return (v > 0) - (v < 0)
-
-
-# -- rational roots -------------------------------------------------------------
-
-
-def _divisors(n: int):
-    n = abs(n)
-    if n > _DIVISOR_LIMIT:
-        return None
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
-def rational_roots(p) -> "tuple[list[Fraction], list[Fraction]]":
-    """All rational roots of a square-free polynomial, plus the deflated
-    remainder.  Returns (roots, remainder); remainder is None-safe (a list)."""
-    p = poly_trim(p)
-    roots = []
-    if poly_degree(p) < 1:
-        return roots, p
-    # factor out x^m
-    m = 0
-    while p and p[0] == 0:
-        p = p[1:]
-        m += 1
-    if m:
-        roots.append(_Z)
-    if poly_degree(p) < 1:
-        return roots, p
-    ints = _integer_form(p)
-    low = _divisors(ints[0])
-    high = _divisors(ints[-1])
-    if low is None or high is None:
-        return roots, p  # coefficients too large; leave roots to isolation
-    for num in low:
-        for den in high:
-            if gcd(num, den) != 1:
-                continue
-            for n in (num, -num):
-                if _homogeneous_value(ints, n, den) == 0:
-                    cand = Fraction(n, den)
-                    roots.append(cand)
-                    p, _ = poly_divmod(p, [-cand, Fraction(1)])
-                    ints = _integer_form(p)
-    return roots, p
 
 
 # -- Sturm isolation --------------------------------------------------------------
@@ -310,13 +265,13 @@ def isolate_squarefree(p) -> "tuple[list[Fraction], list[tuple[Fraction, Fractio
     return exact, intervals
 
 
-def refine(p, lo: Fraction, hi: Fraction, width: Fraction):
-    """Shrink a sign-change interval below `width` by bisection.
+def refine(ints, lo: Fraction, hi: Fraction, width: Fraction):
+    """Shrink a sign-change interval of the integer form `ints` below `width`
+    by bisection.
 
     Returns ('exact', root) when a bisection point lands on the root,
     otherwise ('interval', lo, hi).
     """
-    ints = _primitive(_integer_form(p))
     d = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (d // lo.denominator)
     b = hi.numerator * (d // hi.denominator)
@@ -343,7 +298,7 @@ class RealRoot:
     lo: "Fraction | None"  # certified enclosure for irrational roots
     hi: "Fraction | None"
     multiplicity: int
-    factor: "tuple[Fraction, ...] | None"  # square-free factor, for re-refinement
+    factor: "tuple[int, ...]"  # primitive integer form of the square-free factor
 
     @property
     def exact(self) -> bool:
@@ -364,24 +319,51 @@ class RealRoot:
 def refine_root(root: RealRoot, width: Fraction) -> RealRoot:
     if root.exact or root.hi - root.lo < width:
         return root
-    status = refine(list(root.factor), root.lo, root.hi, width)
+    status = refine(root.factor, root.lo, root.hi, width)
     if status[0] == "exact":
         return RealRoot(status[1], None, None, root.multiplicity, root.factor)
     return RealRoot(None, status[1], status[2], root.multiplicity, root.factor)
 
 
+def rational_roots(p, mult: int, width: Fraction) -> "list[RealRoot]":
+    """Every real root of a square-free polynomial, the rational ones exact.
+
+    A root at 0 is read off the coefficients, and the rest are isolated in p
+    with its factor x stripped.  With L the absolute leading coefficient of
+    that polynomial's primitive integer form, each enclosure is refined below
+    1/L and the one point m/L strictly inside it is tested; when that point
+    is not the root, the root is irrational and its enclosure is refined on
+    below `width`.  Every root carries the stripped polynomial as its factor."""
+    p = poly_trim(p)
+    at_zero = p[0] == 0
+    if at_zero:
+        p = p[1:]  # square-free, so x divides p once
+    ints = tuple(_primitive(_integer_form(p)))
+    found = [RealRoot(_Z, None, None, mult, ints)] if at_zero else []
+    if len(ints) < 2:
+        return found
+    exact, intervals = isolate_squarefree(p)
+    lead = abs(ints[-1])
+    found += [RealRoot(r, None, None, mult, ints) for r in exact]
+    for lo, hi in intervals:
+        root = refine_root(RealRoot(None, lo, hi, mult, ints), Fraction(1, lead))
+        if not root.exact:
+            m = root.lo.numerator * lead // root.lo.denominator + 1
+            if m * root.hi.denominator < root.hi.numerator * lead and _sign_at(ints, m, lead) == 0:
+                root = RealRoot(Fraction(m, lead), None, None, mult, ints)
+            else:
+                root = refine_root(root, width)
+        found.append(root)
+    return found
+
+
 def refine_apart(root: RealRoot, c: "Fraction | int") -> RealRoot:
     """The same root with an enclosure that excludes the rational c, or exact.
 
-    Refines a copy until the enclosure misses c.  A rational root whose
-    coefficients are too large for the rational-root search comes back as an
-    enclosure, so c is first tested as a root of the factor: refining could
-    never exclude it, and the root is c exactly."""
-    if not root.exact and root.lo < c < root.hi:
-        if _homogeneous_value(_integer_form(root.factor), c.numerator, c.denominator) == 0:
-            return RealRoot(Fraction(c), None, None, root.multiplicity, root.factor)
-        while not root.exact and root.lo < c < root.hi:
-            root = refine_root(root, (root.hi - root.lo) / 2)
+    Refines a copy until the enclosure misses c, which terminates because an
+    enclosed root is irrational."""
+    while not root.exact and root.lo < c < root.hi:
+        root = refine_root(root, (root.hi - root.lo) / 2)
     return root
 
 
@@ -411,107 +393,64 @@ def _compare_roots(a: RealRoot, b: RealRoot) -> int:
 
 def real_roots(coeffs: Sequence[Fraction], width: Fraction = DEFAULT_WIDTH) -> "list[RealRoot]":
     """All distinct real roots with multiplicities, in exact increasing order;
-    the reported enclosures are the ones isolation returned."""
+    rational roots are exact and irrational ones enclosed below `width`."""
     p = poly_trim(coeffs)
     if not p:
         raise ValueError("the zero polynomial has every point as a root")
-    found: "list[RealRoot]" = []
-    for factor, mult in yun_squarefree(p):
-        rats, rest = rational_roots(factor)
-        for r in rats:
-            found.append(RealRoot(r, None, None, mult, tuple(factor)))
-        if poly_degree(rest) >= 1:
-            exact, intervals = isolate_squarefree(rest)
-            for r in exact:
-                found.append(RealRoot(r, None, None, mult, tuple(factor)))
-            for lo, hi in intervals:
-                status = refine(rest, lo, hi, width)
-                if status[0] == "exact":
-                    found.append(RealRoot(status[1], None, None, mult, tuple(rest)))
-                else:
-                    found.append(
-                        RealRoot(None, status[1], status[2], mult, tuple(rest))
-                    )
+    found = [r for factor, mult in yun_squarefree(p) for r in rational_roots(factor, mult, width)]
     found.sort(key=cmp_to_key(_compare_roots))
     return found
 
 
-# -- tiny rational interval arithmetic (for certified Jacobian signs) -----------------
+# -- signs at a root ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatInterval:
-    lo: Fraction
-    hi: Fraction
-
-    @classmethod
-    def point(cls, value) -> "RatInterval":
-        v = Fraction(value)
-        return cls(v, v)
-
-    def __add__(self, other):
-        o = _as_interval(other)
-        return RatInterval(self.lo + o.lo, self.hi + o.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-_as_interval(other))
-
-    def __rsub__(self, other):
-        return _as_interval(other) + (-self)
-
-    def __mul__(self, other):
-        o = _as_interval(other)
-        prods = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return RatInterval(min(prods), max(prods))
-
-    __rmul__ = __mul__
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def sign(self) -> int:
-        """-1, +1 when the sign is certain, 0 when the enclosure straddles zero."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        return 0
-
-    @property
-    def mid(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
-
-def _as_interval(x) -> RatInterval:
-    if isinstance(x, RatInterval):
-        return x
-    return RatInterval.point(x)
-
-
-def interval_eval(coeffs, box: RatInterval) -> RatInterval:
-    """Interval Horner of `coeffs` over `box`, exactly as RatInterval
+def interval_eval(coeffs, lo: Fraction, hi: Fraction) -> "tuple[Fraction, Fraction]":
+    """Interval Horner of `coeffs` over [lo, hi], exactly as Fraction interval
     arithmetic would compute it.
 
     Runs over integers: after t steps the enclosure is [lo, hi] / (L d^t),
     with L the lcm of the coefficient denominators and d the common
     denominator of the box, so it divides once at the end."""
-    cs = list(coeffs)
-    if not cs:
-        return RatInterval.point(0)
-    ks = _integer_form(cs)
-    d = lcm(box.lo.denominator, box.hi.denominator)
-    a = box.lo.numerator * (d // box.lo.denominator)
-    b = box.hi.numerator * (d // box.hi.denominator)
-    lo = hi = 0
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    low = high = 0
     dp = 1
-    for k in reversed(ks):
+    for k in reversed(_integer_form(coeffs)):
         dp *= d
-        prods = (lo * a, lo * b, hi * a, hi * b)
-        lo, hi = min(prods) + k * dp, max(prods) + k * dp
-    scale = lcm(*(c.denominator for c in cs)) * dp
-    return RatInterval(Fraction(lo, scale), Fraction(hi, scale))
+        prods = (low * a, low * b, high * a, high * b)
+        low, high = min(prods) + k * dp, max(prods) + k * dp
+    scale = lcm(*(c.denominator for c in coeffs)) * dp
+    return Fraction(low, scale), Fraction(high, scale)
+
+
+def poly_value(ints, x: Fraction) -> Fraction:
+    """The integer polynomial `ints` at the rational x, exactly."""
+    n, d = x.numerator, x.denominator
+    return Fraction(_homogeneous_value(ints, n, d), d ** max(len(ints) - 1, 0))
+
+
+def value_at_root(q, root: RealRoot) -> Fraction:
+    """A rational with the exact sign of the integer polynomial q at the root.
+
+    At an exact root this is q's value there.  At an enclosed root it is 0
+    when q vanishes at the root, and otherwise q at the midpoint of an
+    enclosure over which interval Horner keeps q away from 0.  While the
+    enclosure of q straddles 0, q vanishes at the root exactly when
+    gcd(factor, q) changes sign across the root's enclosure: the gcd's roots
+    are simple roots of the factor, and the enclosure holds only this one.
+    Otherwise refining a copy of the root makes the enclosure of q exclude 0."""
+    if root.exact:
+        return poly_value(q, root.value)
+    lo, hi = interval_eval(q, root.lo, root.hi)
+    if lo <= 0 <= hi:
+        g = _primitive(_integer_form(poly_gcd(root.factor, q)))
+        if _sign_at(g, root.lo.numerator, root.lo.denominator) != _sign_at(
+            g, root.hi.numerator, root.hi.denominator
+        ):
+            return _Z
+        while lo <= 0 <= hi:
+            root = refine_root(root, (root.hi - root.lo) / 2)
+            lo, hi = interval_eval(q, root.lo, root.hi)
+    return poly_value(q, (root.lo + root.hi) / 2)

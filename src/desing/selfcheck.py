@@ -100,7 +100,7 @@ def _random_quasihomogeneous(rng: random.Random):
 def check_ring_axioms(seed: int, cases: int = 100) -> CheckResult:
     rng = random.Random(seed)
     for i in range(cases):
-        p, q, r = (_random_poly(rng) for _ in range(3))
+        p, q, r = _random_poly(rng), _random_poly(rng), _random_poly(rng)
         if (p + q) + r != p + (q + r):
             return CheckResult("ring-axioms", False, i, "additive associativity failed")
         if (p * q) * r != p * (q * r):

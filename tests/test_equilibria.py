@@ -2,13 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from desing.charts import ChartField, ChartId, blow_up_in_chart, transition
 from desing.equilibria import (
     CLASS_NON_HYPERBOLIC,
     CLASS_SADDLE,
+    CLASS_STABLE_FOCUS,
+    CLASS_STABLE_NODE,
+    CLASS_UNSTABLE_FOCUS,
     CLASS_UNSTABLE_NODE,
     MODEL_HYPERBOLIC_X,
     MODEL_HYPERBOLIC_Y,
@@ -192,6 +195,101 @@ def test_irrational_double_root_certified_non_hyperbolic():
         assert eq.classification == CLASS_NON_HYPERBOLIC
 
 
+def _k1_field(radial, angular):
+    r1, y1 = poly_vars("r1", "y1")
+    return ChartField(
+        chart=ChartId.K1,
+        weights=W,
+        radial_var="r1",
+        angular_var="y1",
+        raw=(r1 * radial, r1 * angular),
+        desing=(radial, angular),
+        divisor="r1 = 0",
+        params=(),
+    )
+
+
+def test_vanishing_discriminant_at_an_irrational_root_is_a_node():
+    # on the divisor D = w^2 - 2 the Jacobian is [[D' + D, 0], [1, D']]: at
+    # -+sqrt(2) its eigenvalue D' = -+2 sqrt(2) is repeated and disc = D^2 is 0
+    r1, y1 = poly_vars("r1", "y1")
+    d = y1**2 - 2
+    eqs = divisor_equilibria(_k1_field(r1 * (2 * y1 + d), d + r1), {})
+    assert [e.exact for e in eqs] == [False, False]
+    assert [e.classification for e in eqs] == [CLASS_STABLE_NODE, CLASS_UNSTABLE_NODE]
+
+
+def _table(det, tr, disc):
+    if det < 0:
+        return CLASS_SADDLE
+    if det == 0 or tr == 0:
+        return CLASS_NON_HYPERBOLIC
+    if disc >= 0:
+        return CLASS_STABLE_NODE if tr < 0 else CLASS_UNSTABLE_NODE
+    return CLASS_STABLE_FOCUS if tr < 0 else CLASS_UNSTABLE_FOCUS
+
+
+small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    small_polys,
+    small_polys,
+    small_polys,
+    small_polys,
+    small_polys,
+    st.sampled_from(("free", "det", "trace", "disc")),
+)
+def test_classification_matches_exact_signs_at_roots(k, e, a, b, c, m, plant):
+    # The chart field (r A + D B, D + r C) has the divisor polynomial
+    # D = (w^2 - k) E, with irrational roots -+sqrt(k), and the Jacobian
+    # [[A, (D B)'], [C, D']] on the divisor.  Planted cases make the
+    # determinant, the trace or the discriminant vanish at every root of D.
+    sympy = pytest.importorskip("sympy")
+    w = sympy.Symbol("w")
+
+    def poly(cs):
+        return sum(coef * w**i for i, coef in enumerate(cs))
+
+    d = sympy.expand((w**2 - k) * poly(e))
+    assume(d != 0)
+    big_a, big_b, big_c, big_m = map(poly, (a, b, c, m))
+    dd = sympy.diff(d, w)
+    if plant == "det":
+        big_a = big_b * big_c + d * big_m
+    elif plant == "trace":
+        big_a = -dd + d * big_m
+    elif plant == "disc":
+        big_b, big_a = 0, dd + d * big_m
+    tr = big_a + dd
+    det = big_a * dd - sympy.diff(d * big_b, w) * big_c
+    disc = tr**2 - 4 * det
+
+    def sign_at(q, alpha):
+        q = sympy.expand(q)
+        if q == 0 or sympy.rem(q, sympy.minimal_polynomial(alpha, w), w) == 0:
+            return 0
+        return int(sympy.sign(q.subs(w, alpha).evalf(50)))
+
+    roots = sorted(set(sympy.Poly(d, w).real_roots(radicals=False)), key=lambda r: r.evalf(50))
+    want = [_table(sign_at(det, r), sign_at(tr, r), sign_at(disc, r)) for r in roots]
+
+    r1, y1 = poly_vars("r1", "y1")
+
+    def ours(expr):
+        acc = Poly.zero(("r1", "y1"))
+        for coef in sympy.Poly(expr, w).all_coeffs() if expr != 0 else ():
+            acc = acc * y1 + int(coef)
+        return acc
+
+    cf = _k1_field(r1 * ours(big_a) + ours(d * big_b), ours(d) + r1 * ours(big_c))
+    eqs = divisor_equilibria(cf, {})
+    assert sum(not e.exact for e in eqs) >= 2
+    assert [e.classification for e in eqs] == want
+
+
 def test_hyperbolic_wing_without_equilibria():
     # K1 angular restriction 1 + w^2 has no real roots, so the x-wing is empty
     x, y = poly_vars("x", "y")
@@ -329,8 +427,7 @@ def _dy_only(f2) -> VectorField:
 EPS_FIELD = _dy_only(lambda x, y: y**2 - Fraction(1, 10**10) * x * y)
 BIG_RATIONAL_FIELD = _dy_only(lambda x, y: 3 * y**2 - 10000000000037 * x * y)
 # K1's divisor polynomial 10^13 w^2 - (10^13 - 7) w - 7 has the rational roots
-# 1 and -7/10^13, but its leading coefficient is too large for the
-# rational-root search, so both come back as enclosures
+# 1 and -7/10^13, read off enclosures narrower than 1/10^13
 UNIT_INTERVAL_FIELD = _dy_only(lambda x, y: 10**13 * y**2 - (10**13 - 7) * x * y - 7 * x**2)
 
 
@@ -363,12 +460,25 @@ def test_interval_root_at_one_is_owned_by_k1():
     owners = _owners(UNIT_INTERVAL_FIELD)
     assert len(owners) == 6
     owner, eq, members = owners[0]
-    assert owner is ChartId.K1 and not eq.exact
-    assert eq.interval[0] < 1 < eq.interval[1]
+    assert owner is ChartId.K1 and eq.exact and eq.coords[1] == 1
     assert [e.chart for e in members] == ["K1", "K2"]
     # K3 owns the direction of its own w = -1 as well
     k3 = [sorted(e.chart for e in ms) for o, _, ms in owners if o is ChartId.K3]
     assert k3 == [["K2", "K3"], ["K3", "K4"]]
+
+
+@pytest.mark.parametrize("c", range(8, 40))
+def test_non_hyperbolic_enclosed_points_print_a_zero_eigenvalue(c):
+    # the K2/K4 roots near -+10^13/c are irrational for these c; their
+    # eigenvalues come from the certified trace and determinant, so a
+    # non-hyperbolic point prints an eigenvalue with zero real part
+    f = _dy_only(lambda x, y: 10**13 * y**2 - (10**13 - 7) * x * y - c * x**2)
+    report = global_divisor_report(f, infer_weights(f), {})
+    enclosed = [e for m in report.equilibria for e in m.members if not e.exact]
+    assert enclosed
+    for e in enclosed:
+        if e.classification == CLASS_NON_HYPERBOLIC:
+            assert any(z.real == 0 for z in e.eigenvalues), (e.chart, e.eigenvalues)
 
 
 def test_quadratic_k1_owns_exact_one():

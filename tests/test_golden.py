@@ -3,18 +3,20 @@
 Each case runs `desing.cli.main` on an input under `inputs/` or
 `tests/golden/inputs/` and compares stdout with `tests/golden/expected/`.
 The eps_merge field has two divisor points 1e-10 rad apart, and the
-unit_interval field has a point on a chart-overlap boundary (|w| = 1) whose
-root comes back as an enclosure; both pin the chart-ownership key.  The dense
-fields of degree 8, 12 and 16 have irrational divisor roots, so their JSON
-reports pin the isolating interval endpoints: a change to the bisection path
-fails here even when the classification is unchanged.
+unit_interval field has an exact rational point on a chart-overlap boundary
+(|w| = 1) of a divisor polynomial with the leading coefficient 10^13; both
+pin the chart-ownership key.  The dense fields of degree 8, 12 and 16
+have irrational divisor roots, so their JSON reports pin the isolating
+interval endpoints: a change to the bisection path fails here even when the
+classification is unchanged.
 The portrait CSVs pin the term order of the chart and polar fields: the
 float evaluators sum in term order, so a reordered field changes the last
 digits of the trajectories.
 
-A change that alters an output on purpose regenerates the files with
-`PYTHONPATH=src python tests/test_golden.py` and says which file changed
-and why.
+A change that alters an output on purpose regenerates the files it means to
+change with `PYTHONPATH=src python tests/test_golden.py NAME ...` (every case
+when no name is given), which prints each file whose bytes changed, and says
+which file changed and why.
 """
 
 from pathlib import Path
@@ -84,11 +86,20 @@ def test_golden(name, capsys):
 if __name__ == "__main__":
     import contextlib
     import io
+    import sys
 
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {' '.join(unknown)}")
     (GOLDEN / "expected").mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    for name in names:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            if main(argv) != 0:
+            if main(CASES[name]) != 0:
                 raise SystemExit(f"{name}: non-zero exit")
-        (GOLDEN / "expected" / name).write_text(buf.getvalue(), encoding="utf-8")
+        path = GOLDEN / "expected" / name
+        old = path.read_text(encoding="utf-8") if path.exists() else None
+        if buf.getvalue() != old:
+            path.write_text(buf.getvalue(), encoding="utf-8")
+            print(f"{'changed' if old is not None else 'created'}: {name}")

@@ -1,11 +1,12 @@
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from desing.realroots import (
-    RatInterval,
     _integer_form,
     _primitive,
     _sign_at,
@@ -18,6 +19,7 @@ from desing.realroots import (
     refine_root,
     sturm_chain,
     sign_variations,
+    value_at_root,
     yun_squarefree,
 )
 
@@ -35,6 +37,14 @@ def from_roots(*roots):
         for i in range(len(p) - 1):
             p[i] -= F(r) * p[i + 1]
     return p
+
+
+def times(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def test_from_roots_helper():
@@ -140,22 +150,11 @@ def test_double_root_at_zero():
     assert [(r.value, r.multiplicity) for r in roots] == [(F(0), 2)]
 
 
-def test_interval_arithmetic():
-    box = RatInterval(F(1), F(2))
-    sq = box * box
-    assert (sq.lo, sq.hi) == (F(1), F(4))
-    assert (box - box).contains_zero()
-    assert (RatInterval(F(-3), F(-1))).sign() == -1
-    assert RatInterval(F(2), F(5)).sign() == 1
-    assert RatInterval(F(-1), F(1)).sign() == 0
-
-
 def test_interval_eval_encloses_value():
     p = coeffs(-2, 0, 1)
-    box = RatInterval(F(141421, 100000), F(141422, 100000))
-    out = interval_eval(p, box)
+    lo, hi = interval_eval(p, F(141421, 100000), F(141422, 100000))
     exact = _fraction_horner(p, F(1414215, 1000000))
-    assert out.lo <= exact <= out.hi
+    assert lo <= exact <= hi
 
 
 def test_close_roots_separated():
@@ -211,12 +210,12 @@ def test_integer_sign_matches_fraction_horner(cs, x):
 @settings(max_examples=100, deadline=None)
 @given(polynomials(), rationals, rationals)
 def test_interval_eval_matches_fraction_interval_horner(cs, a, b):
-    box = RatInterval(min(a, b), max(a, b))
-    acc = RatInterval.point(0)
+    box_lo, box_hi = min(a, b), max(a, b)
+    lo = hi = F(0)
     for c in reversed(cs):
-        acc = acc * box + RatInterval.point(c)
-    out = interval_eval(cs, box)
-    assert (out.lo, out.hi) == (acc.lo, acc.hi)
+        prods = (lo * box_lo, lo * box_hi, hi * box_lo, hi * box_hi)
+        lo, hi = min(prods) + c, max(prods) + c
+    assert interval_eval(cs, box_lo, box_hi) == (lo, hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,25 +251,89 @@ def test_real_roots_match_sympy(cs):
 
 
 def test_roots_closer_than_a_float_ulp_sort_exactly():
-    # (w - a)^2 (w - b) with a < b both rounding to 1.0: neither linear factor
-    # passes the rational-root search, so both roots come back as enclosures
-    # wide enough to hold both
-    a, b = 1 + F(1, 10**17), 1 + F(2, 10**17)
-    roots = real_roots(from_roots(a, a, b))
-    assert [r.multiplicity for r in roots] == [2, 1]
-    assert compare_root(roots[0], a) == 0 and compare_root(roots[1], b) == 0
+    # w^2 - 2w + 1 - 2/10^34 has the irrational roots 1 -+ sqrt(2)/10^17, which
+    # both round to 1.0; squared and times (w - 1), the exact root 1 sorts
+    # between them
+    q = coeffs(1 - F(2, 10**34), -2, 1)
+    roots = real_roots(times(times(q, q), coeffs(-1, 1)))
+    assert [r.multiplicity for r in roots] == [2, 1, 2]
+    assert [r.value for r in roots] == [None, 1, None]
+    assert all(r.approx == 1.0 for r in roots)
+    below, _, above = roots
+    assert compare_root(below, 1 - F(14143, 10**21)) == 1
+    assert compare_root(below, 1 - F(14142, 10**21)) == -1
+    assert compare_root(above, 1 + F(14142, 10**21)) == 1
+    assert compare_root(above, 1 + F(14143, 10**21)) == -1
     # the reported enclosures are the ones isolation returned
-    assert roots[0].as_interval() == real_roots(from_roots(a))[0].as_interval()
-    assert roots[1].as_interval() == real_roots(from_roots(b))[0].as_interval()
+    assert [r.as_interval() for r in (below, above)] == [r.as_interval() for r in real_roots(q)]
 
 
 def test_compare_root_recognizes_a_rational_root_left_to_isolation():
-    # 10^13 w - (10^13 - 7): the root is 1 - 7/10^13, found only as an enclosure
+    # 10^13 w - (10^13 - 7): the root 1 - 7/10^13 comes back exact, although
+    # its denominator is far beyond any trial division
     (root,) = real_roots([F(-(10**13 - 7)), F(10**13)])
-    assert not root.exact
-    assert compare_root(root, 1 - F(7, 10**13)) == 0
+    assert root.value == 1 - F(7, 10**13)
     assert compare_root(root, F(1)) == -1
     assert compare_root(root, 1 - F(8, 10**13)) == 1
-    # and the unit root of 10^13 w^2 - (10^13 - 7) w - 7 ends as well
-    unit = [r for r in real_roots([F(-7), F(-(10**13 - 7)), F(10**13)]) if r.approx > 0]
-    assert compare_root(unit[0], F(1)) == 0
+    # and so do both roots of 10^13 w^2 - (10^13 - 7) w - 7
+    roots = real_roots([F(-7), F(-(10**13 - 7)), F(10**13)])
+    assert [r.value for r in roots] == [-F(7, 10**13), F(1)]
+
+
+def test_value_at_root_refines_past_a_close_rational():
+    # 10^8 w - 141421356 does not vanish at sqrt(2) = 1.41421356237..., but
+    # its interval over a wide enclosure of sqrt(2) straddles 0
+    neg, pos = real_roots(coeffs(-2, 0, 1), width=F(1))
+    assert interval_eval([-141421356, 10**8], pos.lo, pos.hi)[0] < 0
+    assert value_at_root([-141421356, 10**8], pos) > 0
+    assert value_at_root([-141421357, 10**8], pos) < 0
+    assert value_at_root([-141421356, 10**8], neg) < 0
+    # (w^2 - 2)(w + 1) vanishes at both roots
+    assert value_at_root([-2, -2, 1, 1], pos) == value_at_root([-2, -2, 1, 1], neg) == 0
+
+
+big_rationals = st.builds(F, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(big_rationals, min_size=1, max_size=4), st.integers(-9, 9), st.integers(-9, 9))
+def test_big_rational_roots_come_back_exact(rats, b, c):
+    # products of rational linear factors times the quadratic w^2 + b w + c,
+    # which has no rational root
+    sympy = pytest.importorskip("sympy")
+    disc = b * b - 4 * c
+    assume(disc < 0 or isqrt(disc) ** 2 != disc)
+    p = coeffs(c, b, 1)
+    for r in rats:
+        p = times(p, [-r, F(1)])
+    roots = real_roots(p)
+    got = Counter(r.value for r in roots if r.exact for _ in range(r.multiplicity))
+    assert got == Counter(rats)
+    want = Counter(r for r in _sympy_poly(sympy, p).real_roots() if r.is_Rational)
+    assert Counter({sympy.Rational(v.numerator, v.denominator): n for v, n in got.items()}) == want
+    assert len([r for r in roots if not r.exact]) == (2 if disc > 0 else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(), polynomials(), st.booleans())
+def test_value_at_root_has_the_exact_sign(cs, qs, plant):
+    # a planted q shares every root of cs, which the gcd test must find; wide
+    # enclosures make the interval of q straddle 0 where q does not vanish
+    sympy = pytest.importorskip("sympy")
+    if len(cs) < 2:
+        return
+    if plant:
+        qs = times(qs, cs)
+    w = sympy.Symbol("x")
+    q = _integer_form(qs)
+    q_expr = _sympy_poly(sympy, [F(c) for c in q]).as_expr()
+    roots = real_roots(cs, width=F(1))
+    oracle = sorted(set(_sympy_poly(sympy, cs).real_roots(radicals=False)), key=lambda r: r.evalf(50))
+    assert len(roots) == len(oracle)
+    for root, alpha in zip(roots, oracle):
+        if sympy.rem(q_expr, sympy.minimal_polynomial(alpha, w), w) == 0:
+            want = 0
+        else:
+            want = int(sympy.sign(q_expr.subs(w, alpha).evalf(50)))
+        got = value_at_root(q, root)
+        assert (got > 0) - (got < 0) == want
