@@ -284,7 +284,8 @@ def test_value_at_root_refines_past_a_close_rational():
     # 10^8 w - 141421356 does not vanish at sqrt(2) = 1.41421356237..., but
     # its interval over a wide enclosure of sqrt(2) straddles 0
     neg, pos = real_roots(coeffs(-2, 0, 1), width=F(1))
-    assert interval_eval([-141421356, 10**8], pos.lo, pos.hi)[0] < 0
+    lo, hi = interval_eval([-141421356, 10**8], pos.lo, pos.hi)
+    assert lo < 0 < hi
     assert value_at_root([-141421356, 10**8], pos) > 0
     assert value_at_root([-141421357, 10**8], pos) < 0
     assert value_at_root([-141421356, 10**8], neg) < 0
