@@ -315,7 +315,7 @@ def test_big_rational_roots_come_back_exact(rats, b, c):
     assert len([r for r in roots if not r.exact]) == (2 if disc > 0 else 0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(polynomials(), polynomials(), st.booleans())
 def test_value_at_root_has_the_exact_sign(cs, qs, plant):
     # a planted q shares every root of cs, which the gcd test must find; wide
