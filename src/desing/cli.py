@@ -2,8 +2,9 @@
 
 Subcommands: weights, blowup, analyze, portrait, verify.  Exit codes:
 0 success, 1 domain error (bad input field, unbound parameter, failed
-verification), 2 usage error.  Output is deterministic for a fixed
-configuration and seed; DESING_SEED overrides the property-check seed.
+verification, a value beyond the float range), 2 usage error.  Output is
+deterministic for a fixed configuration and seed; DESING_SEED overrides the
+property-check seed.
 """
 
 from __future__ import annotations
@@ -433,11 +434,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except DesingError as exc:
+    except (DesingError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"{args.command}: value beyond the float range ({exc})", file=sys.stderr)
         return 1
 
 

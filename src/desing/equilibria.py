@@ -21,6 +21,13 @@ exactly one owner, and ownership is decided exactly on an isolating
 enclosure.  Flow signs along the divisor follow from the root
 multiplicities and the sign of the leading coefficient, with no evaluation.
 The angle of a point's direction on the unit circle is for display only.
+
+A hyperboloid wing point is its chart point seen through the bridge
+beta(phi, rho) = (rho*cosh(phi), tanh(phi)) onto the x-chart (y-chart): the
+desingularized wing field is the chart field pushed through beta times
+cosh(phi)^k.  The chart Jacobian (a, b; c, d) in (r, w) order is diagonal on
+the divisor for unit weights, so the wing Jacobian in (phi, rho) order is
+cosh(phi)^k * diag(d, a), and the wing point keeps the chart's class.
 """
 
 from __future__ import annotations
@@ -36,9 +43,8 @@ from .charts import _SOURCE_SIGN, ChartField, ChartId, blow_up_in_chart
 from .errors import DegenerateChart, DesingError
 from .polar import Branch, HYPERBOLA, PolarField, desingularize_polar, polar_pushforward
 from .poly import Poly
-from .quotient import COS, RADIAL, SIN, angular_derivative, radial_derivative
-from .realroots import RealRoot, compare_root, poly_value, real_roots, refine_apart, value_at_root
-from .vectorfield import VectorField, bind_params, check_param_bindings, float_field
+from .realroots import RealRoot, compare_root, poly_value, real_roots, refine_root, value_at_root
+from .vectorfield import VectorField, bind_params, check_param_bindings
 from .weights import Weights
 
 TWO_PI = 2.0 * math.pi
@@ -442,66 +448,80 @@ def _circle_picture(charts: "dict[ChartId, ChartEquilibria]"):
 # -- hyperbolic models --------------------------------------------------------------------
 
 
-def _polar_jacobian(pf: PolarField):
-    return (
-        (angular_derivative(pf.angular), radial_derivative(pf.angular)),
-        (angular_derivative(pf.radial), radial_derivative(pf.radial)),
-    )
+def _sqrt_float(q: Fraction) -> float:
+    """sqrt(q) for a rational q >= 0, from a 64-bit integer square root
+    rounded to a float once; OverflowError beyond the float range."""
+    n, d = q.numerator, q.denominator
+    e = (128 - n.bit_length() + d.bit_length()) // 2
+    t = (n << 2 * e) // d if e >= 0 else n // (d << -2 * e)
+    return math.ldexp(isqrt(t), -e)
 
 
-def _wing_equilibrium(eq: Equilibrium, model: str, bound, jac_q, jac_field) -> Equilibrium:
+def _wing_equilibrium(eq: Equilibrium, model: str, k: int) -> Equilibrium:
     """A chart divisor equilibrium with |w| < 1 on its hyperboloid wing.
 
-    The wing corresponds to the x-chart (resp. y-chart) with the angular
-    coordinate inside (-1, 1) via w = tanh(angle); the bridge is an analytic
-    diffeomorphism and the desingularized fields match up to the positive
-    factor cosh(angle), so the chart classification transfers unchanged and
-    chart eigenvalues scale by cosh(angle).  `jac_q` is the Jacobian of the
-    desingularized field on the wing and `jac_field` evaluates its four
-    entries in floats over (c, s, r).
+    The bridge beta(phi, rho) = (rho*cosh(phi), tanh(phi)) takes the wing
+    onto the x-chart (resp. y-chart) with |w| < 1, and the desingularized
+    wing field is the chart field pushed through it times cosh(phi)^k.  At
+    the equilibrium its Jacobian is cosh(phi)^k * Dbeta^-1 * J * Dbeta, with
+    J = (a, b; c, d) the chart member's Jacobian in (r, w) order.  With unit
+    weights r' = r*P(w) and w' does not depend on r, so b = c = 0 on the
+    divisor and the wing Jacobian in (phi, rho) order is
+    cosh(phi)^k * diag(d, a).
+
+    At the axis (w = 0) that is the chart member reordered, exactly.
+    Elsewhere the entries and the chart eigenvalues are scaled by
+    cosh(phi)^k > 0, so the class, a certified zero and the eigenvalue
+    order carry over.
     """
+    (a, b), (c, d) = eq.jacobian
+    if eq.exact and eq.coords[1] == 0:
+        return Equilibrium(
+            model, (Fraction(0), Fraction(0)), (0.0, 0.0), True, None, ((d, c), (b, a)),
+            eq.eigenvalues, eq.eigenvalues_exact, eq.classification, 0.0,
+        )
+    root = eq.root
+    # an enclosure narrow against 1 - |w| gives cosh(phi) to about 2^-37
+    while not root.exact and (root.hi - root.lo) * 2**36 > 1 - max(-root.lo, root.hi):
+        root = refine_root(root, (root.hi - root.lo) / 2)
+    w = root.value if root.exact else (root.lo + root.hi) / 2
     w_float = eq.coords_float[1]
     if abs(w_float) < 1.0:
         phi = math.atanh(w_float)
-        cosh_phi = 1.0 / math.sqrt(1.0 - w_float * w_float)
     else:
-        # the float rounds to +-1: take logs of the exact w = n/d instead
-        root = refine_apart(eq.root, int(w_float))
-        w = root.value if root.exact else (root.lo + root.hi) / 2
-        n, d = w.numerator, w.denominator
-        phi = (math.log(d + n) - math.log(d - n)) / 2.0
-        cosh_phi = math.exp(math.log(d) - (math.log(d - n) + math.log(d + n)) / 2.0)
-    at_axis = eq.exact and eq.coords[1] == 0
-    if at_axis:
-        jac = tuple(tuple(q.eval_exact(1, 0, 0, bound) for q in row) for row in jac_q)
-        cls, eig_exact, eig_float = classify_exact(jac)
+        # the float rounds to +-1: take logs of the exact w = n/m instead
+        n, m = w.numerator, w.denominator
+        phi = (math.log(m + n) - math.log(m - n)) / 2.0
+    cosh_2k = (1 / (1 - w * w)) ** k  # cosh(phi)^(2k)
+    if eq.exact:
+        # rounded once: x*cosh(phi)^k = sign(x)*sqrt(x^2*cosh(phi)^(2k))
+        da, dd = (math.copysign(_sqrt_float(x * x * cosh_2k), x) for x in (a, d))
+        eig = tuple(complex(x) for x in sorted((da, dd)))
     else:
-        a, b, c, d = jac_field(cosh_phi, w_float * cosh_phi, 0.0)
-        jac = ((a, b), (c, d))
-        eig_float = _float_eigenvalues(a + d, a * d - b * c)
-        eig_exact = None
-        cls = eq.classification  # transfers through the positive rescaling
+        scale = _sqrt_float(cosh_2k)
+        da, dd = scale * a, scale * d
+        eig = tuple(scale * z for z in eq.eigenvalues)
     return Equilibrium(
         chart=model,
-        coords=(Fraction(0) if at_axis else phi, Fraction(0)),
+        coords=(phi, Fraction(0)),
         coords_float=(phi, 0.0),
-        exact=at_axis,
+        exact=False,
         interval=None,
-        jacobian=jac,
-        eigenvalues=eig_float,
-        eigenvalues_exact=eig_exact,
-        classification=cls,
+        jacobian=((dd, 0.0), (0.0, da)),
+        eigenvalues=eig,
+        eigenvalues_exact=None,
+        classification=eq.classification,
         divisor_angle=phi,
     )
 
 
-def _wing_picture(eqs: ChartEquilibria, model: str, bound, jac_q, jac_field):
+def _wing_picture(eqs: ChartEquilibria, model: str, k: int):
     """The wing's divisor points and flow arcs.  The wing holds the chart
     roots with |w| < 1, in increasing w and so increasing angle; because
     cosh(angle) > 0, the chart gives each arc's sign directly."""
     first = sum(1 for e in eqs if compare_root(e.root, -1) <= 0)
     inside = list(takewhile(lambda e: compare_root(e.root, 1) < 0, eqs[first:]))
-    wing = [_wing_equilibrium(e, model, bound, jac_q, jac_field) for e in inside]
+    wing = [_wing_equilibrium(e, model, k) for e in inside]
     merged = [MergedEquilibrium(e.divisor_angle, [e], e.classification) for e in wing]
     angles = [e.divisor_angle for e in wing]
     arcs = [
@@ -538,12 +558,6 @@ def global_divisor_report(
         cf = blow_up_in_chart(f, w, chart)
         raw = polar_pushforward(f, HYPERBOLA, branch)
         hh = desingularize_polar(raw)
-        # one evaluator for the Jacobian entries of hh, since compiling costs
-        # far more than evaluating
-        jac_q = _polar_jacobian(hh)
-        jac_field = float_field(
-            [q.base for row in jac_q for q in row], hh.params, bound, (COS, SIN, RADIAL)
-        )
         degenerate: "list[str]" = []
         try:
             eqs = divisor_equilibria(cf, bound)
@@ -551,7 +565,7 @@ def global_divisor_report(
             degenerate.append(chart.value)
             merged, flow = [], [FlowArc(None, None, 0)]
         else:
-            merged, flow = _wing_picture(eqs, model, bound, jac_q, jac_field)
+            merged, flow = _wing_picture(eqs, model, w.k)
         return GlobalReport(
             model=model,
             weights=w,

@@ -159,13 +159,6 @@ class QuotientPoly:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def eval_exact(self, c_value, s_value, r_value, bindings: "Mapping[str, Scalar] | None" = None) -> Fraction:
-        """Exact evaluation at rational (c, s, r); caller owns the relation."""
-        values = {COS: Fraction(c_value), SIN: Fraction(s_value), RADIAL: Fraction(r_value)}
-        for name, val in (bindings or {}).items():
-            values[name] = Fraction(val)
-        return self.base.evaluate(values)
-
     def eval_float(self, angle: float, radius: float, bindings: "Mapping[str, Scalar] | None" = None) -> float:
         """One-point float evaluation; parameters are bound exactly first."""
         cos, sin = TRIG[self.sigma]
@@ -190,17 +183,3 @@ class QuotientPoly:
         rel = "c^2+s^2=1" if self.sigma == 1 else "c^2-s^2=1"
         return f"QuotientPoly[{rel}]({self.base.format()!r})"
 
-
-def angular_derivative(q: QuotientPoly) -> QuotientPoly:
-    """Derivation d/d(angle) of the parametrized pair.
-
-    Both signatures share s' = c, while c' = -sigma*s (-sin on the circle,
-    +sinh on the hyperbola), so the chain rule is one formula.
-    """
-    c_part = q.base.derivative(COS) * (-q.sigma * Poly.var(SIN))
-    s_part = q.base.derivative(SIN) * Poly.var(COS)
-    return QuotientPoly(q.sigma, c_part + s_part)
-
-
-def radial_derivative(q: QuotientPoly) -> QuotientPoly:
-    return QuotientPoly(q.sigma, q.base.derivative(RADIAL))

@@ -450,7 +450,7 @@ def check_hyperbolic_finite_difference(f: VectorField, bindings, seed: int, case
 def check_bridge_conjugacy(f: VectorField, w: Weights, bindings, seed: int, cases: int = 20) -> CheckResult:
     """D(beta1) applied to the hyperbolic polar field equals the first-chart
     field at the bridged point; the desingularized forms agree after scaling
-    the chart field by cosh(phi)."""
+    the chart field by cosh(phi)^k."""
     rng = random.Random(seed)
     raw_h = polar_pushforward(f, HYPERBOLA, Branch.X)
     des_h = desingularize_polar(raw_h)
@@ -465,7 +465,7 @@ def check_bridge_conjugacy(f: VectorField, w: Weights, bindings, seed: int, case
         r1, y1 = bridge_beta1(phi, rho)
         ch, sh = math.cosh(phi), math.sinh(phi)
         sech2 = 1.0 / (ch * ch)
-        for hfield, kfield, scale in ((raw_hf, raw_k, 1.0), (des_hf, des_k, ch)):
+        for hfield, kfield, scale in ((raw_hf, raw_k, 1.0), (des_hf, des_k, ch**w.k)):
             da, dr = hfield(phi, rho)
             lhs = (rho * sh * da + ch * dr, sech2 * da)
             kv = kfield(r1, y1)

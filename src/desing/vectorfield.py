@@ -82,10 +82,6 @@ class VectorField:
     def param_names(self) -> "tuple[str, ...]":
         return tuple(p.name for p in self.params)
 
-    def check_bindings(self, bindings: Mapping[str, "Fraction | int | str"]) -> "dict[str, Fraction]":
-        """Validate and normalize parameter bindings to exact rationals."""
-        return check_param_bindings(self.params, bindings)
-
     # -- numeric view -------------------------------------------------------------
 
     def as_callable(self, bindings: Mapping[str, "Fraction | int | str"]) -> Callable:

@@ -34,9 +34,6 @@ class Weights:
         if self.alpha < 1 or self.beta < 1 or self.k < 0:
             raise ValueError(f"weights must satisfy alpha, beta >= 1 and k >= 0: {self}")
 
-    def as_tuple(self):
-        return (self.alpha, self.beta, self.k)
-
     def __str__(self):
         return f"(alpha, beta, k) = ({self.alpha}, {self.beta}, {self.k})"
 

@@ -194,6 +194,43 @@ def test_analyze_hyperbolic_root_rounding_to_one(tmp_path, capsys):
     assert "[2] phi = 19.9185468807  non-hyperbolic" in out
 
 
+def test_analyze_hyperbolic_wing_far_out(tmp_path, capsys):
+    # w = 1 - 10^-200 puts the wing point at cosh(phi) ~ 7.07e99; the wing
+    # eigenvalues are the chart's times cosh(phi), finite in text and JSON
+    path = tmp_path / "tiny.vf"
+    path.write_text("var x y; dx/dt = 0; dy/dt = y^2 - (1 - 1/10^200)*x*y;")
+    code, out, err = run(capsys, "analyze", str(path), "--model", "hyperbolic-x")
+    assert code == 0, err
+    assert "hyperbolic-x: coords (230.60508289, 0); eigenvalues 0, 7.07106781187e+99" in out
+    code, out, err = run(capsys, "analyze", str(path), "--model", "hyperbolic-x", "--format", "json")
+    assert code == 0, err
+    second = json.loads(out)["equilibria"][1]["members"][0]
+    assert second["eigenvalues"] == [[0.0, 0.0], [pytest.approx(7.07106781187e99), 0.0]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["analyze", "--model", "hyperbolic-x"],
+        ["portrait", "--grid", "0:1:1,0:1:1"],
+        ["verify"],
+    ],
+    ids=["analyze-sphere", "analyze-hyperbolic-x", "portrait", "verify"],
+)
+def test_value_beyond_float_range_exits_1(tmp_path, capsys, argv):
+    # the coefficient 2*10^400, and the eigenvalue -2*10^400 of the divisor
+    # point w = 0, lie beyond the float range
+    path = tmp_path / "huge.vf"
+    path.write_text("var x y; dx/dt = 0; dy/dt = y^3 - 2*10^400*x^2*y;")
+    command, *options = argv
+    code, out, err = run(capsys, command, str(path), *options)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{command}: value beyond the float range (")
+    assert err.count("\n") == 1
+
+
 def test_portrait_csv(tmp_path, capsys):
     out_path = tmp_path / "traj.csv"
     code, _, _ = run(

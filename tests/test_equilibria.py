@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -19,11 +21,12 @@ from desing.equilibria import (
     divisor_angle,
     divisor_equilibria,
     _owned_points,
+    _sqrt_float,
     global_divisor_report,
 )
 from desing.errors import DegenerateChart, DesingError, UnboundParameter
 from desing.poly import Poly, poly_vars
-from desing.selfcheck import check_global_counts, demo_system
+from desing.selfcheck import check_bridge_conjugacy, check_global_counts, demo_system
 from desing.vectorfield import Param, VectorField
 from desing.weights import Weights, infer_weights
 
@@ -380,6 +383,107 @@ def test_hyperbolic_y_complements_x():
     assert len(repa.equilibria) == 1
     repb = global_divisor_report(F, W, {"a": Fraction(2)}, model=MODEL_HYPERBOLIC_Y)
     assert len(repb.equilibria) == 2
+
+
+# x' = x^3, y' = y^3 - x*y^2/2 + 2*x^2*y/3 + x^3/6: unit weights with k = 2; the
+# x-wing holds the rational root 1/2 of K1's divisor polynomial and the
+# enclosed roots -+1/sqrt(3), the y-wing the axis point
+_x, _y = poly_vars("x", "y")
+CUBIC_WING_FIELD = VectorField(
+    _x**3,
+    _y**3 - Fraction(1, 2) * _x * _y**2 + Fraction(2, 3) * _x**2 * _y + Fraction(1, 6) * _x**3,
+    ("x", "y"),
+)
+_WING_CASES = {
+    f"quadratic-a{a.replace('/', '_')}-{model}": (F, {"a": Fraction(a)}, model)
+    for a in ("1", "7/10", "2")
+    for model in (MODEL_HYPERBOLIC_X, MODEL_HYPERBOLIC_Y)
+} | {f"cubic-{model}": (CUBIC_WING_FIELD, {}, model) for model in (MODEL_HYPERBOLIC_X, MODEL_HYPERBOLIC_Y)}
+
+
+def _sympy_of(sympy, poly, subs):
+    expr = sympy.Integer(0)
+    for exps, coef in poly.terms.items():
+        term = sympy.Rational(coef.numerator, coef.denominator)
+        for name, e in zip(poly.vars, exps):
+            term *= subs[name] ** e
+        expr += term
+    return expr
+
+
+@pytest.mark.parametrize("f, bindings, model", _WING_CASES.values(), ids=_WING_CASES.keys())
+def test_wing_linearization_matches_sympy(f, bindings, model):
+    # The reference differentiates the desingularized hyperbolic field itself
+    # (c = cosh(phi), s = sinh(phi)) at phi = atanh(w), rho = 0, to 30 digits,
+    # for every chart root w inside the wing.
+    sympy = pytest.importorskip("sympy")
+    phi, rho, w = sympy.symbols("phi rho w")
+    report = global_divisor_report(f, infer_weights(f), bindings, model=model)
+    params = {k: sympy.Rational(v.numerator, v.denominator) for k, v in report.bindings.items()}
+    hh = report.polar_desing
+    subs = {"c": sympy.cosh(phi), "s": sympy.sinh(phi), "r": rho, **params}
+    ang, rad = (_sympy_of(sympy, q.base, subs) for q in (hh.angular, hh.radial))
+    (cf,) = report.chart_fields.values()
+    on_divisor = _sympy_of(sympy, cf.desing[1], {cf.radial_var: 0, cf.angular_var: w, **params})
+    roots = [z for z in sympy.Poly(on_divisor, w).real_roots() if -1 < z < 1]
+    roots = sorted(set(roots), key=lambda z: z.evalf(50))
+    assert len(report.equilibria) == len(roots)
+    for merged, root in zip(report.equilibria, roots):
+        (member,) = merged.members
+        at = {phi: sympy.atanh(root), rho: 0}
+        jac = [[sympy.diff(g, v).subs(at).evalf(30) for v in (phi, rho)] for g in (ang, rad)]
+        tr, det = jac[0][0] + jac[1][1], jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+        disc = tr * tr - 4 * det
+        assert disc >= 0
+        eig = sorted(((tr - sympy.sqrt(disc)) / 2, (tr + sympy.sqrt(disc)) / 2))
+        got = [float(x) for row in member.jacobian for x in row]
+        got += [z.real for z in member.eigenvalues]
+        assert all(z.imag == 0 for z in member.eigenvalues)
+        for value, ref in zip(got, [x for row in jac for x in row] + eig):
+            if root.is_Rational:
+                assert abs(value - ref) <= 2 * math.ulp(float(ref)), (value, ref)
+            else:
+                assert abs(value - ref) <= 1e-10 * abs(ref), (value, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**40), st.integers(1, 10**40), st.integers(-1900, 2200))
+def test_sqrt_float_is_rounded_once(n, d, e):
+    # results from about 2^-1017 up to beyond the float range
+    q = Fraction(n, d) * Fraction(2) ** e
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        ref = (Decimal(q.numerator) / Decimal(q.denominator)).sqrt()
+    if ref > Decimal(sys.float_info.max):
+        with pytest.raises(OverflowError):
+            _sqrt_float(q)
+        return
+    want = float(ref)
+    assert abs(_sqrt_float(q) - want) <= math.ulp(want) / 2
+
+
+def test_bridge_conjugacy_scales_by_cosh_to_the_k():
+    # with k = 2 the desingularized wing field is the chart field times cosh(phi)^2
+    w = infer_weights(CUBIC_WING_FIELD)
+    assert w.k == 2
+    res = check_bridge_conjugacy(CUBIC_WING_FIELD, w, {}, seed=0)
+    assert res.passed, res.detail
+
+
+def test_near_one_wing_eigenvalue_is_cosh_times_chart():
+    # w = 1 - 10^-17 rounds to 1.0 in floats; the chart eigenvalue there is w,
+    # so the wing eigenvalue is w*cosh(phi) = w/sqrt(1 - w^2), about 2.236e8
+    f = _dy_only(lambda x, y: y**2 - Fraction(10**17 - 1, 10**17) * x * y)
+    report = global_divisor_report(f, infer_weights(f), {}, model=MODEL_HYPERBOLIC_X)
+    second = report.equilibria[1].members[0]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        wd = 1 - Decimal(10) ** -17
+        cosh_phi = float(1 / (1 - wd * wd).sqrt())
+    assert cosh_phi == pytest.approx(2.2360679775e8)
+    zero, big = (z.real for z in second.eigenvalues)
+    assert zero == 0
+    assert big == pytest.approx(cosh_phi, rel=1e-9)
 
 
 def test_classification_invariant_under_rescaling():

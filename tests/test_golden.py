@@ -5,7 +5,9 @@ Each case runs `desing.cli.main` on an input under `inputs/` or
 The eps_merge field has two divisor points 1e-10 rad apart, and the
 unit_interval field has an exact rational point on a chart-overlap boundary
 (|w| = 1) of a divisor polynomial with the leading coefficient 10^13; both
-pin the chart-ownership key.  The dense fields of degree 8, 12 and 16
+pin the chart-ownership key.  The near_one field has an x-wing point whose
+root w = 1 - 10^-17 rounds to 1.0, which pins the wing linearization through
+the chart far out on the hyperboloid.  The dense fields of degree 8, 12 and 16
 have irrational divisor roots, so their JSON reports pin the isolating
 interval endpoints: a change to the bisection path fails here even when the
 classification is unchanged.
@@ -49,6 +51,10 @@ def _cases():
     for name in ("eps_merge", "unit_interval"):
         for fmt, ext in (("text", "txt"), ("json", "json")):
             cases[f"analyze-{name}.{ext}"] = ["analyze", GOLDEN / "inputs" / f"{name}.vf", "--format", fmt]
+    for fmt, ext in (("text", "txt"), ("json", "json")):
+        cases[f"analyze-near_one-hyperbolic-x.{ext}"] = [
+            "analyze", GOLDEN / "inputs" / "near_one.vf", "--model", "hyperbolic-x", "--format", fmt,
+        ]
     for n in (8, 12, 16):
         cases[f"analyze-dense-d{n}.json"] = ["analyze", GOLDEN / "inputs" / f"dense_d{n}.vf", "--format", "json"]
     a1 = ["--param", "a=1"]

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from desing.errors import NotDivisible
@@ -9,8 +7,6 @@ from desing.quotient import (
     RADIAL,
     SIN,
     QuotientPoly,
-    angular_derivative,
-    radial_derivative,
     reduce_poly,
 )
 from desing.selfcheck import check_reduction_homomorphism
@@ -74,30 +70,6 @@ def test_eval_float_uses_right_functions():
     assert q.eval_float(0.7, 2.0) == pytest.approx(1.0)
     h = QuotientPoly(-1, c**2 - s**2)
     assert h.eval_float(1.3, 0.5) == pytest.approx(1.0)
-
-
-def test_eval_exact():
-    q = QuotientPoly(-1, a * c + r * s)
-    val = q.eval_exact(Fraction(5, 4), Fraction(3, 4), Fraction(2), {"a": Fraction(2)})
-    assert val == Fraction(5, 2) + Fraction(3, 2)
-
-
-def test_angular_derivative_circle():
-    # d/dtheta of c is -s, of s is c
-    assert angular_derivative(QuotientPoly(1, c)) == QuotientPoly(1, -s)
-    assert angular_derivative(QuotientPoly(1, s)) == QuotientPoly(1, c)
-    # product rule: d(c*s) = c^2 - s^2 -> reduced 1 - 2*s^2
-    assert angular_derivative(QuotientPoly(1, c * s)) == QuotientPoly(1, 1 - 2 * s**2)
-
-
-def test_angular_derivative_hyperbola():
-    assert angular_derivative(QuotientPoly(-1, c)) == QuotientPoly(-1, s)
-    assert angular_derivative(QuotientPoly(-1, s)) == QuotientPoly(-1, c)
-
-
-def test_radial_derivative():
-    q = QuotientPoly(1, r**2 * c)
-    assert radial_derivative(q) == QuotientPoly(1, 2 * r * c)
 
 
 def test_pretty_rendering():
