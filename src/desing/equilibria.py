@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import takewhile, zip_longest
+from itertools import takewhile
 from math import isqrt, lcm
 from typing import Mapping
 
@@ -43,7 +43,16 @@ from .charts import _SOURCE_SIGN, ChartField, ChartId, blow_up_in_chart
 from .errors import DegenerateChart, DesingError
 from .polar import Branch, HYPERBOLA, PolarField, desingularize_polar, polar_pushforward
 from .poly import Poly
-from .realroots import RealRoot, compare_root, poly_value, real_roots, refine_root, value_at_root
+from .realroots import (
+    RealRoot,
+    _add,
+    _mul,
+    compare_root,
+    poly_value,
+    real_roots,
+    refine_root,
+    value_at_root,
+)
 from .vectorfield import VectorField, bind_params, check_param_bindings
 from .weights import Weights
 
@@ -211,17 +220,23 @@ def classify_exact(jac) -> "tuple[str, tuple | None, tuple[complex, complex]]":
 # -- chart-local analysis ----------------------------------------------------------------
 
 
-def _univariate(poly: Poly, var: str) -> "list[Fraction]":
-    extra = set(poly.effective_vars()) - {var}
-    if extra:
-        raise ValueError(f"polynomial is not univariate in {var}: extra {sorted(extra)}")
-    if poly.is_zero():
-        return []
-    coeffs = [Fraction(0)] * (poly.degree_in(var) + 1)
-    idx = poly.vars.index(var) if var in poly.vars else None
-    for exps, c in poly.terms.items():
-        coeffs[exps[idx] if idx is not None else 0] += c
-    return coeffs
+def _on_divisor(polys, rvar: str, wvar: str) -> "tuple[int, list[list[int]]]":
+    """The polynomials restricted to the divisor r = 0, as trimmed integer
+    coefficient lists in w over one positive common denominator."""
+    lists = []
+    for p in polys:
+        if rvar in p.vars:
+            p = p.bind({rvar: 0})
+        extra = set(p.effective_vars()) - {wvar}
+        if extra:
+            raise ValueError(f"polynomial is not univariate in {wvar}: extra {sorted(extra)}")
+        cs = [Fraction(0)] * (p.degree_in(wvar) + 1 if p.terms else 0)
+        idx = p.vars.index(wvar) if wvar in p.vars else None
+        for exps, c in p.terms.items():
+            cs[exps[idx] if idx is not None else 0] += c
+        lists.append(cs)
+    den = lcm(*(c.denominator for cs in lists for c in cs))
+    return den, [[c.numerator * (den // c.denominator) for c in cs] for cs in lists]
 
 
 def _solve_unit_radius(alpha: int, beta: int, a2: float, b2: float) -> float:
@@ -257,23 +272,6 @@ def divisor_angle(chart: ChartId, w_value: float, weights: Weights) -> float:
     return math.atan2(y, x) % TWO_PI
 
 
-def _add(p, q, s=1):
-    """p + s*q for integer coefficient lists, trimmed."""
-    out = [x + s * y for x, y in zip_longest(p, q, fillvalue=0)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _mul(p, q):
-    """p * q for integer coefficient lists."""
-    out = [0] * (len(p) + len(q) - 1) if p and q else []
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
-
-
 @dataclass(frozen=True)
 class _DivisorJacobian:
     """The Jacobian entries (a, b, c, d) restricted to the divisor, as
@@ -289,9 +287,8 @@ class _DivisorJacobian:
     @classmethod
     def of(cls, des_r: Poly, des_w: Poly, rvar: str, wvar: str) -> "_DivisorJacobian":
         polys = [des.derivative(v) for des in (des_r, des_w) for v in (rvar, wvar)]
-        fracs = [_univariate(p.bind({rvar: 0}) if rvar in p.vars else p, wvar) for p in polys]
-        den = lcm(*(x.denominator for cs in fracs for x in cs))
-        a, b, c, d = entries = [[x.numerator * (den // x.denominator) for x in cs] for cs in fracs]
+        den, entries = _on_divisor(polys, rvar, wvar)
+        a, b, c, d = entries
         tr = _add(a, d)
         det = _add(_mul(a, d), _mul(b, c), -1)
         return cls(den, entries, tr, det, _add(_mul(tr, tr), det, -4))
@@ -329,14 +326,12 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
     rvar, wvar = cf.radial_var, cf.angular_var
     des_r = bind_params(cf.desing[0], bound)
     des_w = bind_params(cf.desing[1], bound)
-    on_divisor = des_w.bind({rvar: 0}) if rvar in des_w.vars else des_w
-    coeffs = _univariate(on_divisor, wvar)
-    if not coeffs or all(c == 0 for c in coeffs):
+    _, (coeffs,) = _on_divisor([des_w], rvar, wvar)
+    if not coeffs:
         raise DegenerateChart(cf.chart.value)
 
     dj = _DivisorJacobian.of(des_r, des_w, rvar, wvar)
-    lead = next(c for c in reversed(coeffs) if c)
-    out = ChartEquilibria(1 if lead > 0 else -1)
+    out = ChartEquilibria(1 if coeffs[-1] > 0 else -1)
     for root in real_roots(coeffs):
         if root.exact:
             out.append(_exact_equilibrium(cf, root, dj))

@@ -1,10 +1,11 @@
 """Certified real-root isolation for univariate rational polynomials.
 
-Coefficient lists are dense, index = degree, over `fractions.Fraction`.
-The pipeline is classical: Yun's square-free decomposition recovers
-multiplicities, then Sturm-sequence isolation plus sign-change bisection
-encloses every real root of each square-free factor.  A rational root n/d of
-a factor whose primitive integer form leads with L has d | L, so it is m/L
+Coefficient lists are dense, index = degree.  `real_roots` converts its
+rational input once into an integer list, and everything below it takes and
+returns integer lists.  The pipeline is classical: Yun's square-free
+decomposition recovers multiplicities, then Sturm-sequence isolation plus
+sign-change bisection encloses every real root of each square-free factor.
+A rational root n/d of a factor that leads with L has d | L, so it is m/L
 for an integer m; an enclosure narrower than 1/L holds at most one such
 point, and testing that one point decides whether the root is rational.
 Everything is exact, so no root is ever missed or invented; rational roots
@@ -16,18 +17,22 @@ over the enclosure settles it unless the enclosure of q straddles 0, and then
 q vanishes at the root exactly when gcd(factor, q) changes sign across the
 enclosure; otherwise refining the root makes the enclosure of q exclude 0.
 
-The decision paths run over integers, not Fractions.  A polynomial's
-integer form is its coefficient list times the positive lcm of the
-denominators (divided by the positive content where only signs matter).
-A rational point is a pair (n, d) with d > 0, and the sign of p(n/d) is the
-sign of the homogenised value sum c_i n^i d^(deg - i) = d^deg p(n/d).  The
-Sturm chain is a primitive integer remainder sequence: each member is a
-positive multiple of the classical -rem/|lc(rem)| member.  Interval Horner
-runs over integer endpoints with the box on one common denominator and
-divides once at the end.  Every rescaling is by a positive factor, which
-keeps every sign, every comparison, and the min/max in interval products, so
-the bisection visits the same rational points and returns the same
-Fractions as evaluating p in Fraction arithmetic would.
+Integers suffice throughout.  Yun's decomposition (Yun, SYMSAC 1976) divides
+only by gcds, and a gcd is kept primitive with a positive leading
+coefficient, so by Gauss's lemma every division is exact over the integers;
+scaling a gcd by a rational lambda scales both of Yun's running polynomials
+by 1/lambda and leaves the algorithm unchanged.  Every square-free factor is
+such a gcd, whatever the scale and sign of the input.  A rational point is a pair
+(n, d) with d > 0, and the sign of p(n/d) is the sign of the homogenised
+value sum c_i n^i d^(deg - i) = d^deg p(n/d).  The Sturm chain is a
+primitive integer remainder sequence: each member is a positive multiple of
+the classical -rem/|lc(rem)| member.  Interval Horner runs over integer
+endpoints with the box on one common denominator and divides once at the
+end.  Sturm variation counts, the sign tests, the bisection, the Cauchy
+bound and the min/max in interval products do not change when a polynomial
+is scaled by a nonzero rational (a positive one, for the interval products),
+so the isolation of lambda*p visits the same rational points and returns the
+same Fractions as that of p, for every nonzero rational lambda.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence
 
@@ -42,85 +48,11 @@ _Z = Fraction(0)
 DEFAULT_WIDTH = Fraction(1, 10**12)
 
 
-# -- dense polynomial helpers -------------------------------------------------
-
-
-def poly_trim(cs) -> "list[Fraction]":
-    cs = [Fraction(c) for c in cs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def poly_degree(cs) -> int:
-    return len(cs) - 1
-
-
-def poly_derivative(cs) -> "list[Fraction]":
-    return [c * i for i, c in enumerate(cs)][1:]
-
-
-def poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [_Z] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coeff = a[i + len(b) - 1] / lead
-        if coeff:
-            q[i] = coeff
-            for j, bj in enumerate(b):
-                a[i + j] -= coeff * bj
-    return poly_trim(q), poly_trim(a)
-
-
-def poly_gcd(a, b) -> "list[Fraction]":
-    """The monic gcd, by a primitive integer remainder sequence."""
-    a = _primitive(_integer_form(poly_trim(a)))
-    b = _primitive(_integer_form(poly_trim(b)))
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    return [Fraction(c, a[-1]) for c in a]
-
-
-def yun_squarefree(p) -> "list[tuple[list[Fraction], int]]":
-    """Square-free decomposition: [(factor, multiplicity)] with the factors
-    pairwise coprime and each square-free."""
-    p = poly_trim(p)
-    if poly_degree(p) < 1:
-        return []
-    dp = poly_derivative(p)
-    g = poly_gcd(p, dp)
-    if poly_degree(g) < 1:
-        return [(p, 1)]
-    w, _ = poly_divmod(p, g)
-    y, _ = poly_divmod(dp, g)
-    z = poly_trim([a - b for a, b in _zip_pad(y, poly_derivative(w))])
-    out = []
-    i = 1
-    while poly_degree(w) >= 1:
-        h = poly_gcd(w, z)  # monic; [1] when this multiplicity level is empty
-        if poly_degree(h) >= 1:
-            out.append((h, i))
-        w, _ = poly_divmod(w, h)
-        y, _ = poly_divmod(z, h)
-        z = poly_trim([a - b for a, b in _zip_pad(y, poly_derivative(w))])
-        i += 1
-    return out
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else _Z, b[i] if i < len(b) else _Z)
-
-
-# -- integer forms ----------------------------------------------------------------
+# -- integer polynomial helpers ---------------------------------------------------
 
 
 def _integer_form(cs) -> "list[int]":
-    """The coefficients times the lcm of their denominators."""
+    """The rational coefficients times the lcm of their denominators."""
     den = lcm(*(c.denominator for c in cs))
     return [c.numerator * (den // c.denominator) for c in cs]
 
@@ -129,6 +61,74 @@ def _primitive(ints) -> "list[int]":
     """Divide out the positive content; signs and roots are unchanged."""
     g = gcd(*ints)
     return [c // g for c in ints] if g > 1 else list(ints)
+
+
+def _trim(cs: "list[int]") -> "list[int]":
+    """Pop the trailing zeros of `cs` in place and return it."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _add(p, q, s=1) -> "list[int]":
+    """p + s*q, trimmed."""
+    return _trim([x + s * y for x, y in zip_longest(p, q, fillvalue=0)])
+
+
+def _mul(p, q) -> "list[int]":
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _derivative(cs) -> "list[int]":
+    return [c * i for i, c in enumerate(cs)][1:]
+
+
+def _quotient(a, b) -> "list[int]":
+    """a / b for a primitive b that divides a over the rationals.  By Gauss's
+    lemma the quotient has integer coefficients, so every step of the long
+    division divides exactly."""
+    a = list(a)
+    nb, lead = len(b), b[-1]
+    q = [0] * (len(a) - nb + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = a[i + nb - 1] // lead
+        if c:
+            for j in range(nb - 1):
+                a[i + j] -= c * b[j]
+    return q
+
+
+def poly_gcd(a, b) -> "list[int]":
+    """The primitive gcd with a positive leading coefficient, by a primitive
+    integer remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a if a[-1] > 0 else [-c for c in a]
+
+
+def yun_squarefree(p) -> "list[tuple[list[int], int]]":
+    """Square-free decomposition of a nonzero integer list:
+    [(factor, multiplicity)] with the factors pairwise coprime, square-free,
+    primitive and leading positive.  Every factor is a gcd."""
+    dp = _derivative(p)
+    g = poly_gcd(p, dp)
+    w = _quotient(p, g)
+    z = _add(_quotient(dp, g), _derivative(w), -1)
+    out = []
+    i = 1
+    while len(w) >= 2:
+        h = poly_gcd(w, z)  # [1] when this multiplicity level is empty
+        if len(h) >= 2:
+            out.append((h, i))
+        w = _quotient(w, h)
+        z = _add(_quotient(z, h), _derivative(w), -1)
+        i += 1
+    return out
 
 
 def _homogeneous_value(ints, n: int, d: int) -> int:
@@ -152,9 +152,7 @@ def _sign_at(ints, n: int, d: int) -> int:
 
 
 def cauchy_bound(p) -> Fraction:
-    lead = abs(p[-1])
-    mx = max((abs(c) for c in p[:-1]), default=_Z)
-    return Fraction(1) + mx / lead
+    return 1 + Fraction(max((abs(c) for c in p[:-1]), default=0), abs(p[-1]))
 
 
 def _pseudo_remainder(a, b) -> "list[int]":
@@ -174,18 +172,16 @@ def _pseudo_remainder(a, b) -> "list[int]":
                 r = [scale * c for c in r]
             for j in range(nb - 1):
                 r[shift + j] -= lead * b[j]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
+    return _trim(r)
 
 
 def sturm_chain(p) -> "list[list[int]]":
-    """Sturm sequence p, p', -rem, ... as primitive integer lists.
+    """Sturm sequence p, p', -rem, ... of the integer list p, the members
+    after p primitive.
 
     Each member is a positive multiple of the classical member (p, p', then
     -rem/|lc(rem)|), so every sign count is the classical one."""
-    p = _primitive(_integer_form(poly_trim(p)))
-    chain = [p, _primitive([c * i for i, c in enumerate(p)][1:])]
+    chain = [p, _primitive(_derivative(p))]
     while chain[-1]:
         r = _pseudo_remainder(chain[-2], chain[-1])
         if not r:
@@ -206,21 +202,13 @@ def _variations(chain, n: int, d: int) -> int:
     return count
 
 
-def sign_variations(chain, x: Fraction) -> int:
-    return _variations(chain, x.numerator, x.denominator)
-
-
 def isolate_squarefree(p) -> "tuple[list[Fraction], list[tuple[Fraction, Fraction]]]":
-    """Isolate all real roots of a square-free polynomial.
+    """Isolate all real roots of a square-free integer polynomial.
 
     Returns (exact_roots_hit, isolating_intervals); every interval contains
     exactly one simple root and has a strict sign change at its endpoints.
     """
-    p = poly_trim(p)
-    if poly_degree(p) < 1:
-        return [], []
     chain = sturm_chain(p)
-    ints = chain[0]  # a positive multiple of p
     bound = cauchy_bound(p)
     exact: "list[Fraction]" = []
     intervals: "list[tuple[Fraction, Fraction]]" = []
@@ -231,11 +219,11 @@ def isolate_squarefree(p) -> "tuple[list[Fraction], list[tuple[Fraction, Fractio
         n = vlo - vhi
         if n <= 0:
             return
-        if n == 1 and _sign_at(ints, lo, d) * _sign_at(ints, hi, d) < 0:
+        if n == 1 and _sign_at(p, lo, d) * _sign_at(p, hi, d) < 0:
             intervals.append((Fraction(lo, d), Fraction(hi, d)))
             return
         mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
-        if _sign_at(ints, mid, d) == 0:
+        if _sign_at(p, mid, d) == 0:
             exact.append(Fraction(mid, d))
             # probe mid -+ (hi - lo)/64, halving the offset until both probes
             # lie inside, miss the root and are one Sturm count apart
@@ -246,8 +234,8 @@ def isolate_squarefree(p) -> "tuple[list[Fraction], list[tuple[Fraction, Fractio
                 if (
                     lo < a
                     and b < hi
-                    and _sign_at(ints, a, d) != 0
-                    and _sign_at(ints, b, d) != 0
+                    and _sign_at(p, a, d) != 0
+                    and _sign_at(p, b, d) != 0
                 ):
                     va, vb = _variations(chain, a, d), _variations(chain, b, d)
                     if va - vb == 1:
@@ -326,19 +314,19 @@ def refine_root(root: RealRoot, width: Fraction) -> RealRoot:
 
 
 def rational_roots(p, mult: int, width: Fraction) -> "list[RealRoot]":
-    """Every real root of a square-free polynomial, the rational ones exact.
+    """Every real root of a square-free primitive integer polynomial, the
+    rational ones exact.
 
     A root at 0 is read off the coefficients, and the rest are isolated in p
     with its factor x stripped.  With L the absolute leading coefficient of
-    that polynomial's primitive integer form, each enclosure is refined below
-    1/L and the one point m/L strictly inside it is tested; when that point
-    is not the root, the root is irrational and its enclosure is refined on
-    below `width`.  Every root carries the stripped polynomial as its factor."""
-    p = poly_trim(p)
+    that polynomial, each enclosure is refined below 1/L and the one point
+    m/L strictly inside it is tested; when that point is not the root, the
+    root is irrational and its enclosure is refined on below `width`.  Every
+    root carries the stripped polynomial as its factor."""
     at_zero = p[0] == 0
     if at_zero:
         p = p[1:]  # square-free, so x divides p once
-    ints = tuple(_primitive(_integer_form(p)))
+    ints = tuple(p)
     found = [RealRoot(_Z, None, None, mult, ints)] if at_zero else []
     if len(ints) < 2:
         return found
@@ -394,7 +382,7 @@ def _compare_roots(a: RealRoot, b: RealRoot) -> int:
 def real_roots(coeffs: Sequence[Fraction], width: Fraction = DEFAULT_WIDTH) -> "list[RealRoot]":
     """All distinct real roots with multiplicities, in exact increasing order;
     rational roots are exact and irrational ones enclosed below `width`."""
-    p = poly_trim(coeffs)
+    p = _trim(_integer_form(coeffs))
     if not p:
         raise ValueError("the zero polynomial has every point as a root")
     found = [r for factor, mult in yun_squarefree(p) for r in rational_roots(factor, mult, width)]
@@ -405,24 +393,22 @@ def real_roots(coeffs: Sequence[Fraction], width: Fraction = DEFAULT_WIDTH) -> "
 # -- signs at a root ---------------------------------------------------------------------
 
 
-def interval_eval(coeffs, lo: Fraction, hi: Fraction) -> "tuple[Fraction, Fraction]":
-    """Interval Horner of `coeffs` over [lo, hi], exactly as Fraction interval
-    arithmetic would compute it.
+def interval_eval(ints, lo: Fraction, hi: Fraction) -> "tuple[Fraction, Fraction]":
+    """Interval Horner of the integer list `ints` over [lo, hi], exactly as
+    Fraction interval arithmetic would compute it.
 
-    Runs over integers: after t steps the enclosure is [lo, hi] / (L d^t),
-    with L the lcm of the coefficient denominators and d the common
-    denominator of the box, so it divides once at the end."""
+    Runs over integers: after t steps the enclosure is [lo, hi] / d^t, with
+    d the common denominator of the box, so it divides once at the end."""
     d = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (d // lo.denominator)
     b = hi.numerator * (d // hi.denominator)
     low = high = 0
     dp = 1
-    for k in reversed(_integer_form(coeffs)):
+    for k in reversed(ints):
         dp *= d
         prods = (low * a, low * b, high * a, high * b)
         low, high = min(prods) + k * dp, max(prods) + k * dp
-    scale = lcm(*(c.denominator for c in coeffs)) * dp
-    return Fraction(low, scale), Fraction(high, scale)
+    return Fraction(low, dp), Fraction(high, dp)
 
 
 def poly_value(ints, x: Fraction) -> Fraction:
@@ -445,7 +431,7 @@ def value_at_root(q, root: RealRoot) -> Fraction:
         return poly_value(q, root.value)
     lo, hi = interval_eval(q, root.lo, root.hi)
     if lo <= 0 <= hi:
-        g = _primitive(_integer_form(poly_gcd(root.factor, q)))
+        g = poly_gcd(root.factor, q)
         if _sign_at(g, root.lo.numerator, root.lo.denominator) != _sign_at(
             g, root.hi.numerator, root.hi.denominator
         ):

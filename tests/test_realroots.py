@@ -10,15 +10,14 @@ from desing.realroots import (
     _integer_form,
     _primitive,
     _sign_at,
+    _variations,
     cauchy_bound,
     compare_root,
     interval_eval,
-    poly_divmod,
     poly_gcd,
     real_roots,
     refine_root,
     sturm_chain,
-    sign_variations,
     value_at_root,
     yun_squarefree,
 )
@@ -52,24 +51,20 @@ def test_from_roots_helper():
     assert from_roots(1, -2) == coeffs(-2, 1, 1)
 
 
-def test_poly_divmod():
-    # (x^2 - 1) / (x - 1) = (x + 1), remainder 0
-    quot, rem = poly_divmod(coeffs(-1, 0, 1), coeffs(-1, 1))
-    assert quot == coeffs(1, 1)
-    assert rem == []
-
-
-def test_poly_gcd_monic():
-    p = from_roots(1, 2, 3)
-    q = from_roots(2, 3, 5)
-    assert poly_gcd(p, q) == from_roots(2, 3)
+def test_poly_gcd_primitive():
+    # 2 (x - 1)(x - 2)(x - 3) and -3 (x - 2)(x - 3)(x - 5) share (x - 2)(x - 3)
+    p = [2 * c for c in _integer_form(from_roots(1, 2, 3))]
+    q = [-3 * c for c in _integer_form(from_roots(2, 3, 5))]
+    assert poly_gcd(p, q) == poly_gcd(q, p) == [6, -5, 1]
+    # (2x - 1) and (4x - 2) share 2x - 1, not the monic x - 1/2
+    assert poly_gcd([-1, 2], [2, -4]) == [-1, 2]
 
 
 def test_yun_decomposition():
     # x^2 * (x^2 - 2): levels are {x^2 - 2} at multiplicity 1, {x} at 2
-    p = [F(0), F(0), F(-2), F(0), F(1)]
-    out = yun_squarefree(p)
-    assert [(f, m) for f, m in out] == [([F(-2), F(0), F(1)], 1), ([F(0), F(1)], 2)]
+    assert yun_squarefree([0, 0, -2, 0, 1]) == [([-2, 0, 1], 1), ([0, 1], 2)]
+    # (2x - 1)^3: the factor stays primitive, not monic
+    assert yun_squarefree([-1, 6, -12, 8]) == [([-1, 2], 3)]
 
 
 def test_rational_roots_with_multiplicity():
@@ -132,11 +127,15 @@ def test_refine_root_shrinks():
     assert finer.lo**2 < 2 < finer.hi**2
 
 
-def test_sturm_counts():
-    p = coeffs(-2, 0, 1)
+def _root_count(p):
+    """Sturm's count of the real roots of the integer list p."""
     chain = sturm_chain(p)
     b = cauchy_bound(p)
-    assert sign_variations(chain, -b) - sign_variations(chain, b) == 2
+    return _variations(chain, -b.numerator, b.denominator) - _variations(chain, b.numerator, b.denominator)
+
+
+def test_sturm_counts():
+    assert _root_count([-2, 0, 1]) == 2
 
 
 def test_angular_restriction_example():
@@ -151,7 +150,7 @@ def test_double_root_at_zero():
 
 
 def test_interval_eval_encloses_value():
-    p = coeffs(-2, 0, 1)
+    p = [-2, 0, 1]
     lo, hi = interval_eval(p, F(141421, 100000), F(141422, 100000))
     exact = _fraction_horner(p, F(1414215, 1000000))
     assert lo <= exact <= hi
@@ -210,12 +209,13 @@ def test_integer_sign_matches_fraction_horner(cs, x):
 @settings(max_examples=100, deadline=None)
 @given(polynomials(), rationals, rationals)
 def test_interval_eval_matches_fraction_interval_horner(cs, a, b):
+    ints = _integer_form(cs)
     box_lo, box_hi = min(a, b), max(a, b)
     lo = hi = F(0)
-    for c in reversed(cs):
+    for c in reversed(ints):
         prods = (lo * box_lo, lo * box_hi, hi * box_lo, hi * box_hi)
         lo, hi = min(prods) + c, max(prods) + c
-    assert interval_eval(cs, box_lo, box_hi) == (lo, hi)
+    assert interval_eval(ints, box_lo, box_hi) == (lo, hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,10 +224,33 @@ def test_sturm_count_matches_sympy(cs):
     sympy = pytest.importorskip("sympy")
     if len(cs) < 2:
         return
-    chain = sturm_chain(cs)
-    bound = cauchy_bound(cs)
-    count = sign_variations(chain, -bound) - sign_variations(chain, bound)
-    assert count == _sympy_poly(sympy, cs).count_roots()
+    assert _root_count(_integer_form(cs)) == _sympy_poly(sympy, cs).count_roots()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(polynomials(max_degree=3), min_size=1, max_size=3))
+def test_yun_matches_sympy_sqf_list(parts):
+    # the product of parts[i]^(i+1), so every level up to 3 can be filled
+    sympy = pytest.importorskip("sympy")
+    p = [F(1)]
+    for i, part in enumerate(parts):
+        for _ in range(i + 1):
+            p = times(p, part)
+    p = _integer_form(p)
+    if len(p) < 2:
+        return
+    _, levels = sympy.Poly(p[::-1], sympy.Symbol("x")).sqf_list()
+    want = [([int(c) for c in f.all_coeffs()[::-1]], m) for f, m in levels]
+    assert yun_squarefree(p) == sorted(want, key=lambda level: level[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(), st.fractions(min_value=-1000, max_value=1000, max_denominator=1000).filter(bool))
+def test_real_roots_are_invariant_under_scaling(cs, lam):
+    # real_roots converts its input once; every result, the factors included,
+    # is independent of the scale and sign of the input
+    assume(any(cs))
+    assert real_roots([lam * c for c in cs]) == real_roots(cs)
 
 
 @settings(max_examples=60, deadline=None)
