@@ -184,8 +184,10 @@ def _exact_sqrt(value: Fraction) -> "Fraction | None":
 def _float_eigenvalues(tr: float, det: float) -> "tuple[complex, complex]":
     disc = tr * tr - 4.0 * det
     if disc >= 0.0:
-        root = math.sqrt(disc)
-        pair = (complex((tr - root) / 2.0), complex((tr + root) / 2.0))
+        # the smaller root (tr -+ sqrt(disc)) / 2 cancels when det << tr^2:
+        # take the larger, whose terms share a sign, and det over it (Vieta)
+        big = (tr + math.copysign(math.sqrt(disc), tr)) / 2.0
+        pair = (complex(det / big if det else 0.0), complex(big))
     else:
         root = math.sqrt(-disc)
         pair = (complex(tr / 2.0, -root / 2.0), complex(tr / 2.0, root / 2.0))

@@ -98,6 +98,22 @@ def test_float_eigenvalues_agree_with_exact():
             assert all(z.imag == 0 for z in eq.eigenvalues)
 
 
+@pytest.mark.parametrize(
+    "jac, small",
+    [
+        (((10**9, 1), (-1, Fraction(2, 10**9))), 3e-9),  # det = 3
+        (((10**9, 0), (1, Fraction(1, 10**9))), 1e-9),  # det = 1, exact pair 1/10^9, 10^9
+    ],
+)
+def test_node_eigenvalues_do_not_cancel(jac, small):
+    # det is tiny against tr^2, so (tr - sqrt(disc)) / 2 rounds to 0
+    cls, _, eig = classify_exact(jac)
+    assert cls == CLASS_UNSTABLE_NODE
+    assert [z.imag for z in eig] == [0.0, 0.0]
+    assert eig[0].real == pytest.approx(small, rel=1e-15)
+    assert eig[1].real == pytest.approx(1e9, rel=1e-15)
+
+
 def test_non_hyperbolic_point_is_flagged_in_report():
     # f = (x^3, x^2*y + y^3) is type (1, 1) with index 2; on the divisor the
     # first chart's angular component is w^3, a triple root at 0
