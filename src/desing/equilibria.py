@@ -482,13 +482,10 @@ def _wing_equilibrium(eq: Equilibrium, model: str, k: int) -> Equilibrium:
     while not root.exact and (root.hi - root.lo) * 2**36 > 1 - max(-root.lo, root.hi):
         root = refine_root(root, (root.hi - root.lo) / 2)
     w = root.value if root.exact else (root.lo + root.hi) / 2
-    w_float = eq.coords_float[1]
-    if abs(w_float) < 1.0:
-        phi = math.atanh(w_float)
-    else:
-        # the float rounds to +-1: take logs of the exact w = n/m instead
-        n, m = w.numerator, w.denominator
-        phi = (math.log(m + n) - math.log(m - n)) / 2.0
+    n, m = w.numerator, w.denominator
+    # phi = atanh(n/m) from the exact w: atanh of the rounded w loses digits
+    # as |w| nears 1, and the log form cancels near 0
+    phi = math.atanh(n / m) if 2 * abs(n) <= m else (math.log(m + n) - math.log(m - n)) / 2.0
     cosh_2k = (1 / (1 - w * w)) ** k  # cosh(phi)^(2k)
     if eq.exact:
         # rounded once: x*cosh(phi)^k = sign(x)*sqrt(x^2*cosh(phi)^(2k))

@@ -194,6 +194,16 @@ def test_analyze_hyperbolic_root_rounding_to_one(tmp_path, capsys):
     assert "[2] phi = 19.9185468807  non-hyperbolic" in out
 
 
+def test_analyze_hyperbolic_wing_phi_near_one(tmp_path, capsys):
+    # atanh of the rounded wing root w = 1 - 10^-12/3 gave phi = 14.1620952092;
+    # phi comes from the exact w, and atanh(w) = 14.16208414824...
+    path = tmp_path / "near_one.vf"
+    path.write_text("var x y; dx/dt = 0; dy/dt = y^2 - 2999999999997/3000000000000*x*y;")
+    code, out, err = run(capsys, "analyze", str(path), "--model", "hyperbolic-x")
+    assert code == 0, err
+    assert "[2] phi = 14.1620841482  non-hyperbolic" in out
+
+
 def test_analyze_hyperbolic_wing_far_out(tmp_path, capsys):
     # w = 1 - 10^-200 puts the wing point at cosh(phi) ~ 7.07e99; the wing
     # eigenvalues are the chart's times cosh(phi), finite in text and JSON
