@@ -192,3 +192,37 @@ def test_compatibility_requires_unit_weights():
     f = VectorField(Poly.var("x") ** 2, Poly.var("y") ** 3, ("x", "y"))
     with pytest.raises(ValueError):
         compatibility_defect(f, Weights(2, 1, 2), ChartId.K1, ChartId.K2)
+
+
+# -- the conventions read off the chart table -----------------------------------------
+
+K1, K2, K3, K4 = ChartId
+# required sign of the source angular coordinate on each overlap, in the
+# order the seeded transition round trip draws from
+SOURCE_SIGN = {
+    (K1, K2): 1, (K1, K4): -1, (K2, K1): 1, (K2, K3): -1,
+    (K3, K2): 1, (K3, K4): -1, (K4, K1): 1, (K4, K3): -1,
+}
+# sign of the angular coordinate after landing in the target chart
+TARGET_SIGN = {
+    (K1, K2): 1, (K1, K4): 1, (K2, K1): 1, (K2, K3): 1,
+    (K3, K2): -1, (K3, K4): -1, (K4, K1): -1, (K4, K3): -1,
+}
+# +1 where the angle on the circle increases with the chart's angular coordinate
+ORIENT = {K1: 1, K2: -1, K3: -1, K4: 1}
+# the four overlap halves, one open quadrant each, in circle order
+HALVES = ((K1, K2), (K2, K3), (K3, K4), (K4, K1))
+
+
+def test_overlap_tables():
+    from desing import charts
+
+    assert list(charts._SOURCE_SIGN.items()) == list(SOURCE_SIGN.items())
+    assert charts._TARGET_SIGN == TARGET_SIGN
+
+
+def test_orientation_and_halves():
+    from desing import equilibria
+
+    assert equilibria._ORIENT == ORIENT
+    assert equilibria._HALVES == HALVES

@@ -302,3 +302,131 @@ def test_verify_on_input_field(capsys):
     code, out, _ = run(capsys, "verify", WEIGHTED)
     assert code == 0
     assert "FAIL" not in out
+
+
+# The choices of --model and --frame are read off the chart and polar-model
+# tables; these pins keep the help text and the usage error as users see them.
+HELP = {
+    (): """\
+usage: desing [-h] {weights,blowup,analyze,portrait,verify} ...
+
+Blow-up desingularization of planar polynomial vector fields
+
+positional arguments:
+  {weights,blowup,analyze,portrait,verify}
+    weights             infer the quasi-homogeneous type
+    blowup              print raw and desingularized blown-up fields
+    analyze             global divisor equilibria report
+    portrait            emit trajectory data for phase portraits
+    verify              run the invariant suite and report pass/fail
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("weights",): """\
+usage: desing weights [-h] [--param NAME=VALUE] [-o OUTPUT]
+                      [--format {text,json}]
+                      input
+
+positional arguments:
+  input                 vector-field file ('-' for stdin)
+
+options:
+  -h, --help            show this help message and exit
+  --param NAME=VALUE    bind a parameter to an exact rational (repeatable)
+  -o OUTPUT, --output OUTPUT
+                        write output to a file
+  --format {text,json}
+""",
+    ("blowup",): """\
+usage: desing blowup [-h] [--param NAME=VALUE] [-o OUTPUT]
+                     [--model {sphere,directional,hyperbolic-x,hyperbolic-y}]
+                     [--charts CHARTS] [--format {text,json}]
+                     input
+
+positional arguments:
+  input                 vector-field file ('-' for stdin)
+
+options:
+  -h, --help            show this help message and exit
+  --param NAME=VALUE    bind a parameter to an exact rational (repeatable)
+  -o OUTPUT, --output OUTPUT
+                        write output to a file
+  --model {sphere,directional,hyperbolic-x,hyperbolic-y}
+  --charts CHARTS       comma-separated chart subset
+  --format {text,json}
+""",
+    ("analyze",): """\
+usage: desing analyze [-h] [--param NAME=VALUE] [-o OUTPUT]
+                      [--model {sphere,directional,hyperbolic-x,hyperbolic-y}]
+                      [--format {text,json}]
+                      input
+
+positional arguments:
+  input                 vector-field file ('-' for stdin)
+
+options:
+  -h, --help            show this help message and exit
+  --param NAME=VALUE    bind a parameter to an exact rational (repeatable)
+  -o OUTPUT, --output OUTPUT
+                        write output to a file
+  --model {sphere,directional,hyperbolic-x,hyperbolic-y}
+  --format {text,json}
+""",
+    ("portrait",): """\
+usage: desing portrait [-h] [--param NAME=VALUE] [-o OUTPUT]
+                       [--frame {original,K1,K2,K3,K4,sphere,hyperbolic-x,hyperbolic-y}]
+                       --grid U0:U1:NU,V0:V1:NV [--t-end T_END] [--step STEP]
+                       input
+
+positional arguments:
+  input                 vector-field file ('-' for stdin)
+
+options:
+  -h, --help            show this help message and exit
+  --param NAME=VALUE    bind a parameter to an exact rational (repeatable)
+  -o OUTPUT, --output OUTPUT
+                        write output to a file
+  --frame {original,K1,K2,K3,K4,sphere,hyperbolic-x,hyperbolic-y}
+  --grid U0:U1:NU,V0:V1:NV
+  --t-end T_END
+  --step STEP
+""",
+    ("verify",): """\
+usage: desing verify [-h] [--param NAME=VALUE] [-o OUTPUT] [--seed SEED]
+                     [input]
+
+positional arguments:
+  input                 optional field file ('-' for stdin)
+
+options:
+  -h, --help            show this help message and exit
+  --param NAME=VALUE
+  -o OUTPUT, --output OUTPUT
+  --seed SEED           property-check seed (DESING_SEED overrides)
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda c: "-".join(c) or "desing")
+def test_help_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP[command]
+
+
+def test_unknown_frame_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["portrait", QUADRATIC, "--grid", "0:1:1,0:1:1", "--frame", "K5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage = HELP[("portrait",)].split("\n\n")[0]
+    assert captured.err == (
+        f"{usage}\n"
+        "desing portrait: error: argument --frame: invalid choice: 'K5' (choose from "
+        "'original', 'K1', 'K2', 'K3', 'K4', 'sphere', 'hyperbolic-x', 'hyperbolic-y')\n"
+    )
