@@ -8,6 +8,16 @@ coordinate r >= 0:
     K3 (x < 0):  x = -r^alpha,      y =  r^beta * w
     K4 (y < 0):  x =  r^alpha * w,  y = -r^beta
 
+`_CHART_INFO` states this once: each chart's radial and angular names,
+whether x carries the pure radial power (`x_radial`) and that power's
+`sign`.  Every other chart convention is read off it:
+
+- Two charts overlap exactly when their `x_radial` differ (an x-chart and a
+  y-chart).  On the overlap the source angular coordinate has the sign of
+  the target chart, and the point lands with the sign of the source chart.
+- `orientation` is +1 where the angle on the circle increases with the
+  angular coordinate: `sign` in the x-charts, `-sign` in the y-charts.
+
 Each embedding sends every variable to a signed monomial, so pushing the
 field through it is `Poly.monomial_map`, an exponent rewrite.  The result
 is a triangular system: the component carrying the pure +-r power
@@ -43,6 +53,21 @@ class ChartId(Enum):
     def __str__(self):
         return self.value
 
+    @property
+    def x_radial(self) -> bool:
+        """True when x carries the pure radial power (K1, K3)."""
+        return _CHART_INFO[self][2]
+
+    @property
+    def sign(self) -> int:
+        """Sign of the pure radial power: the side of the axis the chart covers."""
+        return _CHART_INFO[self][3]
+
+    @property
+    def orientation(self) -> int:
+        """+1 where the angle on the circle increases with the angular coordinate."""
+        return self.sign if self.x_radial else -self.sign
+
 
 # (radial name, angular name, x carries the pure radial power?, sign of that power)
 _CHART_INFO = {
@@ -51,6 +76,17 @@ _CHART_INFO = {
     ChartId.K3: ("r3", "y3", True, -1),
     ChartId.K4: ("r4", "x4", False, -1),
 }
+
+
+def embed(chart: ChartId, weights: Weights, point):
+    """Chart point (r, w) -> plane point (x, y); exact for rational input
+    with integer weights, float otherwise."""
+    r, w = point
+    ra = r ** weights.alpha
+    rb = r ** weights.beta
+    if chart.x_radial:
+        return (chart.sign * ra, rb * w)
+    return (ra * w, chart.sign * rb)
 
 
 @dataclass(frozen=True)
@@ -65,15 +101,7 @@ class ChartField:
     params: "tuple[Param, ...]" = ()
 
     def embed(self, point):
-        """Chart point (r, w) -> plane point (x, y); exact for rational input
-        with integer weights, float otherwise."""
-        r, w = point
-        _, _, x_radial, sign = _CHART_INFO[self.chart]
-        ra = r ** self.weights.alpha
-        rb = r ** self.weights.beta
-        if x_radial:
-            return (sign * ra, rb * w)
-        return (ra * w, sign * rb)
+        return embed(self.chart, self.weights, point)
 
     def as_callable(self, bindings, desingularized: bool = True) -> Callable:
         """Float evaluator (r, w) -> (r', w') with parameters bound."""
@@ -142,29 +170,16 @@ def blow_up_in_chart(f: VectorField, w: Weights, chart: ChartId) -> ChartField:
 
 # -- transitions -------------------------------------------------------------------
 
-# required sign of the source angular coordinate on the overlap
-_SOURCE_SIGN = {
-    (ChartId.K1, ChartId.K2): 1,
-    (ChartId.K1, ChartId.K4): -1,
-    (ChartId.K2, ChartId.K1): 1,
-    (ChartId.K2, ChartId.K3): -1,
-    (ChartId.K3, ChartId.K2): 1,
-    (ChartId.K3, ChartId.K4): -1,
-    (ChartId.K4, ChartId.K1): 1,
-    (ChartId.K4, ChartId.K3): -1,
-}
+def overlap_sign(frm: ChartId, to: ChartId) -> int:
+    """Required sign of `frm`'s angular coordinate on its overlap with `to`;
+    the point lands in `to` with the sign `frm.sign`."""
+    if frm.x_radial == to.x_radial:
+        raise OutOfDomain(f"charts {frm} and {to} do not overlap")
+    return to.sign
 
-# sign of the angular coordinate after landing in the target chart
-_TARGET_SIGN = {
-    (ChartId.K1, ChartId.K2): 1,
-    (ChartId.K1, ChartId.K4): 1,
-    (ChartId.K2, ChartId.K1): 1,
-    (ChartId.K2, ChartId.K3): 1,
-    (ChartId.K3, ChartId.K2): -1,
-    (ChartId.K3, ChartId.K4): -1,
-    (ChartId.K4, ChartId.K1): -1,
-    (ChartId.K4, ChartId.K3): -1,
-}
+
+# the ordered overlapping pairs
+OVERLAPS = tuple((a, b) for a in ChartId for b in ChartId if a.x_radial != b.x_radial)
 
 
 def transition(point, frm: ChartId, to: ChartId, weights: Weights = Weights(1, 1, 1)):
@@ -174,18 +189,14 @@ def transition(point, frm: ChartId, to: ChartId, weights: Weights = Weights(1, 1
     input; for general weights it is evaluated in floats.  The formulas
     extend continuously to the divisor (radial = 0).
     """
-    key = (frm, to)
-    if key not in _SOURCE_SIGN:
-        raise OutOfDomain(f"charts {frm} and {to} do not overlap")
+    req = overlap_sign(frm, to)
     r, w = point
-    req = _SOURCE_SIGN[key]
     if w == 0:
         raise OutOfDomain(f"{frm}->{to} is undefined where {_CHART_INFO[frm][1]} = 0")
     if (w > 0) != (req > 0):
         raise OutOfDomain(
             f"{frm}->{to} requires {_CHART_INFO[frm][1]} {'>' if req > 0 else '<'} 0"
         )
-    tsign = _TARGET_SIGN[key]
     exact = (
         weights.alpha == 1
         and weights.beta == 1
@@ -194,14 +205,14 @@ def transition(point, frm: ChartId, to: ChartId, weights: Weights = Weights(1, 1
     )
     if exact:
         mag = abs(Fraction(w))
-        return (Fraction(r) * mag, Fraction(tsign) / mag)
+        return (Fraction(r) * mag, Fraction(frm.sign) / mag)
     alpha, beta = weights.alpha, weights.beta
     mag = abs(float(w))
-    if frm in (ChartId.K1, ChartId.K3):
+    if frm.x_radial:
         r_exp, a_exp = 1.0 / beta, alpha / beta
     else:
         r_exp, a_exp = 1.0 / alpha, beta / alpha
-    return (float(r) * mag**r_exp, tsign * mag**(-a_exp))
+    return (float(r) * mag**r_exp, frm.sign * mag**(-a_exp))
 
 
 # -- compatibility of desingularized charts --------------------------------------------
@@ -253,18 +264,15 @@ def compatibility_defect(
     """
     if (w.alpha, w.beta) != (1, 1):
         raise ValueError("symbolic compatibility requires unit weights (alpha, beta) = (1, 1)")
-    key = (frm, to)
-    if key not in _SOURCE_SIGN:
-        raise OutOfDomain(f"charts {frm} and {to} do not overlap")
-    s_dom = _SOURCE_SIGN[key]
-    eps = _TARGET_SIGN[key] * s_dom
+    s_dom = overlap_sign(frm, to)
+    eps = frm.sign * s_dom
 
     cf_from = blow_up_in_chart(f, w, frm)
     if desing_to is None:
         desing_to = blow_up_in_chart(f, w, to).desing
     g_r, g_w = cf_from.desing
     rf, wf = cf_from.radial_var, cf_from.angular_var
-    rt, wt = _CHART_INFO[to][0], _CHART_INFO[to][1]
+    rt, wt = _CHART_INFO[to][:2]
 
     rp, wp = Poly.var(rf), Poly.var(wf)
     # transition: r_to = s_dom*r*w, w_to = eps/w; Jacobian rows below

@@ -29,13 +29,13 @@ from .equilibria import (
     global_divisor_report,
 )
 from .errors import DesingError
-from .polar import Branch, HYPERBOLA, SPHERE, desingularize_polar, polar_pushforward
+from .polar import MODELS, desingularize_polar, polar_pushforward
 from .selfcheck import run_all
 from .vectorfield import VectorField
 from .weights import infer_weights
 
 _MODELS = (MODEL_SPHERE, MODEL_DIRECTIONAL, MODEL_HYPERBOLIC_X, MODEL_HYPERBOLIC_Y)
-_FRAMES = ("original", "K1", "K2", "K3", "K4", "sphere", "hyperbolic-x", "hyperbolic-y")
+_FRAMES = ("original", *(c.value for c in ChartId), *MODELS)
 
 
 def _param_binding(text: str):
@@ -347,9 +347,7 @@ def _cmd_blowup(args) -> int:
             lines.append(cfs[name].pretty())
         _emit("\n".join(lines) + "\n", args.output)
         return 0
-    sigma = SPHERE if args.model == MODEL_SPHERE else HYPERBOLA
-    branch = Branch.Y if args.model == MODEL_HYPERBOLIC_Y else Branch.X
-    raw = polar_pushforward(f, sigma, branch)
+    raw = polar_pushforward(f, *MODELS[args.model])
     des = desingularize_polar(raw)
     payload = {
         "weights": {"alpha": w.alpha, "beta": w.beta, "k": w.k},
@@ -380,14 +378,12 @@ def _cmd_portrait(args) -> int:
     bindings = dict(args.param)
     if args.frame == "original":
         frame = frame_original(f, bindings)
-    elif args.frame in ("K1", "K2", "K3", "K4"):
+    elif args.frame in MODELS:
+        pf = desingularize_polar(polar_pushforward(f, *MODELS[args.frame]))
+        frame = frame_polar(pf, bindings)
+    else:
         w = infer_weights(f)
         frame = frame_chart(blow_up_in_chart(f, w, ChartId(args.frame)), bindings)
-    else:
-        sigma = SPHERE if args.frame == "sphere" else HYPERBOLA
-        branch = Branch.Y if args.frame.endswith("-y") else Branch.X
-        pf = desingularize_polar(polar_pushforward(f, sigma, branch))
-        frame = frame_polar(pf, bindings)
     u0, u1, nu, v0, v1, nv = args.grid
     grid = GridSpec(u0, u1, nu, v0, v1, nv, t_end=args.t_end, step=args.step)
     trajectories = sample_portrait(frame, grid)

@@ -62,8 +62,7 @@ def frame_chart(cf: ChartField, bindings: Mapping, desingularized: bool = True) 
 
 
 def frame_polar(pf: PolarField, bindings: Mapping) -> FrameField:
-    name = "sphere" if pf.sigma == 1 else f"hyperbolic-{pf.branch.value}"
-    return FrameField(name, pf.as_callable(bindings), radial_index=1)
+    return FrameField(pf.model, pf.as_callable(bindings), radial_index=1)
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,9 @@ from itertools import takewhile
 from math import isqrt, lcm
 from typing import Mapping
 
-from .charts import _SOURCE_SIGN, ChartField, ChartId, blow_up_in_chart
+from .charts import ChartField, ChartId, blow_up_in_chart, embed, overlap_sign
 from .errors import DegenerateChart, DesingError
-from .polar import Branch, HYPERBOLA, PolarField, desingularize_polar, polar_pushforward
+from .polar import MODELS, PolarField, desingularize_polar, polar_pushforward
 from .poly import Poly
 from .realroots import (
     RealRoot,
@@ -256,17 +256,13 @@ def _solve_unit_radius(alpha: int, beta: int, a2: float, b2: float) -> float:
 def divisor_direction(chart: ChartId, w_value: float, weights: Weights) -> "tuple[float, float]":
     """Unit-circle representative of a chart divisor point (0, w)."""
     alpha, beta = weights.alpha, weights.beta
-    x_radial = chart in (ChartId.K1, ChartId.K3)
-    sign = 1 if chart in (ChartId.K1, ChartId.K2) else -1
     if (alpha, beta) == (1, 1):
         t = 1.0 / math.hypot(1.0, w_value)
-    elif x_radial:
+    elif chart.x_radial:
         t = _solve_unit_radius(alpha, beta, 1.0, w_value * w_value)
     else:
         t = _solve_unit_radius(alpha, beta, w_value * w_value, 1.0)
-    if x_radial:
-        return (sign * t**alpha, (t**beta) * w_value)
-    return ((t**alpha) * w_value, sign * t**beta)
+    return embed(chart, weights, (t, w_value))
 
 
 def divisor_angle(chart: ChartId, w_value: float, weights: Weights) -> float:
@@ -372,16 +368,11 @@ def _interval_equilibrium(cf, root: RealRoot, dj: _DivisorJacobian) -> Equilibri
 
 # -- global picture ----------------------------------------------------------------------
 
-# +1 where the angle on the circle increases with the chart's angular coordinate
-_ORIENT = {ChartId.K1: 1, ChartId.K2: -1, ChartId.K3: -1, ChartId.K4: 1}
-# the four overlap halves, one open quadrant each; _SOURCE_SIGN gives each
+# the charts in circle order from angle 0, and the four overlap halves
+# between consecutive ones, one open quadrant each; overlap_sign gives each
 # chart's side of w there
-_HALVES = (
-    (ChartId.K1, ChartId.K2),
-    (ChartId.K2, ChartId.K3),
-    (ChartId.K3, ChartId.K4),
-    (ChartId.K4, ChartId.K1),
-)
+_CIRCLE = list(ChartId)
+_HALVES = tuple(zip(_CIRCLE, _CIRCLE[1:] + _CIRCLE[:1]))
 
 
 def _sign_below(eqs: ChartEquilibria, k: int) -> int:
@@ -406,12 +397,12 @@ def _owned_points(charts: "dict[ChartId, ChartEquilibria]"):
             sides.setdefault((chart, compare_root(e.root, 0)), []).append(i)
     points = [(chart, i, 0, [charts[chart][i]]) for chart in charts for i in sides.get((chart, 0), ())]
     for a, b in _HALVES:
-        sa, sb = _SOURCE_SIGN[a, b], _SOURCE_SIGN[b, a]
+        sa, sb = overlap_sign(a, b), overlap_sign(b, a)
         by_abs = sides.get((a, sa), [])[::sa]  # increasing |w|
         reverse_abs = sides.get((b, sb), [])[::-sb]
         for i, j in zip(by_abs, reverse_abs, strict=True):
             xs, ys = (a, i, sa), (b, j, sb)
-            if a in (ChartId.K2, ChartId.K4):
+            if not a.x_radial:
                 xs, ys = ys, xs
             chart, k, side = xs  # K1 or K3; |w| - 1 has the sign of side * (w - side)
             owner = xs if side * compare_root(charts[chart][k].root, side) <= 0 else ys
@@ -419,8 +410,8 @@ def _owned_points(charts: "dict[ChartId, ChartEquilibria]"):
 
     def circle_order(point):
         chart, i, side, _ = point
-        sector = 4 if chart is ChartId.K1 and side < 0 else list(ChartId).index(chart)
-        return (sector, _ORIENT[chart] * i)
+        sector = 4 if chart is ChartId.K1 and side < 0 else _CIRCLE.index(chart)
+        return (sector, chart.orientation * i)
 
     return sorted(points, key=circle_order)
 
@@ -433,7 +424,7 @@ def _circle_picture(charts: "dict[ChartId, ChartEquilibria]"):
         rep = next((e for e in members if e.exact), members[0])
         merged.append(MergedEquilibrium(rep.divisor_angle, members, rep.classification))
         # the arc leaves the owner root in the direction of increasing angle
-        orient = _ORIENT[chart]
+        orient = chart.orientation
         signs.append(orient * _sign_below(charts[chart], i + (orient > 0)))
     if not merged:
         return [], [FlowArc(0.0, TWO_PI, _sign_below(charts[ChartId.K1], 0))]
@@ -542,55 +533,36 @@ def global_divisor_report(
     the wing covered by the corresponding directional chart.
     """
     bound = check_param_bindings(f.params, bindings)
-    notes: "list[str]" = []
-
-    if model in (MODEL_HYPERBOLIC_X, MODEL_HYPERBOLIC_Y):
+    wing = model in (MODEL_HYPERBOLIC_X, MODEL_HYPERBOLIC_Y)
+    if wing:
         if (w.alpha, w.beta) != (1, 1):
             raise DesingError("hyperboloid models are defined for unit weights only")
-        branch = Branch.X if model == MODEL_HYPERBOLIC_X else Branch.Y
-        chart = ChartId.K1 if branch is Branch.X else ChartId.K2
-        cf = blow_up_in_chart(f, w, chart)
-        raw = polar_pushforward(f, HYPERBOLA, branch)
-        hh = desingularize_polar(raw)
-        degenerate: "list[str]" = []
-        try:
-            eqs = divisor_equilibria(cf, bound)
-        except DegenerateChart:
-            degenerate.append(chart.value)
-            merged, flow = [], [FlowArc(None, None, 0)]
-        else:
-            merged, flow = _wing_picture(eqs, model, w.k)
-        return GlobalReport(
-            model=model,
-            weights=w,
-            bindings=bound,
-            field=f,
-            chart_fields={chart.value: cf},
-            equilibria=merged,
-            flow=flow,
-            degenerate_charts=degenerate,
-            notes=notes,
-            polar_raw=raw,
-            polar_desing=hh,
-        )
-
-    if model not in (MODEL_SPHERE, MODEL_DIRECTIONAL):
+        charts = [ChartId.K1 if model == MODEL_HYPERBOLIC_X else ChartId.K2]
+    elif model in (MODEL_SPHERE, MODEL_DIRECTIONAL):
+        charts = list(ChartId)
+    else:
         raise DesingError(f"unknown model '{model}'")
 
     chart_fields = {}
-    charts = {}
+    found = {}
     degenerate = []
-    for chart in ChartId:
+    for chart in charts:
         cf = blow_up_in_chart(f, w, chart)
         chart_fields[chart.value] = cf
         try:
-            charts[chart] = divisor_equilibria(cf, bound)
+            found[chart] = divisor_equilibria(cf, bound)
         except DegenerateChart:
             degenerate.append(chart.value)
     # a chart is degenerate when the angular component vanishes on the whole
     # divisor, and then it does in every chart
-    merged, flow = _circle_picture(charts) if not degenerate else ([], [])
-    for m in merged:
+    if degenerate:
+        merged, flow = [], [FlowArc(None, None, 0)] if wing else []
+    elif wing:
+        merged, flow = _wing_picture(found[chart], model, w.k)
+    else:
+        merged, flow = _circle_picture(found)
+    notes: "list[str]" = []
+    for m in merged if not wing else ():
         kinds = {e.classification for e in m.members}
         if len(kinds) > 1:
             notes.append(
@@ -602,9 +574,11 @@ def global_divisor_report(
                 "a further blow-up would be needed there (not performed)"
             )
     polar_raw = polar_desing = None
-    if model == MODEL_SPHERE and (w.alpha, w.beta) == (1, 1):
-        polar_raw = polar_pushforward(f, 1)
-        if not f.is_zero():
+    if model in MODELS and (w.alpha, w.beta) == (1, 1):
+        polar_raw = polar_pushforward(f, *MODELS[model])
+        if wing:
+            polar_desing = desingularize_polar(polar_raw)
+        elif not f.is_zero():
             polar_desing = desingularize_polar(polar_raw, w.k)
     return GlobalReport(
         model=model,

@@ -16,6 +16,10 @@ Branch conventions for the hyperbola:
 
     x-branch: x = rho*c, y = rho*s   (covers x >= rho > 0, i.e. the right wing)
     y-branch: x = rho*s, y = rho*c   (roles swapped, covers the upper wing)
+
+The y-branch is the x-branch with the (state variable, component) pairs of
+the field swapped, so all three models share one solve.  `MODELS` names
+each model's (signature, branch) and is the only place they are stated.
 """
 
 from __future__ import annotations
@@ -43,6 +47,13 @@ class Branch(Enum):
     Y = "y"
 
 
+MODELS = {
+    "sphere": (SPHERE, Branch.X),
+    "hyperbolic-x": (HYPERBOLA, Branch.X),
+    "hyperbolic-y": (HYPERBOLA, Branch.Y),
+}
+
+
 @dataclass(frozen=True)
 class PolarField:
     sigma: int  # +1 sphere, -1 hyperboloid
@@ -52,6 +63,10 @@ class PolarField:
     desingularized: bool
     k: "int | None"  # largest common radial power of the raw components
     params: "tuple[Param, ...]" = ()
+
+    @property
+    def model(self) -> str:
+        return next(name for name, key in MODELS.items() if key == (self.sigma, self.branch))
 
     @property
     def angle_name(self) -> str:
@@ -96,30 +111,21 @@ def polar_pushforward(f: VectorField, sigma: int, branch: Branch = Branch.X) -> 
     if sigma == SPHERE:
         branch = Branch.X
     c, s, r = Poly.var(COS), Poly.var(SIN), Poly.var(RADIAL)
-    sx, sy = f.state_vars
-    if branch is Branch.X:
-        sub = {sx: r * c, sy: r * s}
-    else:
-        sub = {sx: r * s, sy: r * c}
+    (sx, sy), f1, f2 = f.state_vars, f.f1, f.f2
+    if branch is Branch.Y:
+        sx, sy, f1, f2 = sy, sx, f2, f1
+    sub = {sx: r * c, sy: r * s}
 
     def push(poly):
         return QuotientPoly(sigma, poly.monomial_map({v: b for v, b in sub.items() if v in poly.vars}))
 
-    F1, F2 = push(f.f1), push(f.f2)
+    F1, F2 = push(f1), push(f2)
     C = QuotientPoly(sigma, c)
     S = QuotientPoly(sigma, s)
-    if sigma == SPHERE:
-        # rows (x', y') = [[c, -r*s], [s, r*c]] (radial', angular'); det == r
-        radial = C * F1 + S * F2
-        angular = (C * F2 - S * F1).div_radial(1)
-    elif branch is Branch.X:
-        # rows [[c, r*s], [s, r*c]]; det == r * (c^2 - s^2) == r
-        radial = C * F1 - S * F2
-        angular = (C * F2 - S * F1).div_radial(1)
-    else:
-        # y-branch swaps the roles of the two equations
-        radial = C * F2 - S * F1
-        angular = (C * F1 - S * F2).div_radial(1)
+    # rows (x', y') = [[c, -sigma*r*s], [s, r*c]] (radial', angular');
+    # det == r * (c^2 + sigma*s^2) == r
+    radial = C * F1 + S * F2 if sigma == SPHERE else C * F1 - S * F2
+    angular = (C * F2 - S * F1).div_radial(1)
 
     order = tuple(f.param_names()) + (COS, SIN, RADIAL)
     angular = QuotientPoly(sigma, angular.base.reordered(order))

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import ChartId, blow_up_in_chart, compatibility_defect, transition
+from .charts import OVERLAPS, ChartId, blow_up_in_chart, compatibility_defect, overlap_sign, transition
 from .dynamo import (
     conjugacy_check,
     frame_chart,
@@ -220,8 +220,7 @@ def check_chart_pushforward(f: VectorField, w: Weights) -> CheckResult:
         cf = blow_up_in_chart(f, w, chart)
         r = Poly.var(cf.radial_var)
         wv = Poly.var(cf.angular_var)
-        x_radial = chart in (ChartId.K1, ChartId.K3)
-        sign = 1 if chart in (ChartId.K1, ChartId.K2) else -1
+        x_radial, sign = chart.x_radial, chart.sign
         if x_radial:
             emb = {sx: sign * r, sy: r * wv}
             lhs1 = sign * cf.raw[0]
@@ -247,8 +246,7 @@ def check_chart_pushforward_numeric(seed: int, cases: int = 20) -> CheckResult:
     for chart in ChartId:
         cf = blow_up_in_chart(f, w, chart)
         raw = cf.as_callable({}, desingularized=False)
-        x_radial = chart in (ChartId.K1, ChartId.K3)
-        sign = 1 if chart in (ChartId.K1, ChartId.K2) else -1
+        x_radial, sign = chart.x_radial, chart.sign
         a, b = w.alpha, w.beta
         for _ in range(cases):
             r = rng.uniform(0.2, 1.2)
@@ -272,27 +270,18 @@ def check_chart_pushforward_numeric(seed: int, cases: int = 20) -> CheckResult:
 
 
 def check_compatibility(f: VectorField, w: Weights) -> CheckResult:
-    pairs = [
-        (ChartId.K1, ChartId.K2), (ChartId.K2, ChartId.K1),
-        (ChartId.K1, ChartId.K4), (ChartId.K4, ChartId.K1),
-        (ChartId.K2, ChartId.K3), (ChartId.K3, ChartId.K2),
-        (ChartId.K3, ChartId.K4), (ChartId.K4, ChartId.K3),
-    ]
-    for frm, to in pairs:
+    for frm, to in OVERLAPS:
         defect = compatibility_defect(f, w, frm, to)
         if not (defect[0].is_zero() and defect[1].is_zero()):
             return CheckResult("chart-compatibility", False, 0, f"{frm}->{to} defect nonzero")
-    return CheckResult("chart-compatibility", True, len(pairs))
+    return CheckResult("chart-compatibility", True, len(OVERLAPS))
 
 
 def check_transition_roundtrip(seed: int, cases: int = 50) -> CheckResult:
-    from .charts import _SOURCE_SIGN  # internal overlap table; check-only use
-
     rng = random.Random(seed)
-    pairs = list(_SOURCE_SIGN)
     for i in range(cases):
-        frm, to = rng.choice(pairs)
-        sgn = _SOURCE_SIGN[(frm, to)]
+        frm, to = rng.choice(OVERLAPS)
+        sgn = overlap_sign(frm, to)
         r = Fraction(rng.randint(0, 8), rng.randint(1, 5))
         wv = sgn * Fraction(rng.randint(1, 9), rng.randint(1, 5))
         back = transition(transition((r, wv), frm, to), to, frm)

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from desing.charts import ChartId, blow_up_in_chart, compatibility_defect, transition
+from desing.charts import (
+    OVERLAPS,
+    ChartId,
+    blow_up_in_chart,
+    compatibility_defect,
+    overlap_sign,
+    transition,
+)
 from desing.errors import OutOfDomain
 from desing.poly import Poly, poly_vars
 from desing.selfcheck import (
@@ -214,15 +221,20 @@ ORIENT = {K1: 1, K2: -1, K3: -1, K4: 1}
 HALVES = ((K1, K2), (K2, K3), (K3, K4), (K4, K1))
 
 
-def test_overlap_tables():
-    from desing import charts
+def test_overlap_signs_derived():
+    for (frm, to), sign in SOURCE_SIGN.items():
+        assert overlap_sign(frm, to) == sign
+        assert frm.sign == TARGET_SIGN[frm, to]
+    assert OVERLAPS == tuple(SOURCE_SIGN)  # order included
+    for frm in ChartId:
+        for to in ChartId:
+            if (frm, to) not in SOURCE_SIGN:
+                with pytest.raises(OutOfDomain):
+                    overlap_sign(frm, to)
 
-    assert list(charts._SOURCE_SIGN.items()) == list(SOURCE_SIGN.items())
-    assert charts._TARGET_SIGN == TARGET_SIGN
 
+def test_orientation_and_halves_derived():
+    from desing.equilibria import _HALVES
 
-def test_orientation_and_halves():
-    from desing import equilibria
-
-    assert equilibria._ORIENT == ORIENT
-    assert equilibria._HALVES == HALVES
+    assert {c: c.orientation for c in ChartId} == ORIENT
+    assert _HALVES == HALVES
