@@ -576,10 +576,7 @@ def global_divisor_report(
     polar_raw = polar_desing = None
     if model in MODELS and (w.alpha, w.beta) == (1, 1):
         polar_raw = polar_pushforward(f, *MODELS[model])
-        if wing:
-            polar_desing = desingularize_polar(polar_raw)
-        elif not f.is_zero():
-            polar_desing = desingularize_polar(polar_raw, w.k)
+        polar_desing = desingularize_polar(polar_raw)
     return GlobalReport(
         model=model,
         weights=w,

@@ -61,7 +61,7 @@ class PolarField:
     angular: QuotientPoly  # angle'
     radial: QuotientPoly  # radius'
     desingularized: bool
-    k: "int | None"  # largest common radial power of the raw components
+    k: "int | None"  # desingularization power: leaves radius^1 in radius'; None for the zero field
     params: "tuple[Param, ...]" = ()
 
     @property
@@ -131,37 +131,35 @@ def polar_pushforward(f: VectorField, sigma: int, branch: Branch = Branch.X) -> 
     angular = QuotientPoly(sigma, angular.base.reordered(order))
     radial = QuotientPoly(sigma, radial.base.reordered(order))
 
-    if angular.is_zero() and radial.is_zero():
-        k = None
-    else:
-        degs = [q.min_radial_degree() for q in (angular, radial) if not q.is_zero()]
-        k = min(degs)
+    # the largest power that keeps one radius in the radial component, as in
+    # the charts: the weights' k on every unit-weight field, also where the
+    # angular component vanishes
+    degs = [q.min_radial_degree() - d for q, d in ((angular, 0), (radial, 1)) if not q.is_zero()]
     return PolarField(
         sigma=sigma,
         branch=branch,
         angular=angular,
         radial=radial,
         desingularized=False,
-        k=k,
+        k=min(degs) if degs else None,
         params=f.params,
     )
 
 
-def desingularize_polar(pf: PolarField, k: "int | None" = None) -> PolarField:
-    """Divide both components by radial^k (defaults to the stored index).
+def desingularize_polar(pf: PolarField) -> PolarField:
+    """Divide both components by radial^k, k the stored index.
 
     The zero field carries no radial power to remove and is returned
     unchanged apart from the flag.
     """
     if pf.desingularized:
         raise ValueError("polar field is already desingularized")
-    power = pf.k if k is None else k
-    if power is None:
+    if pf.k is None:
         return replace(pf, desingularized=True)
     return replace(
         pf,
-        angular=pf.angular.div_radial(power),
-        radial=pf.radial.div_radial(power),
+        angular=pf.angular.div_radial(pf.k),
+        radial=pf.radial.div_radial(pf.k),
         desingularized=True,
     )
 

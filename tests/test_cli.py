@@ -430,3 +430,25 @@ def test_unknown_frame_usage_error(capsys, monkeypatch):
         "desing portrait: error: argument --frame: invalid choice: 'K5' (choose from "
         "'original', 'K1', 'K2', 'K3', 'K4', 'sphere', 'hyperbolic-x', 'hyperbolic-y')\n"
     )
+
+
+def test_polar_models_divide_by_the_weights_k(tmp_path, capsys):
+    # x' = x*(x^2 + y^2), y' = y*(x^2 + y^2): type (1, 1, 2) with a vanishing
+    # angular part; every model keeps one radius in the radial component, as
+    # K1 does (r1' = r1*y1^2 + r1), so the divisor stays invariant
+    path = tmp_path / "radial_cubic.vf"
+    path.write_text("var x y; dx/dt = x^3 + x*y^2; dy/dt = x^2*y + y^3;")
+    code, out, _ = run(capsys, "blowup", str(path), "--model", "sphere")
+    assert code == 0
+    assert out.endswith("desingularized:\ntheta' = 0\nr' = r\n")
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert "desingularized r1' = r1*y1^2 + r1" in out
+    assert "desingularized theta' = 0\n                 r' = r\n" in out
+    for model in ("hyperbolic-x", "hyperbolic-y"):
+        code, out, _ = run(capsys, "analyze", str(path), "--model", model)
+        assert code == 0
+        assert "                 rho' = 2*sinh(phi)^2*rho + rho\n" in out
+        code, out, _ = run(capsys, "blowup", str(path), "--model", model)
+        assert code == 0
+        assert out.endswith("desingularized:\nphi' = 0\nrho' = 2*sinh(phi)^2*rho + rho\n")

@@ -115,8 +115,18 @@ def test_zero_field_desingularizes_to_zero():
 
 def test_desingularize_with_explicit_index():
     pf = polar_pushforward(F, SPHERE)
-    pd = desingularize_polar(pf, k=Weights(1, 1, 1).k)
-    assert pd.angular == q(SPHERE, 3 * c * s**2 - 2 * a * s * c**2)
+    assert pf.k == Weights(1, 1, 1).k
+
+
+@pytest.mark.parametrize("sigma", [SPHERE, HYPERBOLA])
+def test_index_keeps_one_radius_when_angular_vanishes(sigma):
+    # x' = x*(x^2 + y^2), y' = y*(x^2 + y^2): type (1, 1, 2), angular part 0
+    x, y = poly_vars("x", "y")
+    f = VectorField(x**3 + x * y**2, x**2 * y + y**3, ("x", "y"))
+    pf = polar_pushforward(f, sigma)
+    assert pf.angular.is_zero()
+    assert pf.k == 2
+    assert desingularize_polar(pf).radial.min_radial_degree() == 1
 
 
 def test_divisor_equilibrium_factorization():
