@@ -562,7 +562,7 @@ def global_divisor_report(
     else:
         merged, flow = _circle_picture(found)
     notes: "list[str]" = []
-    for m in merged if not wing else ():
+    for m in merged:
         kinds = {e.classification for e in m.members}
         if len(kinds) > 1:
             notes.append(

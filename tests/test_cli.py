@@ -452,3 +452,19 @@ def test_polar_models_divide_by_the_weights_k(tmp_path, capsys):
         code, out, _ = run(capsys, "blowup", str(path), "--model", model)
         assert code == 0
         assert out.endswith("desingularized:\nphi' = 0\nrho' = 2*sinh(phi)^2*rho + rho\n")
+
+
+def test_hyperboloid_report_notes_non_hyperbolic_points(tmp_path, capsys):
+    # the point at angle 0 is non-hyperbolic on the circle and on the x-wing
+    path = tmp_path / "non_hyperbolic.vf"
+    path.write_text("var x y; dx/dt = -x*y + y^2; dy/dt = y^2;")
+    note = (
+        "note: non-hyperbolic divisor equilibrium at angle 0: "
+        "a further blow-up would be needed there (not performed)\n"
+    )
+    for model in ("sphere", "hyperbolic-x"):
+        code, out, _ = run(capsys, "analyze", str(path), "--model", model)
+        assert code == 0
+        assert out.count(note) == 1
+    code, out, _ = run(capsys, "analyze", str(path), "--model", "hyperbolic-x", "--format", "json")
+    assert json.loads(out)["notes"] == [note[len("note: "):-1]]
