@@ -13,11 +13,13 @@ Grammar (LL(1); `^` for powers, implicit multiplication disallowed):
 
 Rational literals accept `p/q` and decimal forms; decimals are converted
 exactly (0.5 -> 1/2), so no floats ever enter the symbolic core.  Comments
-run from `#` to end of line.
+run from `#` to end of line.  Parentheses nest at most 100 levels deep; a
+sum or product may have any length.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +30,8 @@ from .poly import Poly
 from .vectorfield import Param, VectorField
 
 _MAX_EXPONENT = 10_000
+# the parser and the lowering recurse once per level of parentheses
+_MAX_NESTING = 100
 
 # -- expression trees ----------------------------------------------------------
 
@@ -167,6 +171,7 @@ class _Parser:
     def __init__(self, tokens: "list[Token]"):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -319,8 +324,12 @@ class _Parser:
                 value = value / int(den.text)
             return Num(value)
         if self.at_symbol("("):
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {_MAX_NESTING} levels", tok)
             self.next()
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             self.expect_symbol(")")
             return node
         self.fail(f"expected identifier, number or '(', found {tok.text!r}"
@@ -335,22 +344,29 @@ def parse_field_spec(source: str) -> FieldSpec:
     return _Parser(_lex(source)).file()
 
 
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
 def lower_expr(expr: Expr) -> Poly:
+    # a sum or product of any length is a left-leaning chain: walk its left
+    # spine in a loop, so only parentheses deepen the recursion
+    spine = []
+    while type(expr) in _BINARY:
+        spine.append(expr)
+        expr = expr.left
     if isinstance(expr, Num):
-        return Poly.const(expr.value)
-    if isinstance(expr, Name):
-        return Poly.var(expr.ident)
-    if isinstance(expr, Neg):
-        return -lower_expr(expr.arg)
-    if isinstance(expr, Add):
-        return lower_expr(expr.left) + lower_expr(expr.right)
-    if isinstance(expr, Sub):
-        return lower_expr(expr.left) - lower_expr(expr.right)
-    if isinstance(expr, Mul):
-        return lower_expr(expr.left) * lower_expr(expr.right)
-    if isinstance(expr, Pow):
-        return lower_expr(expr.base) ** expr.exponent
-    raise TypeError(f"unknown expression node {expr!r}")
+        out = Poly.const(expr.value)
+    elif isinstance(expr, Name):
+        out = Poly.var(expr.ident)
+    elif isinstance(expr, Neg):
+        out = -lower_expr(expr.arg)
+    elif isinstance(expr, Pow):
+        out = lower_expr(expr.base) ** expr.exponent
+    else:
+        raise TypeError(f"unknown expression node {expr!r}")
+    for node in reversed(spine):
+        out = _BINARY[type(node)](out, lower_expr(node.right))
+    return out
 
 
 def lower_to_polynomials(spec: FieldSpec) -> VectorField:

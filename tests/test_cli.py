@@ -468,3 +468,20 @@ def test_hyperboloid_report_notes_non_hyperbolic_points(tmp_path, capsys):
         assert out.count(note) == 1
     code, out, _ = run(capsys, "analyze", str(path), "--model", "hyperbolic-x", "--format", "json")
     assert json.loads(out)["notes"] == [note[len("note: "):-1]]
+
+
+def test_long_sum_infers_weights(tmp_path, capsys):
+    path = tmp_path / "long_sum.vf"
+    path.write_text("var x y; dx/dt = x*y + " + " + ".join(["x^2"] * 1999) + "; dy/dt = y^2;")
+    code, out, _ = run(capsys, "weights", str(path))
+    assert code == 0
+    assert out == "(alpha, beta, k) = (1, 1, 1)\n"
+
+
+def test_deep_parentheses_one_line_error(tmp_path, capsys):
+    path = tmp_path / "deep.vf"
+    path.write_text("var x y;\ndx/dt = " + "(" * 300 + "x^2" + ")" * 300 + ";\ndy/dt = y^2;\n")
+    code, out, err = run(capsys, "weights", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "weights: 2:109: parentheses nested deeper than 100 levels\n"

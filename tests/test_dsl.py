@@ -179,3 +179,23 @@ def test_random_trees_roundtrip_through_renderer():
         src = f"param a;\nvar x y;\ndx/dt = {render_expr(tree)};\ndy/dt = 0;\n"
         spec = parse_field_spec(src)
         assert lower_expr(spec.rhs[0]) == lower_expr(tree)
+
+
+def test_nesting_limit_at_the_offending_parenthesis():
+    ok = "var x y; dx/dt = " + "(" * 100 + "x^2" + ")" * 100 + "; dy/dt = y^2;"
+    assert str(lower_to_polynomials(parse_field_spec(ok)).f1) == "x^2"
+    deep = "var x y; dx/dt = " + "(" * 101 + "x^2" + ")" * 101 + "; dy/dt = y^2;"
+    with pytest.raises(ParseError, match="nested deeper than 100 levels") as exc:
+        parse_field_spec(deep)
+    assert (exc.value.line, exc.value.column) == (1, len("var x y; dx/dt = ") + 101)
+
+
+def test_long_chains_lower_like_short_ones():
+    # a sum or product of any length lowers without recursing along it
+    x, y = poly_vars("x", "y")
+    spec = parse_field_spec(
+        "var x y; dx/dt = " + " - ".join(["x*y"] * 3000) + "; dy/dt = " + "*".join(["y"] * 1500) + ";"
+    )
+    f = lower_to_polynomials(spec)
+    assert f.f1 == -2998 * x * y
+    assert f.f2 == y**1500
