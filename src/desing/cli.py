@@ -201,7 +201,7 @@ def _eigen_payload(eq):
     return {
         "chart": eq.chart,
         "coords": [_num(c) for c in eq.coords],
-        "coords_float": [float(c) for c in eq.coords_float],
+        "coords_float": list(eq.coords_float),
         "exact": eq.exact,
         "interval": None if eq.interval is None else [_frac(eq.interval[0]), _frac(eq.interval[1])],
         "jacobian": [[_num(x) for x in row] for row in eq.jacobian],

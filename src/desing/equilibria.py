@@ -117,7 +117,6 @@ class Equilibrium:
 
     chart: str
     coords: tuple
-    coords_float: "tuple[float, float]"
     exact: bool
     interval: "tuple[Fraction, Fraction] | None"
     jacobian: tuple
@@ -126,6 +125,10 @@ class Equilibrium:
     classification: str
     divisor_angle: float
     root: "RealRoot | None" = None  # the root w of a directional chart point (0, w)
+
+    @property
+    def coords_float(self) -> "tuple[float, ...]":
+        return tuple(float(c) for c in self.coords)
 
 
 class ChartEquilibria(list):
@@ -301,7 +304,6 @@ def _exact_equilibrium(cf: ChartField, root: RealRoot, dj: _DivisorJacobian) -> 
     return Equilibrium(
         chart=cf.chart.value,
         coords=(Fraction(0), value),
-        coords_float=(0.0, float(value)),
         exact=True,
         interval=None,
         jacobian=jac,
@@ -354,7 +356,6 @@ def _interval_equilibrium(cf, root: RealRoot, dj: _DivisorJacobian) -> Equilibri
     return Equilibrium(
         chart=cf.chart.value,
         coords=(0.0, w),
-        coords_float=(0.0, w),
         exact=False,
         interval=(root.lo, root.hi),
         jacobian=((a, b), (c, d)),
@@ -465,7 +466,7 @@ def _wing_equilibrium(eq: Equilibrium, model: str, k: int) -> Equilibrium:
     (a, b), (c, d) = eq.jacobian
     if eq.exact and eq.coords[1] == 0:
         return Equilibrium(
-            model, (Fraction(0), Fraction(0)), (0.0, 0.0), True, None, ((d, c), (b, a)),
+            model, (Fraction(0), Fraction(0)), True, None, ((d, c), (b, a)),
             eq.eigenvalues, eq.eigenvalues_exact, eq.classification, 0.0,
         )
     root = eq.root
@@ -489,7 +490,6 @@ def _wing_equilibrium(eq: Equilibrium, model: str, k: int) -> Equilibrium:
     return Equilibrium(
         chart=model,
         coords=(phi, Fraction(0)),
-        coords_float=(phi, 0.0),
         exact=False,
         interval=None,
         jacobian=((dd, 0.0), (0.0, da)),
