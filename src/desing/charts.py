@@ -178,7 +178,7 @@ def overlap_sign(frm: ChartId, to: ChartId) -> int:
     return to.sign
 
 
-# the ordered overlapping pairs
+# the overlapping pairs in ChartId order; seeded checks draw from it by index
 OVERLAPS = tuple((a, b) for a in ChartId for b in ChartId if a.x_radial != b.x_radial)
 
 

@@ -61,7 +61,7 @@ class PolarField:
     angular: QuotientPoly  # angle'
     radial: QuotientPoly  # radius'
     desingularized: bool
-    k: "int | None"  # desingularization power: leaves radius^1 in radius'; None for the zero field
+    k: "int | None"  # desingularization power; None for the zero field
     params: "tuple[Param, ...]" = ()
 
     @property
