@@ -75,6 +75,12 @@ def _cases():
         cases[f"portrait-{name}.csv"] = [
             "portrait", path, *params, "--frame", frame, f"--grid={grid}", "--t-end", "0.2",
         ]
+    # both orbits escape the x-wing (backward after 6 points, forward after
+    # 50), which pins the left-domain ending of the cosh frame in both directions
+    cases["portrait-quadratic-hyperbolic-x-escape.csv"] = [
+        "portrait", QUADRATIC, *a1, "--frame", "hyperbolic-x", "--grid=-1:1:2,1:1:1",
+        "--t-end", "0.3", "--step", "0.005",
+    ]
     return {name: [str(a) for a in argv] for name, argv in cases.items()}
 
 
