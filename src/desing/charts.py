@@ -39,8 +39,8 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import NameCollision, OutOfDomain
-from .poly import Poly
-from .vectorfield import Param, VectorField, float_field
+from .poly import Poly, float_evaluator
+from .vectorfield import Param, VectorField, bind_components
 from .weights import Weights, verify_weights
 
 
@@ -103,10 +103,15 @@ class ChartField:
     def embed(self, point):
         return embed(self.chart, self.weights, point)
 
+    def float_source(self, bindings, desingularized: bool = True) -> tuple:
+        """(bound components, variable order, angle functions): the
+        `float_evaluator` arguments of `as_callable`."""
+        pair = self.desing if desingularized else self.raw
+        return bind_components(pair, self.params, bindings), (self.radial_var, self.angular_var), None
+
     def as_callable(self, bindings, desingularized: bool = True) -> Callable:
         """Float evaluator (r, w) -> (r', w') with parameters bound."""
-        pair = self.desing if desingularized else self.raw
-        return float_field(pair, self.params, bindings, (self.radial_var, self.angular_var))
+        return float_evaluator(*self.float_source(bindings, desingularized))
 
     def pretty(self) -> str:
         r, w = self.radial_var, self.angular_var

@@ -389,8 +389,9 @@ def _cmd_portrait(args) -> int:
     trajectories = sample_portrait(frame, grid)
     rows = ["frame,traj_id,t,u,v"]
     for tid, tr in enumerate(trajectories):
-        for t, u, v in tr.points:
-            rows.append(f"{tr.frame},{tid},{t:.17g},{u:.17g},{v:.17g}")
+        # %-formatting a point prints the bytes of :.17g at less cost per row
+        row = f"{tr.frame},{tid},%.17g,%.17g,%.17g"
+        rows.extend(row % point for point in tr.points)
     _emit("\n".join(rows) + "\n", args.output)
     return 0
 

@@ -11,7 +11,7 @@ would be meaningless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from .charts import ChartField
 from .errors import NonFiniteField
 from .polar import PolarField
+from .poly import Poly, float_evaluator
 from .vectorfield import VectorField
 
 MAX_COORD = 1e6
@@ -42,27 +43,40 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class FrameField:
-    """A float-evaluable planar field tagged with its coordinate frame."""
+    """A planar field compiled to one float function, tagged with its frame.
+
+    It keeps the bound components, variable order and angle functions its
+    evaluator `func` was compiled from, so `negated` compiles the backward
+    field with `float_evaluator(..., negate=True)`, whose values are the
+    forward ones negated bit for bit, instead of wrapping `func`.
+    """
 
     frame: str
-    func: Callable  # (u, v) -> (du, dv)
+    polys: "tuple[Poly, ...]"  # components with parameters bound
+    order: "tuple[str, ...]"
+    angle: "tuple[Callable, Callable] | None" = None  # (cos, sin) of the angle argument
     radial_index: "int | None" = None  # guard coordinate that must stay >= 0
+    negate: bool = False
+    func: Callable = field(init=False, repr=False, compare=False)  # (u, v) -> (du, dv)
+
+    def __post_init__(self):
+        func = float_evaluator(self.polys, self.order, self.angle, self.negate)
+        object.__setattr__(self, "func", func)
 
     def negated(self) -> "FrameField":
-        f = self.func
-        return FrameField(self.frame, lambda u, v: tuple(-x for x in f(u, v)), self.radial_index)
+        return replace(self, negate=not self.negate)
 
 
 def frame_original(f: VectorField, bindings: Mapping) -> FrameField:
-    return FrameField("original", f.as_callable(bindings))
+    return FrameField("original", *f.float_source(bindings))
 
 
 def frame_chart(cf: ChartField, bindings: Mapping, desingularized: bool = True) -> FrameField:
-    return FrameField(cf.chart.value, cf.as_callable(bindings, desingularized), radial_index=0)
+    return FrameField(cf.chart.value, *cf.float_source(bindings, desingularized), radial_index=0)
 
 
 def frame_polar(pf: PolarField, bindings: Mapping) -> FrameField:
-    return FrameField(pf.model, pf.as_callable(bindings), radial_index=1)
+    return FrameField(pf.model, *pf.float_source(bindings), radial_index=1)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ radius in the quotient ring, so the solve needs one division by the radial
 variable and nothing else.  That division and the desingularizing one by
 radius^k are `QuotientPoly.div_radial`, an exponent shift.  Trigonometric
 or hyperbolic functions are never expanded symbolically: `as_callable`
-binds the parameters, compiles both components over (c, s, r) with the
-same evaluator the plane and chart views use, and feeds it the (cos, sin)
-or (cosh, sinh) of the angle.
+binds the parameters and compiles both components over (c, s, r) with the
+same evaluator the plane and chart views use, into one function of
+(angle, radius) whose first lines set (c, s) to the (cos, sin) or
+(cosh, sinh) of the angle.
 
 Branch conventions for the hyperbola:
 
@@ -30,9 +31,9 @@ from enum import Enum
 from typing import Callable, Mapping
 
 from .errors import NameCollision, SingularAngle
-from .poly import Poly
+from .poly import Poly, float_evaluator
 from .quotient import COS, RADIAL, RESERVED, SIN, TRIG, QuotientPoly
-from .vectorfield import Param, VectorField, float_field
+from .vectorfield import Param, VectorField, bind_components
 
 SPHERE = 1
 HYPERBOLA = -1
@@ -76,14 +77,16 @@ class PolarField:
     def radial_name(self) -> str:
         return "r" if self.sigma == SPHERE else "rho"
 
+    def float_source(self, bindings: Mapping) -> tuple:
+        """(bound components, variable order, angle functions): the
+        `float_evaluator` arguments of `as_callable`."""
+        polys = bind_components((self.angular.base, self.radial.base), self.params, bindings)
+        return polys, (COS, SIN, RADIAL), TRIG[self.sigma]
+
     def as_callable(self, bindings: Mapping) -> Callable:
         """Float evaluator (angle, radius) -> (angle', radius') with
         parameters bound."""
-        cos, sin = TRIG[self.sigma]
-        field = float_field(
-            (self.angular.base, self.radial.base), self.params, bindings, (COS, SIN, RADIAL)
-        )
-        return lambda angle, radius: field(cos(angle), sin(angle), radius)
+        return float_evaluator(*self.float_source(bindings))
 
     def pretty(self) -> str:
         a, r = self.angle_name, self.radial_name

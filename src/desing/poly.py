@@ -508,7 +508,12 @@ def poly_vars(*names: str) -> "tuple[Poly, ...]":
     return tuple(Poly.var(n) for n in names)
 
 
-def float_evaluator(polys: Sequence[Poly], order: Sequence[str]) -> Callable:
+def float_evaluator(
+    polys: Sequence[Poly],
+    order: Sequence[str],
+    angle: "tuple[Callable, Callable] | None" = None,
+    negate: bool = False,
+) -> Callable:
     """Compile the polynomials into one float function of the variables in
     `order`, returning a tuple with one value per polynomial.
 
@@ -520,10 +525,20 @@ def float_evaluator(polys: Sequence[Poly], order: Sequence[str]) -> Callable:
     OverflowError.  The generated source holds one statement per term (a
     single sum of thousands of terms would overflow the compiler's
     recursion limit) and only generated names and float literals.
+
+    With `angle`, a pair of float functions such as (cos, sin), the function
+    takes one angle in place of the first two variables and sets them to
+    the pair's values at it; an overflowing cosh raises OverflowError too.
+    With `negate`, every value is returned as `-a` for its sum a.  Negation
+    flips the sign bit and nothing else, so the result is the negated
+    forward value bit for bit, signed zeros included; sums of negated
+    coefficients, starting from 0.0, would give +0.0 where -a is -0.0.
     """
     order = tuple(order)
-    args = ", ".join(f"x{i}" for i in range(len(order)))
-    lines = [f"def field({args}):"]
+    names = [f"x{i}" for i in range(len(order))]
+    lines = [f"def field({', '.join(['p'] + names[2:] if angle else names)}):"]
+    if angle:
+        lines += ["    x0 = cos(p)", "    x1 = sin(p)"]
     for k, p in enumerate(polys):
         lines.append(f"    a{k} = 0.0")
         terms = p.terms if p.vars == order else p.reordered(order).terms
@@ -531,7 +546,8 @@ def float_evaluator(polys: Sequence[Poly], order: Sequence[str]) -> Callable:
             factors = [repr(float(c))]
             factors += [f"x{i}" if e == 1 else f"x{i}**{e}" for i, e in enumerate(exps) if e]
             lines.append(f"    a{k} += {' * '.join(factors)}")
-    lines.append(f"    return ({''.join(f'a{k}, ' for k in range(len(polys)))})")
-    namespace: dict = {}
+    sign = "-" if negate else ""
+    lines.append(f"    return ({''.join(f'{sign}a{k}, ' for k in range(len(polys)))})")
+    namespace: dict = {"cos": angle[0], "sin": angle[1]} if angle else {}
     exec(compile("\n".join(lines), "<float_evaluator>", "exec"), namespace)
     return namespace["field"]

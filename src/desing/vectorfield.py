@@ -40,11 +40,11 @@ def bind_params(poly: Poly, bound: Mapping[str, Fraction]) -> Poly:
     return poly.bind(subs) if subs else poly
 
 
-def float_field(polys, params, bindings: Mapping, order) -> Callable:
-    """Float view of a field: bind the parameters exactly, then compile the
-    components into one function of the variables in `order`."""
+def bind_components(polys, params, bindings: Mapping) -> "tuple[Poly, ...]":
+    """The components of a field with its parameters bound exactly, which
+    is what its float view compiles."""
     bound = check_param_bindings(params, bindings)
-    return float_evaluator([bind_params(p, bound) for p in polys], order)
+    return tuple(bind_params(p, bound) for p in polys)
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,14 @@ class VectorField:
 
     # -- numeric view -------------------------------------------------------------
 
+    def float_source(self, bindings: Mapping) -> tuple:
+        """(bound components, variable order, angle functions): the
+        `float_evaluator` arguments of `as_callable`."""
+        return bind_components(self.components(), self.params, bindings), self.state_vars, None
+
     def as_callable(self, bindings: Mapping[str, "Fraction | int | str"]) -> Callable:
         """Float evaluator (u, v) -> (f1, f2) with parameters bound."""
-        return float_field(self.components(), self.params, bindings, self.state_vars)
+        return float_evaluator(*self.float_source(bindings))
 
     def __str__(self):
         sx, sy = self.state_vars

@@ -11,7 +11,7 @@ from desing.charts import ChartId, blow_up_in_chart
 from desing.errors import NotDivisible
 from desing.polar import SPHERE, desingularize_polar, polar_pushforward
 from desing.poly import Poly, float_evaluator, poly_vars
-from desing.quotient import COS, RADIAL, SIN
+from desing.quotient import COS, RADIAL, SIN, TRIG
 from desing.selfcheck import (
     check_exact_division,
     check_ring_axioms,
@@ -333,6 +333,46 @@ def test_float_evaluator_is_the_term_loop_bit_for_bit(data):
     point = tuple(data.draw(floats) for _ in order)
     got = float_evaluator(ps, order)(*point)
     assert bits(got) == bits(term_loop(p, order, point) for p in ps)
+
+
+def drawn_polys(data, order):
+    exps = st.tuples(*[st.integers(0, 4)] * len(order))
+    return [
+        Poly(order, data.draw(st.dictionaries(exps, float_coefficients, max_size=6)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_negated_evaluator_is_the_negation_bit_for_bit(data):
+    order = ("x", "y")
+    # the zero field and x at a signed zero give the sums +0.0 and -0.0,
+    # whose negations differ from the sums of the negated coefficients
+    ps = drawn_polys(data, order) + [Poly(order, {}), Poly.var("x")]
+    point = (data.draw(st.sampled_from([0.0, -0.0]) | floats), data.draw(floats))
+    forward = float_evaluator(ps, order)(*point)
+    backward = float_evaluator(ps, order, negate=True)(*point)
+    assert bits(backward) == bits(-v for v in forward)
+
+
+@pytest.mark.parametrize("sigma", sorted(TRIG))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_angle_prologue_is_the_evaluator_at_cos_sin_bit_for_bit(sigma, data):
+    cos, sin = TRIG[sigma]
+    order = (COS, SIN, RADIAL)
+    ps = drawn_polys(data, order)
+    # angles far enough out for cosh and its powers to overflow
+    angle, radius = data.draw(st.floats(-800, 800)), data.draw(floats)
+    for negate in (False, True):
+        try:
+            expected = float_evaluator(ps, order, negate=negate)(cos(angle), sin(angle), radius)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                float_evaluator(ps, order, TRIG[sigma], negate)(angle, radius)
+        else:
+            assert bits(float_evaluator(ps, order, TRIG[sigma], negate)(angle, radius)) == bits(expected)
 
 
 def test_float_evaluator_compiles_five_thousand_terms():
