@@ -347,8 +347,8 @@ def drawn_polys(data, order):
 @given(st.data())
 def test_negated_evaluator_is_the_negation_bit_for_bit(data):
     order = ("x", "y")
-    # the zero field and x at a signed zero give the sums +0.0 and -0.0,
-    # whose negations differ from the sums of the negated coefficients
+    # the zero field, and x at a signed zero, sum to +0.0: negated it is
+    # -0.0, where sums of the negated coefficients would give +0.0
     ps = drawn_polys(data, order) + [Poly(order, {}), Poly.var("x")]
     point = (data.draw(st.sampled_from([0.0, -0.0]) | floats), data.draw(floats))
     forward = float_evaluator(ps, order)(*point)
