@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -26,7 +27,12 @@ from desing.equilibria import (
 )
 from desing.errors import DegenerateChart, DesingError, UnboundParameter
 from desing.poly import Poly, poly_vars
-from desing.selfcheck import check_bridge_conjugacy, check_global_counts, demo_system
+from desing.selfcheck import (
+    _random_quasihomogeneous,
+    check_bridge_conjugacy,
+    check_global_counts,
+    demo_system,
+)
 from desing.vectorfield import Param, VectorField
 from desing.weights import Weights, infer_weights
 
@@ -654,6 +660,7 @@ def test_report_follows_linear_factors(slopes, data):
 
     want = sorted(a for s in slopes for a in _line_angles(s))
     assert len(report.equilibria) == 2 * len(slopes)
+    assert all(e.classification == m.classification for m in report.equilibria for e in m.members)
     for m, angle in zip(report.equilibria, want):
         assert abs(m.angle - angle) < 1e-9
     assert len(report.flow) == len(want)
@@ -666,3 +673,15 @@ def test_report_follows_linear_factors(slopes, data):
         f1, f2 = components(cx, cy)
         g = cx * f2 - cy * f1
         assert arc.sign == (1 if g > 0 else -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_merged_members_share_the_classification(seed):
+    # the members of a merged point see one direction from two overlapping
+    # charts, whose desingularized fields are conjugate up to a positive time
+    # factor; so their Jacobians are similar up to a positive scalar
+    f, w = _random_quasihomogeneous(random.Random(seed))
+    report = global_divisor_report(f, w, {})
+    for m in report.equilibria:
+        assert {e.classification for e in m.members} == {m.classification}
