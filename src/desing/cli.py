@@ -155,8 +155,8 @@ def render_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _frac(value) -> str:
-    return str(value)
+def _weights_payload(w):
+    return {"alpha": w.alpha, "beta": w.beta, "k": w.k}
 
 
 def _num(value):
@@ -203,12 +203,12 @@ def _eigen_payload(eq):
         "coords": [_num(c) for c in eq.coords],
         "coords_float": list(eq.coords_float),
         "exact": eq.exact,
-        "interval": None if eq.interval is None else [_frac(eq.interval[0]), _frac(eq.interval[1])],
+        "interval": None if eq.interval is None else [str(v) for v in eq.interval],
         "jacobian": [[_num(x) for x in row] for row in eq.jacobian],
         "eigenvalues": [[z.real, z.imag] for z in eq.eigenvalues],
         "eigenvalues_exact": None
         if eq.eigenvalues_exact is None
-        else [_frac(v) for v in eq.eigenvalues_exact],
+        else [str(v) for v in eq.eigenvalues_exact],
         "classification": eq.classification,
     }
 
@@ -217,12 +217,8 @@ def analysis_payload(report: GlobalReport):
     return {
         "model": report.model,
         "field": _field_payload(report.field),
-        "bindings": {k: _frac(v) for k, v in report.bindings.items()},
-        "weights": {
-            "alpha": report.weights.alpha,
-            "beta": report.weights.beta,
-            "k": report.weights.k,
-        },
+        "bindings": {k: str(v) for k, v in report.bindings.items()},
+        "weights": _weights_payload(report.weights),
         "charts": {name: _chart_payload(cf) for name, cf in report.chart_fields.items()},
         "polar": None
         if report.polar_raw is None
@@ -288,11 +284,11 @@ def render_analysis_text(report: GlobalReport) -> str:
     for i, m in enumerate(report.equilibria, 1):
         lines.append(f"  [{i}] {angle_label} = {m.angle:.12g}  {m.classification}")
         for e in m.members:
-            coords = ", ".join(_frac(c) if isinstance(c, Fraction) else f"{c:.12g}" for c in e.coords)
+            coords = ", ".join(str(c) if isinstance(c, Fraction) else f"{c:.12g}" for c in e.coords)
             eig = ", ".join(_fmt_complex(z) for z in e.eigenvalues)
             exact = ""
             if e.eigenvalues_exact is not None:
-                exact = " (exact: " + ", ".join(_frac(v) for v in e.eigenvalues_exact) + ")"
+                exact = " (exact: " + ", ".join(str(v) for v in e.eigenvalues_exact) + ")"
             lines.append(f"      {e.chart}: coords ({coords}); eigenvalues {eig}{exact}")
     lines.append("")
     lines.append("flow (sign of the angular component between equilibria):")
@@ -320,7 +316,7 @@ def _cmd_weights(args) -> int:
     f = _load_field(args.input)
     w = infer_weights(f)
     if args.format == "json":
-        _emit(render_json({"alpha": w.alpha, "beta": w.beta, "k": w.k}), args.output)
+        _emit(render_json(_weights_payload(w)), args.output)
     else:
         _emit(f"{w}\n", args.output)
     return 0
@@ -336,7 +332,7 @@ def _cmd_blowup(args) -> int:
             raise DesingError(f"unknown chart in --charts: {exc}")
         cfs = {c.value: blow_up_in_chart(f, w, c) for c in names}
         payload = {
-            "weights": {"alpha": w.alpha, "beta": w.beta, "k": w.k},
+            "weights": _weights_payload(w),
             "charts": {n: _chart_payload(cf) for n, cf in cfs.items()},
         }
         if args.format == "json":
@@ -350,7 +346,7 @@ def _cmd_blowup(args) -> int:
     raw = polar_pushforward(f, *MODELS[args.model])
     des = desingularize_polar(raw)
     payload = {
-        "weights": {"alpha": w.alpha, "beta": w.beta, "k": w.k},
+        "weights": _weights_payload(w),
         "raw": _polar_payload(raw),
         "desingularized": _polar_payload(des),
     }

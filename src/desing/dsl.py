@@ -84,37 +84,6 @@ class FieldSpec:
     state_vars: "tuple[str, str]"
     rhs: "tuple[Expr, Expr]"
 
-    def to_source(self) -> str:
-        """Canonical rendering; a fixed point of parse followed by render."""
-        lines = []
-        for p in self.params:
-            lines.append(f"param {p.name} > 0;" if p.positive else f"param {p.name};")
-        lines.append(f"var {self.state_vars[0]} {self.state_vars[1]};")
-        for var, expr in zip(self.state_vars, self.rhs):
-            lines.append(f"d{var}/dt = {render_expr(expr)};")
-        return "\n".join(lines) + "\n"
-
-
-def render_expr(e: Expr, parent_level: int = 0) -> str:
-    """Minimal-parentheses rendering; levels: 0 sum, 1 product, 2 factor."""
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, Name):
-        return e.ident
-    if isinstance(e, Pow):
-        return f"{render_expr(e.base, 3)}^{e.exponent}"
-    if isinstance(e, Neg):
-        body = f"-{render_expr(e.arg, 2)}"
-        return f"({body})" if parent_level >= 3 else body
-    if isinstance(e, Mul):
-        body = f"{render_expr(e.left, 1)}*{render_expr(e.right, 2)}"
-        return f"({body})" if parent_level >= 2 else body
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        body = f"{render_expr(e.left, 0)} {op} {render_expr(e.right, 1)}"
-        return f"({body})" if parent_level >= 1 else body
-    raise TypeError(f"unknown expression node {e!r}")
-
 
 # -- lexer -----------------------------------------------------------------------
 

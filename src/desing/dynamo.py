@@ -33,8 +33,6 @@ TERM_STEP_UNDERFLOW = "step-underflow"
 class Trajectory:
     frame: str
     points: "list[tuple[float, float, float]]"  # (t, u, v)
-    x0: "tuple[float, float]"
-    step: float
     termination: str
 
     def coords(self) -> np.ndarray:
@@ -116,7 +114,11 @@ def integrate(
     u, v = float(x0[0]), float(x0[1])
     if not (math.isfinite(u) and math.isfinite(v)):
         raise NonFiniteField(f"initial point {x0} is not finite")
-    du, dv = field(u, v)
+    try:
+        du, dv = field(u, v)
+    except OverflowError:
+        # as for an overflow in a later step, the orbit leaves the domain
+        return Trajectory(frame, [(0.0, u, v)], TERM_LEFT_DOMAIN)
     if not (math.isfinite(du) and math.isfinite(dv)):
         raise NonFiniteField(f"field is not finite at the initial point {x0}")
 
@@ -153,7 +155,7 @@ def integrate(
         t += step
         u, v = nu, nv
         points.append((t, u, v))
-    return Trajectory(frame, points, (float(x0[0]), float(x0[1])), h, termination)
+    return Trajectory(frame, points, termination)
 
 
 # -- curve comparison ----------------------------------------------------------------
@@ -248,7 +250,6 @@ class RescalingResult:
     max_angle_defect: float
     max_ratio_defect: float
     checked: int
-    skipped: int
 
 
 def rescaling_check(cf: ChartField, points: Sequence, bindings: Mapping) -> RescalingResult:
@@ -263,7 +264,7 @@ def rescaling_check(cf: ChartField, points: Sequence, bindings: Mapping) -> Resc
     k = cf.weights.k
     max_angle = 0.0
     max_ratio = 0.0
-    checked = skipped = 0
+    checked = 0
     for r, w in points:
         if r <= 0:
             raise ValueError(f"sample point ({r}, {w}) is not off the divisor")
@@ -272,7 +273,6 @@ def rescaling_check(cf: ChartField, points: Sequence, bindings: Mapping) -> Resc
         nr = math.hypot(*vr)
         nd = math.hypot(*vd)
         if nd == 0.0:
-            skipped += 1
             continue
         cross = vr[0] * vd[1] - vr[1] * vd[0]
         dot = vr[0] * vd[0] + vr[1] * vd[1]
@@ -280,7 +280,7 @@ def rescaling_check(cf: ChartField, points: Sequence, bindings: Mapping) -> Resc
         expected = r**k
         max_ratio = max(max_ratio, abs(nr / nd - expected) / expected)
         checked += 1
-    return RescalingResult(max_angle, max_ratio, checked, skipped)
+    return RescalingResult(max_angle, max_ratio, checked)
 
 
 def sample_portrait(field: FrameField, grid: GridSpec) -> "list[Trajectory]":

@@ -531,6 +531,11 @@ def global_divisor_report(
     point by its owning chart and exact root, and attach the angular flow
     signs between consecutive points.  hyperbolic-x / hyperbolic-y: analyse
     the wing covered by the corresponding directional chart.
+
+    The members of a merged point share its classification: they see one
+    direction from two overlapping charts, whose desingularized fields are
+    conjugate through the transition up to a positive time factor, so their
+    Jacobians are similar up to a positive scalar.
     """
     bound = check_param_bindings(f.params, bindings)
     wing = model in (MODEL_HYPERBOLIC_X, MODEL_HYPERBOLIC_Y)
@@ -561,18 +566,12 @@ def global_divisor_report(
         merged, flow = _wing_picture(found[chart], model, w.k)
     else:
         merged, flow = _circle_picture(found)
-    notes: "list[str]" = []
-    for m in merged:
-        kinds = {e.classification for e in m.members}
-        if len(kinds) > 1:
-            notes.append(
-                f"charts disagree on the classification at angle {m.angle:.12g}: {sorted(kinds)}"
-            )
-        if m.classification == CLASS_NON_HYPERBOLIC:
-            notes.append(
-                f"non-hyperbolic divisor equilibrium at angle {m.angle:.12g}: "
-                "a further blow-up would be needed there (not performed)"
-            )
+    notes = [
+        f"non-hyperbolic divisor equilibrium at angle {m.angle:.12g}: "
+        "a further blow-up would be needed there (not performed)"
+        for m in merged
+        if m.classification == CLASS_NON_HYPERBOLIC
+    ]
     polar_raw = polar_desing = None
     if model in MODELS and (w.alpha, w.beta) == (1, 1):
         polar_raw = polar_pushforward(f, *MODELS[model])

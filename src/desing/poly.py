@@ -246,16 +246,14 @@ class Poly:
     def __hash__(self):
         return hash(self._key())
 
-    # -- substitution and evaluation ----------------------------------------
+    # -- substitution --------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "Poly | Scalar"]) -> "Poly":
         """Exact composition: replace bound variables by polynomials.
 
         Binding keys must all be variables of this polynomial.
         """
-        bad = [v for v in bindings if v not in self.vars]
-        if bad:
-            raise ValueError(f"binding for unknown variable(s) {bad}; have {self.vars}")
+        self._check_bound(bindings)
         bound = {
             v: (b if isinstance(b, Poly) else Poly.const(b)) for v, b in bindings.items()
         }
@@ -359,21 +357,6 @@ class Poly:
             elif c:
                 terms[key] = c
         return Poly._raw(tuple(self.vars[i] for i in keep), terms)
-
-    def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
-        """Exact evaluation; every live variable must be given a rational value."""
-        missing = [v for v in self.effective_vars() if v not in values]
-        if missing:
-            raise ValueError(f"no value for variable(s) {missing}")
-        vals = [Fraction(values.get(v, 0)) for v in self.vars]
-        total = _ZERO
-        for exps, c in self.terms.items():
-            t = c
-            for val, e in zip(vals, exps):
-                if e:
-                    t *= val**e
-            total += t
-        return total
 
     # -- calculus ------------------------------------------------------------
 

@@ -292,17 +292,6 @@ class RealRoot:
     def exact(self) -> bool:
         return self.value is not None
 
-    @property
-    def approx(self) -> float:
-        if self.value is not None:
-            return float(self.value)
-        return float((self.lo + self.hi) / 2)
-
-    def as_interval(self) -> "tuple[Fraction, Fraction]":
-        if self.value is not None:
-            return (self.value, self.value)
-        return (self.lo, self.hi)
-
 
 def refine_root(root: RealRoot, width: Fraction) -> RealRoot:
     if root.exact or root.hi - root.lo < width:

@@ -271,6 +271,19 @@ def test_portrait_deterministic(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_portrait_seed_whose_field_overflows_leaves_the_domain(capsys):
+    # cosh(800) overflows at the seed phi = 800: its orbits end there, and the
+    # seed at phi = 0 integrates as it does alone
+    argv = ["portrait", QUADRATIC, "--param", "a=1", "--frame", "hyperbolic-x", "--t-end", "0.1"]
+    code, out, _ = run(capsys, *argv, "--grid=0:800:2,1:1:1")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    code, alone, _ = run(capsys, *argv, "--grid=0:0:1,1:1:1")
+    assert code == 0
+    assert [r for r in rows if r[3] == "0"] == [line.split(",") for line in alone.splitlines()[1:]]
+    assert [r[1:] for r in rows if r[3] != "0"] == [["2", "0", "800", "1"], ["3", "0", "800", "1"]]
+
+
 def test_analyze_degenerate_field(tmp_path, capsys):
     # f = (x*(x - y), y*(x - y)): every ray is invariant, the whole divisor is
     # a line of equilibria; all four charts are degenerate

@@ -86,8 +86,8 @@ def test_irrational_isolation():
     for root in roots:
         assert not root.exact
         assert root.hi - root.lo < F(1, 10**12)
-    assert roots[0].approx == pytest.approx(-(2**0.5), abs=1e-11)
-    assert roots[1].approx == pytest.approx(2**0.5, abs=1e-11)
+    assert float(roots[0].lo) == pytest.approx(-(2**0.5), abs=1e-11)
+    assert float(roots[1].lo) == pytest.approx(2**0.5, abs=1e-11)
 
 
 def test_mixed_roots():
@@ -104,8 +104,8 @@ def test_mixed_roots():
     assert (F(1), 2, True) in values
     irr = [r for r in roots if not r.exact]
     assert len(irr) == 2
-    assert irr[0].approx == pytest.approx(-(3**0.5), abs=1e-11)
-    assert irr[1].approx == pytest.approx(3**0.5, abs=1e-11)
+    assert float(irr[0].lo) == pytest.approx(-(3**0.5), abs=1e-11)
+    assert float(irr[1].lo) == pytest.approx(3**0.5, abs=1e-11)
 
 
 def test_no_real_roots():
@@ -262,7 +262,7 @@ def test_real_roots_match_sympy(cs):
     roots = real_roots(cs)
     assert len(roots) == poly.count_roots()
     for left, right in zip(roots, roots[1:]):
-        assert left.as_interval()[1] < right.as_interval()[0]
+        assert (left.value if left.exact else left.hi) < (right.value if right.exact else right.lo)
     for root in roots:
         if root.exact:
             assert poly.eval(sympy.Rational(root.value.numerator, root.value.denominator)) == 0
@@ -280,14 +280,14 @@ def test_roots_closer_than_a_float_ulp_sort_exactly():
     roots = real_roots(times(times(q, q), coeffs(-1, 1)))
     assert [r.multiplicity for r in roots] == [2, 1, 2]
     assert [r.value for r in roots] == [None, 1, None]
-    assert all(r.approx == 1.0 for r in roots)
+    assert all(float(r.lo) == float(r.hi) == 1.0 for r in roots if not r.exact)
     below, _, above = roots
     assert compare_root(below, 1 - F(14143, 10**21)) == 1
     assert compare_root(below, 1 - F(14142, 10**21)) == -1
     assert compare_root(above, 1 + F(14142, 10**21)) == 1
     assert compare_root(above, 1 + F(14143, 10**21)) == -1
     # the reported enclosures are the ones isolation returned
-    assert [r.as_interval() for r in (below, above)] == [r.as_interval() for r in real_roots(q)]
+    assert [(r.lo, r.hi) for r in (below, above)] == [(r.lo, r.hi) for r in real_roots(q)]
 
 
 def test_compare_root_recognizes_a_rational_root_left_to_isolation():

@@ -1,12 +1,18 @@
 """The benchmark tracer (`bench/tracing.py`) looks up the functions and
 methods it wraps by name.  Installing and uninstalling it here makes a
-rename of a traced name fail the test suite, not the next traced run."""
+rename of a traced name fail the test suite, not the next traced run.
+The same names, with the public API, are the only ones the package may
+define without using them itself."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+import desing
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def _load_tracing():
@@ -35,3 +41,26 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert all(_lookup(m, a) is fn for (m, a), fn in before.items())
+
+
+def test_package_uses_every_name_it_defines():
+    # a function, class or method that no code in src/desing refers to is
+    # reachable from the tests only
+    defined, used = {}, set()
+    for path in sorted((ROOT / "src" / "desing").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    exempt = set(desing.__all__) | {attr.split(".")[-1] for _, _, attr in _load_tracing().TARGETS}
+    unused = [
+        f"{name} ({where})"
+        for name, where in defined.items()
+        if name not in used and name not in exempt and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert not unused, "used nowhere in src/desing: " + ", ".join(unused)
