@@ -103,15 +103,11 @@ class ChartField:
     def embed(self, point):
         return embed(self.chart, self.weights, point)
 
-    def float_source(self, bindings, desingularized: bool = True) -> tuple:
-        """(bound components, variable order, angle functions): the
-        `float_evaluator` arguments of `as_callable`."""
-        pair = self.desing if desingularized else self.raw
-        return bind_components(pair, self.params, bindings), (self.radial_var, self.angular_var), None
-
     def as_callable(self, bindings, desingularized: bool = True) -> Callable:
         """Float evaluator (r, w) -> (r', w') with parameters bound."""
-        return float_evaluator(*self.float_source(bindings, desingularized))
+        pair = self.desing if desingularized else self.raw
+        polys = bind_components(pair, self.params, bindings)
+        return float_evaluator(polys, (self.radial_var, self.angular_var))
 
     def pretty(self) -> str:
         r, w = self.radial_var, self.angular_var

@@ -11,7 +11,7 @@ would be meaningless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 from .charts import ChartField
 from .errors import NonFiniteField
 from .polar import PolarField
-from .poly import Poly, float_evaluator
 from .vectorfield import VectorField
 
 MAX_COORD = 1e6
@@ -41,40 +40,23 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class FrameField:
-    """A planar field compiled to one float function, tagged with its frame.
-
-    It keeps the bound components, variable order and angle functions its
-    evaluator `func` was compiled from, so `negated` compiles the backward
-    field with `float_evaluator(..., negate=True)`, whose values are the
-    forward ones negated bit for bit, instead of wrapping `func`.
-    """
+    """A planar field's float function, tagged with its frame."""
 
     frame: str
-    polys: "tuple[Poly, ...]"  # components with parameters bound
-    order: "tuple[str, ...]"
-    angle: "tuple[Callable, Callable] | None" = None  # (cos, sin) of the angle argument
+    func: Callable  # (u, v) -> (du, dv)
     radial_index: "int | None" = None  # guard coordinate that must stay >= 0
-    negate: bool = False
-    func: Callable = field(init=False, repr=False, compare=False)  # (u, v) -> (du, dv)
-
-    def __post_init__(self):
-        func = float_evaluator(self.polys, self.order, self.angle, self.negate)
-        object.__setattr__(self, "func", func)
-
-    def negated(self) -> "FrameField":
-        return replace(self, negate=not self.negate)
 
 
 def frame_original(f: VectorField, bindings: Mapping) -> FrameField:
-    return FrameField("original", *f.float_source(bindings))
+    return FrameField("original", f.as_callable(bindings))
 
 
-def frame_chart(cf: ChartField, bindings: Mapping, desingularized: bool = True) -> FrameField:
-    return FrameField(cf.chart.value, *cf.float_source(bindings, desingularized), radial_index=0)
+def frame_chart(cf: ChartField, bindings: Mapping) -> FrameField:
+    return FrameField(cf.chart.value, cf.as_callable(bindings), radial_index=0)
 
 
 def frame_polar(pf: PolarField, bindings: Mapping) -> FrameField:
-    return FrameField(pf.model, *pf.float_source(bindings), radial_index=1)
+    return FrameField(pf.model, pf.as_callable(bindings), radial_index=1)
 
 
 @dataclass(frozen=True)
@@ -95,34 +77,37 @@ class GridSpec:
 
 
 def integrate(
-    field: Callable,
+    field: FrameField,
     x0: Sequence[float],
     t_end: float,
     h: float,
-    frame: str = "original",
-    radial_index: "int | None" = None,
+    backward: bool = False,
 ) -> Trajectory:
     """Classic RK4 with fixed step h, stopping at t_end, domain exit
     (radial < 0, |coordinate| > 1e6, or a stage evaluation overflowing) or
-    step underflow."""
+    step underflow.  With `backward` every stage and the update step by -h
+    (t still counts up from 0): as negation commutes with float products and
+    sums, the points are the negated field's, bit for bit."""
     if h <= 0:
         raise ValueError("step size must be positive")
     if t_end <= 0:
-        raise ValueError("t_end must be positive (negate the field to go backwards)")
-    if isinstance(field, FrameField):
-        frame, radial_index, field = field.frame, field.radial_index, field.func
+        raise ValueError("t_end must be positive")
+    func, radial_index = field.func, field.radial_index
     u, v = float(x0[0]), float(x0[1])
     if not (math.isfinite(u) and math.isfinite(v)):
         raise NonFiniteField(f"initial point {x0} is not finite")
+    points = [(0.0, u, v)]
+    # the state never holds -0.0, so the sign of a zero increment, the one bit
+    # where -h * sum and h * (negated sum) differ, never shows
+    u, v = u + 0.0, v + 0.0
     try:
-        du, dv = field(u, v)
+        k1u, k1v = func(u, v)
     except OverflowError:
         # as for an overflow in a later step, the orbit leaves the domain
-        return Trajectory(frame, [(0.0, u, v)], TERM_LEFT_DOMAIN)
-    if not (math.isfinite(du) and math.isfinite(dv)):
+        return Trajectory(field.frame, points, TERM_LEFT_DOMAIN)
+    if not (math.isfinite(k1u) and math.isfinite(k1v)):
         raise NonFiniteField(f"field is not finite at the initial point {x0}")
 
-    points = [(0.0, u, v)]
     t = 0.0
     termination = TERM_MAX_TIME
     while t < t_end:
@@ -132,17 +117,19 @@ def integrate(
             # final partial step just means t_end is within rounding of t
             termination = TERM_STEP_UNDERFLOW if step == h else TERM_MAX_TIME
             break
+        dt = -step if backward else step
         try:
-            k1u, k1v = field(u, v)
-            k2u, k2v = field(u + 0.5 * step * k1u, v + 0.5 * step * k1v)
-            k3u, k3v = field(u + 0.5 * step * k2u, v + 0.5 * step * k2v)
-            k4u, k4v = field(u + step * k3u, v + step * k3v)
+            if t > 0.0:  # the first step's first stage is the seed's value
+                k1u, k1v = func(u, v)
+            k2u, k2v = func(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+            k3u, k3v = func(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+            k4u, k4v = func(u + dt * k3u, v + dt * k3v)
         except OverflowError:
             # float ** or cosh overflows when the orbit escapes within one step
             termination = TERM_LEFT_DOMAIN
             break
-        nu = u + step / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        nv = v + step / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        nu = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        nv = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if not (math.isfinite(nu) and math.isfinite(nv)):
             termination = TERM_LEFT_DOMAIN
             break
@@ -155,7 +142,7 @@ def integrate(
         t += step
         u, v = nu, nv
         points.append((t, u, v))
-    return Trajectory(frame, points, termination)
+    return Trajectory(field.frame, points, termination)
 
 
 # -- curve comparison ----------------------------------------------------------------
@@ -237,7 +224,7 @@ def conjugacy_check(
     """
     if float(x0_chart[0]) <= 0:
         raise ValueError("conjugacy check needs a seed with positive radial coordinate")
-    chart_traj = integrate(frame_chart(cf, bindings, desingularized=True), x0_chart, t_end, h)
+    chart_traj = integrate(frame_chart(cf, bindings), x0_chart, t_end, h)
     embedded = np.array(
         [cf.embed((u, v)) for _, u, v in chart_traj.points], dtype=float
     )
@@ -287,10 +274,9 @@ def sample_portrait(field: FrameField, grid: GridSpec) -> "list[Trajectory]":
     """Forward and backward trajectories from every grid seed (fwd, then bwd,
     per seed, row-major over the grid)."""
     out = []
-    backward = field.negated()
     for seed in grid.seeds():
         out.append(integrate(field, seed, grid.t_end, grid.step))
-        out.append(integrate(backward, seed, grid.t_end, grid.step))
+        out.append(integrate(field, seed, grid.t_end, grid.step, backward=True))
     return out
 
 

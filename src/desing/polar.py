@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping
 
-from .errors import NameCollision, SingularAngle
+from .errors import NameCollision, NotDivisible, SingularAngle
 from .poly import Poly, float_evaluator
 from .quotient import COS, RADIAL, RESERVED, SIN, TRIG, QuotientPoly
 from .vectorfield import Param, VectorField, bind_components
@@ -77,16 +77,11 @@ class PolarField:
     def radial_name(self) -> str:
         return "r" if self.sigma == SPHERE else "rho"
 
-    def float_source(self, bindings: Mapping) -> tuple:
-        """(bound components, variable order, angle functions): the
-        `float_evaluator` arguments of `as_callable`."""
-        polys = bind_components((self.angular.base, self.radial.base), self.params, bindings)
-        return polys, (COS, SIN, RADIAL), TRIG[self.sigma]
-
     def as_callable(self, bindings: Mapping) -> Callable:
         """Float evaluator (angle, radius) -> (angle', radius') with
         parameters bound."""
-        return float_evaluator(*self.float_source(bindings))
+        polys = bind_components((self.angular.base, self.radial.base), self.params, bindings)
+        return float_evaluator(polys, (COS, SIN, RADIAL), TRIG[self.sigma])
 
     def pretty(self) -> str:
         a, r = self.angle_name, self.radial_name
@@ -111,6 +106,14 @@ def polar_pushforward(f: VectorField, sigma: int, branch: Branch = Branch.X) -> 
     if sigma not in (SPHERE, HYPERBOLA):
         raise ValueError(f"signature must be +1 or -1, got {sigma}")
     _check_names(f)
+    for name, comp in zip(f.state_vars, f.components()):
+        # the angular solve divides by the radius; a nonzero f(0, 0) leaves a remainder
+        origin = comp.bind({v: 0 for v in f.state_vars if v in comp.vars})
+        if not origin.is_zero():
+            raise NotDivisible(
+                f"the blow-up needs f(0, 0) = 0 identically in the parameters, "
+                f"but d{name}/dt = {origin} at the origin"
+            )
     if sigma == SPHERE:
         branch = Branch.X
     c, s, r = Poly.var(COS), Poly.var(SIN), Poly.var(RADIAL)

@@ -495,7 +495,6 @@ def float_evaluator(
     polys: Sequence[Poly],
     order: Sequence[str],
     angle: "tuple[Callable, Callable] | None" = None,
-    negate: bool = False,
 ) -> Callable:
     """Compile the polynomials into one float function of the variables in
     `order`, returning a tuple with one value per polynomial.
@@ -512,10 +511,6 @@ def float_evaluator(
     With `angle`, a pair of float functions such as (cos, sin), the function
     takes one angle in place of the first two variables and sets them to
     the pair's values at it; an overflowing cosh raises OverflowError too.
-    With `negate`, every value is returned as `-a` for its sum a.  Negation
-    flips the sign bit and nothing else, so the result is the negated
-    forward value bit for bit, signed zeros included; sums of negated
-    coefficients, starting from 0.0, would give +0.0 where -a is -0.0.
     """
     order = tuple(order)
     names = [f"x{i}" for i in range(len(order))]
@@ -529,8 +524,7 @@ def float_evaluator(
             factors = [repr(float(c))]
             factors += [f"x{i}" if e == 1 else f"x{i}**{e}" for i, e in enumerate(exps) if e]
             lines.append(f"    a{k} += {' * '.join(factors)}")
-    sign = "-" if negate else ""
-    lines.append(f"    return ({''.join(f'{sign}a{k}, ' for k in range(len(polys)))})")
+    lines.append(f"    return ({''.join(f'a{k}, ' for k in range(len(polys)))})")
     namespace: dict = {"cos": angle[0], "sin": angle[1]} if angle else {}
     exec(compile("\n".join(lines), "<float_evaluator>", "exec"), namespace)
     return namespace["field"]

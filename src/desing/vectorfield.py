@@ -84,14 +84,10 @@ class VectorField:
 
     # -- numeric view -------------------------------------------------------------
 
-    def float_source(self, bindings: Mapping) -> tuple:
-        """(bound components, variable order, angle functions): the
-        `float_evaluator` arguments of `as_callable`."""
-        return bind_components(self.components(), self.params, bindings), self.state_vars, None
-
     def as_callable(self, bindings: Mapping[str, "Fraction | int | str"]) -> Callable:
         """Float evaluator (u, v) -> (f1, f2) with parameters bound."""
-        return float_evaluator(*self.float_source(bindings))
+        polys = bind_components(self.components(), self.params, bindings)
+        return float_evaluator(polys, self.state_vars)
 
     def __str__(self):
         sx, sy = self.state_vars

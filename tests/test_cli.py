@@ -99,6 +99,19 @@ def test_name_collision_one_line_error(tmp_path, capsys, name, argv, message):
     assert err.splitlines() == [f"{argv[0]}: {message}"]
 
 
+@pytest.mark.parametrize("frame", ["sphere", "hyperbolic-x"])
+def test_portrait_polar_frame_needs_an_equilibrium(tmp_path, capsys, frame):
+    src = tmp_path / "shifted.vf"
+    src.write_text("var x y; dx/dt = 1; dy/dt = x;")
+    code, out, err = run(capsys, "portrait", str(src), "--frame", frame, "--grid", "0:1:2,0.1:1:2")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "portrait: the blow-up needs f(0, 0) = 0 identically in the parameters, "
+        "but dx/dt = 1 at the origin"
+    ]
+
+
 def test_missing_file_exit(capsys):
     code, _, err = run(capsys, "analyze", "no-such-file.vf")
     assert code == 1

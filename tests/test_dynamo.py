@@ -1,12 +1,16 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desing.charts import ChartId, blow_up_in_chart
 from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.dynamo import (
+    FrameField,
     GridSpec,
     conjugacy_check,
     frame_chart,
@@ -20,7 +24,8 @@ from desing.dynamo import (
 )
 from desing.errors import NonFiniteField
 from desing.polar import HYPERBOLA, SPHERE, Branch, desingularize_polar, polar_pushforward
-from desing.poly import Poly, poly_vars
+from desing.poly import Poly, float_evaluator, poly_vars
+from desing.quotient import COS, RADIAL, SIN, TRIG
 from desing.selfcheck import check_conjugacy, check_divisor_invariance, demo_system
 from desing.vectorfield import VectorField
 from desing.weights import Weights, infer_weights
@@ -30,24 +35,91 @@ W = Weights(1, 1, 1)
 A1 = {"a": Fraction(1)}
 
 
+def plane(func):
+    return FrameField("original", func)
+
+
 def test_zero_field_constant_trajectory():
-    tr = integrate(lambda u, v: (0.0, 0.0), (0.3, -0.7), 1.0, 0.1)
+    tr = integrate(plane(lambda u, v: (0.0, 0.0)), (0.3, -0.7), 1.0, 0.1)
     assert tr.termination == "max-time"
     assert all((u, v) == (0.3, -0.7) for _, u, v in tr.points)
 
 
 def test_linear_field_exponential():
-    # (x, -y) from (1, 1): endpoint (e, 1/e)
-    tr = integrate(lambda u, v: (u, -v), (1.0, 1.0), 1.0, 1e-3)
-    _, u, v = tr.points[-1]
-    assert abs(u - math.e) < 1e-6
-    assert abs(v - 1 / math.e) < 1e-6
+    # (x, -y) from (1, 1): endpoint (e, 1/e) forward, (1/e, e) backward
+    ff = plane(lambda u, v: (u, -v))
+    for backward, (eu, ev) in ((False, (math.e, 1 / math.e)), (True, (1 / math.e, math.e))):
+        tr = integrate(ff, (1.0, 1.0), 1.0, 1e-3, backward=backward)
+        t, u, v = tr.points[-1]
+        assert t == pytest.approx(1.0)
+        assert abs(u - eu) < 1e-6
+        assert abs(v - ev) < 1e-6
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_first_stage_is_the_seed_value(backward):
+    # one step evaluates the field four times: the seed's value, checked
+    # for finiteness, is the first stage
+    calls = []
+
+    def counting(u, v):
+        calls.append((u, v))
+        return (u, -v)
+
+    tr = integrate(plane(counting), (1.0, 1.0), 0.1, 0.1, backward=backward)
+    assert len(tr.points) == 2
+    assert len(calls) == 4
+    assert calls[0] == (1.0, 1.0)
+
+
+def negated(ff):
+    return FrameField(ff.frame, lambda u, v: tuple(-a for a in ff.func(u, v)), ff.radial_index)
+
+
+def orbit_bits(ff, seed, t_end, h, backward=False):
+    try:
+        tr = integrate(ff, seed, t_end, h, backward)
+    except NonFiniteField:
+        return None
+    return tr.termination, [struct.pack("<3d", *p) for p in tr.points]
+
+
+coefficients = st.fractions(min_value=-10, max_value=10, max_denominator=8)
+coordinates = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+
+
+@pytest.mark.parametrize("sigma", [None, *sorted(TRIG)], ids=["plane", "hyperbola", "sphere"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_backward_is_the_negated_field_bit_for_bit(sigma, data):
+    order = ("x", "y") if sigma is None else (COS, SIN, RADIAL)
+    exps = st.tuples(*[st.integers(0, 3)] * len(order))
+    polys = [Poly(order, data.draw(st.dictionaries(exps, coefficients, max_size=5))) for _ in range(2)]
+    if sigma is None:
+        func, first = float_evaluator(polys, order), coordinates
+    else:
+        # angles far enough out for powers of cosh to overflow
+        func, first = float_evaluator(polys, order, TRIG[sigma]), coordinates | st.floats(-400.0, 400.0)
+    ff = FrameField("f", func, data.draw(st.sampled_from([None, 0, 1])))
+    seed = (data.draw(first), data.draw(coordinates))
+    t_end = data.draw(st.sampled_from([0.5, 1.0]) | st.floats(0.01, 2.0))
+    h = data.draw(st.sampled_from([0.5, 0.25, 0.1, 0.01]))
+    assert orbit_bits(ff, seed, t_end, h, backward=True) == orbit_bits(negated(ff), seed, t_end, h)
+
+
+def test_backward_from_a_signed_zero_seed():
+    # x' = y, y' = 1 from (-0.0, 0.25) with h = 0.5: the backward x-stages
+    # 0.25, 0, 0, -0.25 cancel exactly, and the zero increment is -0.0 in
+    # reverse time but +0.0 on the negated field
+    ff = frame_original(lower_to_polynomials(parse_field_spec("var x y; dx/dt = y; dy/dt = 1;")), {})
+    seed = (-0.0, 0.25)
+    assert orbit_bits(ff, seed, 0.5, 0.5, backward=True) == orbit_bits(negated(ff), seed, 0.5, 0.5)
 
 
 def test_step_halving_oracle_on_reference_field():
-    fn = F.as_callable(A1)
-    end_h = integrate(fn, (0.1, 0.2), 1.0, 1e-3).points[-1]
-    end_h2 = integrate(fn, (0.1, 0.2), 1.0, 5e-4).points[-1]
+    ff = frame_original(F, A1)
+    end_h = integrate(ff, (0.1, 0.2), 1.0, 1e-3).points[-1]
+    end_h2 = integrate(ff, (0.1, 0.2), 1.0, 5e-4).points[-1]
     assert math.hypot(end_h[1] - end_h2[1], end_h[2] - end_h2[2]) < 1e-6 * max(
         1.0, math.hypot(end_h2[1], end_h2[2])
     )
@@ -66,20 +138,21 @@ def test_observed_order_reports_rounding_floor():
 
 def test_non_finite_rejected():
     with pytest.raises(NonFiniteField):
-        integrate(lambda u, v: (float("nan"), 0.0), (0.0, 0.0), 1.0, 0.1)
+        integrate(plane(lambda u, v: (float("nan"), 0.0)), (0.0, 0.0), 1.0, 0.1)
     with pytest.raises(NonFiniteField):
-        integrate(lambda u, v: (0.0, 0.0), (float("inf"), 0.0), 1.0, 0.1)
+        integrate(plane(lambda u, v: (0.0, 0.0)), (float("inf"), 0.0), 1.0, 0.1)
 
 
 def test_bad_steps_rejected():
+    zero = plane(lambda u, v: (0.0, 0.0))
     with pytest.raises(ValueError):
-        integrate(lambda u, v: (0.0, 0.0), (0.0, 0.0), 1.0, 0.0)
+        integrate(zero, (0.0, 0.0), 1.0, 0.0)
     with pytest.raises(ValueError):
-        integrate(lambda u, v: (0.0, 0.0), (0.0, 0.0), -1.0, 0.1)
+        integrate(zero, (0.0, 0.0), -1.0, 0.1)
 
 
 def test_domain_guard_terminates_escape():
-    tr = integrate(lambda u, v: (u * u, 0.0), (1.0, 0.0), 10.0, 1e-3)
+    tr = integrate(plane(lambda u, v: (u * u, 0.0)), (1.0, 0.0), 10.0, 1e-3)
     assert tr.termination == "left-domain"
     assert all(abs(u) <= 1e6 for _, u, _ in tr.points)
 
@@ -89,8 +162,8 @@ def test_chart_overflow_ends_in_left_domain():
     # and float ** overflows inside one RK4 step before the domain guard
     f = lower_to_polynomials(parse_field_spec("var x y; dx/dt = -y^3; dy/dt = x^3;"))
     ff = frame_chart(blow_up_in_chart(f, infer_weights(f), ChartId.K1), {})
-    for field in (ff, ff.negated()):
-        tr = integrate(field, (0.1, 0.5), 2.0, 0.01)
+    for backward in (False, True):
+        tr = integrate(ff, (0.1, 0.5), 2.0, 0.01, backward=backward)
         assert tr.termination == "left-domain"
         assert tr.points[-1][0] < 2.0
         assert all(math.isfinite(u) and math.isfinite(v) for _, u, v in tr.points)
@@ -107,7 +180,7 @@ def test_hyperbolic_overflow_ends_in_left_domain():
 
 def test_radial_guard():
     ff = frame_chart(blow_up_in_chart(F, W, ChartId.K1), A1)
-    tr = integrate(lambda u, v: (-1.0, 0.0), (0.05, 0.0), 10.0, 1e-2, radial_index=0)
+    tr = integrate(FrameField("K1", lambda u, v: (-1.0, 0.0), radial_index=0), (0.05, 0.0), 10.0, 1e-2)
     assert tr.termination == "left-domain"
     assert all(u >= 0 for _, u, _ in tr.points)
     assert ff.radial_index == 0

@@ -91,8 +91,13 @@ def test_y_branch_swaps_roles():
 def test_polar_rejects_constant_terms():
     x, y = poly_vars("x", "y")
     f = VectorField(x + 1, y, ("x", "y"))
-    with pytest.raises(NotDivisible):
+    with pytest.raises(NotDivisible, match=r"needs f\(0, 0\) = 0 .* dx/dt = 1 at the origin"):
         polar_pushforward(f, SPHERE)
+    # f(0, 0) must vanish for every value of the parameters
+    g = VectorField(x, y**2 + a * x + a, ("x", "y"), (Param("a"),))
+    for sigma in (SPHERE, HYPERBOLA):
+        with pytest.raises(NotDivisible, match="dy/dt = a at the origin"):
+            polar_pushforward(g, sigma)
 
 
 def test_reserved_parameter_names_rejected():

@@ -341,19 +341,6 @@ def drawn_polys(data, order):
     ]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_negated_evaluator_is_the_negation_bit_for_bit(data):
-    order = ("x", "y")
-    # the zero field, and x at a signed zero, sum to +0.0: negated it is
-    # -0.0, where sums of the negated coefficients would give +0.0
-    ps = drawn_polys(data, order) + [Poly(order, {}), Poly.var("x")]
-    point = (data.draw(st.sampled_from([0.0, -0.0]) | floats), data.draw(floats))
-    forward = float_evaluator(ps, order)(*point)
-    backward = float_evaluator(ps, order, negate=True)(*point)
-    assert bits(backward) == bits(-v for v in forward)
-
-
 @pytest.mark.parametrize("sigma", sorted(TRIG))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -363,14 +350,13 @@ def test_angle_prologue_is_the_evaluator_at_cos_sin_bit_for_bit(sigma, data):
     ps = drawn_polys(data, order)
     # angles far enough out for cosh and its powers to overflow
     angle, radius = data.draw(st.floats(-800, 800)), data.draw(floats)
-    for negate in (False, True):
-        try:
-            expected = float_evaluator(ps, order, negate=negate)(cos(angle), sin(angle), radius)
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                float_evaluator(ps, order, TRIG[sigma], negate)(angle, radius)
-        else:
-            assert bits(float_evaluator(ps, order, TRIG[sigma], negate)(angle, radius)) == bits(expected)
+    try:
+        expected = float_evaluator(ps, order)(cos(angle), sin(angle), radius)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float_evaluator(ps, order, TRIG[sigma])(angle, radius)
+    else:
+        assert bits(float_evaluator(ps, order, TRIG[sigma])(angle, radius)) == bits(expected)
 
 
 def test_float_evaluator_compiles_five_thousand_terms():

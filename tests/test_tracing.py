@@ -9,7 +9,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import desing
+from desing.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -41,6 +44,23 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert all(_lookup(m, a) is fn for (m, a), fn in before.items())
+
+
+@pytest.mark.parametrize(
+    "frame, name", [("K1", "charts.as_callable"), ("original", "vectorfield.as_callable")]
+)
+def test_portrait_frame_compile_is_traced(tmp_path, frame, name):
+    # a frame is compiled by the traced `as_callable` of its field, once
+    # for both directions
+    tracer = _load_tracing().Tracer()
+    argv = ["portrait", str(ROOT / "inputs" / "quadratic.vf"), "--param", "a=1", "--frame", frame,
+            "--grid", "0.1:0.2:2,0.1:0.2:1", "--t-end", "0.02", "-o", str(tmp_path / "out.csv")]
+    try:
+        tracer.install()
+        assert tracer.run_op(main, argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls[name] == 1
 
 
 def test_package_uses_every_name_it_defines():
