@@ -81,9 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="vector-field file ('-' for stdin)")
+    def add_common(p):
+        p.add_argument("input", help="vector-field file ('-' for stdin)")
         p.add_argument(
             "--param",
             action="append",
@@ -394,14 +393,8 @@ def _cmd_portrait(args) -> int:
 
 def _cmd_verify(args) -> int:
     seed = int(os.environ.get("DESING_SEED", args.seed))
-    if args.input is None:
-        f, bindings = None, {"a": Fraction(1)}
-        if args.param:
-            bindings = dict(args.param)
-    else:
-        f = _load_field(args.input)
-        bindings = dict(args.param)
-    results = run_all(seed=seed, f=f, bindings=bindings)
+    f = None if args.input is None else _load_field(args.input)
+    results = run_all(seed=seed, f=f, bindings=dict(args.param))
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"

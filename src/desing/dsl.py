@@ -15,74 +15,32 @@ Rational literals accept `p/q` and decimal forms; decimals are converted
 exactly (0.5 -> 1/2), so no floats ever enter the symbolic core.  Comments
 run from `#` to end of line.  Parentheses nest at most 100 levels deep; a
 sum or product may have any length.
+
+The parser expands as it goes: each rule returns a `Poly`, and `+`, `-`,
+`*` and `^` are applied left to right as they are read, so a FieldSpec holds
+the two right-hand sides already expanded.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import ParseError
 from .poly import Poly
 from .vectorfield import Param, VectorField
 
 _MAX_EXPONENT = 10_000
-# the parser and the lowering recurse once per level of parentheses
+# the parser recurses once per level of parentheses
 _MAX_NESTING = 100
-
-# -- expression trees ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Name:
-    ident: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-
-
-Expr = Union[Num, Name, Neg, Add, Sub, Mul, Pow]
 
 
 @dataclass(frozen=True)
 class FieldSpec:
     params: "tuple[Param, ...]"
     state_vars: "tuple[str, str]"
-    rhs: "tuple[Expr, Expr]"
+    rhs: "tuple[Poly, Poly]"
 
 
 # -- lexer -----------------------------------------------------------------------
@@ -215,7 +173,7 @@ class _Parser:
         self.expect_symbol(";")
         return (a.text, b.text)
 
-    def equation(self, expected_var: str) -> Expr:
+    def equation(self, expected_var: str) -> Poly:
         head = self.expect_ident(f"equation 'd{expected_var}/dt'")
         if not (head.text.startswith("d") and len(head.text) > 1):
             self.fail(f"expected equation 'd{expected_var}/dt'", head)
@@ -234,33 +192,34 @@ class _Parser:
         self.expect_symbol(";")
         return expr
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> Poly:
+        out = self.term()
         while self.at_symbol("+") or self.at_symbol("-"):
-            op = self.next().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            if self.next().text == "+":
+                out = out + self.term()
+            else:
+                out = out - self.term()
+        return out
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> Poly:
+        out = self.factor()
         while self.at_symbol("*"):
             self.next()
-            node = Mul(node, self.factor())
-        return node
+            out = out * self.factor()
+        return out
 
-    def factor(self) -> Expr:
+    def factor(self) -> Poly:
         if self.at_symbol("-"):
             self.next()
-            return Neg(self.factor_tail())
+            return -self.factor_tail()
         return self.factor_tail()
 
-    def factor_tail(self) -> Expr:
-        node = self.base()
+    def factor_tail(self) -> Poly:
+        out = self.base()
         if self.at_symbol("^"):
             self.next()
-            node = Pow(node, self.nat_exponent())
-        return node
+            out = out ** self.nat_exponent()
+        return out
 
     def nat_exponent(self) -> int:
         tok = self.peek()
@@ -272,13 +231,13 @@ class _Parser:
             self.fail(f"exponent {value} exceeds the supported bound {_MAX_EXPONENT}", tok)
         return value
 
-    def base(self) -> Expr:
+    def base(self) -> Poly:
         tok = self.peek()
         if tok.kind == "IDENT":
             self.next()
             if tok.text not in self.idents:
                 self.fail(f"undeclared identifier '{tok.text}'", tok)
-            return Name(tok.text)
+            return Poly.var(tok.text)
         if tok.kind == "NUMBER":
             self.next()
             value = Fraction(tok.text)
@@ -291,16 +250,16 @@ class _Parser:
                 if int(den.text) == 0:
                     self.fail("zero denominator in rational literal", den)
                 value = value / int(den.text)
-            return Num(value)
+            return Poly.const(value)
         if self.at_symbol("("):
             if self.depth == _MAX_NESTING:
                 self.fail(f"parentheses nested deeper than {_MAX_NESTING} levels", tok)
             self.next()
             self.depth += 1
-            node = self.expr()
+            out = self.expr()
             self.depth -= 1
             self.expect_symbol(")")
-            return node
+            return out
         self.fail(f"expected identifier, number or '(', found {tok.text!r}"
                   if tok.text else "unexpected end of input")
 
@@ -313,38 +272,11 @@ def parse_field_spec(source: str) -> FieldSpec:
     return _Parser(_lex(source)).file()
 
 
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-
-
-def lower_expr(expr: Expr) -> Poly:
-    # a sum or product of any length is a left-leaning chain: walk its left
-    # spine in a loop, so only parentheses deepen the recursion
-    spine = []
-    while type(expr) in _BINARY:
-        spine.append(expr)
-        expr = expr.left
-    if isinstance(expr, Num):
-        out = Poly.const(expr.value)
-    elif isinstance(expr, Name):
-        out = Poly.var(expr.ident)
-    elif isinstance(expr, Neg):
-        out = -lower_expr(expr.arg)
-    elif isinstance(expr, Pow):
-        out = lower_expr(expr.base) ** expr.exponent
-    else:
-        raise TypeError(f"unknown expression node {expr!r}")
-    for node in reversed(spine):
-        out = _BINARY[type(node)](out, lower_expr(node.right))
-    return out
-
-
 def lower_to_polynomials(spec: FieldSpec) -> VectorField:
-    """Expand the expression trees into canonical polynomial components.
-
-    Variable order is parameters first (declaration order), then the two
-    state variables; this keeps printed forms like `a*x^2 - 2*x*y` stable.
+    """The field of `spec`, its components over the parameters (declaration
+    order) and then the two state variables; this keeps printed forms like
+    `a*x^2 - 2*x*y` stable.
     """
     order = tuple(p.name for p in spec.params) + spec.state_vars
-    f1 = lower_expr(spec.rhs[0]).reordered(order)
-    f2 = lower_expr(spec.rhs[1]).reordered(order)
+    f1, f2 = (p.reordered(order) for p in spec.rhs)
     return VectorField(f1, f2, spec.state_vars, spec.params)

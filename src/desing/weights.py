@@ -14,7 +14,6 @@ constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import AmbiguousWeights, NotQuasiHomogeneous
@@ -57,50 +56,39 @@ def _constraint_rows(f: VectorField) -> "list[tuple[int, int, int]]":
     return sorted(rows)
 
 
-def _nullspace(rows) -> "list[list[Fraction]]":
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = 3
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
+def _nullspace(rows) -> "list[tuple[int, int, int]]":
+    """Primitive integer basis of {v : row . v = 0 for every row}.
+
+    Rows are non-zero.  Rank 2 and 3 are read off a cross product of two
+    rows; at rank 1 the basis comes in the order Gauss-Jordan elimination
+    gives, one vector per free column.
+    """
+    first = rows[0]
+    for row in rows[1:]:
+        v = (
+            first[1] * row[2] - first[2] * row[1],
+            first[2] * row[0] - first[0] * row[2],
+            first[0] * row[1] - first[1] * row[0],
+        )
+        if any(v):
+            if any(sum(a * b for a, b in zip(v, r)) for r in rows):
+                return []
+            return [_primitive(v)]
+    p = next(i for i, c in enumerate(first) if c)
     basis = []
-    for free in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][free]
-        basis.append(v)
+    for free in (c for c in range(3) if c != p):
+        v = [0, 0, 0]
+        v[free], v[p] = first[p], -first[free]
+        basis.append(_primitive(v))
     return basis
 
 
 def _primitive(vec) -> "tuple[int, ...]":
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
+    g = gcd(*vec)
+    lead = next(x for x in vec if x)
     if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+        g = -g
+    return tuple(x // g for x in vec)
 
 
 def _positive_candidates(rows) -> "list[tuple[int, int, int]]":
@@ -133,10 +121,9 @@ def infer_weights(f: VectorField) -> Weights:
     if len(basis) >= 2:
         candidates = _positive_candidates(rows)
         raise AmbiguousWeights(
-            generators=[_primitive(v) for v in basis],
-            suggestion=candidates[0] if candidates else None,
+            generators=basis, suggestion=candidates[0] if candidates else None
         )
-    alpha, beta, k = _primitive(basis[0])
+    alpha, beta, k = basis[0]
     if alpha <= 0 or beta <= 0 or k < 0:
         raise NotQuasiHomogeneous(
             f"constraint solution ({alpha}, {beta}, {k}) has no positive representative"

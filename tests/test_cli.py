@@ -80,6 +80,31 @@ def test_zero_field_one_line_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "src, message",
+    [
+        (
+            "var x y; dx/dt = x; dy/dt = y;",
+            "weight constraints underdetermine (alpha, beta, k); generators: "
+            "(1, 0, 0), (0, 1, 0); minimal positive choice (1, 1, 0)",
+        ),
+        (
+            "var x y; dx/dt = x^2; dy/dt = 0;",
+            "weight constraints underdetermine (alpha, beta, k); generators: "
+            "(0, 1, 0), (1, 0, 1); minimal positive choice (1, 1, 1)",
+        ),
+    ],
+    ids=["linear", "x-squared"],
+)
+def test_ambiguous_weights_one_line_error(tmp_path, capsys, src, message):
+    path = tmp_path / "ambiguous.vf"
+    path.write_text(src)
+    code, out, err = run(capsys, "weights", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"weights: {message}"]
+
+
+@pytest.mark.parametrize(
     "name, argv, message",
     [
         ("r1", ["analyze"], "chart variable 'r1' collides with a field variable"),
@@ -322,6 +347,10 @@ def test_verify_seed_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--seed", "3")
     assert code == 0
     assert "(seed 7)" in out
+
+
+def test_verify_binds_a_to_one_by_default(capsys):
+    assert run(capsys, "verify") == run(capsys, "verify", "--param", "a=1")
 
 
 def test_verify_on_input_field(capsys):

@@ -1,23 +1,12 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from desing.dsl import (
-    Add,
-    FieldSpec,
-    Mul,
-    Name,
-    Neg,
-    Num,
-    Pow,
-    Sub,
-    lower_expr,
-    lower_to_polynomials,
-    parse_field_spec,
-)
+from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.errors import ParseError
-from desing.poly import poly_vars
+from desing.poly import Poly, poly_vars
 
 QUADRATIC_SRC = "param a > 0; var x y; dx/dt = a*x^2 - 2*x*y; dy/dt = y^2 - a*x*y;"
 
@@ -86,16 +75,16 @@ def test_implicit_multiplication_rejected():
 
 def test_decimal_literals_exact():
     spec = parse_field_spec("var x y; dx/dt = 0.5*x; dy/dt = 2.75*y;")
-    assert spec.rhs[0] == Mul(Num(Fraction(1, 2)), Name("x"))
-    f = lower_to_polynomials(spec)
     x, y = poly_vars("x", "y")
+    assert spec.rhs[0] == Fraction(1, 2) * x
+    f = lower_to_polynomials(spec)
     assert f.f1 == Fraction(1, 2) * x
     assert f.f2 == Fraction(11, 4) * y
 
 
 def test_rational_literals():
     spec = parse_field_spec("var x y; dx/dt = 2/3*x; dy/dt = 0;")
-    assert spec.rhs[0] == Mul(Num(Fraction(2, 3)), Name("x"))
+    assert spec.rhs[0] == Fraction(2, 3) * Poly.var("x")
     with pytest.raises(ParseError, match="denominator"):
         parse_field_spec("var x y; dx/dt = 1/0*x; dy/dt = 0;")
 
@@ -107,47 +96,77 @@ def test_binomial_identity_lowering():
     assert f.f1 == 2 * x * y
 
 
-# -- independent tree-interpreter oracle -------------------------------------------
+# -- expression trees local to the tests ------------------------------------------
+# A tree is ("num", Fraction), ("name", str), ("neg", tree), ("pow", tree, int)
+# or (op, left, right) with op one of "add", "sub", "mul".
+
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
-def eval_tree(expr, env):
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Name):
-        return env[expr.ident]
-    if isinstance(expr, Neg):
-        return -eval_tree(expr.arg, env)
-    if isinstance(expr, Add):
-        return eval_tree(expr.left, env) + eval_tree(expr.right, env)
-    if isinstance(expr, Sub):
-        return eval_tree(expr.left, env) - eval_tree(expr.right, env)
-    if isinstance(expr, Mul):
-        return eval_tree(expr.left, env) * eval_tree(expr.right, env)
-    if isinstance(expr, Pow):
-        return eval_tree(expr.base, env) ** expr.exponent
-    raise TypeError(expr)
+def interpret(tree, leaf):
+    """Fold `tree` with the ring operations of whatever `leaf` returns."""
+    kind = tree[0]
+    if kind in ("num", "name"):
+        return leaf(tree)
+    if kind == "neg":
+        return -interpret(tree[1], leaf)
+    if kind == "pow":
+        return interpret(tree[1], leaf) ** tree[2]
+    return _BINARY[kind](interpret(tree[1], leaf), interpret(tree[2], leaf))
+
+
+def eval_tree(tree, env):
+    return interpret(tree, lambda t: t[1] if t[0] == "num" else env[t[1]])
+
+
+def poly_tree(tree):
+    return interpret(tree, lambda t: Poly.const(t[1]) if t[0] == "num" else Poly.var(t[1]))
 
 
 def random_tree(rng, depth):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
-            return Name(rng.choice(["x", "y", "a"]))
-        return Num(Fraction(rng.randint(0, 9), rng.randint(1, 5)))
+            return ("name", rng.choice(["x", "y", "a"]))
+        return ("num", Fraction(rng.randint(0, 9), rng.randint(1, 5)))
     kind = rng.choice(["add", "sub", "mul", "neg", "pow"])
     if kind == "neg":
-        return Neg(random_tree(rng, depth - 1))
+        return ("neg", random_tree(rng, depth - 1))
     if kind == "pow":
-        return Pow(random_tree(rng, 0), rng.randint(0, 4))
-    left = random_tree(rng, depth - 1)
-    right = random_tree(rng, depth - 1)
-    return {"add": Add, "sub": Sub, "mul": Mul}[kind](left, right)
+        return ("pow", random_tree(rng, 0), rng.randint(0, 4))
+    return (kind, random_tree(rng, depth - 1), random_tree(rng, depth - 1))
 
 
-def test_lowering_agrees_with_tree_interpreter():
+def render(e, level=0):
+    """Source text with minimal parentheses; levels: 0 sum, 1 product, 2 factor,
+    3 base of a power or operand of a minus sign.  A right operand sits one
+    level deeper than its left, so the parser's left associativity must
+    rebuild the same tree."""
+    kind = e[0]
+    if kind in ("num", "name"):
+        return str(e[1])
+    if kind == "pow":
+        return f"{render(e[1], 3)}^{e[2]}"
+    if kind == "neg":
+        body, own = f"-{render(e[1], 3)}", 2
+    elif kind == "mul":
+        body, own = f"{render(e[1], 1)}*{render(e[2], 2)}", 1
+    else:
+        op = "+" if kind == "add" else "-"
+        body, own = f"{render(e[1], 0)} {op} {render(e[2], 1)}", 0
+    return f"({body})" if level > own else body
+
+
+def test_random_trees_parse_to_their_polynomials():
+    # two oracles: exact values at random rational points, and the term list
+    # (order included) of the tree expanded with Poly operations in source order
     rng = random.Random(2024)
     for _ in range(100):
         tree = random_tree(rng, 5)
-        poly = lower_expr(tree)
+        src = f"param a;\nvar x y;\ndx/dt = {render(tree)};\ndy/dt = 0;\n"
+        parsed = parse_field_spec(src).rhs[0]
+        expanded = poly_tree(tree)
+        assert parsed.vars == expanded.vars
+        assert list(parsed.terms.items()) == list(expanded.terms.items())
         for _ in range(10):
             env = {
                 "x": Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
@@ -155,36 +174,7 @@ def test_lowering_agrees_with_tree_interpreter():
                 "a": Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
             }
             expected = eval_tree(tree, env)
-            assert poly.bind({k: v for k, v in env.items() if k in poly.vars}) == expected
-
-
-def render(e, level=0):
-    """Source text with minimal parentheses; levels: 0 sum, 1 product, 2 factor,
-    3 base of a power.  A right operand sits one level deeper than its left,
-    so the parser's left associativity must rebuild the same tree."""
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, Name):
-        return e.ident
-    if isinstance(e, Pow):
-        return f"{render(e.base, 3)}^{e.exponent}"
-    if isinstance(e, Neg):
-        body, own = f"-{render(e.arg, 2)}", 2
-    elif isinstance(e, Mul):
-        body, own = f"{render(e.left, 1)}*{render(e.right, 2)}", 1
-    else:
-        op = "+" if isinstance(e, Add) else "-"
-        body, own = f"{render(e.left, 0)} {op} {render(e.right, 1)}", 0
-    return f"({body})" if level > own else body
-
-
-def test_random_trees_roundtrip_through_renderer():
-    rng = random.Random(99)
-    for _ in range(50):
-        tree = random_tree(rng, 4)
-        src = f"param a;\nvar x y;\ndx/dt = {render(tree)};\ndy/dt = 0;\n"
-        spec = parse_field_spec(src)
-        assert lower_expr(spec.rhs[0]) == lower_expr(tree)
+            assert parsed.bind({k: v for k, v in env.items() if k in parsed.vars}) == expected
 
 
 def test_nesting_limit_at_the_offending_parenthesis():
@@ -205,3 +195,8 @@ def test_long_chains_lower_like_short_ones():
     f = lower_to_polynomials(spec)
     assert f.f1 == -2998 * x * y
     assert f.f2 == y**1500
+    again = parse_field_spec(
+        "var x y; dx/dt = " + " - ".join(["x*y"] * 3000) + "; dy/dt = " + "*".join(["y"] * 1500) + ";"
+    )
+    assert hash(spec) == hash(again)
+    assert spec == again

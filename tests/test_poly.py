@@ -107,12 +107,12 @@ def test_canonical_rendering():
 
 def test_rendering_reparses_to_same_polynomial():
     # canonical output is legal DSL expression syntax
-    from desing.dsl import lower_expr, parse_field_spec
+    from desing.dsl import parse_field_spec
 
     p = (a * x**2 - 2 * x * y + Fraction(1, 3) * y**2).reordered(("a", "x", "y"))
     src = f"param a;\nvar x y;\ndx/dt = {p};\ndy/dt = 0;\n"
     spec = parse_field_spec(src)
-    assert lower_expr(spec.rhs[0]) == p
+    assert spec.rhs[0] == p
 
 
 def test_derivative():

@@ -1,12 +1,14 @@
 import random
+from math import gcd, lcm
 
 import pytest
+from sympy import Matrix
 
 from desing.errors import AmbiguousWeights, NotQuasiHomogeneous
 from desing.poly import Poly, poly_vars
 from desing.selfcheck import check_weights_oracle, demo_system
 from desing.vectorfield import VectorField
-from desing.weights import Weights, infer_weights, verify_weights
+from desing.weights import Weights, _nullspace, infer_weights, verify_weights
 
 x, y = poly_vars("x", "y")
 
@@ -123,3 +125,31 @@ def test_brute_force_enumeration_matches_inference():
     assert found[0] == (2, 1, 2)
     got = infer_weights(f)
     assert (got.alpha, got.beta, got.k) == found[0]
+
+
+def _sympy_primitive(vec):
+    scale = lcm(*(int(c.q) for c in vec))
+    ints = [int(c * scale) for c in vec]
+    g = gcd(*ints)
+    lead = next(c for c in ints if c)
+    return tuple(c // g if lead > 0 else -c // g for c in ints)
+
+
+def test_nullspace_matches_sympy():
+    rng = random.Random(1618)
+    for _ in range(600):
+        first = [rng.randint(-3, 3) for _ in range(3)]
+        if not any(first):
+            continue
+        rows = {tuple(first)}
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:  # a parallel row keeps the rank at 1
+                m = rng.choice([-2, -1, 2, 3])
+                rows.add(tuple(m * c for c in first))
+            else:
+                row = tuple(rng.randint(-3, 3) for _ in range(3))
+                if any(row):
+                    rows.add(row)
+        rows = sorted(rows)
+        expected = [_sympy_primitive(v) for v in Matrix(rows).nullspace()]
+        assert [tuple(v) for v in _nullspace(rows)] == expected, rows
