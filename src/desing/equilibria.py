@@ -442,8 +442,11 @@ def _sqrt_float(q: Fraction) -> float:
     rounded to a float once; OverflowError beyond the float range."""
     n, d = q.numerator, q.denominator
     e = (128 - n.bit_length() + d.bit_length()) // 2
-    t = (n << 2 * e) // d if e >= 0 else n // (d << -2 * e)
-    return math.ldexp(isqrt(t), -e)
+    t, rem = divmod(n << 2 * e, d) if e >= 0 else divmod(n, d << -2 * e)
+    s = isqrt(t)
+    # a sticky low bit for an inexact root: a truncated root that lands on a
+    # halfway point between floats would otherwise round down
+    return math.ldexp(s | (rem != 0 or s * s != t), -e)
 
 
 def _wing_equilibrium(eq: Equilibrium, model: str, k: int) -> Equilibrium:

