@@ -183,12 +183,11 @@ def overlap_sign(frm: ChartId, to: ChartId) -> int:
 OVERLAPS = tuple((a, b) for a in ChartId for b in ChartId if a.x_radial != b.x_radial)
 
 
-def transition(point, frm: ChartId, to: ChartId, weights: Weights = Weights(1, 1, 1)):
-    """Map a chart point to an overlapping chart.
+def transition(point, frm: ChartId, to: ChartId):
+    """Map a point of a unit-weight chart to an overlapping chart.
 
-    For unit weights the map is rational and computed exactly on rational
-    input; for general weights it is evaluated in floats.  The formulas
-    extend continuously to the divisor (radial = 0).
+    The map is rational and computed exactly; it extends continuously to
+    the divisor (radial = 0).
     """
     req = overlap_sign(frm, to)
     r, w = point
@@ -198,22 +197,8 @@ def transition(point, frm: ChartId, to: ChartId, weights: Weights = Weights(1, 1
         raise OutOfDomain(
             f"{frm}->{to} requires {_CHART_INFO[frm][1]} {'>' if req > 0 else '<'} 0"
         )
-    exact = (
-        weights.alpha == 1
-        and weights.beta == 1
-        and isinstance(r, (int, Fraction))
-        and isinstance(w, (int, Fraction))
-    )
-    if exact:
-        mag = abs(Fraction(w))
-        return (Fraction(r) * mag, Fraction(frm.sign) / mag)
-    alpha, beta = weights.alpha, weights.beta
-    mag = abs(float(w))
-    if frm.x_radial:
-        r_exp, a_exp = 1.0 / beta, alpha / beta
-    else:
-        r_exp, a_exp = 1.0 / alpha, beta / alpha
-    return (float(r) * mag**r_exp, frm.sign * mag**(-a_exp))
+    mag = abs(Fraction(w))
+    return (Fraction(r) * mag, Fraction(frm.sign) / mag)
 
 
 # -- compatibility of desingularized charts --------------------------------------------

@@ -192,14 +192,15 @@ def _min_dist_to_polyline(samples: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return np.sqrt((delta * delta).sum(axis=2)).min(axis=1)
 
 
-def hausdorff_defect(curve_a: np.ndarray, curve_b: np.ndarray, resample: float = 1e-3) -> float:
-    """One-sided Hausdorff distance from A to B over the common arc length."""
+def hausdorff_defect(curve_a: np.ndarray, curve_b: np.ndarray) -> float:
+    """One-sided Hausdorff distance from A to B over the common arc length,
+    sampled on A every 1e-3 of arc length."""
     la = float(np.hypot(*np.diff(curve_a, axis=0).T).sum()) if len(curve_a) > 1 else 0.0
     lb = float(np.hypot(*np.diff(curve_b, axis=0).T).sum()) if len(curve_b) > 1 else 0.0
     common = min(la, lb)
     a = _arc_truncate(curve_a, common)
     b = _arc_truncate(curve_b, common)
-    samples = _arc_resample(a, resample)
+    samples = _arc_resample(a, 1e-3)
     return float(_min_dist_to_polyline(samples, b).max())
 
 

@@ -65,8 +65,8 @@ class DegenerateChart(DesingError):
     degenerate.
     """
 
-    def __init__(self, chart, message="angular component vanishes identically on the divisor"):
-        super().__init__(f"{chart}: {message}")
+    def __init__(self, chart):
+        super().__init__(f"{chart}: angular component vanishes identically on the divisor")
         self.chart = chart
 
 

@@ -5,8 +5,11 @@ c^2 + sigma*s^2 = 1 and differentiates through the parametrization.  Both
 images are monomials, so the substitution is `Poly.monomial_map`.  The
 resulting 2x2 linear system for (radial', angular') has determinant exactly
 radius in the quotient ring, so the solve needs one division by the radial
-variable and nothing else.  That division and the desingularizing one by
-radius^k are `QuotientPoly.div_radial`, an exponent shift.  Trigonometric
+variable and nothing else.  One formula serves both signatures: the solve
+runs in `Poly`, reducing with `reduce_poly` only the products by c, where a
+c^2 can appear, and wraps each finished component in a `QuotientPoly`.  The
+division by the radius and the desingularizing one by radius^k are exponent
+shifts (`Poly.shift`, `QuotientPoly.div_radial`).  Trigonometric
 or hyperbolic functions are never expanded symbolically: `as_callable`
 binds the parameters and compiles both components over (c, s, r) with the
 same evaluator the plane and chart views use, into one function of
@@ -32,7 +35,7 @@ from typing import Callable, Mapping
 
 from .errors import NameCollision, NotDivisible, SingularAngle
 from .poly import Poly, float_evaluator
-from .quotient import COS, RADIAL, RESERVED, SIN, TRIG, QuotientPoly
+from .quotient import COS, NAMES, RADIAL, RESERVED, SIN, TRIG, QuotientPoly, reduce_poly
 from .vectorfield import Param, VectorField, bind_components
 
 SPHERE = 1
@@ -71,11 +74,11 @@ class PolarField:
 
     @property
     def angle_name(self) -> str:
-        return "theta" if self.sigma == SPHERE else "phi"
+        return NAMES[self.sigma][0]
 
     @property
     def radial_name(self) -> str:
-        return "r" if self.sigma == SPHERE else "rho"
+        return NAMES[self.sigma][1]
 
     def as_callable(self, bindings: Mapping) -> Callable:
         """Float evaluator (angle, radius) -> (angle', radius') with
@@ -84,10 +87,9 @@ class PolarField:
         return float_evaluator(polys, (COS, SIN, RADIAL), TRIG[self.sigma])
 
     def pretty(self) -> str:
-        a, r = self.angle_name, self.radial_name
         return (
-            f"{a}' = {self.angular.pretty(a, r)}\n"
-            f"{r}' = {self.radial.pretty(a, r)}"
+            f"{self.angle_name}' = {self.angular.pretty()}\n"
+            f"{self.radial_name}' = {self.radial.pretty()}"
         )
 
 
@@ -123,19 +125,16 @@ def polar_pushforward(f: VectorField, sigma: int, branch: Branch = Branch.X) -> 
     sub = {sx: r * c, sy: r * s}
 
     def push(poly):
-        return QuotientPoly(sigma, poly.monomial_map({v: b for v, b in sub.items() if v in poly.vars}))
+        return reduce_poly(poly.monomial_map({v: b for v, b in sub.items() if v in poly.vars}), sigma)
 
     F1, F2 = push(f1), push(f2)
-    C = QuotientPoly(sigma, c)
-    S = QuotientPoly(sigma, s)
     # rows (x', y') = [[c, -sigma*r*s], [s, r*c]] (radial', angular');
-    # det == r * (c^2 + sigma*s^2) == r
-    radial = C * F1 + S * F2 if sigma == SPHERE else C * F1 - S * F2
-    angular = (C * F2 - S * F1).div_radial(1)
-
+    # det == r * (c^2 + sigma*s^2) == r.  A product by s, or a sum of reduced
+    # terms, keeps the c-degree at most 1, so only the products by c reduce.
+    # The division by r sorts the terms, so it comes before the reorder.
     order = tuple(f.param_names()) + (COS, SIN, RADIAL)
-    angular = QuotientPoly(sigma, angular.base.reordered(order))
-    radial = QuotientPoly(sigma, radial.base.reordered(order))
+    radial = QuotientPoly(sigma, (reduce_poly(c * F1, sigma) + sigma * s * F2).reordered(order))
+    angular = QuotientPoly(sigma, (reduce_poly(c * F2, sigma) - s * F1).shift({RADIAL: 1}).reordered(order))
 
     # the largest power that keeps one radius in the radial component, as in
     # the charts: the weights' k on every unit-weight field, also where the

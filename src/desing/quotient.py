@@ -1,14 +1,19 @@
-"""Quotient-ring arithmetic modulo a circle or hyperbola identity.
+"""Normal forms modulo a circle or hyperbola identity.
 
-Elements live in Q[c, s, r, params...] / (c^2 + sigma*s^2 - 1):
+Elements of Q[c, s, r, params...] / (c^2 + sigma*s^2 - 1) are stored as
+normal forms:
 
     sigma = +1  models the unit circle,     (c, s) = (cos, sin)
     sigma = -1  models the unit hyperbola,  (c, s) = (cosh, sinh)
 
 Both relations are monic in c^2, so rewriting c^2 -> 1 - sigma*s^2 gives a
-unique normal form with c-degree <= 1 in every term.  The radial variable r
-and any parameters are untouched by reduction, which makes division by
-powers of r termwise exact whenever it is possible at all.
+unique normal form with c-degree <= 1 in every term.  `QuotientPoly` is that
+normal form and defines no arithmetic: sums and products are computed in
+`Poly` and reduced with `reduce_poly` wherever a c^2 can appear.  Reduction
+is a ring homomorphism, reduce(reduce(p)*reduce(q)) == reduce(p*q), which
+`verify` checks on random polynomials.  The radial variable r and any
+parameters are untouched by reduction, which makes division by powers of r
+termwise exact whenever it is possible at all.
 
 Floats enter only through `TRIG`, the one table of (cos, sin) or
 (cosh, sinh) by signature, and `poly.float_evaluator`.
@@ -29,8 +34,11 @@ RADIAL = "r"
 
 RESERVED = (COS, SIN, RADIAL)
 
-# float values of (c, s) at an angle, by signature
+# float values of (c, s) at an angle, by signature; their names print (c, s)
 TRIG = {1: (math.cos, math.sin), -1: (math.cosh, math.sinh)}
+
+# printed names of (angle, radius), by signature
+NAMES = {1: ("theta", "r"), -1: ("phi", "rho")}
 
 Scalar = Union[int, Fraction]
 
@@ -67,7 +75,7 @@ def reduce_poly(base: Poly, sigma: int) -> Poly:
 
 
 class QuotientPoly:
-    """A reduced representative of the quotient ring element."""
+    """A normal form of a quotient-ring element, with its signature."""
 
     __slots__ = ("sigma", "base")
 
@@ -77,68 +85,10 @@ class QuotientPoly:
         self.sigma = sigma
         self.base = reduce_poly(base, sigma)
 
-    # -- lifting and compatibility -------------------------------------------
-
-    def _lift(self, other):
-        if isinstance(other, QuotientPoly):
-            if other.sigma != self.sigma:
-                raise ValueError("mixing quotient rings of different signature")
-            return other
-        if isinstance(other, (int, Fraction, Poly)):
-            return QuotientPoly(self.sigma, other if isinstance(other, Poly) else Poly.const(other))
-        return None
-
-    # -- ring operations -------------------------------------------------------
-
-    def __add__(self, other):
-        q = self._lift(other)
-        if q is None:
-            return NotImplemented
-        return QuotientPoly(self.sigma, self.base + q.base)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuotientPoly(self.sigma, -self.base)
-
-    def __sub__(self, other):
-        q = self._lift(other)
-        if q is None:
-            return NotImplemented
-        return QuotientPoly(self.sigma, self.base - q.base)
-
-    def __rsub__(self, other):
-        q = self._lift(other)
-        if q is None:
-            return NotImplemented
-        return QuotientPoly(self.sigma, q.base - self.base)
-
-    def __mul__(self, other):
-        q = self._lift(other)
-        if q is None:
-            return NotImplemented
-        return QuotientPoly(self.sigma, self.base * q.base)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        result = QuotientPoly(self.sigma, Poly.const(1))
-        base = self
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"power must be a non-negative integer, got {n!r}")
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def __eq__(self, other):
-        q = self._lift(other) if not isinstance(other, QuotientPoly) else other
-        if q is None:
+        if not isinstance(other, QuotientPoly):
             return NotImplemented
-        return self.sigma == q.sigma and self.base == q.base
+        return self.sigma == other.sigma and self.base == other.base
 
     def __hash__(self):
         return hash((self.sigma, self.base))
@@ -167,14 +117,10 @@ class QuotientPoly:
 
     # -- printing ------------------------------------------------------------------
 
-    def pretty(self, angle_symbol: "str | None" = None, radial_symbol: "str | None" = None) -> str:
-        if self.sigma == 1:
-            ang = angle_symbol or "theta"
-            disp = {COS: f"cos({ang})", SIN: f"sin({ang})", RADIAL: radial_symbol or "r"}
-        else:
-            ang = angle_symbol or "phi"
-            disp = {COS: f"cosh({ang})", SIN: f"sinh({ang})", RADIAL: radial_symbol or "rho"}
-        return self.base.format(disp)
+    def pretty(self) -> str:
+        angle, radius = NAMES[self.sigma]
+        cos, sin = (fn.__name__ for fn in TRIG[self.sigma])
+        return self.base.format({COS: f"{cos}({angle})", SIN: f"{sin}({angle})", RADIAL: radius})
 
     def __str__(self):
         return str(self.base)
@@ -182,4 +128,3 @@ class QuotientPoly:
     def __repr__(self):
         rel = "c^2+s^2=1" if self.sigma == 1 else "c^2-s^2=1"
         return f"QuotientPoly[{rel}]({self.base.format()!r})"
-

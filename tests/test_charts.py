@@ -22,7 +22,7 @@ from desing.selfcheck import (
     _random_quasihomogeneous,
 )
 from desing.vectorfield import VectorField
-from desing.weights import Weights, infer_weights
+from desing.weights import Weights
 
 a = Poly.var("a")
 F = demo_system()
@@ -152,19 +152,6 @@ def test_transition_matches_embeddings():
 def test_transition_roundtrip_random():
     res = check_transition_roundtrip(seed=77)
     assert res.passed, res.detail
-
-
-def test_transition_general_weights_numeric():
-    f = VectorField(Poly.var("x") ** 2, Poly.var("y") ** 3, ("x", "y"))
-    w = infer_weights(f)  # (2, 1, 2)
-    cf1 = blow_up_in_chart(f, w, ChartId.K1)
-    cf2 = blow_up_in_chart(f, w, ChartId.K2)
-    point = (0.7, 1.3)
-    mapped = transition(point, ChartId.K1, ChartId.K2, w)
-    ex = cf1.embed(point)
-    got = cf2.embed(mapped)
-    assert ex[0] == pytest.approx(got[0], rel=1e-12)
-    assert ex[1] == pytest.approx(got[1], rel=1e-12)
 
 
 # -- compatibility ------------------------------------------------------------------

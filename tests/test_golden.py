@@ -13,7 +13,11 @@ interval endpoints: a change to the bisection path fails here even when the
 classification is unchanged.
 The portrait CSVs pin the term order of the chart and polar fields: the
 float evaluators sum in term order, so a reordered field changes the last
-digits of the trajectories.
+digits of the trajectories.  The k0_mixed field has a nonzero linear part, so
+every polar model divides by radius^0 and its portraits sum the radial
+component in the order the pushforward builds it, which is not grlex order.
+A division by a positive radial power sorts the terms, so only these
+portraits pin that order: sorting it changes both hyperbolic CSVs.
 
 A change that alters an output on purpose regenerates the files it means to
 change with `PYTHONPATH=src python tests/test_golden.py NAME ...` (every case
@@ -74,6 +78,13 @@ def _cases():
     for name, path, params, frame, grid in portraits:
         cases[f"portrait-{name}.csv"] = [
             "portrait", path, *params, "--frame", frame, f"--grid={grid}", "--t-end", "0.2",
+        ]
+    # a nonzero linear part gives k = 0 on every polar model, so these pin the
+    # raw radial term order that the division by radius^k otherwise hides
+    for frame in ("sphere", "hyperbolic-x", "hyperbolic-y"):
+        cases[f"portrait-k0_mixed-{frame}.csv"] = [
+            "portrait", GOLDEN / "inputs" / "k0_mixed.vf", "--param", "a=7/10", "--frame", frame,
+            "--grid=0.3:2.5:3,0.2:0.6:2", "--t-end", "0.3",
         ]
     # both orbits escape the x-wing (backward after 6 points, forward after
     # 50), which pins the left-domain ending of the cosh frame in both directions

@@ -170,7 +170,7 @@ def test_polar_finite_difference():
 
 
 def test_hyperbolic_finite_difference():
-    res = check_hyperbolic_finite_difference(F, {"a": Fraction(1)}, seed=43, cases=10)
+    res = check_hyperbolic_finite_difference(F, {"a": Fraction(1)}, seed=43)
     assert res.passed, res.detail
 
 

@@ -44,8 +44,6 @@ def test_reduced_degree_bound():
 
 def test_signature_mixing_rejected():
     with pytest.raises(ValueError):
-        QuotientPoly(1, c) + QuotientPoly(-1, c)
-    with pytest.raises(ValueError):
         QuotientPoly(0, c)
 
 
@@ -61,6 +59,29 @@ def test_div_radial():
 def test_homomorphism_random():
     res = check_reduction_homomorphism(seed=321)
     assert res.passed, res.detail
+
+
+def _reduce_dropping_top(base, sigma):
+    """reduce_poly with the last term of each binomial expansion left out."""
+    if COS not in base.vars:
+        return base
+    ci = base.vars.index(COS)
+    out = Poly.const(0)
+    for exps, coeff in base.terms.items():
+        q, rem = divmod(exps[ci], 2)
+        stripped = Poly(base.vars, {exps[:ci] + (rem,) + exps[ci + 1 :]: coeff})
+        top = (-sigma * s**2) ** q if q else 0
+        out = out + stripped * ((1 - sigma * s**2) ** q - top)
+    return out
+
+
+def test_homomorphism_check_catches_broken_reduction(monkeypatch):
+    import desing.quotient
+    import desing.selfcheck
+
+    for module in (desing.quotient, desing.selfcheck):
+        monkeypatch.setattr(module, "reduce_poly", _reduce_dropping_top, raising=False)
+    assert not check_reduction_homomorphism(0).passed
 
 
 def test_eval_float_uses_right_functions():
