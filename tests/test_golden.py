@@ -7,7 +7,11 @@ unit_interval field has an exact rational point on a chart-overlap boundary
 (|w| = 1) of a divisor polynomial with the leading coefficient 10^13; both
 pin the chart-ownership key.  The near_one field has an x-wing point whose
 root w = 1 - 10^-17 rounds to 1.0, which pins the wing linearization through
-the chart far out on the hyperboloid.  The dense fields of degree 8, 12 and 16
+the chart far out on the hyperboloid.  K3 and K4 reflect K1 and K2 when the
+pure radial exponent is odd; the antipodal_cubic field (weights (1, 1, 2))
+pins the reflection w -> -w with an even time factor, and the weighted_12
+field (weights (1, 2, 1)) one that keeps w and reverses time, next to a K4
+that cannot be reflected.  The dense fields of degree 8, 12 and 16
 have irrational divisor roots, so their JSON reports pin the isolating
 interval endpoints: a change to the bisection path fails here even when the
 classification is unchanged.
@@ -52,7 +56,7 @@ def _cases():
                 cases[f"blowup-{name}-{model}.{ext}"] = ["blowup", path, "--model", model, "--format", fmt]
     for fmt, ext in (("text", "txt"), ("json", "json")):
         cases[f"analyze-cubic.{ext}"] = ["analyze", CUBIC, "--format", fmt]
-    for name in ("eps_merge", "unit_interval"):
+    for name in ("eps_merge", "unit_interval", "antipodal_cubic", "weighted_12"):
         for fmt, ext in (("text", "txt"), ("json", "json")):
             cases[f"analyze-{name}.{ext}"] = ["analyze", GOLDEN / "inputs" / f"{name}.vf", "--format", fmt]
     for fmt, ext in (("text", "txt"), ("json", "json")):
