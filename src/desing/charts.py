@@ -38,7 +38,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .errors import NameCollision, OutOfDomain
+from .errors import NameCollision, NotDivisible, OutOfDomain
 from .poly import Poly, float_evaluator
 from .vectorfield import Param, VectorField, bind_components
 from .weights import Weights, verify_weights
@@ -120,11 +120,11 @@ class ChartField:
 def blow_up_in_chart(f: VectorField, w: Weights, chart: ChartId) -> ChartField:
     """Push f through the chart embedding and divide by radial^k.
 
-    Requires verify_weights(f, w); the triangular solve and both divisions
-    are exact, so a NotDivisible escape signals inconsistent weights.
+    Raises NotDivisible unless verify_weights(f, w): with verified weights
+    the triangular solve and both divisions are exact.
     """
     if not verify_weights(f, w):
-        raise ValueError(f"weights {w} do not verify on the field; cannot blow up")
+        raise NotDivisible(f"weights {w} do not verify on the field; cannot blow up")
     radial, angular, x_radial, sign = _CHART_INFO[chart]
     # a shared name would make the monomial map merge two exponents
     taken = set(f.f1.vars) | set(f.f2.vars) | set(f.param_names())

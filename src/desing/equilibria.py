@@ -22,6 +22,21 @@ enclosure.  Flow signs along the divisor follow from the root
 multiplicities and the sign of the leading coefficient, with no evaluation.
 The angle of a point's direction on the unit circle is for display only.
 
+K3 and K4 cover the halves of the blow-up sphere antipodal to K1 and K2,
+and on the paper's hyperbola they are the sheet x = -rho*cosh(phi) opposite
+x = rho*cosh(phi).  When the pure radial exponent of a negative chart is
+odd (alpha for K3, beta for K4), its chart map is the positive partner's
+after R(r, w) = (-r, eps*w), with eps = (-1)^beta for K3 and (-1)^alpha
+for K4, and dividing by r^k adds the time factor t = (-1)^k:
+
+    desing_K3(p) = t * R * desing_K1(R p),  likewise K4 from K2.
+
+So the report maps the partner's equilibria instead of isolating roots
+again: roots are mirrored and reversed when eps = -1, the Jacobian is
+t * R * J * R, and the trace scales by t while the determinant and
+discriminant stay.  With an even radial exponent no real r gives
+x = -r^alpha, and the chart is computed directly.
+
 A hyperboloid wing point is its chart point seen through the bridge
 beta(phi, rho) = (rho*cosh(phi), tanh(phi)) onto the x-chart (y-chart): the
 desingularized wing field is the chart field pushed through beta times
@@ -37,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
 from math import isqrt, lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .charts import ChartField, ChartId, blow_up_in_chart, embed, overlap_sign
 from .errors import DegenerateChart, DesingError
@@ -140,6 +155,13 @@ class ChartEquilibria(list):
     def __init__(self, lead_sign: int):
         super().__init__()
         self.lead_sign = lead_sign
+        # beside each member: the _SignTests of an enclosed one, None for an
+        # exact one; a reflected chart maps them instead of testing again
+        self.sign_tests: "list[_SignTests | None]" = []
+
+    def add(self, eq: Equilibrium, tests: "_SignTests | None" = None) -> None:
+        self.append(eq)
+        self.sign_tests.append(tests)
 
 
 @dataclass
@@ -295,24 +317,71 @@ class _DivisorJacobian:
         return cls(den, entries, tr, det, _add(_mul(tr, tr), det, -4))
 
 
-def _exact_equilibrium(cf: ChartField, root: RealRoot, dj: _DivisorJacobian) -> Equilibrium:
-    """The classified divisor equilibrium at an exact rational root."""
-    value = root.value
-    a, b, c, d = (poly_value(e, value) / dj.den for e in dj.entries)
-    jac = ((a, b), (c, d))
+class _SignTests(NamedTuple):
+    """The exact values whose signs classify an enclosed member: det, trace
+    and disc from `value_at_root` over den^2, den and den^2, disc None when
+    the class does not read it."""
+
+    den: int
+    det: Fraction
+    tr: Fraction
+    disc: "Fraction | None"
+
+    @classmethod
+    def at(cls, root: RealRoot, dj: _DivisorJacobian) -> "_SignTests":
+        det = value_at_root(dj.det, root)
+        tr = value_at_root(dj.tr, root)
+        disc = value_at_root(dj.disc, root) if det > 0 and tr else None
+        return cls(dj.den, det, tr, disc)
+
+
+def _exact_equilibrium(cf: ChartField, root: RealRoot, jac) -> Equilibrium:
+    """The classified divisor equilibrium at an exact rational root with the
+    exact Jacobian `jac` there."""
     cls, eig_exact, eig_float = classify_exact(jac)
     return Equilibrium(
         chart=cf.chart.value,
-        coords=(Fraction(0), value),
+        coords=(Fraction(0), root.value),
         exact=True,
         interval=None,
         jacobian=jac,
         eigenvalues=eig_float,
         eigenvalues_exact=eig_exact,
         classification=cls,
-        divisor_angle=divisor_angle(cf.chart, float(value), cf.weights),
+        divisor_angle=divisor_angle(cf.chart, float(root.value), cf.weights),
         root=root,
     )
+
+
+def _enclosed_equilibrium(
+    cf: ChartField, root: RealRoot, w: float, jac, tests: _SignTests
+) -> Equilibrium:
+    """The classified divisor equilibrium at an irrational root, printed at
+    the float `w` with the float Jacobian `jac`.  The class comes from the
+    exact signs of `tests`, and the eigenvalues from the same trace and
+    determinant values, so a zero sign prints a zero."""
+    den, det, tr, disc = tests
+    return Equilibrium(
+        chart=cf.chart.value,
+        coords=(0.0, w),
+        exact=False,
+        interval=(root.lo, root.hi),
+        jacobian=jac,
+        eigenvalues=_float_eigenvalues(float(tr / den), float(det / den**2)),
+        eigenvalues_exact=None,
+        classification=_classify(det, tr, disc),
+        divisor_angle=divisor_angle(cf.chart, w, cf.weights),
+        root=root,
+    )
+
+
+def _angular_on_divisor(cf: ChartField, des_w: Poly) -> "list[int]":
+    """The bound angular component on the divisor, as a trimmed integer
+    coefficient list; DegenerateChart when it vanishes identically."""
+    _, (coeffs,) = _on_divisor([des_w], cf.radial_var, cf.angular_var)
+    if not coeffs:
+        raise DegenerateChart(cf.chart.value)
+    return coeffs
 
 
 def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
@@ -323,48 +392,87 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
     record the chart as degenerate.
     """
     bound = check_param_bindings(cf.params, bindings)
-    rvar, wvar = cf.radial_var, cf.angular_var
     des_r = bind_params(cf.desing[0], bound)
     des_w = bind_params(cf.desing[1], bound)
-    _, (coeffs,) = _on_divisor([des_w], rvar, wvar)
-    if not coeffs:
-        raise DegenerateChart(cf.chart.value)
-
-    dj = _DivisorJacobian.of(des_r, des_w, rvar, wvar)
+    coeffs = _angular_on_divisor(cf, des_w)
+    dj = _DivisorJacobian.of(des_r, des_w, cf.radial_var, cf.angular_var)
     out = ChartEquilibria(1 if coeffs[-1] > 0 else -1)
     for root in real_roots(coeffs):
         if root.exact:
-            out.append(_exact_equilibrium(cf, root, dj))
+            a, b, c, d = (poly_value(e, root.value) / dj.den for e in dj.entries)
+            out.add(_exact_equilibrium(cf, root, ((a, b), (c, d))))
         else:
-            out.append(_interval_equilibrium(cf, root, dj))
+            tests = _SignTests.at(root, dj)
+            out.add(_interval_equilibrium(cf, root, dj, tests), tests)
     return out
 
 
-def _interval_equilibrium(cf, root: RealRoot, dj: _DivisorJacobian) -> Equilibrium:
-    """The classified divisor equilibrium at an irrational root.  The signs
-    of det, trace and disc at the root are exact; the Jacobian is evaluated
-    exactly at the enclosure's midpoint and rounded once, and the
-    eigenvalues come from the trace and determinant values of the sign
-    test, so a zero sign prints a zero."""
-    den = dj.den
-    det = value_at_root(dj.det, root)
-    tr = value_at_root(dj.tr, root)
-    disc = value_at_root(dj.disc, root) if det > 0 and tr else None
+def _interval_equilibrium(
+    cf: ChartField, root: RealRoot, dj: _DivisorJacobian, tests: _SignTests
+) -> Equilibrium:
+    """The classified divisor equilibrium at an irrational root.  The
+    Jacobian is evaluated exactly at the enclosure's midpoint and rounded
+    once."""
     mid = (root.lo + root.hi) / 2
-    a, b, c, d = (float(poly_value(e, mid) / den) for e in dj.entries)
-    w = float(mid)
-    return Equilibrium(
-        chart=cf.chart.value,
-        coords=(0.0, w),
-        exact=False,
-        interval=(root.lo, root.hi),
-        jacobian=((a, b), (c, d)),
-        eigenvalues=_float_eigenvalues(float(tr / den), float(det / den**2)),
-        eigenvalues_exact=None,
-        classification=_classify(det, tr, disc),
-        divisor_angle=divisor_angle(cf.chart, w, cf.weights),
-        root=root,
-    )
+    a, b, c, d = (float(poly_value(e, mid) / dj.den) for e in dj.entries)
+    return _enclosed_equilibrium(cf, root, float(mid), ((a, b), (c, d)), tests)
+
+
+# -- reflected charts ----------------------------------------------------------------
+
+
+def _reflection(chart: ChartId, w: Weights) -> "tuple[ChartId, int, int] | None":
+    """(partner, eps, t) when the chart's desingularized field is
+    t * R * (partner's field)(R p) with R(r, w) = (-r, eps*w), and None when
+    the chart is computed directly: a chart with sign +1, or one whose pure
+    radial exponent is even."""
+    radial, angular = (w.alpha, w.beta) if chart.x_radial else (w.beta, w.alpha)
+    if chart.sign > 0 or radial % 2 == 0:
+        return None
+    partner = next(c for c in ChartId if c.x_radial == chart.x_radial and c.sign > 0)
+    return partner, 1 - 2 * (angular % 2), 1 - 2 * (w.k % 2)
+
+
+def _signed(s: int, x):
+    """s * x for s = +-1, with a float zero kept as 0.0 rather than -0.0."""
+    return x if s > 0 or not x else -x
+
+
+def _mirrored(root: RealRoot) -> RealRoot:
+    """The root -x for a root x, as `real_roots` returns it from the
+    mirrored polynomial.  The factor f(-x) is made leading positive, as
+    `yun_squarefree` leaves every factor; the Cauchy interval is symmetric
+    and bisection splits at midpoints, so the enclosure is x's mirrored."""
+    factor = [-c if i % 2 else c for i, c in enumerate(root.factor)]
+    if factor[-1] < 0:
+        factor = [-c for c in factor]
+    if root.exact:
+        return RealRoot(-root.value, None, None, root.multiplicity, tuple(factor))
+    return RealRoot(None, -root.hi, -root.lo, root.multiplicity, tuple(factor))
+
+
+def _reflected_equilibria(
+    cf: ChartField, bound: Mapping, partner: ChartEquilibria, eps: int, t: int
+) -> ChartEquilibria:
+    """The chart's divisor equilibria mapped from its reflection partner's.
+
+    A partner point (0, w') is the point (0, eps*w') here, and with the time
+    factor t the Jacobian is t * R * J' * R: a and d scale by t, b and c by
+    -t*eps.  det and disc are unchanged and the trace scales by t."""
+    coeffs = _angular_on_divisor(cf, bind_params(cf.desing[1], bound))
+    out = ChartEquilibria(1 if coeffs[-1] > 0 else -1)
+    pairs = list(zip(partner, partner.sign_tests))
+    for eq, tests in reversed(pairs) if eps < 0 else pairs:
+        root = _mirrored(eq.root) if eps < 0 else eq.root
+        (a, b), (c, d) = eq.jacobian
+        off = -t * eps
+        jac = ((_signed(t, a), _signed(off, b)), (_signed(off, c), _signed(t, d)))
+        if tests is None:
+            out.add(_exact_equilibrium(cf, root, jac))
+        else:
+            tests = tests._replace(tr=t * tests.tr)
+            out.add(_enclosed_equilibrium(cf, root, _signed(eps, eq.coords[1]), jac, tests), tests)
+    return out
 
 
 # -- global picture ----------------------------------------------------------------------
@@ -532,7 +640,8 @@ def global_divisor_report(
 
     sphere / directional: analyse all four sign charts, key every divisor
     point by its owning chart and exact root, and attach the angular flow
-    signs between consecutive points.  hyperbolic-x / hyperbolic-y: analyse
+    signs between consecutive points.  K3 and K4 are mapped from K1 and K2
+    wherever the chart map reflects (see the module docstring).  hyperbolic-x / hyperbolic-y: analyse
     the wing covered by the corresponding directional chart.
 
     The members of a merged point share its classification: they see one
@@ -557,8 +666,13 @@ def global_divisor_report(
     for chart in charts:
         cf = blow_up_in_chart(f, w, chart)
         chart_fields[chart.value] = cf
+        reflection = _reflection(chart, w)
         try:
-            found[chart] = divisor_equilibria(cf, bound)
+            if reflection and reflection[0] in found:
+                partner, eps, t = reflection
+                found[chart] = _reflected_equilibria(cf, bound, found[partner], eps, t)
+            else:
+                found[chart] = divisor_equilibria(cf, bound)
         except DegenerateChart:
             degenerate.append(chart.value)
     # a chart is degenerate when the angular component vanishes on the whole

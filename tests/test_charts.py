@@ -11,7 +11,7 @@ from desing.charts import (
     overlap_sign,
     transition,
 )
-from desing.errors import OutOfDomain
+from desing.errors import NotDivisible, OutOfDomain
 from desing.poly import Poly, poly_vars
 from desing.selfcheck import (
     check_chart_pushforward,
@@ -77,6 +77,52 @@ def test_raw_is_radial_power_times_desing():
             assert cf.raw[1] == rk * cf.desing[1]
 
 
+def _reflected_desing(f, w, source: ChartId, target: ChartId):
+    """t * R * desing_source(R p) over the target chart's variables, with
+    R(r, w) = (-r, eps*w), eps the sign (-1)^(the other weight) and
+    t = (-1)^k."""
+    src, tgt = blow_up_in_chart(f, w, source), blow_up_in_chart(f, w, target)
+    eps = (-1) ** (w.beta if source.x_radial else w.alpha)
+    t = (-1) ** w.k
+    images = {
+        src.radial_var: -Poly.var(tgt.radial_var),
+        src.angular_var: eps * Poly.var(tgt.angular_var),
+    }
+    g_r, g_w = (p.monomial_map({v: images[v] for v in p.vars if v in images}) for p in src.desing)
+    return tgt.desing, (-t * g_r, t * eps * g_w)
+
+
+def test_negative_charts_reflect_positive_ones_for_odd_radial_exponents():
+    # K3's map is K1's after R when alpha is odd, K4's is K2's when beta is
+    # odd; dividing by r^k adds the time factor (-1)^k
+    rng = random.Random(2718)
+    fields = [(F, W)] + [_random_quasihomogeneous(rng) for _ in range(60)]
+    seen = set()
+    for f, w in fields:
+        for source, target, radial in (
+            (ChartId.K1, ChartId.K3, w.alpha),
+            (ChartId.K2, ChartId.K4, w.beta),
+        ):
+            if radial % 2:
+                got, want = _reflected_desing(f, w, source, target)
+                assert got == want, (f, w, target)
+                seen.add((target, w.k % 2, (w.beta if target is ChartId.K3 else w.alpha) % 2))
+    # both charts, k of both parities, eps of both signs
+    assert {(c, k) for c, k, _ in seen} == {(c, k) for c in (ChartId.K3, ChartId.K4) for k in (0, 1)}
+    assert {(c, e) for c, _, e in seen} == {(c, e) for c in (ChartId.K3, ChartId.K4) for e in (0, 1)}
+
+
+def test_even_radial_exponent_does_not_reflect():
+    # weighted_cubic.vf, type (2, 1): no real r gives x = -r^2, and the K1
+    # map does not give K3, so K3 is computed directly
+    x, y = poly_vars("x", "y")
+    f, w = VectorField(x**2, y**3, ("x", "y")), Weights(2, 1, 2)
+    got, want = _reflected_desing(f, w, ChartId.K1, ChartId.K3)
+    assert got[0] != want[0] and got[1] != want[1]
+    got, want = _reflected_desing(f, w, ChartId.K2, ChartId.K4)
+    assert got == want
+
+
 def test_zero_field_blow_up():
     zero = VectorField(Poly.zero(("x", "y")), Poly.zero(("x", "y")), ("x", "y"))
     cf = blow_up_in_chart(zero, Weights(1, 1, 0), ChartId.K1)
@@ -85,7 +131,7 @@ def test_zero_field_blow_up():
 
 
 def test_bad_weights_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotDivisible):
         blow_up_in_chart(F, Weights(2, 1, 1), ChartId.K1)
 
 

@@ -22,6 +22,8 @@ from desing.equilibria import (
     divisor_angle,
     divisor_equilibria,
     _owned_points,
+    _reflected_equilibria,
+    _reflection,
     _sqrt_float,
     global_divisor_report,
 )
@@ -220,16 +222,18 @@ def test_irrational_double_root_certified_non_hyperbolic():
         assert eq.classification == CLASS_NON_HYPERBOLIC
 
 
-def _k1_field(radial, angular):
-    r1, y1 = poly_vars("r1", "y1")
+def _k1_field(radial, angular, chart=ChartId.K1, weights=W):
+    """A hand-built desingularized x-chart field (K1 or K3) with index 1."""
+    rv, wv = f"r{chart.value[1]}", f"y{chart.value[1]}"
+    r = Poly.var(rv)
     return ChartField(
-        chart=ChartId.K1,
-        weights=W,
-        radial_var="r1",
-        angular_var="y1",
-        raw=(r1 * radial, r1 * angular),
+        chart=chart,
+        weights=weights,
+        radial_var=rv,
+        angular_var=wv,
+        raw=(r * radial, r * angular),
         desing=(radial, angular),
-        divisor="r1 = 0",
+        divisor=f"{rv} = 0",
         params=(),
     )
 
@@ -686,3 +690,88 @@ def test_merged_members_share_the_classification(seed):
     report = global_divisor_report(f, w, {})
     for m in report.equilibria:
         assert {e.classification for e in m.members} == {m.classification}
+
+
+# -- reflected charts -------------------------------------------------------------------
+
+
+def _assert_reflections_match(f, w, bindings) -> int:
+    """Map every reflectable chart from its partner and compare with the
+    direct path: the lead sign, the sign tests and each member by repr,
+    which tells -0.0 from 0.0 where == does not.  Returns the number of
+    charts with a reflection partner."""
+    direct = {}
+    for chart in ChartId:
+        try:
+            direct[chart] = divisor_equilibria(blow_up_in_chart(f, w, chart), bindings)
+        except DegenerateChart:
+            pass
+    reflected = 0
+    for chart in ChartId:
+        reflection = _reflection(chart, w)
+        radial = w.alpha if chart.x_radial else w.beta
+        if chart.sign > 0 or radial % 2 == 0:
+            assert reflection is None
+            continue
+        partner, eps, t = reflection
+        assert partner.x_radial == chart.x_radial and partner.sign == 1
+        reflected += 1
+        if partner not in direct:
+            assert chart not in direct
+            continue
+        got = _reflected_equilibria(blow_up_in_chart(f, w, chart), bindings, direct[partner], eps, t)
+        want = direct[chart]
+        assert got.lead_sign == want.lead_sign
+        assert [repr(e) for e in got] == [repr(e) for e in want]
+        assert got.sign_tests == want.sign_tests
+    return reflected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_reflected_charts_match_direct_random_types(seed):
+    f, w = _random_quasihomogeneous(random.Random(seed))
+    _assert_reflections_match(f, w, {})
+
+
+WEIGHT_TYPES = ((1, 1), (1, 2), (2, 1), (3, 1), (3, 2))
+coefficients = st.fractions(-5, 5, max_denominator=4).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(WEIGHT_TYPES), st.integers(0, 6), st.data())
+def test_reflected_charts_match_direct(weights, k, data):
+    # quasi-homogeneous of the drawn type and index, each coefficient
+    # optionally times a bound parameter
+    alpha, beta = weights
+    mono1 = [(m, n) for m in range(8) for n in range(8) if alpha * m + beta * n == alpha + k]
+    mono2 = [(m, n) for m in range(8) for n in range(8) if alpha * m + beta * n == beta + k]
+    assume(mono1 and mono2)
+
+    def component(monos):
+        picked = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        terms = {(data.draw(st.integers(0, 1)), m, n): data.draw(coefficients) for m, n in picked}
+        return Poly(("a", "x", "y"), terms)
+
+    f = VectorField(component(mono1), component(mono2), ("x", "y"), (Param("a"),))
+    bindings = {"a": data.draw(st.fractions(-3, 3, max_denominator=3))}
+    assert _assert_reflections_match(f, Weights(alpha, beta, k), bindings) == (alpha % 2) + (beta % 2)
+
+
+@pytest.mark.parametrize("w", [Weights(1, 1, 1), Weights(1, 1, 2), Weights(1, 2, 1), Weights(1, 2, 2)])
+def test_reflection_maps_the_off_diagonal_jacobian(w):
+    # a blown-up field has b = c = 0 on the divisor, so these hand-built K1
+    # fields with c = d(w')/dr = 1 pin the sign -t*eps of the mapped c; the
+    # K3 field is t * R * K1(R p), built over the K3 variables
+    r1, y1 = poly_vars("r1", "y1")
+    _, eps, t = _reflection(ChartId.K3, w)
+    images = {"r1": -Poly.var("r3"), "y1": eps * Poly.var("y3")}
+    for d in (y1**2 - 2, y1**2 - 1):
+        k1 = (r1 * (2 * y1 + d), d + r1)
+        k3 = [s * p.monomial_map(images) for s, p in zip((-t, t * eps), k1)]
+        cf1 = _k1_field(*k1, weights=w)
+        cf3 = _k1_field(*k3, chart=ChartId.K3, weights=w)
+        got = _reflected_equilibria(cf3, {}, divisor_equilibria(cf1, {}), eps, t)
+        want = divisor_equilibria(cf3, {})
+        assert [repr(e) for e in got] == [repr(e) for e in want]
+        assert all(e.jacobian[1][0] == -t * eps for e in got)

@@ -289,7 +289,7 @@ def test_blow_up_raises_exactly_on_unverified_weights(fw, chart):
         rk = Poly.var(cf.radial_var) ** w.k
         assert rk * cf.desing[0] == cf.raw[0] and rk * cf.desing[1] == cf.raw[1]
     else:
-        with pytest.raises(ValueError):
+        with pytest.raises(NotDivisible):
             blow_up_in_chart(f, w, chart)
 
 
