@@ -402,20 +402,22 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
             a, b, c, d = (poly_value(e, root.value) / dj.den for e in dj.entries)
             out.add(_exact_equilibrium(cf, root, ((a, b), (c, d))))
         else:
-            tests = _SignTests.at(root, dj)
-            out.add(_interval_equilibrium(cf, root, dj, tests), tests)
+            _interval_equilibrium(cf, root, dj, out)
     return out
 
 
 def _interval_equilibrium(
-    cf: ChartField, root: RealRoot, dj: _DivisorJacobian, tests: _SignTests
+    cf: ChartField, root: RealRoot, dj: _DivisorJacobian, out: ChartEquilibria
 ) -> Equilibrium:
-    """The classified divisor equilibrium at an irrational root.  The
-    Jacobian is evaluated exactly at the enclosure's midpoint and rounded
-    once."""
+    """Add the classified divisor equilibrium at an irrational root to `out`,
+    with its sign tests, and return it.  The Jacobian is evaluated exactly
+    at the enclosure's midpoint and rounded once."""
+    tests = _SignTests.at(root, dj)
     mid = (root.lo + root.hi) / 2
     a, b, c, d = (float(poly_value(e, mid) / dj.den) for e in dj.entries)
-    return _enclosed_equilibrium(cf, root, float(mid), ((a, b), (c, d)), tests)
+    eq = _enclosed_equilibrium(cf, root, float(mid), ((a, b), (c, d)), tests)
+    out.add(eq, tests)
+    return eq
 
 
 # -- reflected charts ----------------------------------------------------------------
