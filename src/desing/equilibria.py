@@ -327,13 +327,6 @@ class _SignTests(NamedTuple):
     tr: Fraction
     disc: "Fraction | None"
 
-    @classmethod
-    def at(cls, root: RealRoot, dj: _DivisorJacobian) -> "_SignTests":
-        det = value_at_root(dj.det, root)
-        tr = value_at_root(dj.tr, root)
-        disc = value_at_root(dj.disc, root) if det > 0 and tr else None
-        return cls(dj.den, det, tr, disc)
-
 
 def _exact_equilibrium(cf: ChartField, root: RealRoot, jac) -> Equilibrium:
     """The classified divisor equilibrium at an exact rational root with the
@@ -412,7 +405,10 @@ def _interval_equilibrium(
     """Add the classified divisor equilibrium at an irrational root to `out`,
     with its sign tests, and return it.  The Jacobian is evaluated exactly
     at the enclosure's midpoint and rounded once."""
-    tests = _SignTests.at(root, dj)
+    det = value_at_root(dj.det, root)
+    tr = value_at_root(dj.tr, root)
+    disc = value_at_root(dj.disc, root) if det > 0 and tr else None
+    tests = _SignTests(dj.den, det, tr, disc)
     mid = (root.lo + root.hi) / 2
     a, b, c, d = (float(poly_value(e, mid) / dj.den) for e in dj.entries)
     eq = _enclosed_equilibrium(cf, root, float(mid), ((a, b), (c, d)), tests)
