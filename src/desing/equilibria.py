@@ -2,17 +2,24 @@
 
 Restricting the desingularized angular component to the divisor gives a
 univariate rational polynomial; its real roots are the chart's divisor
-equilibria.  The classification needs only the exact signs of the Jacobian's
-determinant, trace and discriminant at the root, with no tolerance at all:
+equilibria.
 
-    det < 0                 -> saddle
-    det = 0 or trace = 0    -> non-hyperbolic (a zero-real-part eigenvalue)
-    det > 0, trace != 0     -> node (disc >= 0) or focus (disc < 0)
+The divisor is invariant, and the Jacobian on it is diagonal.  In K1, say,
+x = r^alpha and y = r^beta*w, and with verified weights every x-term of the
+field is pushed to r^(alpha+k) times a power of w, and every y-term to
+r^(beta+k) times one.  So x' = alpha*r^(alpha-1)*r' gives r' = r^(k+1)*P(w),
+and w' = r^k*Q(w); dividing by r^k leaves r' = r*P(w) and w' = Q(w) in
+every chart.  On r = 0 the Jacobian in (r, w) order is diag(P(w0), Q'(w0)),
+and its two entries a and d are its eigenvalues.  With no tolerance at all:
 
-At a rational root the Jacobian is exact.  At an irrational root the three
-invariants are polynomials in the root, built once per chart, and
-`value_at_root` decides each sign exactly on the root's enclosure; the
-printed Jacobian and eigenvalues are floats that agree with those signs.
+    a*d < 0             -> saddle
+    a = 0 or d = 0      -> non-hyperbolic (a zero eigenvalue)
+    a*d > 0             -> stable node for a < 0, unstable node for a > 0
+
+A focus cannot occur: the discriminant is (a - d)^2 >= 0.  At a rational
+root a and d are exact.  At an irrational root `value_at_root` gives each a
+rational with its exact sign, exactly 0 when the entry vanishes there; the
+printed Jacobian and eigenvalues are those values rounded once.
 
 Each divisor point is keyed by its owning chart and exact root: K1 and K3
 own their roots with |w| <= 1, K2 and K4 those with |w| < 1.  The chart
@@ -32,17 +39,16 @@ for K4, and dividing by r^k adds the time factor t = (-1)^k:
     desing_K3(p) = t * R * desing_K1(R p),  likewise K4 from K2.
 
 So the report maps the partner's equilibria instead of isolating roots
-again: roots are mirrored and reversed when eps = -1, the Jacobian is
-t * R * J * R, and the trace scales by t while the determinant and
-discriminant stay.  With an even radial exponent no real r gives
-x = -r^alpha, and the chart is computed directly.
+again: roots are mirrored and reversed when eps = -1, and the Jacobian is
+t * R * diag(a, d) * R = t * diag(a, d).  With an even radial exponent no
+real r gives x = -r^alpha, and the chart is computed directly.
 
 A hyperboloid wing point is its chart point seen through the bridge
 beta(phi, rho) = (rho*cosh(phi), tanh(phi)) onto the x-chart (y-chart): the
 desingularized wing field is the chart field pushed through beta times
-cosh(phi)^k.  The chart Jacobian (a, b; c, d) in (r, w) order is diagonal on
-the divisor for unit weights, so the wing Jacobian in (phi, rho) order is
-cosh(phi)^k * diag(d, a), and the wing point keeps the chart's class.
+cosh(phi)^k.  With the chart Jacobian diag(a, d), the wing Jacobian in
+(phi, rho) order is cosh(phi)^k * diag(d, a), and the wing point keeps the
+chart's class.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
 from math import isqrt, lcm
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .charts import ChartField, ChartId, blow_up_in_chart, embed, overlap_sign
 from .errors import DegenerateChart, DesingError
@@ -60,10 +66,7 @@ from .polar import MODELS, PolarField, desingularize_polar, polar_pushforward
 from .poly import Poly
 from .realroots import (
     RealRoot,
-    _add,
-    _mul,
     compare_root,
-    poly_value,
     real_roots,
     refine_root,
     value_at_root,
@@ -76,8 +79,6 @@ TWO_PI = 2.0 * math.pi
 CLASS_SADDLE = "hyperbolic-saddle"
 CLASS_STABLE_NODE = "hyperbolic-stable-node"
 CLASS_UNSTABLE_NODE = "hyperbolic-unstable-node"
-CLASS_STABLE_FOCUS = "hyperbolic-focus-stable"
-CLASS_UNSTABLE_FOCUS = "hyperbolic-focus-unstable"
 CLASS_NON_HYPERBOLIC = "non-hyperbolic"
 
 MODEL_SPHERE = "sphere"
@@ -155,13 +156,6 @@ class ChartEquilibria(list):
     def __init__(self, lead_sign: int):
         super().__init__()
         self.lead_sign = lead_sign
-        # beside each member: the _SignTests of an enclosed one, None for an
-        # exact one; a reflected chart maps them instead of testing again
-        self.sign_tests: "list[_SignTests | None]" = []
-
-    def add(self, eq: Equilibrium, tests: "_SignTests | None" = None) -> None:
-        self.append(eq)
-        self.sign_tests.append(tests)
 
 
 @dataclass
@@ -196,52 +190,25 @@ class GlobalReport:
 # -- classification ------------------------------------------------------------------
 
 
-def _exact_sqrt(value: Fraction) -> "Fraction | None":
-    if value < 0:
-        return None
-    n, d = value.numerator, value.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def _float_eigenvalues(tr: float, det: float) -> "tuple[complex, complex]":
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        # the smaller root (tr -+ sqrt(disc)) / 2 cancels when det << tr^2:
-        # take the larger, whose terms share a sign, and det over it (Vieta)
-        big = (tr + math.copysign(math.sqrt(disc), tr)) / 2.0
-        pair = (complex(det / big if det else 0.0), complex(big))
-    else:
-        root = math.sqrt(-disc)
-        pair = (complex(tr / 2.0, -root / 2.0), complex(tr / 2.0, root / 2.0))
-    return tuple(sorted(pair, key=lambda z: (z.real, z.imag)))
-
-
-def _classify(det, tr, disc) -> str:
-    """The class from exact values or values with the exact signs; `disc` is
-    read only when det > 0 and tr != 0."""
-    if det < 0:
+def _classify(a, d) -> str:
+    """The class of the divisor Jacobian diag(a, d) from exact values or
+    values with the exact signs."""
+    if a * d < 0:
         return CLASS_SADDLE
-    if det == 0 or tr == 0:
+    if not a or not d:
         return CLASS_NON_HYPERBOLIC
-    if disc >= 0:
-        return CLASS_STABLE_NODE if tr < 0 else CLASS_UNSTABLE_NODE
-    return CLASS_STABLE_FOCUS if tr < 0 else CLASS_UNSTABLE_FOCUS
+    return CLASS_STABLE_NODE if a < 0 else CLASS_UNSTABLE_NODE
 
 
-def classify_exact(jac) -> "tuple[str, tuple | None, tuple[complex, complex]]":
-    """Classification of an exact rational 2x2 Jacobian: no tolerances."""
-    (a, b), (c, d) = jac
-    tr = a + d
-    det = a * d - b * c
-    disc = tr * tr - 4 * det
-    exact_pair = None
-    root = _exact_sqrt(disc)
-    if root is not None:
-        exact_pair = tuple(sorted(((tr - root) / 2, (tr + root) / 2)))
-    return _classify(det, tr, disc), exact_pair, _float_eigenvalues(float(tr), float(det))
+def _float_pair(a: float, d: float) -> "tuple[complex, complex]":
+    """The eigenvalues of the float Jacobian diag(a, d), in increasing order."""
+    return tuple(complex(x) for x in sorted((a, d)))
+
+
+def classify_exact(a: Fraction, d: Fraction) -> "tuple[str, tuple, tuple[complex, complex]]":
+    """The class and the eigenvalues, exact and rounded once, of the exact
+    divisor Jacobian diag(a, d): no tolerances."""
+    return _classify(a, d), tuple(sorted((a, d))), _float_pair(float(a), float(d))
 
 
 # -- chart-local analysis ----------------------------------------------------------------
@@ -295,49 +262,16 @@ def divisor_angle(chart: ChartId, w_value: float, weights: Weights) -> float:
     return math.atan2(y, x) % TWO_PI
 
 
-@dataclass(frozen=True)
-class _DivisorJacobian:
-    """The Jacobian entries (a, b, c, d) restricted to the divisor, as
-    integer coefficient lists over one positive common denominator `den`, and
-    the trace, determinant and discriminant over den, den^2 and den^2."""
-
-    den: int
-    entries: "list[list[int]]"
-    tr: "list[int]"
-    det: "list[int]"
-    disc: "list[int]"
-
-    @classmethod
-    def of(cls, des_r: Poly, des_w: Poly, rvar: str, wvar: str) -> "_DivisorJacobian":
-        polys = [des.derivative(v) for des in (des_r, des_w) for v in (rvar, wvar)]
-        den, entries = _on_divisor(polys, rvar, wvar)
-        a, b, c, d = entries
-        tr = _add(a, d)
-        det = _add(_mul(a, d), _mul(b, c), -1)
-        return cls(den, entries, tr, det, _add(_mul(tr, tr), det, -4))
-
-
-class _SignTests(NamedTuple):
-    """The exact values whose signs classify an enclosed member: det, trace
-    and disc from `value_at_root` over den^2, den and den^2, disc None when
-    the class does not read it."""
-
-    den: int
-    det: Fraction
-    tr: Fraction
-    disc: "Fraction | None"
-
-
-def _exact_equilibrium(cf: ChartField, root: RealRoot, jac) -> Equilibrium:
+def _exact_equilibrium(cf: ChartField, root: RealRoot, a: Fraction, d: Fraction) -> Equilibrium:
     """The classified divisor equilibrium at an exact rational root with the
-    exact Jacobian `jac` there."""
-    cls, eig_exact, eig_float = classify_exact(jac)
+    exact Jacobian diag(a, d) there."""
+    cls, eig_exact, eig_float = classify_exact(a, d)
     return Equilibrium(
         chart=cf.chart.value,
         coords=(Fraction(0), root.value),
         exact=True,
         interval=None,
-        jacobian=jac,
+        jacobian=((a, Fraction(0)), (Fraction(0), d)),
         eigenvalues=eig_float,
         eigenvalues_exact=eig_exact,
         classification=cls,
@@ -346,23 +280,19 @@ def _exact_equilibrium(cf: ChartField, root: RealRoot, jac) -> Equilibrium:
     )
 
 
-def _enclosed_equilibrium(
-    cf: ChartField, root: RealRoot, w: float, jac, tests: _SignTests
-) -> Equilibrium:
-    """The classified divisor equilibrium at an irrational root, printed at
-    the float `w` with the float Jacobian `jac`.  The class comes from the
-    exact signs of `tests`, and the eigenvalues from the same trace and
-    determinant values, so a zero sign prints a zero."""
-    den, det, tr, disc = tests
+def _enclosed_equilibrium(cf: ChartField, root: RealRoot, a: float, d: float, cls: str) -> Equilibrium:
+    """The divisor equilibrium of class `cls` at an irrational root, printed
+    at the enclosure's midpoint with the float Jacobian diag(a, d)."""
+    w = float((root.lo + root.hi) / 2)
     return Equilibrium(
         chart=cf.chart.value,
         coords=(0.0, w),
         exact=False,
         interval=(root.lo, root.hi),
-        jacobian=jac,
-        eigenvalues=_float_eigenvalues(float(tr / den), float(det / den**2)),
+        jacobian=((a, 0.0), (0.0, d)),
+        eigenvalues=_float_pair(a, d),
         eigenvalues_exact=None,
-        classification=_classify(det, tr, disc),
+        classification=cls,
         divisor_angle=divisor_angle(cf.chart, w, cf.weights),
         root=root,
     )
@@ -388,32 +318,25 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
     des_r = bind_params(cf.desing[0], bound)
     des_w = bind_params(cf.desing[1], bound)
     coeffs = _angular_on_divisor(cf, des_w)
-    dj = _DivisorJacobian.of(des_r, des_w, cf.radial_var, cf.angular_var)
+    rv, wv = cf.radial_var, cf.angular_var
+    # the diagonal P(w) and Q'(w) of the Jacobian on the divisor, over den
+    den, diagonal = _on_divisor([des_r.derivative(rv), des_w.derivative(wv)], rv, wv)
     out = ChartEquilibria(1 if coeffs[-1] > 0 else -1)
     for root in real_roots(coeffs):
         if root.exact:
-            a, b, c, d = (poly_value(e, root.value) / dj.den for e in dj.entries)
-            out.add(_exact_equilibrium(cf, root, ((a, b), (c, d))))
+            a, d = (value_at_root(e, root) / den for e in diagonal)
+            out.append(_exact_equilibrium(cf, root, a, d))
         else:
-            _interval_equilibrium(cf, root, dj, out)
+            out.append(_interval_equilibrium(cf, root, den, diagonal))
     return out
 
 
-def _interval_equilibrium(
-    cf: ChartField, root: RealRoot, dj: _DivisorJacobian, out: ChartEquilibria
-) -> Equilibrium:
-    """Add the classified divisor equilibrium at an irrational root to `out`,
-    with its sign tests, and return it.  The Jacobian is evaluated exactly
-    at the enclosure's midpoint and rounded once."""
-    det = value_at_root(dj.det, root)
-    tr = value_at_root(dj.tr, root)
-    disc = value_at_root(dj.disc, root) if det > 0 and tr else None
-    tests = _SignTests(dj.den, det, tr, disc)
-    mid = (root.lo + root.hi) / 2
-    a, b, c, d = (float(poly_value(e, mid) / dj.den) for e in dj.entries)
-    eq = _enclosed_equilibrium(cf, root, float(mid), ((a, b), (c, d)), tests)
-    out.add(eq, tests)
-    return eq
+def _interval_equilibrium(cf: ChartField, root: RealRoot, den: int, diagonal) -> Equilibrium:
+    """The classified divisor equilibrium at an irrational root.  Each
+    diagonal entry is the rational `value_at_root` gives, over `den`: it has
+    the exact sign there, and is 0 when the entry vanishes at the root."""
+    a, d = (value_at_root(e, root) / den for e in diagonal)
+    return _enclosed_equilibrium(cf, root, float(a), float(d), _classify(a, d))
 
 
 # -- reflected charts ----------------------------------------------------------------
@@ -449,27 +372,27 @@ def _mirrored(root: RealRoot) -> RealRoot:
     return RealRoot(None, -root.hi, -root.lo, root.multiplicity, tuple(factor))
 
 
+# a reversed time factor swaps the stable and unstable node
+_REVERSED = {CLASS_STABLE_NODE: CLASS_UNSTABLE_NODE, CLASS_UNSTABLE_NODE: CLASS_STABLE_NODE}
+
+
 def _reflected_equilibria(
     cf: ChartField, bound: Mapping, partner: ChartEquilibria, eps: int, t: int
 ) -> ChartEquilibria:
     """The chart's divisor equilibria mapped from its reflection partner's.
 
     A partner point (0, w') is the point (0, eps*w') here, and with the time
-    factor t the Jacobian is t * R * J' * R: a and d scale by t, b and c by
-    -t*eps.  det and disc are unchanged and the trace scales by t."""
+    factor t a partner Jacobian diag(a, d) becomes t * diag(a, d)."""
     coeffs = _angular_on_divisor(cf, bind_params(cf.desing[1], bound))
     out = ChartEquilibria(1 if coeffs[-1] > 0 else -1)
-    pairs = list(zip(partner, partner.sign_tests))
-    for eq, tests in reversed(pairs) if eps < 0 else pairs:
+    for eq in reversed(partner) if eps < 0 else partner:
         root = _mirrored(eq.root) if eps < 0 else eq.root
-        (a, b), (c, d) = eq.jacobian
-        off = -t * eps
-        jac = ((_signed(t, a), _signed(off, b)), (_signed(off, c), _signed(t, d)))
-        if tests is None:
-            out.add(_exact_equilibrium(cf, root, jac))
+        (a, _), (_, d) = eq.jacobian
+        if eq.exact:
+            out.append(_exact_equilibrium(cf, root, t * a, t * d))
         else:
-            tests = tests._replace(tr=t * tests.tr)
-            out.add(_enclosed_equilibrium(cf, root, _signed(eps, eq.coords[1]), jac, tests), tests)
+            cls = eq.classification if t > 0 else _REVERSED.get(eq.classification, eq.classification)
+            out.append(_enclosed_equilibrium(cf, root, _signed(t, a), _signed(t, d), cls))
     return out
 
 
@@ -562,20 +485,18 @@ def _wing_equilibrium(eq: Equilibrium, model: str, k: int) -> Equilibrium:
     onto the x-chart (resp. y-chart) with |w| < 1, and the desingularized
     wing field is the chart field pushed through it times cosh(phi)^k.  At
     the equilibrium its Jacobian is cosh(phi)^k * Dbeta^-1 * J * Dbeta, with
-    J = (a, b; c, d) the chart member's Jacobian in (r, w) order.  With unit
-    weights r' = r*P(w) and w' does not depend on r, so b = c = 0 on the
-    divisor and the wing Jacobian in (phi, rho) order is
+    J = diag(a, d) the chart member's Jacobian in (r, w) order (see the
+    module docstring), so the wing Jacobian in (phi, rho) order is
     cosh(phi)^k * diag(d, a).
 
     At the axis (w = 0) that is the chart member reordered, exactly.
-    Elsewhere the entries and the chart eigenvalues are scaled by
-    cosh(phi)^k > 0, so the class, a certified zero and the eigenvalue
-    order carry over.
+    Elsewhere the entries are scaled by cosh(phi)^k > 0, so the class, a
+    certified zero and the eigenvalue order carry over.
     """
-    (a, b), (c, d) = eq.jacobian
+    (a, zero), (_, d) = eq.jacobian
     if eq.exact and eq.coords[1] == 0:
         return Equilibrium(
-            model, (Fraction(0), Fraction(0)), True, None, ((d, c), (b, a)),
+            model, (Fraction(0), Fraction(0)), True, None, ((d, zero), (zero, a)),
             eq.eigenvalues, eq.eigenvalues_exact, eq.classification, 0.0,
         )
     root = eq.root
@@ -591,18 +512,16 @@ def _wing_equilibrium(eq: Equilibrium, model: str, k: int) -> Equilibrium:
     if eq.exact:
         # rounded once: x*cosh(phi)^k = sign(x)*sqrt(x^2*cosh(phi)^(2k))
         da, dd = (math.copysign(_sqrt_float(x * x * cosh_2k), x) for x in (a, d))
-        eig = tuple(complex(x) for x in sorted((da, dd)))
     else:
         scale = _sqrt_float(cosh_2k)
         da, dd = scale * a, scale * d
-        eig = tuple(scale * z for z in eq.eigenvalues)
     return Equilibrium(
         chart=model,
         coords=(phi, Fraction(0)),
         exact=False,
         interval=None,
         jacobian=((dd, 0.0), (0.0, da)),
-        eigenvalues=eig,
+        eigenvalues=_float_pair(da, dd),
         eigenvalues_exact=None,
         classification=eq.classification,
         divisor_angle=phi,

@@ -39,7 +39,6 @@ from typing import Callable, Mapping, Sequence, Union
 from .errors import NotDivisible
 
 Scalar = Union[int, Fraction]
-Exponents = "tuple[int, ...]"
 
 _ZERO = Fraction(0)
 

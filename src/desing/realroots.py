@@ -75,14 +75,6 @@ def _add(p, q, s=1) -> "list[int]":
     return _trim([x + s * y for x, y in zip_longest(p, q, fillvalue=0)])
 
 
-def _mul(p, q) -> "list[int]":
-    out = [0] * (len(p) + len(q) - 1) if p and q else []
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
-
-
 def _derivative(cs) -> "list[int]":
     return [c * i for i, c in enumerate(cs)][1:]
 

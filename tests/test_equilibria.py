@@ -9,12 +9,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from desing.charts import ChartField, ChartId, blow_up_in_chart, transition
+from desing.cli import main
+from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.equilibria import (
     CLASS_NON_HYPERBOLIC,
     CLASS_SADDLE,
-    CLASS_STABLE_FOCUS,
     CLASS_STABLE_NODE,
-    CLASS_UNSTABLE_FOCUS,
     CLASS_UNSTABLE_NODE,
     MODEL_HYPERBOLIC_X,
     MODEL_HYPERBOLIC_Y,
@@ -108,18 +108,15 @@ def test_float_eigenvalues_agree_with_exact():
 
 @pytest.mark.parametrize(
     "jac, small",
-    [
-        (((10**9, 1), (-1, Fraction(2, 10**9))), 3e-9),  # det = 3
-        (((10**9, 0), (1, Fraction(1, 10**9))), 1e-9),  # det = 1, exact pair 1/10^9, 10^9
-    ],
+    [((10**9, Fraction(3, 10**9)), 3e-9), ((10**9, Fraction(1, 10**9)), 1e-9)],
 )
 def test_node_eigenvalues_do_not_cancel(jac, small):
-    # det is tiny against tr^2, so (tr - sqrt(disc)) / 2 rounds to 0
-    cls, _, eig = classify_exact(jac)
+    # det is tiny against tr^2, where (tr - sqrt(disc)) / 2 would round to 0
+    cls, exact, eig = classify_exact(*jac)
     assert cls == CLASS_UNSTABLE_NODE
+    assert exact == (jac[1], jac[0])
+    assert eig == (complex(small), complex(1e9))
     assert [z.imag for z in eig] == [0.0, 0.0]
-    assert eig[0].real == pytest.approx(small, rel=1e-15)
-    assert eig[1].real == pytest.approx(1e9, rel=1e-15)
 
 
 def test_non_hyperbolic_point_is_flagged_in_report():
@@ -222,40 +219,18 @@ def test_irrational_double_root_certified_non_hyperbolic():
         assert eq.classification == CLASS_NON_HYPERBOLIC
 
 
-def _k1_field(radial, angular, chart=ChartId.K1, weights=W):
-    """A hand-built desingularized x-chart field (K1 or K3) with index 1."""
-    rv, wv = f"r{chart.value[1]}", f"y{chart.value[1]}"
-    r = Poly.var(rv)
-    return ChartField(
-        chart=chart,
-        weights=weights,
-        radial_var=rv,
-        angular_var=wv,
-        raw=(r * radial, r * angular),
-        desing=(radial, angular),
-        divisor=f"{rv} = 0",
-        params=(),
-    )
-
-
 def test_vanishing_discriminant_at_an_irrational_root_is_a_node():
-    # on the divisor D = w^2 - 2 the Jacobian is [[D' + D, 0], [1, D']]: at
-    # -+sqrt(2) its eigenvalue D' = -+2 sqrt(2) is repeated and disc = D^2 is 0
-    r1, y1 = poly_vars("r1", "y1")
-    d = y1**2 - 2
-    eqs = divisor_equilibria(_k1_field(r1 * (2 * y1 + d), d + r1), {})
+    # f = (2xy, 3y^2 - 2x^2) blows up in K1 to r' = 2w*r, w' = w^2 - 2: at
+    # -+sqrt(2) both diagonal entries are -+2 sqrt(2), a repeated eigenvalue
+    x, y = poly_vars("x", "y")
+    f = VectorField(2 * x * y, 3 * y**2 - 2 * x**2, ("x", "y"))
+    eqs = divisor_equilibria(blow_up_in_chart(f, W, ChartId.K1), {})
     assert [e.exact for e in eqs] == [False, False]
     assert [e.classification for e in eqs] == [CLASS_STABLE_NODE, CLASS_UNSTABLE_NODE]
-
-
-def _table(det, tr, disc):
-    if det < 0:
-        return CLASS_SADDLE
-    if det == 0 or tr == 0:
-        return CLASS_NON_HYPERBOLIC
-    if disc >= 0:
-        return CLASS_STABLE_NODE if tr < 0 else CLASS_UNSTABLE_NODE
-    return CLASS_STABLE_FOCUS if tr < 0 else CLASS_UNSTABLE_FOCUS
+    for e, sign in zip(eqs, (-1, 1)):
+        low, high = e.eigenvalues
+        assert low == high and low.imag == 0
+        assert low.real == pytest.approx(sign * 2 * math.sqrt(2), rel=1e-10)
 
 
 small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
@@ -266,57 +241,81 @@ small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
     st.sampled_from((2, 3, 5)),
     small_polys,
     small_polys,
-    small_polys,
-    small_polys,
-    small_polys,
-    st.sampled_from(("free", "det", "trace", "disc")),
+    st.sampled_from(("free", "radial-zero", "double-root", "repeated")),
 )
-def test_classification_matches_exact_signs_at_roots(k, e, a, b, c, m, plant):
-    # The chart field (r A + D B, D + r C) has the divisor polynomial
-    # D = (w^2 - k) E, with irrational roots -+sqrt(k), and the Jacobian
-    # [[A, (D B)'], [C, D']] on the divisor.  Planted cases make the
-    # determinant, the trace or the discriminant vanish at every root of D.
+def test_classification_matches_sympy_signs_at_roots(k, g, m, plant):
+    # f = (x^n P(y/x), x^n D(y/x)) blows up in K1 to r' = r*P(w) and
+    # w' = Q(w) = D(w) - w*P(w), with the Jacobian diag(P, Q') on the
+    # divisor.  Q = (w^2 - k)*G has the irrational roots -+sqrt(k), where
+    # the planted cases make P vanish, make the roots double roots of Q, or
+    # make P = Q', a repeated eigenvalue.
     sympy = pytest.importorskip("sympy")
     w = sympy.Symbol("w")
 
     def poly(cs):
         return sum(coef * w**i for i, coef in enumerate(cs))
 
-    d = sympy.expand((w**2 - k) * poly(e))
-    assume(d != 0)
-    big_a, big_b, big_c, big_m = map(poly, (a, b, c, m))
-    dd = sympy.diff(d, w)
-    if plant == "det":
-        big_a = big_b * big_c + d * big_m
-    elif plant == "trace":
-        big_a = -dd + d * big_m
-    elif plant == "disc":
-        big_b, big_a = 0, dd + d * big_m
-    tr = big_a + dd
-    det = big_a * dd - sympy.diff(d * big_b, w) * big_c
-    disc = tr**2 - 4 * det
+    q = sympy.expand((w**2 - k) ** (2 if plant == "double-root" else 1) * poly(g))
+    assume(q != 0)
+    dq = sympy.diff(q, w)
+    p = sympy.expand(
+        (w**2 - k) * poly(m) if plant == "radial-zero"
+        else dq + (w**2 - k) * poly(m) if plant == "repeated"
+        else poly(m)
+    )
 
-    def sign_at(q, alpha):
-        q = sympy.expand(q)
-        if q == 0 or sympy.rem(q, sympy.minimal_polynomial(alpha, w), w) == 0:
+    def coefficients(expr):
+        return [int(c) for c in sympy.Poly(expr, w).all_coeffs()[::-1]] if expr != 0 else []
+
+    p_cs, d_cs = coefficients(p), coefficients(sympy.expand(q + w * p))
+    n = max(len(p_cs), len(d_cs)) - 1
+    x, y = poly_vars("x", "y")
+
+    def homogeneous(cs):
+        return sum((c * x ** (n - i) * y**i for i, c in enumerate(cs)), Poly.zero(("x", "y")))
+
+    f = VectorField(homogeneous(p_cs), homogeneous(d_cs), ("x", "y"))
+    eqs = divisor_equilibria(blow_up_in_chart(f, Weights(1, 1, n - 1), ChartId.K1), {})
+
+    def sign_at(expr, root):
+        if expr == 0 or sympy.rem(expr, sympy.minimal_polynomial(root, w), w) == 0:
             return 0
-        return int(sympy.sign(q.subs(w, alpha).evalf(50)))
+        return int(sympy.sign(expr.subs(w, root).evalf(50)))
 
-    roots = sorted(set(sympy.Poly(d, w).real_roots(radicals=False)), key=lambda r: r.evalf(50))
-    want = [_table(sign_at(det, r), sign_at(tr, r), sign_at(disc, r)) for r in roots]
-
-    r1, y1 = poly_vars("r1", "y1")
-
-    def ours(expr):
-        acc = Poly.zero(("r1", "y1"))
-        for coef in sympy.Poly(expr, w).all_coeffs() if expr != 0 else ():
-            acc = acc * y1 + int(coef)
-        return acc
-
-    cf = _k1_field(r1 * ours(big_a) + ours(d * big_b), ours(d) + r1 * ours(big_c))
-    eqs = divisor_equilibria(cf, {})
+    roots = sorted(set(sympy.Poly(q, w).real_roots(radicals=False)), key=lambda r: r.evalf(50))
+    assert len(eqs) == len(roots)
     assert sum(not e.exact for e in eqs) >= 2
-    assert [e.classification for e in eqs] == want
+    for eq, root in zip(eqs, roots):
+        sa, sd = sign_at(p, root), sign_at(dq, root)
+        if sa * sd < 0:
+            want = CLASS_SADDLE
+        elif sa * sd == 0:
+            want = CLASS_NON_HYPERBOLIC
+        else:
+            want = CLASS_STABLE_NODE if sa < 0 else CLASS_UNSTABLE_NODE
+        assert eq.classification == want
+        (a, _), (_, d) = eq.jacobian
+        assert (a == 0, d == 0) == (sa == 0, sd == 0)
+        assert eq.eigenvalues == tuple(complex(v) for v in sorted((float(a), float(d))))
+
+
+def test_repeated_exact_eigenvalue_is_not_a_complex_pair(tmp_path, capsys):
+    # K1's point w = 0 has the exact Jacobian diag(1/19, 1/19); a float
+    # tr^2 - 4*det rounds below 0 there and once printed a complex pair
+    src = "var x y; dx/dt = 1/19*x^3 + x*y^2; dy/dt = 2/19*x^2*y;"
+    f = lower_to_polynomials(parse_field_spec(src))
+    report = global_divisor_report(f, infer_weights(f), {})
+    (member,) = [e for m in report.equilibria for e in m.members if e.chart == "K1" and e.coords[1] == 0]
+    assert member.classification == CLASS_UNSTABLE_NODE
+    assert member.eigenvalues == (complex(1 / 19), complex(1 / 19))
+    assert [z.imag for z in member.eigenvalues] == [0.0, 0.0]
+    path = tmp_path / "nineteen.vf"
+    path.write_text(src)
+    assert main(["analyze", str(path)]) == 0
+    assert "K1: coords (0, 0); eigenvalues 0.0526315789474, 0.0526315789474 (exact: 1/19, 1/19)" in (
+        capsys.readouterr().out
+    )
+
 
 
 def test_hyperbolic_wing_without_equilibria():
@@ -524,20 +523,11 @@ def test_classification_invariant_under_rescaling():
 
 def test_classify_exact_table():
     Fr = Fraction
-    saddle = ((Fr(1), Fr(0)), (Fr(0), Fr(-2)))
-    assert classify_exact(saddle)[0] == CLASS_SADDLE
-    node = ((Fr(2), Fr(0)), (Fr(0), Fr(1)))
-    assert classify_exact(node)[0] == CLASS_UNSTABLE_NODE
-    stable = ((Fr(-2), Fr(0)), (Fr(0), Fr(-1)))
-    assert classify_exact(stable)[0] == "hyperbolic-stable-node"
-    focus = ((Fr(1), Fr(-2)), (Fr(2), Fr(1)))
-    assert classify_exact(focus)[0] == "hyperbolic-focus-unstable"
-    sfocus = ((Fr(-1), Fr(-2)), (Fr(2), Fr(-1)))
-    assert classify_exact(sfocus)[0] == "hyperbolic-focus-stable"
-    center = ((Fr(0), Fr(-1)), (Fr(1), Fr(0)))
-    assert classify_exact(center)[0] == CLASS_NON_HYPERBOLIC
-    degenerate = ((Fr(1), Fr(0)), (Fr(0), Fr(0)))
-    assert classify_exact(degenerate)[0] == CLASS_NON_HYPERBOLIC
+    assert classify_exact(Fr(1), Fr(-2))[0] == CLASS_SADDLE
+    assert classify_exact(Fr(2), Fr(1))[0] == CLASS_UNSTABLE_NODE
+    assert classify_exact(Fr(-2), Fr(-1))[0] == "hyperbolic-stable-node"
+    assert classify_exact(Fr(0), Fr(0))[0] == CLASS_NON_HYPERBOLIC
+    assert classify_exact(Fr(1), Fr(0))[0] == CLASS_NON_HYPERBOLIC
 
 
 def test_zero_field_reports_degenerate_charts():
@@ -601,7 +591,7 @@ def test_interval_root_at_one_is_owned_by_k1():
 @pytest.mark.parametrize("c", range(8, 40))
 def test_non_hyperbolic_enclosed_points_print_a_zero_eigenvalue(c):
     # the K2/K4 roots near -+10^13/c are irrational for these c; their
-    # eigenvalues come from the certified trace and determinant, so a
+    # eigenvalues are the diagonal entries with their exact signs, so a
     # non-hyperbolic point prints an eigenvalue with zero real part
     f = _dy_only(lambda x, y: 10**13 * y**2 - (10**13 - 7) * x * y - c * x**2)
     report = global_divisor_report(f, infer_weights(f), {})
@@ -697,8 +687,8 @@ def test_merged_members_share_the_classification(seed):
 
 def _assert_reflections_match(f, w, bindings) -> int:
     """Map every reflectable chart from its partner and compare with the
-    direct path: the lead sign, the sign tests and each member by repr,
-    which tells -0.0 from 0.0 where == does not.  Returns the number of
+    direct path: the lead sign and each member by repr, which tells -0.0
+    from 0.0 where == does not.  Returns the number of
     charts with a reflection partner."""
     direct = {}
     for chart in ChartId:
@@ -723,7 +713,6 @@ def _assert_reflections_match(f, w, bindings) -> int:
         want = direct[chart]
         assert got.lead_sign == want.lead_sign
         assert [repr(e) for e in got] == [repr(e) for e in want]
-        assert got.sign_tests == want.sign_tests
     return reflected
 
 
@@ -756,22 +745,3 @@ def test_reflected_charts_match_direct(weights, k, data):
     f = VectorField(component(mono1), component(mono2), ("x", "y"), (Param("a"),))
     bindings = {"a": data.draw(st.fractions(-3, 3, max_denominator=3))}
     assert _assert_reflections_match(f, Weights(alpha, beta, k), bindings) == (alpha % 2) + (beta % 2)
-
-
-@pytest.mark.parametrize("w", [Weights(1, 1, 1), Weights(1, 1, 2), Weights(1, 2, 1), Weights(1, 2, 2)])
-def test_reflection_maps_the_off_diagonal_jacobian(w):
-    # a blown-up field has b = c = 0 on the divisor, so these hand-built K1
-    # fields with c = d(w')/dr = 1 pin the sign -t*eps of the mapped c; the
-    # K3 field is t * R * K1(R p), built over the K3 variables
-    r1, y1 = poly_vars("r1", "y1")
-    _, eps, t = _reflection(ChartId.K3, w)
-    images = {"r1": -Poly.var("r3"), "y1": eps * Poly.var("y3")}
-    for d in (y1**2 - 2, y1**2 - 1):
-        k1 = (r1 * (2 * y1 + d), d + r1)
-        k3 = [s * p.monomial_map(images) for s, p in zip((-t, t * eps), k1)]
-        cf1 = _k1_field(*k1, weights=w)
-        cf3 = _k1_field(*k3, chart=ChartId.K3, weights=w)
-        got = _reflected_equilibria(cf3, {}, divisor_equilibria(cf1, {}), eps, t)
-        want = divisor_equilibria(cf3, {})
-        assert [repr(e) for e in got] == [repr(e) for e in want]
-        assert all(e.jacobian[1][0] == -t * eps for e in got)

@@ -29,6 +29,8 @@ when no name is given), which prints each file whose bytes changed, and says
 which file changed and why.
 """
 
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,26 @@ def test_golden(name, capsys):
     out = capsys.readouterr().out
     expected = (GOLDEN / "expected" / name).read_text(encoding="utf-8")
     assert out == expected
+
+
+def _entry(value):
+    """A JSON Jacobian entry: an exact rational string or a float."""
+    return Fraction(value) if isinstance(value, str) else value
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (GOLDEN / "expected").glob("analyze-*.json")))
+def test_golden_jacobians_are_diagonal(name):
+    # every divisor Jacobian is diagonal, and its eigenvalues are its sorted
+    # diagonal: real, and exact where the member is
+    report = json.loads((GOLDEN / "expected" / name).read_text(encoding="utf-8"))
+    for member in (e for m in report["equilibria"] for e in m["members"]):
+        (a, b), (c, d) = ([_entry(x) for x in row] for row in member["jacobian"])
+        assert b == 0 and c == 0
+        diagonal = sorted((a, d))
+        assert [im for _, im in member["eigenvalues"]] == [0.0, 0.0]
+        assert [re for re, _ in member["eigenvalues"]] == [float(x) for x in diagonal]
+        if member["exact"]:
+            assert [Fraction(v) for v in member["eigenvalues_exact"]] == diagonal
 
 
 if __name__ == "__main__":

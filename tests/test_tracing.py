@@ -64,14 +64,20 @@ def test_portrait_frame_compile_is_traced(tmp_path, frame, name):
 
 
 def test_package_uses_every_name_it_defines():
-    # a function, class or method that no code in src/desing refers to is
-    # reachable from the tests only
+    # a function, class, method or module constant that no code in
+    # src/desing reads is reachable from the tests only
     defined, used = {}, set()
     for path in sorted((ROOT / "src" / "desing").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined.setdefault(target.id, f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
