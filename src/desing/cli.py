@@ -30,7 +30,6 @@ from .equilibria import (
 )
 from .errors import DesingError
 from .polar import MODELS, desingularize_polar, polar_pushforward
-from .selfcheck import run_all
 from .vectorfield import VectorField
 from .weights import infer_weights
 
@@ -59,8 +58,11 @@ def _grid(text: str):
         raise argparse.ArgumentTypeError(
             f"expected umin:umax:nu,vmin:vmax:nv, got {text!r}: {exc}"
         )
-    if not all(map(math.isfinite, (u0, u1, v0, v1))) or min(nu, nv) < 0:
-        raise argparse.ArgumentTypeError(f"grid bounds must be finite and counts >= 0, got {text!r}")
+    # a span can overflow even between finite bounds, and the seeds step by it
+    if not all(map(math.isfinite, (u0, u1, v0, v1, u1 - u0, v1 - v0))) or min(nu, nv) < 0:
+        raise argparse.ArgumentTypeError(
+            f"grid bounds and their spans must be finite and counts >= 0, got {text!r}"
+        )
     return (u0, u1, nu, v0, v1, nv)
 
 
@@ -392,6 +394,8 @@ def _cmd_portrait(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .selfcheck import run_all  # only verify needs the suite; other commands skip its import
+
     seed = int(os.environ.get("DESING_SEED", args.seed))
     f = None if args.input is None else _load_field(args.input)
     results = run_all(seed=seed, f=f, bindings=dict(args.param))

@@ -6,15 +6,31 @@ domain guards instead of event detection, and curve comparison by discrete
 one-sided Hausdorff distance after arc-length resampling, since the
 desingularization only reparametrizes time and pointwise-in-t comparison
 would be meaningless.
+
+All of it is plain Python floats; curves are lists of (x, y) pairs.  The
+curve comparison finds each sample's nearest segment with the expressions a
+full scan over all segments would use, but skips blocks of 16 consecutive
+segments, and the skip is exact.  The computed projection point `a + t*s`
+(t clipped to [0, 1]) lies on the segment up to three roundings of at most
+4 ulps of the block's largest coordinate M in all, and the segment lies in
+the block's bounding box.  So with the box widened by 8 ulps of M, the
+squared distance from the sample to the widened box is at most the squared
+length of the computed difference vector, up to a few relative roundings on
+either side.  A block is skipped only when that box distance exceeds
+`best^2 * (1 + 1e-9) + DBL_MIN`, a margin far above those roundings (the
+absolute term covers subnormal underflow), so no segment in it computes to
+a distance below the current best: the minimum is the full scan's, bit for
+bit, and the blocks only change how many segments are evaluated.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from .charts import ChartField
 from .errors import NonFiniteField
@@ -34,8 +50,8 @@ class Trajectory:
     points: "list[tuple[float, float, float]]"  # (t, u, v)
     termination: str
 
-    def coords(self) -> np.ndarray:
-        return np.array([(u, v) for _, u, v in self.points], dtype=float)
+    def coords(self) -> "list[tuple[float, float]]":
+        return [(u, v) for _, u, v in self.points]
 
 
 @dataclass(frozen=True)
@@ -71,9 +87,23 @@ class GridSpec:
     step: float = 1e-2
 
     def seeds(self) -> "list[tuple[float, float]]":
-        us = np.linspace(self.u_min, self.u_max, self.nu) if self.nu else []
-        vs = np.linspace(self.v_min, self.v_max, self.nv) if self.nv else []
-        return [(float(u), float(v)) for u in us for v in vs]
+        us = _linspace(self.u_min, self.u_max, self.nu)
+        vs = _linspace(self.v_min, self.v_max, self.nv)
+        return [(u, v) for u in us for v in vs]
+
+
+def _linspace(start: float, stop: float, num: int) -> "list[float]":
+    """`num` evenly spaced floats from start to stop, bit for bit those of
+    numpy.linspace: i*step + start, or (i/div)*delta + start when the step
+    underflows to zero, with stop written last."""
+    delta = stop - start
+    if num <= 1:
+        return [0.0 * delta + start] * num
+    div = num - 1
+    step = delta / div
+    if step == 0:
+        return [(i / div) * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
 
 
 def integrate(
@@ -147,61 +177,123 @@ def integrate(
 
 # -- curve comparison ----------------------------------------------------------------
 
+_BLOCK = 16  # segments per bounding box in the nearest-segment search
+_DBL_MIN = sys.float_info.min  # smallest normal float; covers subnormal roundings
 
-def _arc_truncate(points: np.ndarray, length: float) -> np.ndarray:
-    seg = np.diff(points, axis=0)
-    lens = np.hypot(seg[:, 0], seg[:, 1])
-    cum = np.concatenate(([0.0], np.cumsum(lens)))
+
+def _arc_lengths(points) -> "tuple[list[float], list[float]]":
+    """Segment lengths and running arc lengths (starting at 0.0) of a polyline."""
+    lens = []
+    cum = [0.0]
+    total = 0.0
+    x0, y0 = points[0]
+    for x1, y1 in points[1:]:
+        length = math.hypot(x1 - x0, y1 - y0)
+        lens.append(length)
+        total += length
+        cum.append(total)
+        x0, y0 = x1, y1
+    return lens, cum
+
+
+def _arc_truncate(points, lens, cum, length: float):
+    """The polyline cut at arc length `length`, with its lengths as
+    `_arc_lengths` would recompute them."""
     if cum[-1] <= length:
-        return points
-    i = int(np.searchsorted(cum, length, side="right") - 1)
-    i = min(i, len(seg) - 1)
-    rest = length - cum[i]
-    frac = 0.0 if lens[i] == 0 else rest / lens[i]
-    last = points[i] + frac * seg[i]
-    return np.vstack([points[: i + 1], last])
+        return points, lens, cum
+    i = bisect_right(cum, length) - 1  # below len(lens): cum[-1] > length
+    frac = 0.0 if lens[i] == 0 else (length - cum[i]) / lens[i]
+    (x0, y0), (x1, y1) = points[i], points[i + 1]
+    last = (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
+    tail = math.hypot(last[0] - x0, last[1] - y0)
+    return points[: i + 1] + [last], lens[:i] + [tail], cum[: i + 1] + [cum[i] + tail]
 
 
-def _arc_resample(points: np.ndarray, step: float) -> np.ndarray:
-    seg = np.diff(points, axis=0)
-    lens = np.hypot(seg[:, 0], seg[:, 1])
-    cum = np.concatenate(([0.0], np.cumsum(lens)))
-    total = float(cum[-1])
+def _arc_resample(points, lens, cum, step: float) -> "list[tuple[float, float]]":
+    """Points at arc lengths 0, step, 2*step, ... and the total length."""
+    total = cum[-1]
     if total == 0.0:
         return points[:1]
-    targets = np.arange(0.0, total, step)
-    targets = np.append(targets, total)
-    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
-    denom = np.where(lens[idx] == 0, 1.0, lens[idx])
-    frac = (targets - cum[idx]) / denom
-    return points[idx] + frac[:, None] * seg[idx]
+    last = len(lens) - 1
+    out = []
+    for target in [i * step for i in range(math.ceil(total / step))] + [total]:
+        i = min(bisect_right(cum, target) - 1, last)
+        frac = (target - cum[i]) / (lens[i] or 1.0)
+        (x0, y0), (x1, y1) = points[i], points[i + 1]
+        out.append((x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)))
+    return out
 
 
-def _min_dist_to_polyline(samples: np.ndarray, poly: np.ndarray) -> np.ndarray:
+def _segment_blocks(poly) -> list:
+    """Per run of _BLOCK consecutive segments: the bounding box of their
+    end points widened by 8 ulps of its largest coordinate, and the segments
+    as (ax, ay, sx, sy, dd) with dd = |s|^2, or 1.0 where that is 0."""
+    blocks = []
+    for lo in range(0, len(poly) - 1, _BLOCK):
+        pts = poly[lo : lo + _BLOCK + 1]
+        xs = [x for x, _ in pts]
+        ys = [y for _, y in pts]
+        x_min, x_max, y_min, y_max = min(xs), max(xs), min(ys), max(ys)
+        pad = 8.0 * math.ulp(max(-x_min, x_max, -y_min, y_max))
+        segs = []
+        ax, ay = pts[0]
+        for bx, by in pts[1:]:
+            sx, sy = bx - ax, by - ay
+            segs.append((ax, ay, sx, sy, sx * sx + sy * sy or 1.0))
+            ax, ay = bx, by
+        blocks.append((x_min - pad, x_max + pad, y_min - pad, y_max + pad, segs))
+    return blocks
+
+
+def _min_dist_to_polyline(samples, poly) -> "list[float]":
+    """Each sample's distance to the nearest segment of `poly`.
+
+    The distance to a segment is sqrt(dx*dx + dy*dy) of the sample minus its
+    projection a + t*s, t = clip(((p - a) . s) / |s|^2, 0, 1).  The search
+    starts at the block that held the previous sample's nearest segment and
+    skips a block whose widened box is provably farther than the best so far
+    (module docstring), so each minimum is the full scan's, bit for bit."""
     if len(poly) == 1:
-        d = samples - poly[0]
-        return np.hypot(d[:, 0], d[:, 1])
-    a = poly[:-1]
-    seg = np.diff(poly, axis=0)
-    dd = (seg * seg).sum(axis=1)
-    dd = np.where(dd == 0, 1.0, dd)
-    diff = samples[:, None, :] - a[None, :, :]
-    t = np.clip((diff * seg[None, :, :]).sum(axis=2) / dd[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * seg[None, :, :]
-    delta = samples[:, None, :] - proj
-    return np.sqrt((delta * delta).sum(axis=2)).min(axis=1)
+        x0, y0 = poly[0]
+        return [math.hypot(px - x0, py - y0) for px, py in samples]
+    blocks = _segment_blocks(poly)
+    start = 0
+    out = []
+    for px, py in samples:
+        best = bound = math.inf
+        for k in chain(range(start, len(blocks)), range(start)):
+            x_lo, x_hi, y_lo, y_hi, segs = blocks[k]
+            bx = x_lo - px if px < x_lo else (px - x_hi if px > x_hi else 0.0)
+            by = y_lo - py if py < y_lo else (py - y_hi if py > y_hi else 0.0)
+            if bx * bx + by * by > bound:
+                continue
+            for ax, ay, sx, sy, dd in segs:
+                t = ((px - ax) * sx + (py - ay) * sy) / dd
+                if t < 0.0:
+                    t = 0.0
+                elif t > 1.0:
+                    t = 1.0
+                dx = px - (ax + t * sx)
+                dy = py - (ay + t * sy)
+                d = math.sqrt(dx * dx + dy * dy)
+                if d < best:
+                    best = d
+                    start = k
+            bound = best * best * (1.0 + 1e-9) + _DBL_MIN
+        out.append(best)
+    return out
 
 
-def hausdorff_defect(curve_a: np.ndarray, curve_b: np.ndarray) -> float:
+def hausdorff_defect(curve_a, curve_b) -> float:
     """One-sided Hausdorff distance from A to B over the common arc length,
-    sampled on A every 1e-3 of arc length."""
-    la = float(np.hypot(*np.diff(curve_a, axis=0).T).sum()) if len(curve_a) > 1 else 0.0
-    lb = float(np.hypot(*np.diff(curve_b, axis=0).T).sum()) if len(curve_b) > 1 else 0.0
-    common = min(la, lb)
-    a = _arc_truncate(curve_a, common)
-    b = _arc_truncate(curve_b, common)
-    samples = _arc_resample(a, 1e-3)
-    return float(_min_dist_to_polyline(samples, b).max())
+    sampled on A every 1e-3 of arc length.  Curves are sequences of (x, y)."""
+    a_lens, a_cum = _arc_lengths(curve_a)
+    b_lens, b_cum = _arc_lengths(curve_b)
+    common = min(a_cum[-1], b_cum[-1])
+    a = _arc_truncate(curve_a, a_lens, a_cum, common)
+    b, _, _ = _arc_truncate(curve_b, b_lens, b_cum, common)
+    samples = _arc_resample(*a, 1e-3)
+    return max(_min_dist_to_polyline(samples, b))
 
 
 # -- checks ---------------------------------------------------------------------------
@@ -226,9 +318,7 @@ def conjugacy_check(
     if float(x0_chart[0]) <= 0:
         raise ValueError("conjugacy check needs a seed with positive radial coordinate")
     chart_traj = integrate(frame_chart(cf, bindings), x0_chart, t_end, h)
-    embedded = np.array(
-        [cf.embed((u, v)) for _, u, v in chart_traj.points], dtype=float
-    )
+    embedded = [cf.embed((u, v)) for _, u, v in chart_traj.points]
     plane_traj = integrate(frame_original(f, bindings), embedded[0], t_end, h)
     return hausdorff_defect(embedded, plane_traj.coords())
 
@@ -289,14 +379,12 @@ def observed_order(field: FrameField, x0, t_end: float, h: float) -> float:
         if tr.termination != TERM_MAX_TIME:
             raise ValueError("orbit left the domain; pick a tamer seed for the order test")
         _, u, v = tr.points[-1]
-        return np.array([u, v])
+        return u, v
 
-    e1 = endpoint(h)
-    e2 = endpoint(h / 2)
-    e3 = endpoint(h / 4)
-    d12 = float(np.hypot(*(e1 - e2)))
-    d23 = float(np.hypot(*(e2 - e3)))
-    floor = 1e-13 * max(1.0, float(np.hypot(*e3)))
+    (u1, v1), (u2, v2), (u3, v3) = endpoint(h), endpoint(h / 2), endpoint(h / 4)
+    d12 = math.hypot(u1 - u2, v1 - v2)
+    d23 = math.hypot(u2 - u3, v2 - v3)
+    floor = 1e-13 * max(1.0, math.hypot(u3, v3))
     if d23 <= floor or d12 <= floor:
         return float("inf")  # truncation error below the rounding floor
     return math.log2(d12 / d23)

@@ -327,10 +327,13 @@ _SAFE_ANGULAR = {
 def check_conjugacy(f: VectorField, w: Weights, bindings, seed: int) -> CheckResult:
     rng = random.Random(seed)
     worst = 0.0
+    blown_up = {}  # each chart is blown up once, on its first draw
     for i in range(20):
         chart = rng.choice(list(ChartId))
         lo, hi = _SAFE_ANGULAR[chart]
-        cf = blow_up_in_chart(f, w, chart)
+        if chart not in blown_up:
+            blown_up[chart] = blow_up_in_chart(f, w, chart)
+        cf = blown_up[chart]
         x0 = (rng.uniform(0.05, 0.5), rng.uniform(lo, hi))
         defect = conjugacy_check(f, cf, x0, bindings, t_end=1.0, h=1e-3)
         worst = max(worst, defect)

@@ -161,6 +161,9 @@ def test_usage_error_exit_code(capsys):
         ("--grid", "0.1:0.5:2,0.1:0.5:-1"),
         ("--grid", "0.1:nan:2,0.1:0.5:2"),
         ("--grid", "0.1:0.5:2,-inf:0.5:2"),
+        # finite bounds whose span v1 - v0 (or u1 - u0) overflows
+        ("--grid", "0:1:2,-1e308:1e308:3"),
+        ("--grid", "1e308:-1e308:1,0:1:2"),
     ],
 )
 def test_portrait_rejects_bad_numbers(capsys, option, value):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from desing.charts import ChartId, blow_up_in_chart
@@ -12,6 +12,7 @@ from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.dynamo import (
     FrameField,
     GridSpec,
+    _min_dist_to_polyline,
     conjugacy_check,
     frame_chart,
     frame_original,
@@ -249,6 +250,20 @@ def test_conjugacy_random_seeds():
     assert res.passed, res.detail
 
 
+def test_conjugacy_check_blows_each_chart_up_once(monkeypatch):
+    import desing.selfcheck
+
+    charts = []
+
+    def counting(f, w, chart):
+        charts.append(chart)
+        return blow_up_in_chart(f, w, chart)
+
+    monkeypatch.setattr(desing.selfcheck, "blow_up_in_chart", counting)
+    assert check_conjugacy(F, W, A1, seed=3).passed
+    assert len(charts) == len(set(charts))
+
+
 def test_conjugacy_decreases_under_step_halving():
     cf = blow_up_in_chart(F, W, ChartId.K1)
     d1 = conjugacy_check(F, cf, (0.3, 0.4), A1, t_end=1.0, h=2e-3)
@@ -257,9 +272,164 @@ def test_conjugacy_decreases_under_step_halving():
 
 
 def test_hausdorff_defect_translated_segments():
-    a = np.array([[0.0, 0.0], [1.0, 0.0]])
-    b = np.array([[0.0, 0.1], [1.0, 0.1]])
+    a = [(0.0, 0.0), (1.0, 0.0)]
+    b = [(0.0, 0.1), (1.0, 0.1)]
     assert hausdorff_defect(a, b) == pytest.approx(0.1, abs=1e-12)
+
+
+# -- the pure-Python curve comparison and grid against numpy ------------------------
+
+
+def bits(values):
+    return [struct.pack("<d", x) for x in values]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(start=finite | st.floats(-1e-300, 1e-300), stop=finite | st.floats(-1e-300, 1e-300), num=st.integers(0, 40))
+@example(start=0.0, stop=5e-324, num=4)  # the step underflows to zero
+@example(start=-0.0, stop=0.0, num=1)
+@example(start=0.3, stop=0.3, num=5)
+@example(start=1.0, stop=-2.5, num=7)
+def test_grid_seeds_are_numpy_linspace_bit_for_bit(start, stop, num):
+    assume(math.isfinite(stop - start))
+    us = [u for u, _ in GridSpec(start, stop, num, 0.0, 0.0, 1).seeds()]
+    vs = [v for _, v in GridSpec(0.0, 0.0, 1, start, stop, num).seeds()]
+    with np.errstate(over="ignore"):  # numpy computes the last point too, then writes stop over it
+        want = bits(np.linspace(start, stop, num).tolist())
+    assert bits(us) == want
+    assert bits(vs) == want
+
+
+def full_scan(samples, poly):
+    """Every segment's distance, with the kernel's expressions, no pruning."""
+    out = []
+    for px, py in samples:
+        ds = []
+        for (ax, ay), (bx, by) in zip(poly, poly[1:]):
+            sx, sy = bx - ax, by - ay
+            dd = sx * sx + sy * sy or 1.0
+            t = min(max(((px - ax) * sx + (py - ay) * sy) / dd, 0.0), 1.0)
+            dx, dy = px - (ax + t * sx), py - (ay + t * sy)
+            ds.append(math.sqrt(dx * dx + dy * dy))
+        out.append(min(ds))
+    return out
+
+
+def numpy_min_dist(samples, poly):
+    """The former numpy kernel of `desing.dynamo`, vectorized over all segments."""
+    samples, poly = np.array(samples, dtype=float), np.array(poly, dtype=float)
+    a = poly[:-1]
+    seg = np.diff(poly, axis=0)
+    dd = (seg * seg).sum(axis=1)
+    dd = np.where(dd == 0, 1.0, dd)
+    diff = samples[:, None, :] - a[None, :, :]
+    t = np.clip((diff * seg[None, :, :]).sum(axis=2) / dd[None, :], 0.0, 1.0)
+    proj = a[None, :, :] + t[:, :, None] * seg[None, :, :]
+    delta = samples[:, None, :] - proj
+    return np.sqrt((delta * delta).sum(axis=2)).min(axis=1).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pruned_minimum_is_the_full_scan_bit_for_bit(data):
+    # a random walk near (1e3, 1e3) long enough for several blocks, repeated
+    # points included, sampled within 1e-12 of its segments (about 10 ulps)
+    # and farther out, in random order so the search starts anywhere
+    steps = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)) | st.just((0.0, 0.0))
+    walk = data.draw(st.lists(steps, min_size=1, max_size=80))
+    x, y = data.draw(st.tuples(st.floats(999.0, 1001.0), st.floats(999.0, 1001.0)))
+    poly = [(x, y)]
+    for dx, dy in walk:
+        x, y = x + dx, y + dy
+        poly.append((x, y))
+    near = st.tuples(
+        st.integers(0, len(poly) - 2), st.floats(0.0, 1.0),
+        st.floats(-1e-12, 1e-12), st.floats(-1e-12, 1e-12),
+    )
+    samples = []
+    for j, f, ex, ey in data.draw(st.lists(near, min_size=1, max_size=20)):
+        (ax, ay), (bx, by) = poly[j], poly[j + 1]
+        samples.append((ax + f * (bx - ax) + ex, ay + f * (by - ay) + ey))
+    samples += data.draw(st.lists(st.tuples(st.floats(990.0, 1010.0), st.floats(990.0, 1010.0)), max_size=5))
+    samples = data.draw(st.permutations(samples))
+    got = _min_dist_to_polyline(samples, poly)
+    assert bits(got) == bits(full_scan(samples, poly))
+    assert bits(got) == bits(numpy_min_dist(samples, poly))
+
+
+def test_pruning_counts_a_projection_rounded_out_of_its_box():
+    # bx - ax rounds, so the end of the segment A -> B computes to one ulp
+    # beyond B, outside the segments' bounding box; the sample p, 9 ulps
+    # right of B, is nearer to that end (8 ulps) than to the box and to the
+    # decoy at height 9.6e-13, which the search meets first
+    ax, bx = 0.8791659420916744, 1000.8742504886155
+    assert ax + (bx - ax) > bx
+    px, decoy = bx + 1e-12, 9.6e-13
+    poly = [(ax, 0.0)] + [(bx, float(i)) for i in range(16)]  # the first block
+    poly += [(px + 10, 15.0), (px + 10, decoy), (px, decoy), (px, 20.0)]
+    samples = [(px + 5, decoy + 1e-3), (px, 0.0)]  # the first starts the search in block 2
+    got = _min_dist_to_polyline(samples, poly)
+    assert bits(got) == bits(full_scan(samples, poly))
+    assert got[1] < decoy
+
+
+def numpy_hausdorff(curve_a, curve_b):
+    """The former numpy `hausdorff_defect` of `desing.dynamo`."""
+    curve_a, curve_b = np.array(curve_a, dtype=float), np.array(curve_b, dtype=float)
+
+    def truncate(points, length):
+        seg = np.diff(points, axis=0)
+        lens = np.hypot(seg[:, 0], seg[:, 1])
+        cum = np.concatenate(([0.0], np.cumsum(lens)))
+        if cum[-1] <= length:
+            return points
+        i = min(int(np.searchsorted(cum, length, side="right") - 1), len(seg) - 1)
+        frac = 0.0 if lens[i] == 0 else (length - cum[i]) / lens[i]
+        return np.vstack([points[: i + 1], points[i] + frac * seg[i]])
+
+    def resample(points, step):
+        seg = np.diff(points, axis=0)
+        lens = np.hypot(seg[:, 0], seg[:, 1])
+        cum = np.concatenate(([0.0], np.cumsum(lens)))
+        total = float(cum[-1])
+        if total == 0.0:
+            return points[:1]
+        targets = np.append(np.arange(0.0, total, step), total)
+        idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
+        frac = (targets - cum[idx]) / np.where(lens[idx] == 0, 1.0, lens[idx])
+        return points[idx] + frac[:, None] * seg[idx]
+
+    la = float(np.hypot(*np.diff(curve_a, axis=0).T).sum()) if len(curve_a) > 1 else 0.0
+    lb = float(np.hypot(*np.diff(curve_b, axis=0).T).sum()) if len(curve_b) > 1 else 0.0
+    common = min(la, lb)
+    samples = resample(truncate(curve_a, common), 1e-3)
+    b = truncate(curve_b, common)
+    if len(b) == 1:
+        return float(np.hypot(*(samples - b[0]).T).max())
+    return max(numpy_min_dist(samples, b))
+
+
+def conjugacy_curves(chart, x0):
+    """The two curves `conjugacy_check` compares for a demo-field seed."""
+    cf = blow_up_in_chart(F, W, chart)
+    chart_traj = integrate(frame_chart(cf, A1), x0, 1.0, 1e-3)
+    embedded = [cf.embed((u, v)) for _, u, v in chart_traj.points]
+    return embedded, integrate(frame_original(F, A1), embedded[0], 1.0, 1e-3).coords()
+
+
+@pytest.mark.parametrize("chart", list(ChartId))
+@pytest.mark.parametrize("x0", [(0.3, 0.4), (0.05, -0.45), (0.45, 0.1)])
+def test_hausdorff_defect_agrees_with_numpy(chart, x0):
+    # math.hypot and np.hypot can differ in the last bit, and numpy sums the
+    # total lengths pairwise where the running sum adds in order; the defect
+    # moves by a few 1e-9 relative at most (2.3e-9 over 460 verify calls)
+    a, b = conjugacy_curves(chart, x0)
+    want = numpy_hausdorff(a, b)
+    assert 0.0 < want < 1e-6
+    assert abs(hausdorff_defect(a, b) - want) <= 1e-8 * want
 
 
 def test_portrait_counts():
