@@ -78,15 +78,18 @@ _CHART_INFO = {
 }
 
 
-def embed(chart: ChartId, weights: Weights, point):
-    """Chart point (r, w) -> plane point (x, y); exact for rational input
+def embed_points(chart: ChartId, weights: Weights, points) -> "list[tuple]":
+    """Chart points (r, w) -> plane points (x, y); exact for rational input
     with integer weights, float otherwise."""
-    r, w = point
-    ra = r ** weights.alpha
-    rb = r ** weights.beta
+    alpha, beta, sign = weights.alpha, weights.beta, chart.sign
     if chart.x_radial:
-        return (chart.sign * ra, rb * w)
-    return (ra * w, chart.sign * rb)
+        return [(sign * r**alpha, r**beta * w) for r, w in points]
+    return [(r**alpha * w, sign * r**beta) for r, w in points]
+
+
+def embed(chart: ChartId, weights: Weights, point):
+    """One chart point through `embed_points`."""
+    return embed_points(chart, weights, (point,))[0]
 
 
 @dataclass(frozen=True)

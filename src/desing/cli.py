@@ -5,6 +5,14 @@ Subcommands: weights, blowup, analyze, portrait, verify.  Exit codes:
 verification, a value beyond the float range), 2 usage error.  Output is
 deterministic for a fixed configuration and seed; DESING_SEED overrides the
 property-check seed.
+
+A command line that starts with a command name is parsed by that command's
+parser alone: building the whole tree costs more than a small blow-up, and
+a process runs one command.  The full tree (`build_parser`) is built only
+when the first argument is not a command name (no arguments, `-h`, `--`, an
+unknown name) or when the command's parser leaves arguments it does not
+recognize; argparse's top-level parser then prints the usage, help or error
+text, so every message and exit code is the one the full tree gives.
 """
 
 from __future__ import annotations
@@ -76,48 +84,46 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="desing",
-        description="Blow-up desingularization of planar polynomial vector fields",
+def _add_common(p):
+    p.add_argument("input", help="vector-field file ('-' for stdin)")
+    p.add_argument(
+        "--param",
+        action="append",
+        default=[],
+        type=_param_binding,
+        metavar="NAME=VALUE",
+        help="bind a parameter to an exact rational (repeatable)",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    p.add_argument("-o", "--output", default=None, help="write output to a file")
 
-    def add_common(p):
-        p.add_argument("input", help="vector-field file ('-' for stdin)")
-        p.add_argument(
-            "--param",
-            action="append",
-            default=[],
-            type=_param_binding,
-            metavar="NAME=VALUE",
-            help="bind a parameter to an exact rational (repeatable)",
-        )
-        p.add_argument("-o", "--output", default=None, help="write output to a file")
 
-    p = sub.add_parser("weights", help="infer the quasi-homogeneous type")
-    add_common(p)
+def _weights_args(p):
+    _add_common(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("blowup", help="print raw and desingularized blown-up fields")
-    add_common(p)
+
+def _blowup_args(p):
+    _add_common(p)
     p.add_argument("--model", choices=_MODELS, default=MODEL_DIRECTIONAL)
     p.add_argument("--charts", default="K1,K2,K3,K4", help="comma-separated chart subset")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("analyze", help="global divisor equilibria report")
-    add_common(p)
+
+def _analyze_args(p):
+    _add_common(p)
     p.add_argument("--model", choices=_MODELS, default=MODEL_SPHERE)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("portrait", help="emit trajectory data for phase portraits")
-    add_common(p)
+
+def _portrait_args(p):
+    _add_common(p)
     p.add_argument("--frame", choices=_FRAMES, default="original")
     p.add_argument("--grid", type=_grid, required=True, metavar="U0:U1:NU,V0:V1:NV")
     p.add_argument("--t-end", type=_positive_float, default=1.0)
     p.add_argument("--step", type=_positive_float, default=1e-2)
 
-    p = sub.add_parser("verify", help="run the invariant suite and report pass/fail")
+
+def _verify_args(p):
     p.add_argument("input", nargs="?", default=None, help="optional field file ('-' for stdin)")
     p.add_argument(
         "--param", action="append", default=[], type=_param_binding, metavar="NAME=VALUE"
@@ -125,17 +131,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--seed", type=int, default=0, help="property-check seed (DESING_SEED overrides)")
 
+
+# name -> (help line, function that adds the command's arguments to a parser)
+_COMMANDS = {
+    "weights": ("infer the quasi-homogeneous type", _weights_args),
+    "blowup": ("print raw and desingularized blown-up fields", _blowup_args),
+    "analyze": ("global divisor equilibria report", _analyze_args),
+    "portrait": ("emit trajectory data for phase portraits", _portrait_args),
+    "verify": ("run the invariant suite and report pass/fail", _verify_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(
+        prog="desing",
+        description="Blow-up desingularization of planar polynomial vector fields",
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_line))
     return top
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The parsed command line: by the named command's parser alone unless
+    that parser leaves arguments unrecognized (see the module docstring)."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"desing {argv[0]}")
+        command[1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 # -- helpers ---------------------------------------------------------------------
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else repr(path)
+        raise DesingError(f"cannot decode {name} as UTF-8: {exc.reason} at byte {exc.start}")
 
 
 def _load_field(path: str) -> VectorField:
@@ -396,7 +439,12 @@ def _cmd_portrait(args) -> int:
 def _cmd_verify(args) -> int:
     from .selfcheck import run_all  # only verify needs the suite; other commands skip its import
 
-    seed = int(os.environ.get("DESING_SEED", args.seed))
+    try:
+        seed = int(os.environ.get("DESING_SEED", args.seed))
+    except ValueError:
+        got = os.environ["DESING_SEED"]
+        print(f"verify: DESING_SEED must be an integer, got {got!r}", file=sys.stderr)
+        return 2
     f = None if args.input is None else _load_field(args.input)
     results = run_all(seed=seed, f=f, bindings=dict(args.param))
     lines = []
@@ -420,8 +468,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return _DISPATCH[args.command](args)
     except (DesingError, OSError) as exc:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
-from .charts import ChartField
+from .charts import ChartField, embed_points
 from .errors import NonFiniteField
 from .polar import PolarField
 from .vectorfield import VectorField
@@ -318,7 +318,7 @@ def conjugacy_check(
     if float(x0_chart[0]) <= 0:
         raise ValueError("conjugacy check needs a seed with positive radial coordinate")
     chart_traj = integrate(frame_chart(cf, bindings), x0_chart, t_end, h)
-    embedded = [cf.embed((u, v)) for _, u, v in chart_traj.points]
+    embedded = embed_points(cf.chart, cf.weights, chart_traj.coords())
     plane_traj = integrate(frame_original(f, bindings), embedded[0], t_end, h)
     return hausdorff_defect(embedded, plane_traj.coords())
 

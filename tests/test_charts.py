@@ -1,4 +1,6 @@
+import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,11 @@ from desing.charts import (
     ChartId,
     blow_up_in_chart,
     compatibility_defect,
+    embed_points,
     overlap_sign,
     transition,
 )
+from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.errors import NotDivisible, OutOfDomain
 from desing.poly import Poly, poly_vars
 from desing.selfcheck import (
@@ -150,6 +154,42 @@ def test_embed():
     assert cf.embed((Fraction(2), Fraction(1, 2))) == (-2, 1)
     cfw = blow_up_in_chart(VectorField(Poly.var("x") ** 2, Poly.var("y") ** 3, ("x", "y")), Weights(2, 1, 2), ChartId.K1)
     assert cfw.embed((Fraction(3), Fraction(5))) == (9, 15)
+
+
+def _embed_written_out(chart, weights, point):
+    r, w = point
+    ra = r ** weights.alpha
+    rb = r ** weights.beta
+    if chart.x_radial:
+        return (chart.sign * ra, rb * w)
+    return (ra * w, chart.sign * rb)
+
+
+@pytest.mark.parametrize(
+    "src, weights",
+    [
+        ("var x y; dx/dt = x^2; dy/dt = y^2;", Weights(1, 1, 1)),
+        ("var x y; dx/dt = x^2; dy/dt = y^3;", Weights(2, 1, 2)),
+        ("var x y; dx/dt = x^3; dy/dt = y^2;", Weights(1, 2, 2)),
+    ],
+    ids=["1-1", "2-1", "1-2"],
+)
+@pytest.mark.parametrize("chart", list(ChartId))
+def test_embed_points_matches_embed_bit_for_bit(src, weights, chart):
+    cf = blow_up_in_chart(lower_to_polynomials(parse_field_spec(src)), weights, chart)
+    rng = random.Random(f"{chart}-{weights}")
+    points = [(0.0, 0.0), (0.0, -0.0), (1e-200, -0.0), (5e-324, 3.0), (1e100, -1e200), (-0.25, 7.5)]
+    points += [(rng.uniform(0, 3), rng.uniform(-5, 5)) for _ in range(300)]
+    points += [(math.ldexp(rng.random(), rng.randint(-300, 300)), rng.gauss(0, 1)) for _ in range(300)]
+
+    def bits(pts):
+        return [struct.pack("<dd", *p) for p in pts]
+
+    listed = embed_points(chart, weights, points)
+    assert bits(listed) == bits([cf.embed(p) for p in points])
+    assert bits(listed) == bits([_embed_written_out(chart, weights, p) for p in points])
+    rational = [(Fraction(3, 2), Fraction(-4, 5)), (Fraction(0), Fraction(7))]
+    assert embed_points(chart, weights, rational) == [_embed_written_out(chart, weights, p) for p in rational]
 
 
 # -- transitions ------------------------------------------------------------------

@@ -1,11 +1,16 @@
+import argparse
+import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from desing.cli import main
+from desing.cli import _parse, build_parser, main
 
-INPUTS = Path(__file__).resolve().parents[1] / "inputs"
+ROOT = Path(__file__).resolve().parents[1]
+INPUTS = ROOT / "inputs"
 QUADRATIC = str(INPUTS / "quadratic.vf")
 WEIGHTED = str(INPUTS / "weighted_cubic.vf")
 
@@ -362,6 +367,26 @@ def test_verify_on_input_field(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_rejects_a_non_integer_seed_variable(capsys, monkeypatch):
+    monkeypatch.setenv("DESING_SEED", "abc")
+    assert run(capsys, "verify") == (2, "", "verify: DESING_SEED must be an integer, got 'abc'\n")
+
+
+def test_non_utf8_file_one_line_error(tmp_path, capsys):
+    path = tmp_path / "f.vf"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"analyze: cannot decode {str(path)!r} as UTF-8: invalid start byte at byte 0\n"
+
+
+def test_non_utf8_stdin_one_line_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+    code, out, err = run(capsys, "analyze", "-")
+    assert (code, out) == (1, "")
+    assert err == "analyze: cannot decode standard input as UTF-8: invalid start byte at byte 0\n"
+
+
 # The choices of --model and --frame are read off the chart and polar-model
 # tables; these pins keep the help text and the usage error as users see them.
 HELP = {
@@ -488,6 +513,117 @@ def test_unknown_frame_usage_error(capsys, monkeypatch):
         "desing portrait: error: argument --frame: invalid choice: 'K5' (choose from "
         "'original', 'K1', 'K2', 'K3', 'K4', 'sphere', 'hyperbolic-x', 'hyperbolic-y')\n"
     )
+
+
+# A command line that starts with a command name is parsed by that command's
+# parser alone; these tables hold it to what the full parser tree gives.
+# Paths are never opened while parsing.
+PARSED_ALIKE = [
+    # the op shapes of bench/workloads.py
+    ["analyze", "d.vf", "--param", "p=-3/7", "--format", "json", "-o", "o.json"],
+    *(["analyze", "q.vf", "--param", "a=1", "--model", m, "--format", f, "-o", "o"]
+      for m in ("sphere", "directional", "hyperbolic-x", "hyperbolic-y") for f in ("text", "json")),
+    ["weights", "q.vf", "--format", "text", "-o", "o.txt"],
+    *(["blowup", "q.vf", "--model", m, "--format", "json", "-o", "o.json"]
+      for m in ("sphere", "directional", "hyperbolic-x", "hyperbolic-y")),
+    ["analyze", "q.vf", "--format", "text", "-o", "o.txt"],
+    ["portrait", "p.vf", "--param", "a=1", "--frame", "K3", "--grid=0.1:0.5:3,-0.5:0.5:2",
+     "--t-end", "0.75", "--step", "0.005", "-o", "o.csv"],
+    ["portrait", "p.vf", "--frame", "hyperbolic-y", "--grid=-1:1:2,0:1:1", "--t-end", "1.0",
+     "--step", "0.01", "-o", "o.csv"],
+    ["verify", "--seed", "1", "-o", "o.txt"],
+    ["verify", "w.vf", "--seed", "0", "-o", "o.txt"],
+    # the README examples
+    ["weights", "inputs/quadratic.vf"],
+    ["blowup", "inputs/quadratic.vf", "--charts", "K1,K2"],
+    ["blowup", "inputs/quadratic.vf", "--model", "hyperbolic-x"],
+    ["analyze", "inputs/quadratic.vf", "--param", "a=1"],
+    ["analyze", "inputs/quadratic.vf", "--param", "a=1", "--format", "json", "-o", "report.json"],
+    ["analyze", "inputs/quadratic.vf", "--param", "a=2", "--model", "hyperbolic-x"],
+    ["portrait", "inputs/quadratic.vf", "--param", "a=1", "--frame", "K1", "--grid", "0:1:5,-1:1:5",
+     "--t-end", "0.5", "--step", "0.01", "-o", "trajectories.csv"],
+    ["verify"],
+    ["verify", "my_field.vf", "--param", "mu=1/2"],
+    # options before the input, repeated options, stdin and a separating --
+    ["analyze", "--param", "a=1", "--param", "b=2", "--format=json", "-", "--model", "sphere"],
+    ["weights", "--", "-"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSED_ALIKE, ids=" ".join)
+def test_command_parser_matches_full_tree(argv):
+    assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
+
+
+REJECTED_ALIKE = [
+    [],
+    ["frobnicate", "q.vf"],
+    ["analyze", "q.vf", "--bogus"],
+    ["analyze", "q.vf", "--bogus", "-o"],
+    ["analyze", "q.vf", "extra"],
+    ["verify", "a.vf", "b.vf"],
+    ["analyze"],
+    ["portrait", "q.vf"],
+    ["analyze", "q.vf", "--model", "torus"],
+    ["portrait", "q.vf", "--grid", "0:1:2"],
+    ["analyze", "q.vf", "--param", "a"],
+    ["analyze", "q.vf", "--param", "a=1/0"],
+    ["verify", "--seed", "x"],
+    ["analyze", "-h", "--bogus"],
+    ["analyze", "q.vf", "--bogus", "-h"],
+    ["-h", "--bogus"],
+    ["--help"],
+    ["--", "analyze", "q.vf"],
+    ["analyze", "--", "q.vf", "--model"],
+]
+
+
+def _exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", REJECTED_ALIKE, ids=lambda argv: " ".join(argv) or "no-args")
+def test_command_parser_exits_like_full_tree(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit(main, argv, capsys) == _exit(lambda a: build_parser().parse_args(a), argv, capsys)
+
+
+def test_a_valid_command_builds_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser()
+    assert len(built) == 6  # the counter sees the full tree: top level and five commands
+    built.clear()
+    assert run(capsys, "analyze", QUADRATIC, "--param", "a=1")[0] == 0
+    assert built == ["desing analyze"]
+
+
+def _python_m_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "desing.cli", *argv], cwd=ROOT,
+        env={"PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"}, capture_output=True, text=True,
+    )
+
+
+def test_module_entry_point_reads_sys_argv():
+    done = _python_m_cli("analyze", "inputs/quadratic.vf", "--param", "a=1")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "divisor equilibria (6):" in done.stdout
+    done = _python_m_cli()
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines() == [
+        "usage: desing [-h] {weights,blowup,analyze,portrait,verify} ...",
+        "desing: error: the following arguments are required: command",
+    ]
 
 
 def test_polar_models_divide_by_the_weights_k(tmp_path, capsys):
