@@ -103,9 +103,6 @@ class ChartField:
     divisor: str
     params: "tuple[Param, ...]" = ()
 
-    def embed(self, point):
-        return embed(self.chart, self.weights, point)
-
     def as_callable(self, bindings, desingularized: bool = True) -> Callable:
         """Float evaluator (r, w) -> (r', w') with parameters bound."""
         pair = self.desing if desingularized else self.raw

@@ -18,6 +18,7 @@ text, so every message and exit code is the one the full tree gives.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -132,23 +133,13 @@ def _verify_args(p):
     p.add_argument("--seed", type=int, default=0, help="property-check seed (DESING_SEED overrides)")
 
 
-# name -> (help line, function that adds the command's arguments to a parser)
-_COMMANDS = {
-    "weights": ("infer the quasi-homogeneous type", _weights_args),
-    "blowup": ("print raw and desingularized blown-up fields", _blowup_args),
-    "analyze": ("global divisor equilibria report", _analyze_args),
-    "portrait": ("emit trajectory data for phase portraits", _portrait_args),
-    "verify": ("run the invariant suite and report pass/fail", _verify_args),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="desing",
         description="Blow-up desingularization of planar polynomial vector fields",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_args) in _COMMANDS.items():
+    for name, (help_line, add_args, _) in _COMMANDS.items():
         add_args(sub.add_parser(name, help=help_line))
     return top
 
@@ -173,7 +164,12 @@ def _parse(argv) -> argparse.Namespace:
 def _read_source(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # strict UTF-8 as for a file, not the locale's escaping decoder
+            stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+            try:
+                return stdin.read()
+            finally:
+                stdin.detach()  # leave sys.stdin open
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
@@ -249,7 +245,7 @@ def _eigen_payload(eq):
         "exact": eq.exact,
         "interval": None if eq.interval is None else [str(v) for v in eq.interval],
         "jacobian": [[_num(x) for x in row] for row in eq.jacobian],
-        "eigenvalues": [[z.real, z.imag] for z in eq.eigenvalues],
+        "eigenvalues": [[x, 0.0] for x in eq.eigenvalues],  # [re, im] of a real eigenvalue
         "eigenvalues_exact": None
         if eq.eigenvalues_exact is None
         else [str(v) for v in eq.eigenvalues_exact],
@@ -280,13 +276,6 @@ def analysis_payload(report: GlobalReport):
         "notes": report.notes,
         "derivation_notes": [dict(n) for n in DERIVATION_NOTES],
     }
-
-
-def _fmt_complex(z: complex) -> str:
-    if z.imag == 0:
-        return f"{z.real:.12g}"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real:.12g} {sign} {abs(z.imag):.12g}i"
 
 
 def render_analysis_text(report: GlobalReport) -> str:
@@ -329,7 +318,7 @@ def render_analysis_text(report: GlobalReport) -> str:
         lines.append(f"  [{i}] {angle_label} = {m.angle:.12g}  {m.classification}")
         for e in m.members:
             coords = ", ".join(str(c) if isinstance(c, Fraction) else f"{c:.12g}" for c in e.coords)
-            eig = ", ".join(_fmt_complex(z) for z in e.eigenvalues)
+            eig = ", ".join(f"{x:.12g}" for x in e.eigenvalues)
             exact = ""
             if e.eigenvalues_exact is not None:
                 exact = " (exact: " + ", ".join(str(v) for v in e.eigenvalues_exact) + ")"
@@ -458,19 +447,20 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-_DISPATCH = {
-    "weights": _cmd_weights,
-    "blowup": _cmd_blowup,
-    "analyze": _cmd_analyze,
-    "portrait": _cmd_portrait,
-    "verify": _cmd_verify,
+# name -> (help line, function that adds the command's arguments, handler)
+_COMMANDS = {
+    "weights": ("infer the quasi-homogeneous type", _weights_args, _cmd_weights),
+    "blowup": ("print raw and desingularized blown-up fields", _blowup_args, _cmd_blowup),
+    "analyze": ("global divisor equilibria report", _analyze_args, _cmd_analyze),
+    "portrait": ("emit trajectory data for phase portraits", _portrait_args, _cmd_portrait),
+    "verify": ("run the invariant suite and report pass/fail", _verify_args, _cmd_verify),
 }
 
 
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (DesingError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1

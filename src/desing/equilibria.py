@@ -16,10 +16,10 @@ and its two entries a and d are its eigenvalues.  With no tolerance at all:
     a = 0 or d = 0      -> non-hyperbolic (a zero eigenvalue)
     a*d > 0             -> stable node for a < 0, unstable node for a > 0
 
-A focus cannot occur: the discriminant is (a - d)^2 >= 0.  At a rational
-root a and d are exact.  At an irrational root `value_at_root` gives each a
-rational with its exact sign, exactly 0 when the entry vanishes there; the
-printed Jacobian and eigenvalues are those values rounded once.
+A focus cannot occur: the eigenvalues are real, the sorted diagonal.  At a
+rational root a and d are exact.  At an irrational root `value_at_root`
+gives each a rational with its exact sign, exactly 0 when the entry vanishes
+there; the Jacobian, and so the printed eigenvalues, hold those rounded once.
 
 Each divisor point is keyed by its owning chart and exact root: K1 and K3
 own their roots with |w| <= 1, K2 and K4 those with |w| < 1.  The chart
@@ -128,16 +128,14 @@ class Equilibrium:
 
     `coords` follows the frame convention: (radial, angular) in directional
     charts, (angle, radius) in polar models.  Entries are exact Fractions
-    when available, floats otherwise.
+    when available, floats otherwise; the Jacobian is diagonal, and its
+    eigenvalues and the root's enclosure are derived from it and the root.
     """
 
     chart: str
     coords: tuple
     exact: bool
-    interval: "tuple[Fraction, Fraction] | None"
     jacobian: tuple
-    eigenvalues: "tuple[complex, complex]"
-    eigenvalues_exact: "tuple[Fraction, Fraction] | None"
     classification: str
     divisor_angle: float
     root: "RealRoot | None" = None  # the root w of a directional chart point (0, w)
@@ -145,6 +143,21 @@ class Equilibrium:
     @property
     def coords_float(self) -> "tuple[float, ...]":
         return tuple(float(c) for c in self.coords)
+
+    @property
+    def interval(self) -> "tuple[Fraction, Fraction] | None":
+        """The isolating enclosure of an irrational root, else None."""
+        return None if self.root is None or self.root.exact else (self.root.lo, self.root.hi)
+
+    @property
+    def eigenvalues_exact(self) -> "tuple[Fraction, Fraction] | None":
+        """The sorted diagonal of an exact Jacobian, else None."""
+        return tuple(sorted((self.jacobian[0][0], self.jacobian[1][1]))) if self.exact else None
+
+    @property
+    def eigenvalues(self) -> "tuple[float, float]":
+        """The sorted diagonal rounded to floats."""
+        return tuple(sorted((float(self.jacobian[0][0]), float(self.jacobian[1][1]))))
 
 
 class ChartEquilibria(list):
@@ -160,9 +173,22 @@ class ChartEquilibria(list):
 
 @dataclass
 class MergedEquilibrium:
-    angle: float
+    """One divisor point; its angle and class are those of the first exact
+    member, or else the first member."""
+
     members: "list[Equilibrium]"
-    classification: str
+
+    @property
+    def _representative(self) -> Equilibrium:
+        return next((e for e in self.members if e.exact), self.members[0])
+
+    @property
+    def angle(self) -> float:
+        return self._representative.divisor_angle
+
+    @property
+    def classification(self) -> str:
+        return self._representative.classification
 
 
 @dataclass
@@ -190,25 +216,14 @@ class GlobalReport:
 # -- classification ------------------------------------------------------------------
 
 
-def _classify(a, d) -> str:
+def classify_exact(a: Fraction, d: Fraction) -> str:
     """The class of the divisor Jacobian diag(a, d) from exact values or
-    values with the exact signs."""
+    values with the exact signs: no tolerances."""
     if a * d < 0:
         return CLASS_SADDLE
     if not a or not d:
         return CLASS_NON_HYPERBOLIC
     return CLASS_STABLE_NODE if a < 0 else CLASS_UNSTABLE_NODE
-
-
-def _float_pair(a: float, d: float) -> "tuple[complex, complex]":
-    """The eigenvalues of the float Jacobian diag(a, d), in increasing order."""
-    return tuple(complex(x) for x in sorted((a, d)))
-
-
-def classify_exact(a: Fraction, d: Fraction) -> "tuple[str, tuple, tuple[complex, complex]]":
-    """The class and the eigenvalues, exact and rounded once, of the exact
-    divisor Jacobian diag(a, d): no tolerances."""
-    return _classify(a, d), tuple(sorted((a, d))), _float_pair(float(a), float(d))
 
 
 # -- chart-local analysis ----------------------------------------------------------------
@@ -262,40 +277,17 @@ def divisor_angle(chart: ChartId, w_value: float, weights: Weights) -> float:
     return math.atan2(y, x) % TWO_PI
 
 
-def _exact_equilibrium(cf: ChartField, root: RealRoot, a: Fraction, d: Fraction) -> Equilibrium:
-    """The classified divisor equilibrium at an exact rational root with the
-    exact Jacobian diag(a, d) there."""
-    cls, eig_exact, eig_float = classify_exact(a, d)
-    return Equilibrium(
-        chart=cf.chart.value,
-        coords=(Fraction(0), root.value),
-        exact=True,
-        interval=None,
-        jacobian=((a, Fraction(0)), (Fraction(0), d)),
-        eigenvalues=eig_float,
-        eigenvalues_exact=eig_exact,
-        classification=cls,
-        divisor_angle=divisor_angle(cf.chart, float(root.value), cf.weights),
-        root=root,
-    )
-
-
-def _enclosed_equilibrium(cf: ChartField, root: RealRoot, a: float, d: float, cls: str) -> Equilibrium:
-    """The divisor equilibrium of class `cls` at an irrational root, printed
-    at the enclosure's midpoint with the float Jacobian diag(a, d)."""
-    w = float((root.lo + root.hi) / 2)
-    return Equilibrium(
-        chart=cf.chart.value,
-        coords=(0.0, w),
-        exact=False,
-        interval=(root.lo, root.hi),
-        jacobian=((a, 0.0), (0.0, d)),
-        eigenvalues=_float_pair(a, d),
-        eigenvalues_exact=None,
-        classification=cls,
-        divisor_angle=divisor_angle(cf.chart, w, cf.weights),
-        root=root,
-    )
+def _member(cf: ChartField, root: RealRoot, a, d, cls: str) -> Equilibrium:
+    """The divisor equilibrium of class `cls` at a root with the Jacobian
+    diag(a, d) there: exact at a rational root; at an irrational one printed
+    at the enclosure's midpoint, with a and d rounded once."""
+    if root.exact:
+        zero, w = Fraction(0), root.value
+    else:
+        zero, w = 0.0, float((root.lo + root.hi) / 2)
+        a, d = float(a), float(d)
+    angle = divisor_angle(cf.chart, float(w), cf.weights)
+    return Equilibrium(cf.chart.value, (zero, w), root.exact, ((a, zero), (zero, d)), cls, angle, root)
 
 
 def _angular_on_divisor(cf: ChartField, des_w: Poly) -> "list[int]":
@@ -325,7 +317,7 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
     for root in real_roots(coeffs):
         if root.exact:
             a, d = (value_at_root(e, root) / den for e in diagonal)
-            out.append(_exact_equilibrium(cf, root, a, d))
+            out.append(_member(cf, root, a, d, classify_exact(a, d)))
         else:
             out.append(_interval_equilibrium(cf, root, den, diagonal))
     return out
@@ -336,7 +328,7 @@ def _interval_equilibrium(cf: ChartField, root: RealRoot, den: int, diagonal) ->
     diagonal entry is the rational `value_at_root` gives, over `den`: it has
     the exact sign there, and is 0 when the entry vanishes at the root."""
     a, d = (value_at_root(e, root) / den for e in diagonal)
-    return _enclosed_equilibrium(cf, root, float(a), float(d), _classify(a, d))
+    return _member(cf, root, a, d, classify_exact(a, d))
 
 
 # -- reflected charts ----------------------------------------------------------------
@@ -382,17 +374,15 @@ def _reflected_equilibria(
     """The chart's divisor equilibria mapped from its reflection partner's.
 
     A partner point (0, w') is the point (0, eps*w') here, and with the time
-    factor t a partner Jacobian diag(a, d) becomes t * diag(a, d)."""
+    factor t a partner Jacobian diag(a, d) becomes t * diag(a, d), of the
+    partner's class with the nodes swapped when t = -1."""
     coeffs = _angular_on_divisor(cf, bind_params(cf.desing[1], bound))
     out = ChartEquilibria(1 if coeffs[-1] > 0 else -1)
     for eq in reversed(partner) if eps < 0 else partner:
         root = _mirrored(eq.root) if eps < 0 else eq.root
         (a, _), (_, d) = eq.jacobian
-        if eq.exact:
-            out.append(_exact_equilibrium(cf, root, t * a, t * d))
-        else:
-            cls = eq.classification if t > 0 else _REVERSED.get(eq.classification, eq.classification)
-            out.append(_enclosed_equilibrium(cf, root, _signed(t, a), _signed(t, d), cls))
+        cls = eq.classification if t > 0 else _REVERSED.get(eq.classification, eq.classification)
+        out.append(_member(cf, root, _signed(t, a), _signed(t, d), cls))
     return out
 
 
@@ -451,8 +441,7 @@ def _circle_picture(charts: "dict[ChartId, ChartEquilibria]"):
     merged, signs = [], []
     for chart, i, _, members in _owned_points(charts):
         members.sort(key=lambda e: (e.divisor_angle, e.chart))
-        rep = next((e for e in members if e.exact), members[0])
-        merged.append(MergedEquilibrium(rep.divisor_angle, members, rep.classification))
+        merged.append(MergedEquilibrium(members))
         # the arc leaves the owner root in the direction of increasing angle
         orient = chart.orientation
         signs.append(orient * _sign_below(charts[chart], i + (orient > 0)))
@@ -495,10 +484,7 @@ def _wing_equilibrium(eq: Equilibrium, model: str, k: int) -> Equilibrium:
     """
     (a, zero), (_, d) = eq.jacobian
     if eq.exact and eq.coords[1] == 0:
-        return Equilibrium(
-            model, (Fraction(0), Fraction(0)), True, None, ((d, zero), (zero, a)),
-            eq.eigenvalues, eq.eigenvalues_exact, eq.classification, 0.0,
-        )
+        return Equilibrium(model, (zero, zero), True, ((d, zero), (zero, a)), eq.classification, 0.0)
     root = eq.root
     # an enclosure narrow against 1 - |w| gives cosh(phi) to about 2^-37
     while not root.exact and (root.hi - root.lo) * 2**36 > 1 - max(-root.lo, root.hi):
@@ -515,17 +501,7 @@ def _wing_equilibrium(eq: Equilibrium, model: str, k: int) -> Equilibrium:
     else:
         scale = _sqrt_float(cosh_2k)
         da, dd = scale * a, scale * d
-    return Equilibrium(
-        chart=model,
-        coords=(phi, Fraction(0)),
-        exact=False,
-        interval=None,
-        jacobian=((dd, 0.0), (0.0, da)),
-        eigenvalues=_float_pair(da, dd),
-        eigenvalues_exact=None,
-        classification=eq.classification,
-        divisor_angle=phi,
-    )
+    return Equilibrium(model, (phi, Fraction(0)), False, ((dd, 0.0), (0.0, da)), eq.classification, phi)
 
 
 def _wing_picture(eqs: ChartEquilibria, model: str, k: int):
@@ -535,7 +511,7 @@ def _wing_picture(eqs: ChartEquilibria, model: str, k: int):
     first = sum(1 for e in eqs if compare_root(e.root, -1) <= 0)
     inside = list(takewhile(lambda e: compare_root(e.root, 1) < 0, eqs[first:]))
     wing = [_wing_equilibrium(e, model, k) for e in inside]
-    merged = [MergedEquilibrium(e.divisor_angle, [e], e.classification) for e in wing]
+    merged = [MergedEquilibrium([e]) for e in wing]
     angles = [e.divisor_angle for e in wing]
     arcs = [
         FlowArc(a, b, _sign_below(eqs, k))

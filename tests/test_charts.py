@@ -10,6 +10,7 @@ from desing.charts import (
     ChartId,
     blow_up_in_chart,
     compatibility_defect,
+    embed,
     embed_points,
     overlap_sign,
     transition,
@@ -151,9 +152,9 @@ def test_pushforward_identity_numeric_weighted():
 
 def test_embed():
     cf = _chart(ChartId.K3)
-    assert cf.embed((Fraction(2), Fraction(1, 2))) == (-2, 1)
+    assert embed(cf.chart, cf.weights, (Fraction(2), Fraction(1, 2))) == (-2, 1)
     cfw = blow_up_in_chart(VectorField(Poly.var("x") ** 2, Poly.var("y") ** 3, ("x", "y")), Weights(2, 1, 2), ChartId.K1)
-    assert cfw.embed((Fraction(3), Fraction(5))) == (9, 15)
+    assert embed(cfw.chart, cfw.weights, (Fraction(3), Fraction(5))) == (9, 15)
 
 
 def _embed_written_out(chart, weights, point):
@@ -186,7 +187,7 @@ def test_embed_points_matches_embed_bit_for_bit(src, weights, chart):
         return [struct.pack("<dd", *p) for p in pts]
 
     listed = embed_points(chart, weights, points)
-    assert bits(listed) == bits([cf.embed(p) for p in points])
+    assert bits(listed) == bits([embed(cf.chart, cf.weights, p) for p in points])
     assert bits(listed) == bits([_embed_written_out(chart, weights, p) for p in points])
     rational = [(Fraction(3, 2), Fraction(-4, 5)), (Fraction(0), Fraction(7))]
     assert embed_points(chart, weights, rational) == [_embed_written_out(chart, weights, p) for p in rational]
@@ -197,8 +198,8 @@ def test_embed_points_matches_embed_bit_for_bit(src, weights, chart):
 
 def test_transition_example():
     # both (2, 1/2) in K1 and (1, 2) in K2 embed to the plane point (2, 1)
-    assert _chart(ChartId.K1).embed((2, Fraction(1, 2))) == (2, 1)
-    assert _chart(ChartId.K2).embed((1, 2)) == (2, 1)
+    assert embed(ChartId.K1, W, (2, Fraction(1, 2))) == (2, 1)
+    assert embed(ChartId.K2, W, (1, 2)) == (2, 1)
     assert transition((2, Fraction(1, 2)), ChartId.K1, ChartId.K2) == (1, 2)
 
 
@@ -222,7 +223,6 @@ def test_transition_out_of_domain():
 
 def test_transition_matches_embeddings():
     # whenever both charts see the point, both embeddings agree
-    charts = {c: _chart(c) for c in ChartId}
     cases = [
         (ChartId.K1, ChartId.K2, (Fraction(3, 2), Fraction(4, 5))),
         (ChartId.K1, ChartId.K4, (Fraction(2), Fraction(-1, 3))),
@@ -232,7 +232,7 @@ def test_transition_matches_embeddings():
     ]
     for frm, to, point in cases:
         mapped = transition(point, frm, to)
-        assert charts[frm].embed(point) == charts[to].embed(mapped)
+        assert embed(frm, W, point) == embed(to, W, mapped)
 
 
 def test_transition_roundtrip_random():

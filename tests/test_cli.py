@@ -36,7 +36,7 @@ def test_weights_json(capsys):
 def test_weights_from_stdin(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("var x y; dx/dt = y; dy/dt = x;"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"var x y; dx/dt = y; dy/dt = x;")))
     code, out, _ = run(capsys, "weights", "-")
     assert code == 0
     assert out == "(alpha, beta, k) = (1, 1, 0)\n"
@@ -612,6 +612,17 @@ def _python_m_cli(*argv):
         [sys.executable, "-m", "desing.cli", *argv], cwd=ROOT,
         env={"PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"}, capture_output=True, text=True,
     )
+
+
+@pytest.mark.parametrize("env, flags", [({"LC_ALL": "C"}, []), ({}, ["-X", "utf8"])], ids=["C-locale", "utf8-mode"])
+def test_non_utf8_stdin_is_decoded_as_a_file_is(env, flags):
+    # the locale's stdin escapes undecodable bytes in these two settings
+    done = subprocess.run(
+        [sys.executable, *flags, "-m", "desing.cli", "analyze", "-"], cwd=ROOT, input=b"\xff\xfe",
+        env={"PYTHONPATH": str(ROOT / "src"), **env}, capture_output=True,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == b"analyze: cannot decode standard input as UTF-8: invalid start byte at byte 0\n"
 
 
 def test_module_entry_point_reads_sys_argv():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from desing.charts import ChartId, blow_up_in_chart
+from desing.charts import ChartId, blow_up_in_chart, embed
 from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.dynamo import (
     FrameField,
@@ -416,7 +416,7 @@ def conjugacy_curves(chart, x0):
     """The two curves `conjugacy_check` compares for a demo-field seed."""
     cf = blow_up_in_chart(F, W, chart)
     chart_traj = integrate(frame_chart(cf, A1), x0, 1.0, 1e-3)
-    embedded = [cf.embed((u, v)) for _, u, v in chart_traj.points]
+    embedded = [embed(cf.chart, cf.weights, (u, v)) for _, u, v in chart_traj.points]
     return embedded, integrate(frame_original(F, A1), embedded[0], 1.0, 1e-3).coords()
 
 

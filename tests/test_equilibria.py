@@ -18,12 +18,14 @@ from desing.equilibria import (
     CLASS_UNSTABLE_NODE,
     MODEL_HYPERBOLIC_X,
     MODEL_HYPERBOLIC_Y,
+    Equilibrium,
     classify_exact,
     divisor_angle,
     divisor_equilibria,
     _owned_points,
     _reflected_equilibria,
     _reflection,
+    _REVERSED,
     _sqrt_float,
     global_divisor_report,
 )
@@ -112,11 +114,13 @@ def test_float_eigenvalues_agree_with_exact():
 )
 def test_node_eigenvalues_do_not_cancel(jac, small):
     # det is tiny against tr^2, where (tr - sqrt(disc)) / 2 would round to 0
-    cls, exact, eig = classify_exact(*jac)
-    assert cls == CLASS_UNSTABLE_NODE
-    assert exact == (jac[1], jac[0])
-    assert eig == (complex(small), complex(1e9))
-    assert [z.imag for z in eig] == [0.0, 0.0]
+    a, d = jac
+    assert classify_exact(a, d) == CLASS_UNSTABLE_NODE
+    zero = Fraction(0)
+    eq = Equilibrium("K1", (zero, zero), True, ((a, zero), (zero, d)), CLASS_UNSTABLE_NODE, 0.0)
+    assert eq.eigenvalues_exact == (d, a)
+    assert eq.eigenvalues == (small, 1e9)
+    assert [z.imag for z in eq.eigenvalues] == [0.0, 0.0]
 
 
 def test_non_hyperbolic_point_is_flagged_in_report():
@@ -523,11 +527,26 @@ def test_classification_invariant_under_rescaling():
 
 def test_classify_exact_table():
     Fr = Fraction
-    assert classify_exact(Fr(1), Fr(-2))[0] == CLASS_SADDLE
-    assert classify_exact(Fr(2), Fr(1))[0] == CLASS_UNSTABLE_NODE
-    assert classify_exact(Fr(-2), Fr(-1))[0] == "hyperbolic-stable-node"
-    assert classify_exact(Fr(0), Fr(0))[0] == CLASS_NON_HYPERBOLIC
-    assert classify_exact(Fr(1), Fr(0))[0] == CLASS_NON_HYPERBOLIC
+    assert classify_exact(Fr(1), Fr(-2)) == CLASS_SADDLE
+    assert classify_exact(Fr(2), Fr(1)) == CLASS_UNSTABLE_NODE
+    assert classify_exact(Fr(-2), Fr(-1)) == "hyperbolic-stable-node"
+    assert classify_exact(Fr(0), Fr(0)) == CLASS_NON_HYPERBOLIC
+    assert classify_exact(Fr(1), Fr(0)) == CLASS_NON_HYPERBOLIC
+
+
+_RATIONALS = st.just(Fraction(0)) | st.fractions()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RATIONALS, _RATIONALS)
+@example(Fraction(0), Fraction(0))
+@example(Fraction(0), Fraction(-3, 2))
+@example(Fraction(5), Fraction(0))
+def test_time_reversal_swaps_the_nodes(a, d):
+    # a reflected chart with time factor -1 maps the partner's class through
+    # _REVERSED instead of classifying diag(-a, -d) again
+    c = classify_exact(a, d)
+    assert classify_exact(-a, -d) == _REVERSED.get(c, c)
 
 
 def test_zero_field_reports_degenerate_charts():
