@@ -18,17 +18,20 @@ whether x carries the pure radial power (`x_radial`) and that power's
 - `orientation` is +1 where the angle on the circle increases with the
   angular coordinate: `sign` in the x-charts, `-sign` in the y-charts.
 
-Each embedding sends every variable to a signed monomial, so pushing the
-field through it is `Poly.monomial_map`, an exponent rewrite.  The result
-is a triangular system: the component carrying the pure +-r power
-determines r', then the remaining equation yields w'.  Both solves divide
-by a constant times a power of r, and desingularizing divides by r^k; all
-three are `Poly.shift`, which raises NotDivisible if a term lacks the power.
-When the weights verify, every term of the pushed x-component carries
-exactly r^(alpha+k) and every term of the y-component r^(beta+k), so none
-of the divisions can fail.  Both primitives return what `substitute` and
-`div_exact` would, term order included; for a field from the DSL the chart
-fields come out grlex-descending over params + (r, w).
+With verified weights (alpha, beta, k), every term of f1 scales by
+r^(alpha+k) and every term of f2 by r^(beta+k) under the embedding, so with
+s the chart sign, f1(s*r^alpha, r^beta*w) = r^(alpha+k)*f1(s, w), and
+likewise for f2.  Solving x' = s*alpha*r^(alpha-1)*r' and
+y' = beta*r^(beta-1)*w*r' + r^beta*w' in K1/K3 and dividing by r^k gives
+
+    r' = r*P(w),  P = s*f1(s, w)/alpha,
+    w' = Q(w),    Q = f2(s, w) - (beta/alpha)*s*w*f1(s, w),
+
+and in K2/K4 the same with the roles of (f1, alpha) and (f2, beta)
+swapped, the radial state variable set to s and the angular one to w.
+`blow_up_in_chart` reads both off the terms of f1 and f2 in one pass; the
+undivided field is r^k times them.  Both chart fields are grlex-descending
+over params + (r, w).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 from .errors import NameCollision, NotDivisible, OutOfDomain
 from .poly import Poly, float_evaluator
@@ -94,14 +97,32 @@ def embed(chart: ChartId, weights: Weights, point):
 
 @dataclass(frozen=True)
 class ChartField:
+    """A chart's desingularized field (r*P(w), Q(w)); the chart's variable
+    names, its divisor and the field before division derive from it."""
+
     chart: ChartId
     weights: Weights
-    radial_var: str
-    angular_var: str
-    raw: "tuple[Poly, Poly]"  # (radial', angular') before division by radial^k
-    desing: "tuple[Poly, Poly]"  # after exact division by radial^k
-    divisor: str
+    desing: "tuple[Poly, Poly]"  # (radial', angular') after exact division by radial^k
     params: "tuple[Param, ...]" = ()
+
+    @property
+    def radial_var(self) -> str:
+        return _CHART_INFO[self.chart][0]
+
+    @property
+    def angular_var(self) -> str:
+        return _CHART_INFO[self.chart][1]
+
+    @property
+    def divisor(self) -> str:
+        return f"{self.radial_var} = 0"
+
+    @property
+    def raw(self) -> "tuple[Poly, Poly]":
+        """(radial', angular') before division by radial^k: each term of
+        `desing` times radial^k, which keeps the grlex order."""
+        rk = Poly.var(self.radial_var) ** self.weights.k
+        return (self.desing[0] * rk, self.desing[1] * rk)
 
     def as_callable(self, bindings, desingularized: bool = True) -> Callable:
         """Float evaluator (r, w) -> (r', w') with parameters bound."""
@@ -111,62 +132,56 @@ class ChartField:
 
     def pretty(self) -> str:
         r, w = self.radial_var, self.angular_var
+        raw = self.raw
         return (
-            f"{self.chart}: {r}' = {self.raw[0]}, {w}' = {self.raw[1]} "
+            f"{self.chart}: {r}' = {raw[0]}, {w}' = {raw[1]} "
             f"(desingularized: {r}' = {self.desing[0]}, {w}' = {self.desing[1]})"
         )
 
 
 def blow_up_in_chart(f: VectorField, w: Weights, chart: ChartId) -> ChartField:
-    """Push f through the chart embedding and divide by radial^k.
+    """The chart field r' = r*P(w), w' = Q(w) of f, read off the terms of f1
+    and f2 in one pass (see the module docstring).
 
-    Raises NotDivisible unless verify_weights(f, w): with verified weights
-    the triangular solve and both divisions are exact.
+    Raises NotDivisible unless verify_weights(f, w): only verified weights
+    make the pushed field divisible by radial^k.
     """
     if not verify_weights(f, w):
         raise NotDivisible(f"weights {w} do not verify on the field; cannot blow up")
-    radial, angular, x_radial, sign = _CHART_INFO[chart]
-    # a shared name would make the monomial map merge two exponents
+    radial, angular, x_radial, s = _CHART_INFO[chart]
+    # the chart field's variables are the parameters and the chart variables
     taken = set(f.f1.vars) | set(f.f2.vars) | set(f.param_names())
     for name in (radial, angular):
         if name in taken:
             raise NameCollision(f"chart variable '{name}' collides with a field variable")
 
-    r = Poly.var(radial)
-    wv = Poly.var(angular)
-    sx, sy = f.state_vars
-    alpha, beta, k = w.alpha, w.beta, w.k
-    if x_radial:
-        sub = {sx: sign * r**alpha, sy: (r**beta) * wv}
-    else:
-        sub = {sx: (r**alpha) * wv, sy: sign * r**beta}
+    # g carries the pure radial power: r' comes from g and w' from h
+    g, h, a, b = (f.f1, f.f2, w.alpha, w.beta) if x_radial else (f.f2, f.f1, w.beta, w.alpha)
+    sr, sw = f.state_vars if x_radial else f.state_vars[::-1]
+    order = f.param_names() + (radial, angular)
 
-    def push(poly):
-        return poly.monomial_map({v: b for v, b in sub.items() if v in poly.vars})
+    def at_sign(poly):
+        """(parameter exponents, exponent of w, coefficient) per term of
+        poly with the radial state variable set to s and the other to w."""
+        idx = [poly.vars.index(v) if v in poly.vars else None for v in order[:-2] + (sr, sw)]
+        for exps, c in poly.terms.items():
+            e = [exps[i] if i is not None else 0 for i in idx]
+            yield tuple(e[:-2]), e[-1], -c if s < 0 and e[-2] % 2 else c
 
-    F1, F2 = push(f.f1), push(f.f2)
-    if x_radial:
-        # x' = sign*alpha*r^(alpha-1) * r'  and  y' = beta*r^(beta-1)*w*r' + r^beta*w'
-        r_raw = (sign * F1).shift({radial: alpha - 1}, alpha)
-        w_raw = (F2 - beta * (r ** (beta - 1)) * wv * r_raw).shift({radial: beta})
-    else:
-        r_raw = (sign * F2).shift({radial: beta - 1}, beta)
-        w_raw = (F1 - alpha * (r ** (alpha - 1)) * wv * r_raw).shift({radial: alpha})
+    P: dict = {}  # r*P(w)
+    Q: dict = {}
+    cp, cq = Fraction(s, a), Fraction(-b * s, a)
+    for pe, n, c in at_sign(g):
+        P[pe + (1, n)] = P.get(pe + (1, n), 0) + cp * c
+        Q[pe + (0, n + 1)] = Q.get(pe + (0, n + 1), 0) + cq * c
+    for pe, n, c in at_sign(h):
+        Q[pe + (0, n)] = Q.get(pe + (0, n), 0) + c
 
-    order = tuple(p.name for p in f.params) + (radial, angular)
-    r_raw = r_raw.reordered(order)
-    w_raw = w_raw.reordered(order)
-    desing = (r_raw.shift({radial: k}).reordered(order), w_raw.shift({radial: k}).reordered(order))
-    return ChartField(
-        chart=chart,
-        weights=w,
-        radial_var=radial,
-        angular_var=angular,
-        raw=(r_raw, w_raw),
-        desing=desing,
-        divisor=f"{radial} = 0",
-        params=f.params,
-    )
+    def grlex(terms):
+        kept = sorted((e for e, c in terms.items() if c), key=lambda e: (sum(e), e), reverse=True)
+        return Poly._raw(order, {e: terms[e] for e in kept})
+
+    return ChartField(chart, w, (grlex(P), grlex(Q)), f.params)
 
 
 # -- transitions -------------------------------------------------------------------

@@ -220,7 +220,7 @@ def _chart_payload(cf):
         "radial": cf.radial_var,
         "angular": cf.angular_var,
         "divisor": cf.divisor,
-        "raw": [str(cf.raw[0]), str(cf.raw[1])],
+        "raw": [str(p) for p in cf.raw],
         "desingularized": [str(cf.desing[0]), str(cf.desing[1])],
     }
 
@@ -292,8 +292,9 @@ def render_analysis_text(report: GlobalReport) -> str:
     for name in sorted(report.chart_fields):
         cf = report.chart_fields[name]
         r, w = cf.radial_var, cf.angular_var
-        lines.append(f"  {name}: raw            {r}' = {cf.raw[0]}")
-        lines.append(f"  {'':{len(name)}}  {'':14} {w}' = {cf.raw[1]}")
+        raw_r, raw_w = cf.raw
+        lines.append(f"  {name}: raw            {r}' = {raw_r}")
+        lines.append(f"  {'':{len(name)}}  {'':14} {w}' = {raw_w}")
         lines.append(f"  {'':{len(name)}}  desingularized {r}' = {cf.desing[0]}")
         lines.append(f"  {'':{len(name)}}  {'':14} {w}' = {cf.desing[1]}")
     if report.polar_raw is not None:

@@ -335,7 +335,9 @@ def rescaling_check(cf: ChartField, points: Sequence, bindings: Mapping) -> Resc
 
     At each sample the two vectors must be positively parallel (angle defect)
     with length ratio radial^k (relative ratio defect); samples where both
-    vanish are skipped.
+    vanish are skipped.  `ChartField.raw` is derived from `desing`, so this
+    tests their float evaluators; the chart-pushforward check, through
+    `Poly.substitute`, is the independent symbolic reference.
     """
     raw = cf.as_callable(bindings, desingularized=False)
     des = cf.as_callable(bindings, desingularized=True)

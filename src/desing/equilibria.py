@@ -63,9 +63,9 @@ from typing import Mapping
 from .charts import ChartField, ChartId, blow_up_in_chart, embed, overlap_sign
 from .errors import DegenerateChart, DesingError
 from .polar import MODELS, PolarField, desingularize_polar, polar_pushforward
-from .poly import Poly
 from .realroots import (
     RealRoot,
+    _derivative,
     compare_root,
     real_roots,
     refine_root,
@@ -229,23 +229,25 @@ def classify_exact(a: Fraction, d: Fraction) -> str:
 # -- chart-local analysis ----------------------------------------------------------------
 
 
-def _on_divisor(polys, rvar: str, wvar: str) -> "tuple[int, list[list[int]]]":
-    """The polynomials restricted to the divisor r = 0, as trimmed integer
-    coefficient lists in w over one positive common denominator."""
+def _on_divisor(cf: ChartField, bound: Mapping) -> "tuple[int, list[int], list[int]]":
+    """P and Q of the chart field (r*P(w), Q(w)) with the parameters bound,
+    as trimmed integer coefficient lists in w over one positive common
+    denominator; DegenerateChart when Q vanishes identically.  Every term
+    of r*P(w) carries r^1, so its w exponents and coefficients are P's."""
+    wv = cf.angular_var
     lists = []
-    for p in polys:
-        if rvar in p.vars:
-            p = p.bind({rvar: 0})
-        extra = set(p.effective_vars()) - {wvar}
-        if extra:
-            raise ValueError(f"polynomial is not univariate in {wvar}: extra {sorted(extra)}")
-        cs = [Fraction(0)] * (p.degree_in(wvar) + 1 if p.terms else 0)
-        idx = p.vars.index(wvar) if wvar in p.vars else None
+    for p in cf.desing:
+        p = bind_params(p, bound)
+        cs = [Fraction(0)] * (p.degree_in(wv) + 1 if p.terms else 0)
+        idx = p.vars.index(wv) if wv in p.vars else None
         for exps, c in p.terms.items():
             cs[exps[idx] if idx is not None else 0] += c
         lists.append(cs)
+    if not lists[1]:
+        raise DegenerateChart(cf.chart.value)
     den = lcm(*(c.denominator for cs in lists for c in cs))
-    return den, [[c.numerator * (den // c.denominator) for c in cs] for cs in lists]
+    P, Q = ([c.numerator * (den // c.denominator) for c in cs] for cs in lists)
+    return den, P, Q
 
 
 def _solve_unit_radius(alpha: int, beta: int, a2: float, b2: float) -> float:
@@ -290,15 +292,6 @@ def _member(cf: ChartField, root: RealRoot, a, d, cls: str) -> Equilibrium:
     return Equilibrium(cf.chart.value, (zero, w), root.exact, ((a, zero), (zero, d)), cls, angle, root)
 
 
-def _angular_on_divisor(cf: ChartField, des_w: Poly) -> "list[int]":
-    """The bound angular component on the divisor, as a trimmed integer
-    coefficient list; DegenerateChart when it vanishes identically."""
-    _, (coeffs,) = _on_divisor([des_w], cf.radial_var, cf.angular_var)
-    if not coeffs:
-        raise DegenerateChart(cf.chart.value)
-    return coeffs
-
-
 def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
     """All divisor equilibria of one chart, classified, in exact root order.
 
@@ -307,12 +300,9 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
     record the chart as degenerate.
     """
     bound = check_param_bindings(cf.params, bindings)
-    des_r = bind_params(cf.desing[0], bound)
-    des_w = bind_params(cf.desing[1], bound)
-    coeffs = _angular_on_divisor(cf, des_w)
-    rv, wv = cf.radial_var, cf.angular_var
     # the diagonal P(w) and Q'(w) of the Jacobian on the divisor, over den
-    den, diagonal = _on_divisor([des_r.derivative(rv), des_w.derivative(wv)], rv, wv)
+    den, P, coeffs = _on_divisor(cf, bound)
+    diagonal = (P, _derivative(coeffs))
     out = ChartEquilibria(1 if coeffs[-1] > 0 else -1)
     for root in real_roots(coeffs):
         if root.exact:
@@ -376,7 +366,7 @@ def _reflected_equilibria(
     A partner point (0, w') is the point (0, eps*w') here, and with the time
     factor t a partner Jacobian diag(a, d) becomes t * diag(a, d), of the
     partner's class with the nodes swapped when t = -1."""
-    coeffs = _angular_on_divisor(cf, bind_params(cf.desing[1], bound))
+    _, _, coeffs = _on_divisor(cf, bound)
     out = ChartEquilibria(1 if coeffs[-1] > 0 else -1)
     for eq in reversed(partner) if eps < 0 else partner:
         root = _mirrored(eq.root) if eps < 0 else eq.root

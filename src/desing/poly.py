@@ -22,11 +22,13 @@ Two kinds of operation live side by side:
   rationals.  Each returns exactly what the general operation returns for
   the same arguments, variable order and term order included, so
   `float_evaluator`, which sums in term order, sees the same polynomial
-  either way.  The blow-ups use these; the general ones stay as the
-  independent reference the self-checks compare against.
+  either way.  The polar blow-up and `QuotientPoly` use these (the
+  directional charts are read off the field's terms in closed form, see
+  `charts`); the general ones stay as the independent reference the
+  self-checks compare against.
 
 `Poly(...)` validates and normalises its input.  Polynomials built inside
-this module go through `Poly._raw` instead, which trusts its caller to pass
+the package go through `Poly._raw` instead, which trusts its caller to pass
 a tuple of distinct names and a fresh dict of exponent tuples (right length,
 non-negative ints) to nonzero Fractions, and adopts that dict uncopied.
 """
@@ -356,27 +358,6 @@ class Poly:
             elif c:
                 terms[key] = c
         return Poly._raw(tuple(self.vars[i] for i in keep), terms)
-
-    # -- calculus ------------------------------------------------------------
-
-    def derivative(self, name: str) -> "Poly":
-        if name not in self.vars:
-            return Poly.zero(self.vars)
-        i = self.vars.index(name)
-        terms: dict = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if not e:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            key = tuple(new)
-            s = terms.get(key, _ZERO) + c * e
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return Poly._raw(self.vars, terms)
 
     # -- exact division -------------------------------------------------------
 

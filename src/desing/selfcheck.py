@@ -206,7 +206,11 @@ def check_polar_solve_roundtrip(seed: int) -> CheckResult:
 
 
 def check_chart_pushforward(f: VectorField, w: Weights) -> CheckResult:
-    """Symbolic pushforward identity for unit weights: D(psi) . raw == f o psi."""
+    """Symbolic pushforward identity for unit weights: D(psi) . raw == f o psi.
+
+    `blow_up_in_chart` reads the chart field off the terms of f in closed
+    form; this check recomputes f o psi with `Poly.substitute` and is the
+    independent symbolic reference for it."""
     if (w.alpha, w.beta) != (1, 1):
         return CheckResult("chart-pushforward", True, 0, "skipped: non-unit weights")
     sx, sy = f.state_vars
@@ -215,14 +219,15 @@ def check_chart_pushforward(f: VectorField, w: Weights) -> CheckResult:
         r = Poly.var(cf.radial_var)
         wv = Poly.var(cf.angular_var)
         x_radial, sign = chart.x_radial, chart.sign
+        raw_r, raw_w = cf.raw
         if x_radial:
             emb = {sx: sign * r, sy: r * wv}
-            lhs1 = sign * cf.raw[0]
-            lhs2 = wv * cf.raw[0] + r * cf.raw[1]
+            lhs1 = sign * raw_r
+            lhs2 = wv * raw_r + r * raw_w
         else:
             emb = {sx: r * wv, sy: sign * r}
-            lhs1 = wv * cf.raw[0] + r * cf.raw[1]
-            lhs2 = sign * cf.raw[0]
+            lhs1 = wv * raw_r + r * raw_w
+            lhs2 = sign * raw_r
         rhs1 = f.f1.substitute({k: v for k, v in emb.items() if k in f.f1.vars})
         rhs2 = f.f2.substitute({k: v for k, v in emb.items() if k in f.f2.vars})
         if lhs1 != rhs1 or lhs2 != rhs2:
@@ -343,6 +348,9 @@ def check_conjugacy(f: VectorField, w: Weights, bindings, seed: int) -> CheckRes
 
 
 def check_rescaling(f: VectorField, w: Weights, bindings, seed: int) -> CheckResult:
+    """raw = radial^k * desingularized in floats.  `raw` is derived from
+    `desing`, so this checks the two float views; `chart-pushforward` is the
+    independent symbolic reference for the chart fields."""
     rng = random.Random(seed)
     points = [(rng.uniform(0.01, 2.0), rng.uniform(-3.0, 3.0)) for _ in range(100)]
     for chart in ChartId:

@@ -4,9 +4,12 @@ import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desing.charts import (
     OVERLAPS,
+    ChartField,
     ChartId,
     blow_up_in_chart,
     compatibility_defect,
@@ -26,7 +29,7 @@ from desing.selfcheck import (
     demo_system,
     _random_quasihomogeneous,
 )
-from desing.vectorfield import VectorField
+from desing.vectorfield import Param, VectorField
 from desing.weights import Weights
 
 a = Poly.var("a")
@@ -311,3 +314,96 @@ def test_orientation_and_halves_derived():
 
     assert {c: c.orientation for c in ChartId} == ORIENT
     assert _HALVES == HALVES
+
+
+# -- the closed form against the general pushforward ---------------------------------
+
+
+def _blow_up_general(f: VectorField, w: Weights, chart: ChartId):
+    """(raw, desing) by the general route the closed form replaced: push f
+    through the embedding with `monomial_map`, solve the triangular system
+    for (r', w') with `shift`, and divide by r^k."""
+    probe = ChartField(chart, w, ())
+    radial, angular = probe.radial_var, probe.angular_var
+    x_radial, sign = chart.x_radial, chart.sign
+    r = Poly.var(radial)
+    wv = Poly.var(angular)
+    sx, sy = f.state_vars
+    alpha, beta, k = w.alpha, w.beta, w.k
+    if x_radial:
+        sub = {sx: sign * r**alpha, sy: (r**beta) * wv}
+    else:
+        sub = {sx: (r**alpha) * wv, sy: sign * r**beta}
+
+    def push(poly):
+        return poly.monomial_map({v: b for v, b in sub.items() if v in poly.vars})
+
+    F1, F2 = push(f.f1), push(f.f2)
+    if x_radial:
+        r_raw = (sign * F1).shift({radial: alpha - 1}, alpha)
+        w_raw = (F2 - beta * (r ** (beta - 1)) * wv * r_raw).shift({radial: beta})
+    else:
+        r_raw = (sign * F2).shift({radial: beta - 1}, beta)
+        w_raw = (F1 - alpha * (r ** (alpha - 1)) * wv * r_raw).shift({radial: alpha})
+
+    order = tuple(p.name for p in f.params) + (radial, angular)
+    r_raw = r_raw.reordered(order)
+    w_raw = w_raw.reordered(order)
+    desing = (r_raw.shift({radial: k}).reordered(order), w_raw.shift({radial: k}).reordered(order))
+    return (r_raw, w_raw), desing
+
+
+_TYPES = ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3))
+_STATE_NAMES = (("x", "y"), ("u", "v"), ("y", "x"))
+
+
+@st.composite
+def _weighted_fields(draw):
+    """A field that verifies (alpha, beta, k), its components over either
+    the parameters then the state variables or a shuffle of them."""
+    alpha, beta = draw(st.sampled_from(_TYPES))
+    k = draw(st.integers(0, 6))
+    params = ("a", "b")[: draw(st.integers(0, 2))]
+    sx, sy = draw(st.sampled_from(_STATE_NAMES))
+    order = params + (sx, sy)
+    if draw(st.booleans()):
+        order = tuple(draw(st.permutations(order)))
+
+    def component(total):
+        monomials = [
+            (m, n) for m in range(total // alpha + 1) for n in range(total // beta + 1)
+            if alpha * m + beta * n == total
+        ]
+        terms = {}
+        for m, n in draw(st.lists(st.sampled_from(monomials), max_size=5)) if monomials else ():
+            exps = {p: draw(st.integers(0, 2)) for p in params}
+            exps.update({sx: m, sy: n})
+            c = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+            terms[tuple(exps[v] for v in order)] = c
+        return Poly(order, terms)
+
+    f = VectorField(
+        component(alpha + k), component(beta + k), (sx, sy), tuple(Param(p) for p in params)
+    )
+    return f, Weights(alpha, beta, k), order == params + (sx, sy)
+
+
+def _identical(p: Poly, q: Poly) -> bool:
+    return p.vars == q.vars and list(p.terms.items()) == list(q.terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weighted_fields())
+def test_closed_form_matches_general_pushforward(case):
+    # desing is identical in variables and term order; so is raw for
+    # components over the parameters then the state variables, the order
+    # `lower_to_polynomials` gives; otherwise raw's terms may be summed in
+    # another order, and it is the same polynomial
+    f, w, params_first = case
+    for chart in ChartId:
+        cf = blow_up_in_chart(f, w, chart)
+        raw, desing = _blow_up_general(f, w, chart)
+        assert all(_identical(p, q) for p, q in zip(cf.desing, desing))
+        if params_first:
+            assert all(_identical(p, q) for p, q in zip(cf.raw, raw))
+        assert cf.raw == raw

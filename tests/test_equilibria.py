@@ -137,16 +137,7 @@ def test_non_hyperbolic_point_is_flagged_in_report():
 
 def test_forced_double_root_non_hyperbolic():
     r1, y1 = poly_vars("r1", "y1")
-    cf = ChartField(
-        chart=ChartId.K1,
-        weights=W,
-        radial_var="r1",
-        angular_var="y1",
-        raw=(r1**2, r1 * y1**2),
-        desing=(r1, y1**2),
-        divisor="r1 = 0",
-        params=(),
-    )
+    cf = ChartField(chart=ChartId.K1, weights=W, desing=(r1, y1**2))
     eqs = divisor_equilibria(cf, {})
     assert len(eqs) == 1
     assert eqs[0].classification == CLASS_NON_HYPERBOLIC
@@ -154,17 +145,11 @@ def test_forced_double_root_non_hyperbolic():
 
 
 def test_degenerate_chart_raises():
-    r1, y1 = poly_vars("r1", "y1")
-    cf = ChartField(
-        chart=ChartId.K1,
-        weights=W,
-        radial_var="r1",
-        angular_var="y1",
-        raw=(r1**2, r1**2 * y1),
-        desing=(r1, r1 * y1),
-        divisor="r1 = 0",
-        params=(),
-    )
+    # x' = x*(x+y), y' = y*(x+y) is radial: in K1, Q(w) = w*(1+w) - w*(1+w) = 0
+    x, y = poly_vars("x", "y")
+    f = VectorField(x * (x + y), y * (x + y), ("x", "y"))
+    cf = blow_up_in_chart(f, infer_weights(f), ChartId.K1)
+    assert cf.desing[1].is_zero()
     with pytest.raises(DegenerateChart):
         divisor_equilibria(cf, {})
 
@@ -206,16 +191,7 @@ def test_irrational_double_root_certified_non_hyperbolic():
     # never decide a sign, and fall back to non-hyperbolic
     r1, y1 = poly_vars("r1", "y1")
     quartic = (y1**2 - 2) ** 2
-    cf = ChartField(
-        chart=ChartId.K1,
-        weights=W,
-        radial_var="r1",
-        angular_var="y1",
-        raw=(r1**2, r1 * quartic),
-        desing=(r1, quartic),
-        divisor="r1 = 0",
-        params=(),
-    )
+    cf = ChartField(chart=ChartId.K1, weights=W, desing=(r1, quartic))
     eqs = divisor_equilibria(cf, {})
     assert len(eqs) == 2
     for eq in eqs:

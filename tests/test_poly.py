@@ -115,13 +115,6 @@ def test_rendering_reparses_to_same_polynomial():
     assert spec.rhs[0] == p
 
 
-def test_derivative():
-    p = a * x**2 - 2 * x * y
-    assert p.derivative("x") == 2 * a * x - 2 * y
-    assert p.derivative("y") == -2 * x
-    assert p.derivative("missing").is_zero()
-
-
 def test_evaluate_exact_and_float():
     p = a * x**2 - 2 * x * y
     val = p.bind({"a": Fraction(1, 2), "x": Fraction(2), "y": Fraction(3)})
