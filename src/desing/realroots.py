@@ -33,19 +33,58 @@ bound and the min/max in interval products do not change when a polynomial
 is scaled by a nonzero rational (a positive one, for the interval products),
 so the isolation of lambda*p visits the same rational points and returns the
 same Fractions as that of p, for every nonzero rational lambda.
+
+Most signs come from one float pass, and each is still exact.  Every
+polynomial whose signs are tested is converted to floats once
+(`_float_form`), and a test at n/d runs Horner at x = fl(n/d) for the value v
+and the magnitude m = sum |c_i| |x|^i.  With u = 2^-53, rounding the
+coefficients, the point and each Horner step moves v by at most about
+(3 deg + 1) u m (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+ed., 2002, sec. 5.1), so |v| > (4 (deg + 1) + 8) u m certifies the sign of v;
+the margin covers the rounding of m and of the bound.  That analysis needs a
+point with relative error at most u and no overflow, so `_sign_at` decides
+exactly when a coefficient or n/d is beyond the float range, when fl(n/d) is
+subnormal, or 0 for n != 0, and when m lies outside [1e-280, 1e280].
+Rounding is monotone, so each partial |v| is at most the partial m, and an
+overflow anywhere makes m infinite or NaN; above 1e-280, the absolute errors
+of underflowing steps are far below the margin.  Only `_sign_at` returns 0, so
+a root is never met by a float.
+
+`refine` ends where bisection ends, without walking there.  On the common
+denominator d of (lo, hi) = (a/d, b/d), with w = b - a, the cells of level j
+are [a 2^j + i w, a 2^j + (i + 1) w] / (d 2^j); after j steps the bisection
+state is one of them, integers included, and it stops at the least level k
+with w / (d 2^k) < width.  A float Newton iteration safeguarded by bisection
+guesses the root, with a radius from the same error bound, and `refine`
+tests the endpoints of the cell that holds the guess at the finest level at
+most k whose cells are twice that radius wide.  (lo, hi) holds exactly one
+root, a simple one, so a sign change puts the root inside the open cell.  No
+grid point of that level or a coarser one lies inside an open cell of that
+level, so bisection never stops early, and the open cells of a level are
+disjoint, so the cell it passes through is this one: `refine` bisects on from
+it.  A zero at an endpoint is the root itself, which bisection lands on at
+the first level whose grid holds it.  When the endpoints agree the guess
+missed, and bisection runs from (lo, hi).  So `refine` returns bisection's own
+result whatever the guess, and the root layer's output does not depend on
+floats.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd, inf, lcm, log2, ulp
 from typing import Sequence
 
 _Z = Fraction(0)
 DEFAULT_WIDTH = Fraction(1, 10**12)
+_UNIT = 2.0**-53  # the unit roundoff of a float
+_FLOAT_MIN = sys.float_info.min  # the least normal float
+_MIN_JUMP = 4  # the fewest bisection steps worth a jump to a cell
+_NEWTON_STEPS = 60  # a cap; Newton from a bracket settles in far fewer
 
 
 # -- integer polynomial helpers ---------------------------------------------------
@@ -140,6 +179,45 @@ def _sign_at(ints, n: int, d: int) -> int:
     return (v > 0) - (v < 0)
 
 
+# -- the float filter -----------------------------------------------------------
+
+
+def _float_form(ints):
+    """The filter's view of the integer list `ints`: its error factor
+    (4(deg+1)+8)*2^-53 and its (c, |c|) float coefficient pairs, highest
+    degree first; None when a coefficient is beyond the float range."""
+    try:
+        cs = [float(c) for c in reversed(ints)]
+    except OverflowError:
+        return None
+    return (4 * len(ints) + 8) * _UNIT, [(c, abs(c)) for c in cs]
+
+
+def _float_point(n: int, d: int) -> "float | None":
+    """fl(n/d) when it is a normal float or an exact 0, otherwise None."""
+    try:
+        x = n / d
+    except OverflowError:
+        return None
+    return x if abs(x) >= _FLOAT_MIN or not n else None
+
+
+def _filtered_sign(ints, form, x, n: int, d: int) -> int:
+    """The exact sign of `ints` at n/d, with `form` its `_float_form` and x
+    its `_float_point`: one float Horner pass when its error bound certifies
+    a nonzero sign, `_sign_at` otherwise."""
+    if form is not None and x is not None:
+        err, cs = form
+        ax = abs(x)
+        v = m = 0.0
+        for c, a in cs:
+            v = v * x + c
+            m = m * ax + a
+        if 1e-280 <= m <= 1e280 and abs(v) > err * m:
+            return 1 if v > 0 else -1
+    return _sign_at(ints, n, d)
+
+
 # -- Sturm isolation --------------------------------------------------------------
 
 
@@ -182,11 +260,13 @@ def sturm_chain(p) -> "list[list[int]]":
     return [c for c in chain if c]
 
 
-def _variations(chain, n: int, d: int) -> int:
+def _variations(chain, forms, n: int, d: int) -> int:
+    """Sign changes along the chain at n/d; `forms` are its `_float_form`s."""
+    x = _float_point(n, d)
     count = 0
     last = 0
-    for p in chain:
-        s = _sign_at(p, n, d)
+    for p, form in zip(chain, forms):
+        s = _filtered_sign(p, form, x, n, d)
         if s:
             if last and s != last:
                 count += 1
@@ -201,9 +281,13 @@ def isolate_squarefree(p) -> "tuple[list[Fraction], list[tuple[Fraction, Fractio
     exactly one simple root and has a strict sign change at its endpoints.
     """
     chain = sturm_chain(p)
+    forms = [_float_form(q) for q in chain]
     bound = cauchy_bound(p)
     exact: "list[Fraction]" = []
     intervals: "list[tuple[Fraction, Fraction]]" = []
+
+    def sign(n, d):
+        return _filtered_sign(p, forms[0], _float_point(n, d), n, d)
 
     # Points are integer numerators over the common denominator d of the
     # interval being split; bisection doubles d.
@@ -211,11 +295,11 @@ def isolate_squarefree(p) -> "tuple[list[Fraction], list[tuple[Fraction, Fractio
         n = vlo - vhi
         if n <= 0:
             return
-        if n == 1 and _sign_at(p, lo, d) * _sign_at(p, hi, d) < 0:
+        if n == 1 and sign(lo, d) * sign(hi, d) < 0:
             intervals.append((Fraction(lo, d), Fraction(hi, d)))
             return
         mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
-        if _sign_at(p, mid, d) == 0:
+        if sign(mid, d) == 0:
             exact.append(Fraction(mid, d))
             # probe mid -+ (hi - lo)/64, halving the offset until both probes
             # lie inside, miss the root and are one Sturm count apart
@@ -226,40 +310,108 @@ def isolate_squarefree(p) -> "tuple[list[Fraction], list[tuple[Fraction, Fractio
                 if (
                     lo < a
                     and b < hi
-                    and _sign_at(p, a, d) != 0
-                    and _sign_at(p, b, d) != 0
+                    and sign(a, d) != 0
+                    and sign(b, d) != 0
                 ):
-                    va, vb = _variations(chain, a, d), _variations(chain, b, d)
+                    va, vb = _variations(chain, forms, a, d), _variations(chain, forms, b, d)
                     if va - vb == 1:
                         rec(lo, a, d, vlo, va)
                         rec(b, hi, d, vb, vhi)
                         return
                 lo, hi, mid, d = 2 * lo, 2 * hi, 2 * mid, 2 * d
         else:
-            vmid = _variations(chain, mid, d)
+            vmid = _variations(chain, forms, mid, d)
             rec(lo, mid, d, vlo, vmid)
             rec(mid, hi, d, vmid, vhi)
 
     bn, bd = bound.numerator, bound.denominator
-    rec(-bn, bn, bd, _variations(chain, -bn, bd), _variations(chain, bn, bd))
+    rec(-bn, bn, bd, _variations(chain, forms, -bn, bd), _variations(chain, forms, bn, bd))
     return exact, intervals
 
 
-def refine(ints, lo: Fraction, hi: Fraction, width: Fraction):
-    """Shrink a sign-change interval of the integer form `ints` below `width`
-    by bisection.
+def _float_guess(ints, lo: Fraction, hi: Fraction) -> "tuple[float, float] | None":
+    """(x, r): a float x within about r of the one root of `ints` in (lo, hi),
+    by Newton's method safeguarded with bisection on a float bracket; None
+    when the polynomial or the bracket is beyond the float range.
+
+    Only a guess: `refine` checks every cell it takes from it exactly."""
+    form = _float_form(ints)
+    if form is None:
+        return None
+    try:
+        left, right = float(lo), float(hi)
+    except OverflowError:
+        return None
+    err, cs = form
+    n, d = lo.numerator, lo.denominator
+    rising = _filtered_sign(ints, form, _float_point(n, d), n, d) < 0
+    x = 0.5 * left + 0.5 * right
+    for _ in range(_NEWTON_STEPS):
+        v = dv = m = 0.0
+        ax = abs(x)
+        for c, a in cs:
+            dv = dv * x + v
+            v = v * x + c
+            m = m * ax + a
+        if v == 0:
+            break
+        if (v > 0) == rising:
+            right = x
+        else:
+            left = x
+        nx = x - v / dv if dv else x
+        if not left < nx < right:
+            nx = 0.5 * left + 0.5 * right
+        if abs(nx - x) <= ulp(x):
+            break
+        x = nx
+    r = (abs(v) + err * m) / abs(dv) if dv else inf
+    return x, max(r, ulp(x))
+
+
+def refine(ints, lo: Fraction, hi: Fraction, width: Fraction, guess=None):
+    """Shrink a sign-change interval of the integer form `ints` that holds
+    exactly one root below `width`, with bisection's result.
 
     Returns ('exact', root) when a bisection point lands on the root,
-    otherwise ('interval', lo, hi).
+    otherwise ('interval', lo, hi).  It jumps to bisection's cell from a
+    `_float_guess` of the root (see the module docstring): `guess`, or its
+    own when bisection would take `_MIN_JUMP` steps or more.
     """
     d = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (d // lo.denominator)
     b = hi.numerator * (d // hi.denominator)
-    wn, wd = width.numerator, width.denominator
-    slo = _sign_at(ints, a, d)
-    while (b - a) * wd >= wn * d:
+    w = b - a  # every cell of level j is [a 2^j + i w, a 2^j + (i+1) w] / (d 2^j)
+    k = (w * width.denominator // (width.numerator * d)).bit_length()  # bisection's step count
+    form = _float_form(ints)
+
+    def sign(n, d):
+        return _filtered_sign(ints, form, _float_point(n, d), n, d)
+
+    slo = sign(a, d)
+    if k >= _MIN_JUMP and form is not None:
+        if guess is None:
+            guess = _float_guess(ints, lo, hi)
+        if guess is not None:
+            x, r = guess
+            # the finest level whose cells are at least 2r wide
+            level = min(k, int(log2(w) - log2(d) - log2(r) - 1)) if r < inf else 0
+            if level >= _MIN_JUMP:
+                xn, xd = x.as_integer_ratio()
+                i = min(max(((xn * d - a * xd) << level) // (xd * w), 0), (1 << level) - 1)
+                dc = d << level
+                left = (a << level) + i * w
+                sl = sign(left, dc)
+                if sl == 0:
+                    return ("exact", Fraction(left, dc))
+                sr = sign(left + w, dc)
+                if sr == 0:
+                    return ("exact", Fraction(left + w, dc))
+                if sl != sr:
+                    a, b, d, slo, k = left, left + w, dc, sl, k - level
+    for _ in range(k):
         mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
-        smid = _sign_at(ints, mid, d)
+        smid = sign(mid, d)
         if smid == 0:
             return ("exact", Fraction(mid, d))
         if (slo < 0) != (smid < 0):
@@ -285,10 +437,10 @@ class RealRoot:
         return self.value is not None
 
 
-def refine_root(root: RealRoot, width: Fraction) -> RealRoot:
+def refine_root(root: RealRoot, width: Fraction, guess=None) -> RealRoot:
     if root.exact or root.hi - root.lo < width:
         return root
-    status = refine(root.factor, root.lo, root.hi, width)
+    status = refine(root.factor, root.lo, root.hi, width, guess)
     if status[0] == "exact":
         return RealRoot(status[1], None, None, root.multiplicity, root.factor)
     return RealRoot(None, status[1], status[2], root.multiplicity, root.factor)
@@ -315,13 +467,14 @@ def rational_roots(p, mult: int, width: Fraction) -> "list[RealRoot]":
     lead = abs(ints[-1])
     found += [RealRoot(r, None, None, mult, ints) for r in exact]
     for lo, hi in intervals:
-        root = refine_root(RealRoot(None, lo, hi, mult, ints), Fraction(1, lead))
+        guess = _float_guess(ints, lo, hi)
+        root = refine_root(RealRoot(None, lo, hi, mult, ints), Fraction(1, lead), guess)
         if not root.exact:
             m = root.lo.numerator * lead // root.lo.denominator + 1
             if m * root.hi.denominator < root.hi.numerator * lead and _sign_at(ints, m, lead) == 0:
                 root = RealRoot(Fraction(m, lead), None, None, mult, ints)
             else:
-                root = refine_root(root, width)
+                root = refine_root(root, width, guess)
         found.append(root)
     return found
 

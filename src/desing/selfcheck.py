@@ -22,7 +22,7 @@ from .dynamo import (
     rescaling_check,
 )
 from .equilibria import CLASS_SADDLE, MODEL_HYPERBOLIC_X, global_divisor_report
-from .errors import DesingError
+from .errors import DesingError, NotDivisible
 from .polar import Branch, HYPERBOLA, SPHERE, bridge_beta1, desingularize_polar, polar_pushforward
 from .poly import Poly
 from .quotient import COS, RADIAL, SIN, QuotientPoly, reduce_poly
@@ -125,18 +125,27 @@ def check_reduction_homomorphism(seed: int) -> CheckResult:
 
 
 def check_exact_division(seed: int) -> CheckResult:
+    """`Poly.shift`, the one division the pipeline performs (by c*r^j, in the
+    charts, in polar and in `QuotientPoly.div_radial`): it undoes a product
+    with c*m, and raises NotDivisible for a term that lacks m."""
     rng = random.Random(seed)
-    done = attempts = 0
-    while done < 100 and attempts < 5000:
-        attempts += 1
+    for done in range(100):
         p = _random_poly(rng)
-        q = _random_poly(rng)
-        if q.is_zero():
-            continue
-        if (p * q).div_exact(q) != p:
-            return CheckResult("exact-division", False, done, f"(p*q)/q != p for p={p}, q={q}")
-        done += 1
-    return CheckResult("exact-division", True, done)
+        m = {v: rng.randint(0, 2) for v in ("x", "y", "r")}
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+        cm = Poly(tuple(m), {tuple(m.values()): c})
+        if (p * cm).shift(m, c) != p:
+            return CheckResult("exact-division", False, done, f"(p*c*m).shift(m, c) != p for p={p}, c*m={cm}")
+        short = [v for v, e in m.items() if e]
+        if short:
+            v = rng.choice(short)
+            lacking = p * cm + Poly((v,), {(m[v] - 1,): 1})
+            try:
+                lacking.shift(m, c)
+            except NotDivisible:
+                continue
+            return CheckResult("exact-division", False, done, f"{lacking} divided by {cm} without a remainder")
+    return CheckResult("exact-division", True, 100)
 
 
 def check_substitution_homomorphism(seed: int) -> CheckResult:

@@ -14,7 +14,9 @@ field (weights (1, 2, 1)) one that keeps w and reverses time, next to a K4
 that cannot be reflected.  The dense fields of degree 8, 12 and 16
 have irrational divisor roots, so their JSON reports pin the isolating
 interval endpoints: a change to the bisection path fails here even when the
-classification is unchanged.
+classification is unchanged.  The huge_e60 and huge_e100 fields have
+coefficients 10^60 and 10^100, whose root layer leaves the float filter and
+the float guesses for exact signs: no float overflow may escape there.
 The portrait CSVs pin the term order of the chart and polar fields: the
 float evaluators sum in term order, so a reordered field changes the last
 digits of the trajectories.  The k0_mixed field has a nonzero linear part, so
@@ -67,6 +69,8 @@ def _cases():
         ]
     for n in (8, 12, 16):
         cases[f"analyze-dense-d{n}.json"] = ["analyze", GOLDEN / "inputs" / f"dense_d{n}.vf", "--format", "json"]
+    for e in (60, 100):
+        cases[f"analyze-huge_e{e}.json"] = ["analyze", GOLDEN / "inputs" / f"huge_e{e}.vf", "--format", "json"]
     a1 = ["--param", "a=1"]
     portraits = (
         ("quadratic-original", QUADRATIC, a1, "original", "0.1:0.5:2,0.1:0.5:2"),

@@ -147,6 +147,24 @@ def test_division_roundtrip_random():
     assert res.passed, res.detail
 
 
+def test_exact_division_check_exercises_shift(monkeypatch):
+    # the check certifies Poly.shift, the division the pipeline runs: a shift
+    # that skips the coefficient division, or that never refuses a term
+    # lacking the monomial, fails it
+    shift = Poly.shift
+
+    def never_refuses(self, monomial, coeff=1):
+        try:
+            return shift(self, monomial, coeff)
+        except NotDivisible:
+            return Poly.const(0)
+
+    monkeypatch.setattr(Poly, "shift", lambda self, monomial, coeff=1: shift(self, monomial))
+    assert not check_exact_division(seed=456).passed
+    monkeypatch.setattr(Poly, "shift", never_refuses)
+    assert not check_exact_division(seed=456).passed
+
+
 def test_substitution_homomorphism_random():
     res = check_substitution_homomorphism(seed=789)
     assert res.passed, res.detail

@@ -1,21 +1,29 @@
+import math
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from desing.realroots import (
+    _filtered_sign,
+    _float_form,
+    _float_guess,
+    _float_point,
     _integer_form,
     _primitive,
     _sign_at,
+    _trim,
     _variations,
     cauchy_bound,
     compare_root,
     interval_eval,
+    isolate_squarefree,
     poly_gcd,
     real_roots,
+    refine,
     refine_root,
     sturm_chain,
     value_at_root,
@@ -130,8 +138,9 @@ def test_refine_root_shrinks():
 def _root_count(p):
     """Sturm's count of the real roots of the integer list p."""
     chain = sturm_chain(p)
+    forms = [_float_form(q) for q in chain]
     b = cauchy_bound(p)
-    return _variations(chain, -b.numerator, b.denominator) - _variations(chain, b.numerator, b.denominator)
+    return _variations(chain, forms, -b.numerator, b.denominator) - _variations(chain, forms, b.numerator, b.denominator)
 
 
 def test_sturm_counts():
@@ -360,3 +369,226 @@ def test_value_at_root_has_the_exact_sign(cs, qs, plant):
             want = int(sympy.sign(q_expr.subs(w, alpha).evalf(50)))
         got = value_at_root(q, root)
         assert (got > 0) - (got < 0) == want
+
+
+# -- the float filter and the jump to the final cell, against exact references ----------
+
+
+def _bisect(ints, lo, hi, width):
+    """`refine` without the float filter or the jump: exact bisection."""
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    wn, wd = width.numerator, width.denominator
+    slo = _sign_at(ints, a, d)
+    while (b - a) * wd >= wn * d:
+        mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        smid = _sign_at(ints, mid, d)
+        if smid == 0:
+            return ("exact", F(mid, d))
+        if (slo < 0) != (smid < 0):
+            b = mid
+        else:
+            a, slo = mid, smid
+    return ("interval", F(a, d), F(b, d))
+
+
+def _exact_variations(chain, n, d):
+    count = last = 0
+    for p in chain:
+        s = _sign_at(p, n, d)
+        if s:
+            if last and s != last:
+                count += 1
+            last = s
+    return count
+
+
+def _isolate_exact(p):
+    """`isolate_squarefree` without the float filter: every sign exact."""
+    chain = sturm_chain(p)
+    bound = cauchy_bound(p)
+    exact, intervals = [], []
+
+    def rec(lo, hi, d, vlo, vhi):
+        n = vlo - vhi
+        if n <= 0:
+            return
+        if n == 1 and _sign_at(p, lo, d) * _sign_at(p, hi, d) < 0:
+            intervals.append((F(lo, d), F(hi, d)))
+            return
+        mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
+        if _sign_at(p, mid, d) == 0:
+            exact.append(F(mid, d))
+            offset = hi - lo
+            lo, hi, mid, d = 64 * lo, 64 * hi, 64 * mid, 64 * d
+            while True:
+                a, b = mid - offset, mid + offset
+                if lo < a and b < hi and _sign_at(p, a, d) != 0 and _sign_at(p, b, d) != 0:
+                    va, vb = _exact_variations(chain, a, d), _exact_variations(chain, b, d)
+                    if va - vb == 1:
+                        rec(lo, a, d, vlo, va)
+                        rec(b, hi, d, vb, vhi)
+                        return
+                lo, hi, mid, d = 2 * lo, 2 * hi, 2 * mid, 2 * d
+        else:
+            vmid = _exact_variations(chain, mid, d)
+            rec(lo, mid, d, vlo, vmid)
+            rec(mid, hi, d, vmid, vhi)
+
+    bn, bd = bound.numerator, bound.denominator
+    rec(-bn, bn, bd, _exact_variations(chain, -bn, bd), _exact_variations(chain, bn, bd))
+    return exact, intervals
+
+
+def _int_times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+# factors that steer the root layer off its float paths: rational roots (the
+# filter must find their zeros exactly), dyadic roots (the jump lands on them)
+# and roots beyond 2^40 (cells narrower than the float spacing)
+_planted = st.one_of(
+    st.builds(lambda r: [-r.numerator, r.denominator], st.fractions(-5, 5, max_denominator=40)),
+    st.builds(lambda m, j: [-(2 * m + 1), 2**j], st.integers(-(2**31), 2**31), st.integers(1, 30)),
+    st.builds(lambda e, c: [-(3 * 2**e + c), 3], st.integers(40, 60), st.sampled_from([1, 2])),
+    st.builds(lambda e: [-(2 ** (2 * e + 1)), 0, 1], st.integers(40, 60)),
+)
+# coefficients beyond the float range, with roots near 1 so that isolation
+# from the Cauchy bound stays shallow
+_huge = st.one_of(
+    st.builds(lambda c: [-3 * 2**1100, 0, 2**1100 + c], st.integers(1, 9)),
+    st.builds(lambda c, s: [s * (2**1100 + c), 2**1100 - 1], st.integers(-9, 9), st.sampled_from([-1, 1])),
+)
+
+
+@st.composite
+def squarefree_factors(draw):
+    """The square-free factors of degree 1-24 of a random integer polynomial
+    times planted factors."""
+    huge = draw(st.lists(_huge, max_size=1))  # kept to low degrees: every sign is exact
+    bits = draw(st.sampled_from([3, 16, 40]))
+    p = draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=4 if huge else 9))
+    for factor in draw(st.lists(_planted, max_size=1 if huge else 3)) + huge:
+        p = _int_times(p, factor)
+    p = _trim(p)
+    if len(p) < 2 or len(p) > 25:
+        p = [-1, 1]
+    return [f for f, _ in yun_squarefree(p)]
+
+
+def _root_count_between(chain, lo, hi):
+    return _exact_variations(chain, lo.numerator, lo.denominator) - _exact_variations(
+        chain, hi.numerator, hi.denominator
+    )
+
+
+def _refinable_intervals(f):
+    """The isolating intervals of f, and the aligned cells [N, N+1]/2^s that
+    hold exactly one root of f strictly inside: on their grid a dyadic root
+    is a bisection point."""
+    exact, intervals = isolate_squarefree(f)
+    chain = sturm_chain(f)
+    cells = list(intervals)
+    for c in exact + [lo for lo, _ in intervals]:
+        for s in (0, 4, 12):
+            lo = F(math.floor(c * 2**s), 2**s)
+            hi = lo + F(1, 2**s)
+            if (
+                _sign_at(f, lo.numerator, lo.denominator) * _sign_at(f, hi.numerator, hi.denominator) < 0
+                and _root_count_between(chain, lo, hi) == 1
+            ):
+                cells.append((lo, hi))
+    return cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(squarefree_factors())
+def test_refine_matches_bisection(factors):
+    # the jump and its fallbacks return bisection's own final tuple, with
+    # refine's own guess and with the one rational_roots shares between stages
+    for f in factors:
+        # 1/lead, but at most 2^100 bisection steps below 1 past a lead of 2^1100
+        first = max(F(1, abs(f[-1])), F(1, 2**100))
+        for lo, hi in _refinable_intervals(f):
+            guess = _float_guess(f, lo, hi)
+            for width in (F(1, 10**12), first, (hi - lo) / 2):
+                want = _bisect(f, lo, hi, width)
+                assert refine(f, lo, hi, width) == want
+                assert refine(f, lo, hi, width, guess) == want
+                if want[0] == "interval":
+                    _, a, b = want
+                    assert refine(f, a, b, F(1, 10**12), guess) == _bisect(f, a, b, F(1, 10**12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    squarefree_factors(),
+    st.fractions(F(-1, 10), F(11, 10)),
+    st.integers(-80, 10),
+)
+def test_refine_matches_bisection_from_any_guess(factors, t, e):
+    # a guess that lands in the wrong cell, at a coarser level or outside the
+    # interval falls back to bisection without changing its result
+    for f in factors:
+        for lo, hi in _refinable_intervals(f):
+            x = float(lo + t * (hi - lo)) if abs(lo) + abs(hi) < 2**1000 else 0.0
+            for width in (F(1, 10**12), (hi - lo) / 64):
+                assert refine(f, lo, hi, width, (x, 2.0**e)) == _bisect(f, lo, hi, width)
+
+
+def test_refine_jumps_onto_a_dyadic_root():
+    # (2^20 w - 699051)(w^2 - 2): bisection from [0, 1] hits 699051/2^20 exactly
+    f = _int_times([-699051, 2**20], [-2, 0, 1])
+    want = ("exact", F(699051, 2**20))
+    assert _bisect(f, F(0), F(1), F(1, 10**12)) == want
+    assert refine(f, F(0), F(1), F(1, 10**12)) == want
+    assert refine(f, F(0), F(1), F(1, 10**12), (699051 / 2**20, 1e-9)) == want
+
+
+# n/d that underflows to a subnormal or to zero, or overflows a float
+_OFF_FLOAT_POINTS = [(1, 2**1060), (-3, 2**1080), (1, 2**1200), (2**1100, 3), (-(2**1100), 7), (5, 3 * 2**1030)]
+
+
+def _points_near(f):
+    """Each root's exact value, the endpoints of the level-40 cells around it,
+    and their neighbours."""
+    exact, intervals = isolate_squarefree(f)
+    points = [(r.numerator, r.denominator) for r in exact]
+    for r in exact + [_bisect(f, lo, hi, F(1, 2**50))[1] for lo, hi in intervals]:
+        m = math.floor(r * 2**40)
+        points += [(m + i, 2**40) for i in (-1, 0, 1, 2)]
+    return points
+
+
+@settings(max_examples=80, deadline=None)
+@given(squarefree_factors(), st.lists(rationals, max_size=3))
+def test_filtered_sign_is_the_exact_sign(factors, extra):
+    # at the roots of a chain member only _sign_at may answer, and it says 0;
+    # next to roots the float bound must fall back rather than guess
+    for f in factors:
+        points = _points_near(f) + _OFF_FLOAT_POINTS + [(r.numerator, r.denominator) for r in extra]
+        for q in sturm_chain(f):
+            form = _float_form(q)
+            for n, d in points:
+                assert _filtered_sign(q, form, _float_point(n, d), n, d) == _sign_at(q, n, d)
+
+
+def test_float_point_refuses_what_the_bound_does_not_cover():
+    assert _float_point(0, 7) == 0.0
+    assert _float_point(1, 2**1022) == 2.0**-1022
+    assert [_float_point(n, d) for n, d in _OFF_FLOAT_POINTS] == [None] * len(_OFF_FLOAT_POINTS)
+    assert _float_form([1, 2**1100]) is None
+    # (3w - 1) at 1/3: the float pass gives 0, but only the exact test may
+    assert _filtered_sign([-1, 3], _float_form([-1, 3]), _float_point(1, 3), 1, 3) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(squarefree_factors())
+def test_isolation_matches_exact_isolation(factors):
+    for f in factors:
+        assert isolate_squarefree(f) == _isolate_exact(f)
