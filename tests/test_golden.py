@@ -25,6 +25,10 @@ component in the order the pushforward builds it, which is not grlex order.
 A division by a positive radial power sorts the terms, so only these
 portraits pin that order: sorting it changes both hyperbolic CSVs.
 
+The verify cases pin the runtime suite's report on the demo field and on
+weighted_cubic.vf: each check's name, case count and detail, whose floats
+depend on the seeded draws and on the float expressions of the check.
+
 A change that alters an output on purpose regenerates the files it means to
 change with `PYTHONPATH=src python tests/test_golden.py NAME ...` (every case
 when no name is given), which prints each file whose bytes changed, and says
@@ -102,6 +106,11 @@ def _cases():
         "portrait", QUADRATIC, *a1, "--frame", "hyperbolic-x", "--grid=-1:1:2,1:1:1",
         "--t-end", "0.3", "--step", "0.005",
     ]
+    # the verify ops of the benchmark: every check's name, case count and
+    # detail text, so a rewritten check must keep its draws and its output
+    for name, argv in (("demo-s0", ["--seed", "0"]), ("demo-s1", ["--seed", "1"]),
+                       ("weighted_cubic-s0", [CUBIC, "--seed", "0"])):
+        cases[f"verify-{name}.txt"] = ["verify", *argv]
     return {name: [str(a) for a in argv] for name, argv in cases.items()}
 
 
