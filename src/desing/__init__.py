@@ -17,7 +17,6 @@ from .dynamo import (
     frame_original,
     frame_polar,
     integrate,
-    rescaling_check,
     sample_portrait,
 )
 from .equilibria import (
@@ -100,7 +99,6 @@ __all__ = [
     "parse_field_spec",
     "polar_pushforward",
     "poly_vars",
-    "rescaling_check",
     "sample_portrait",
     "transition",
     "verify_weights",

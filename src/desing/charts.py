@@ -124,10 +124,10 @@ class ChartField:
         rk = Poly.var(self.radial_var) ** self.weights.k
         return (self.desing[0] * rk, self.desing[1] * rk)
 
-    def as_callable(self, bindings, desingularized: bool = True) -> Callable:
-        """Float evaluator (r, w) -> (r', w') with parameters bound."""
-        pair = self.desing if desingularized else self.raw
-        polys = bind_components(pair, self.params, bindings)
+    def as_callable(self, bindings) -> Callable:
+        """Float evaluator (r, w) -> (r', w') of the desingularized field with
+        parameters bound; the undivided field is r^k times it."""
+        polys = bind_components(self.desing, self.params, bindings)
         return float_evaluator(polys, (self.radial_var, self.angular_var))
 
     def pretty(self) -> str:

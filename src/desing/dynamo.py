@@ -1,4 +1,4 @@
-"""Fixed-step numerics: integration, conjugacy and rescaling checks, portraits.
+"""Fixed-step numerics: integration, the conjugacy check, portraits.
 
 Everything here is deliberately plain: classic RK4 with a fixed step (no
 adaptivity, so emitted trajectories are reproducible byte for byte), hard
@@ -321,46 +321,6 @@ def conjugacy_check(
     embedded = embed_points(cf.chart, cf.weights, chart_traj.coords())
     plane_traj = integrate(frame_original(f, bindings), embedded[0], t_end, h)
     return hausdorff_defect(embedded, plane_traj.coords())
-
-
-@dataclass
-class RescalingResult:
-    max_angle_defect: float
-    max_ratio_defect: float
-    checked: int
-
-
-def rescaling_check(cf: ChartField, points: Sequence, bindings: Mapping) -> RescalingResult:
-    """Verify raw = radial^k * desingularized pointwise off the divisor.
-
-    At each sample the two vectors must be positively parallel (angle defect)
-    with length ratio radial^k (relative ratio defect); samples where both
-    vanish are skipped.  `ChartField.raw` is derived from `desing`, so this
-    tests their float evaluators; the chart-pushforward check, through
-    `Poly.substitute`, is the independent symbolic reference.
-    """
-    raw = cf.as_callable(bindings, desingularized=False)
-    des = cf.as_callable(bindings, desingularized=True)
-    k = cf.weights.k
-    max_angle = 0.0
-    max_ratio = 0.0
-    checked = 0
-    for r, w in points:
-        if r <= 0:
-            raise ValueError(f"sample point ({r}, {w}) is not off the divisor")
-        vr = raw(r, w)
-        vd = des(r, w)
-        nr = math.hypot(*vr)
-        nd = math.hypot(*vd)
-        if nd == 0.0:
-            continue
-        cross = vr[0] * vd[1] - vr[1] * vd[0]
-        dot = vr[0] * vd[0] + vr[1] * vd[1]
-        max_angle = max(max_angle, abs(math.atan2(cross, dot)))
-        expected = r**k
-        max_ratio = max(max_ratio, abs(nr / nd - expected) / expected)
-        checked += 1
-    return RescalingResult(max_angle, max_ratio, checked)
 
 
 def sample_portrait(field: FrameField, grid: GridSpec) -> "list[Trajectory]":

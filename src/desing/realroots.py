@@ -290,14 +290,19 @@ def isolate_squarefree(p) -> "tuple[list[Fraction], list[tuple[Fraction, Fractio
         return _filtered_sign(p, forms[0], _float_point(n, d), n, d)
 
     # Points are integer numerators over the common denominator d of the
-    # interval being split; bisection doubles d.
-    def rec(lo, hi, d, vlo, vhi):
+    # interval being split; bisection doubles d.  The stack of
+    # (lo, hi, d, vlo, vhi) pops the left half first: depth-first from the
+    # left, so both lists come out in increasing order.
+    bn, bd = bound.numerator, bound.denominator
+    stack = [(-bn, bn, bd, _variations(chain, forms, -bn, bd), _variations(chain, forms, bn, bd))]
+    while stack:
+        lo, hi, d, vlo, vhi = stack.pop()
         n = vlo - vhi
         if n <= 0:
-            return
+            continue
         if n == 1 and sign(lo, d) * sign(hi, d) < 0:
             intervals.append((Fraction(lo, d), Fraction(hi, d)))
-            return
+            continue
         mid, lo, hi, d = lo + hi, 2 * lo, 2 * hi, 2 * d
         if sign(mid, d) == 0:
             exact.append(Fraction(mid, d))
@@ -307,25 +312,15 @@ def isolate_squarefree(p) -> "tuple[list[Fraction], list[tuple[Fraction, Fractio
             lo, hi, mid, d = 64 * lo, 64 * hi, 64 * mid, 64 * d
             while True:
                 a, b = mid - offset, mid + offset
-                if (
-                    lo < a
-                    and b < hi
-                    and sign(a, d) != 0
-                    and sign(b, d) != 0
-                ):
+                if lo < a and b < hi and sign(a, d) != 0 and sign(b, d) != 0:
                     va, vb = _variations(chain, forms, a, d), _variations(chain, forms, b, d)
                     if va - vb == 1:
-                        rec(lo, a, d, vlo, va)
-                        rec(b, hi, d, vb, vhi)
-                        return
+                        stack += [(b, hi, d, vb, vhi), (lo, a, d, vlo, va)]
+                        break
                 lo, hi, mid, d = 2 * lo, 2 * hi, 2 * mid, 2 * d
         else:
             vmid = _variations(chain, forms, mid, d)
-            rec(lo, mid, d, vlo, vmid)
-            rec(mid, hi, d, vmid, vhi)
-
-    bn, bd = bound.numerator, bound.denominator
-    rec(-bn, bn, bd, _variations(chain, forms, -bn, bd), _variations(chain, forms, bn, bd))
+            stack += [(mid, hi, d, vmid, vhi), (lo, mid, d, vlo, vmid)]
     return exact, intervals
 
 

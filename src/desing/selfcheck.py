@@ -3,6 +3,34 @@
 Each check returns a CheckResult; the pytest suite reuses the same functions
 so the CLI and the tests cannot drift apart.  Randomized checks draw from a
 seeded generator and are deterministic for a fixed seed.
+
+The production code each check exercises:
+
+- ring-axioms: `Poly` addition and multiplication.
+- reduction-homomorphism: `quotient.reduce_poly`, which the polar blow-up runs.
+- exact-division: `Poly.shift`, the one division the pipeline performs.
+- substitution-homomorphism: `Poly.substitute`, which the pipeline does not
+  run; it is the independent reference of the two checks below that use it.
+- weights-oracle: `weights.infer_weights` against planted weights.
+- polar-solve-roundtrip: `polar.polar_pushforward`, against `Poly.substitute`.
+- chart-pushforward: `charts.blow_up_in_chart` (unit weights), against
+  `Poly.substitute`.
+- chart-pushforward-numeric: `blow_up_in_chart` and `ChartField.as_callable`
+  for weights (2, 1, 2), through `_pushforward_defect`.
+- transition-roundtrip: `charts.transition`.
+- chart-compatibility: `blow_up_in_chart` on overlapping charts, through
+  `charts.compatibility_defect`.
+- golden-forms: `blow_up_in_chart` and `polar_pushforward` on the demo field.
+- global-counts: `equilibria.global_divisor_report`, sphere and hyperbolic-x.
+- bridge-conjugacy: `polar.desingularize_polar`, `PolarField.as_callable`,
+  `ChartField.as_callable` and `polar.bridge_beta1`.
+- polar-finite-difference, hyperbolic-finite-difference: `polar_pushforward`
+  and `PolarField.as_callable`, against `dynamo.integrate` of the plane field.
+- divisor-invariance: `dynamo.integrate` in `dynamo.frame_chart`.
+- rk4-order: `dynamo.integrate`, through `dynamo.observed_order`.
+- raw-vs-desing-rescaling: `blow_up_in_chart` and `ChartField.as_callable`,
+  in every chart and for any weights, against `VectorField.as_callable`.
+- conjugacy: `dynamo.conjugacy_check`.
 """
 
 from __future__ import annotations
@@ -12,20 +40,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import OVERLAPS, ChartId, blow_up_in_chart, compatibility_defect, overlap_sign, transition
-from .dynamo import (
-    conjugacy_check,
-    frame_chart,
-    frame_original,
-    integrate,
-    observed_order,
-    rescaling_check,
-)
+from .charts import OVERLAPS, ChartId, blow_up_in_chart, compatibility_defect, embed, overlap_sign, transition
+from .dynamo import conjugacy_check, frame_chart, frame_original, integrate, observed_order
 from .equilibria import CLASS_SADDLE, MODEL_HYPERBOLIC_X, global_divisor_report
 from .errors import DesingError, NotDivisible
 from .polar import Branch, HYPERBOLA, SPHERE, bridge_beta1, desingularize_polar, polar_pushforward
 from .poly import Poly
-from .quotient import COS, RADIAL, SIN, QuotientPoly, reduce_poly
+from .quotient import COS, NAMES, RADIAL, SIN, TRIG, QuotientPoly, reduce_poly
 from .vectorfield import Param, VectorField
 from .weights import Weights, infer_weights
 
@@ -244,6 +265,24 @@ def check_chart_pushforward(f: VectorField, w: Weights) -> CheckResult:
     return CheckResult("chart-pushforward", True, 4)
 
 
+def _pushforward_defect(fn, cf, des, point) -> float:
+    """Relative defect of D(psi) . (r^k * des) == f o psi at a chart point
+    (r, w) with r > 0, where psi is `charts.embed` and `fn`, `des` are the
+    float evaluators of f and of the chart's desingularized field."""
+    r, w = point
+    a, b, k = cf.weights.alpha, cf.weights.beta, cf.weights.k
+    x, y = embed(cf.chart, cf.weights, point)
+    vr, vw = (r**k * v for v in des(r, w))
+    # x and y are +-r^a and r^b times 1 or w: d/dr scales them by a/r and b/r
+    dx, dy = a * x / r * vr, b * y / r * vr
+    if cf.chart.x_radial:
+        dy += r**b * vw
+    else:
+        dx += r**a * vw
+    ex, ey = fn(x, y)
+    return math.hypot(dx - ex, dy - ey) / (math.hypot(ex, ey) or 1.0)
+
+
 def check_chart_pushforward_numeric(seed: int) -> CheckResult:
     """Numeric pushforward identity for a non-unit-weight field (type (2,1,2))."""
     rng = random.Random(seed)
@@ -253,26 +292,12 @@ def check_chart_pushforward_numeric(seed: int) -> CheckResult:
     fn = f.as_callable({})
     for chart in ChartId:
         cf = blow_up_in_chart(f, w, chart)
-        raw = cf.as_callable({}, desingularized=False)
-        x_radial, sign = chart.x_radial, chart.sign
-        a, b = w.alpha, w.beta
+        des = cf.as_callable({})
         for _ in range(20):
-            r = rng.uniform(0.2, 1.2)
-            wv = rng.uniform(-2.0, 2.0)
-            vr, vw = raw(r, wv)
-            if x_radial:
-                dx = sign * a * r ** (a - 1) * vr
-                dy = b * r ** (b - 1) * wv * vr + r**b * vw
-                px, py = sign * r**a, r**b * wv
-            else:
-                dx = a * r ** (a - 1) * wv * vr + r**a * vw
-                dy = sign * b * r ** (b - 1) * vr
-                px, py = r**a * wv, sign * r**b
-            ex, ey = fn(px, py)
-            scale = max(1.0, abs(ex), abs(ey))
-            if abs(dx - ex) / scale > 1e-12 or abs(dy - ey) / scale > 1e-12:
+            point = (rng.uniform(0.2, 1.2), rng.uniform(-2.0, 2.0))
+            if _pushforward_defect(fn, cf, des, point) > 1e-12:
                 return CheckResult(
-                    "chart-pushforward-numeric", False, 0, f"{chart} at (r, w)=({r}, {wv})"
+                    "chart-pushforward-numeric", False, 0, f"{chart} at (r, w)=({point[0]}, {point[1]})"
                 )
     return CheckResult("chart-pushforward-numeric", True, 80)
 
@@ -357,21 +382,22 @@ def check_conjugacy(f: VectorField, w: Weights, bindings, seed: int) -> CheckRes
 
 
 def check_rescaling(f: VectorField, w: Weights, bindings, seed: int) -> CheckResult:
-    """raw = radial^k * desingularized in floats.  `raw` is derived from
-    `desing`, so this checks the two float views; `chart-pushforward` is the
-    independent symbolic reference for the chart fields."""
+    """The blow-up identity in floats, in every chart and for any weights:
+    r^k times the desingularized chart field is the pushforward of f,
+    D(psi) . (r^k * des) == f o psi, against f's own evaluator."""
     rng = random.Random(seed)
     points = [(rng.uniform(0.01, 2.0), rng.uniform(-3.0, 3.0)) for _ in range(100)]
-    for chart in ChartId:
+    fn = f.as_callable(bindings)
+    for i, chart in enumerate(ChartId):
         cf = blow_up_in_chart(f, w, chart)
-        des = cf.as_callable(bindings, desingularized=True)
-        usable = [p for p in points if math.hypot(*des(*p)) > 1e-9]
-        res = rescaling_check(cf, usable, bindings)
-        if res.max_angle_defect > 1e-10 or res.max_ratio_defect > 1e-10:
-            return CheckResult(
-                "raw-vs-desing-rescaling", False, res.checked,
-                f"{chart}: angle {res.max_angle_defect:.2e} ratio {res.max_ratio_defect:.2e}",
-            )
+        des = cf.as_callable(bindings)
+        for j, point in enumerate(points):
+            defect = _pushforward_defect(fn, cf, des, point)
+            if defect > 1e-10:
+                return CheckResult(
+                    "raw-vs-desing-rescaling", False, len(points) * i + j,
+                    f"{chart} at (r, w)=({point[0]:.4f}, {point[1]:.4f}): relative defect {defect:.2e}",
+                )
     return CheckResult("raw-vs-desing-rescaling", True, 4 * len(points))
 
 
@@ -389,61 +415,59 @@ def _orbit_derivative(field, x0, observe, dt: float) -> float:
     return (4.0 * central(dt / 2.0) - central(dt)) / 3.0
 
 
+# the inverse polar maps: (angle of (u, v) near a reference angle, radius of (u, v))
+_INVERSE = {
+    SPHERE: (lambda u, v, near: near + (math.atan2(v, u) - near + math.pi) % (2.0 * math.pi) - math.pi, math.hypot),
+    HYPERBOLA: (lambda u, v, near: math.atanh(v / u), lambda u, v: math.sqrt(u * u - v * v)),
+}
+
+
+def _finite_difference(name, f, bindings, seed, sigma, span, count, tol) -> CheckResult:
+    """The polar field of signature sigma (first branch) vs finite differences
+    of the inverse polar map along orbits of f, at `count` random points
+    (angle in `span`, radius in [0.3, 1]) where both components are away
+    from 0; at most 100 * count draws."""
+    rng = random.Random(seed)
+    pfield = polar_pushforward(f, sigma).as_callable(bindings)
+    ff = frame_original(f, bindings)
+    (cos, sin), (angle_name, radius_name) = TRIG[sigma], NAMES[sigma]
+    angle_of, radius_of = _INVERSE[sigma]
+    done = attempts = 0
+    while done < count and attempts < 100 * count:
+        attempts += 1
+        angle = rng.uniform(*span)
+        radius = rng.uniform(0.3, 1.0)
+        exp_a, exp_r = pfield(angle, radius)
+        if abs(exp_a) < 0.05 or abs(exp_r) < 0.05:
+            continue  # relative comparison needs values away from the roots
+        x0 = (radius * cos(angle), radius * sin(angle))
+        num_a = _orbit_derivative(ff, x0, lambda u, v: angle_of(u, v, angle), 1e-4)
+        num_r = _orbit_derivative(ff, x0, radius_of, 1e-4)
+        if abs(num_a - exp_a) / abs(exp_a) > tol or abs(num_r - exp_r) / abs(exp_r) > tol:
+            return CheckResult(
+                name, False, done,
+                f"{angle_name}={angle:.4f} {radius_name}={radius:.4f}: "
+                f"({num_a}, {num_r}) vs ({exp_a}, {exp_r})",
+            )
+        done += 1
+    return CheckResult(name, True, done)
+
+
 def check_polar_finite_difference(f: VectorField, bindings, seed: int) -> CheckResult:
     """Spherical polar components vs finite differences of the inverse polar
     map along integrated orbits."""
-    rng = random.Random(seed)
-    pfield = polar_pushforward(f, SPHERE).as_callable(bindings)
-    ff = frame_original(f, bindings)
-    done = attempts = 0
-    while done < 50 and attempts < 5000:
-        attempts += 1
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        radius = rng.uniform(0.3, 1.0)
-        exp_a, exp_r = pfield(theta, radius)
-        if abs(exp_a) < 0.05 or abs(exp_r) < 0.05:
-            continue  # relative comparison needs values away from the roots
-        x0 = (radius * math.cos(theta), radius * math.sin(theta))
-        num_a = _orbit_derivative(ff, x0, lambda u, v: _unwrap(math.atan2(v, u), theta), 1e-4)
-        num_r = _orbit_derivative(ff, x0, lambda u, v: math.hypot(u, v), 1e-4)
-        if abs(num_a - exp_a) / abs(exp_a) > 1e-8 or abs(num_r - exp_r) / abs(exp_r) > 1e-8:
-            return CheckResult(
-                "polar-finite-difference", False, done,
-                f"theta={theta:.4f} r={radius:.4f}: ({num_a}, {num_r}) vs ({exp_a}, {exp_r})",
-            )
-        done += 1
-    return CheckResult("polar-finite-difference", True, done)
-
-
-def _unwrap(angle: float, reference: float) -> float:
-    return reference + (angle - reference + math.pi) % (2.0 * math.pi) - math.pi
+    return _finite_difference(
+        "polar-finite-difference", f, bindings, seed, SPHERE, (0.0, 2.0 * math.pi), 50, 1e-8
+    )
 
 
 def check_hyperbolic_finite_difference(f: VectorField, bindings, seed: int) -> CheckResult:
     """Hyperbolic polar components vs finite differences of the hyperboloid
     inverse along orbits: this is the check that arbitrates the sign of the
     last radial term."""
-    rng = random.Random(seed)
-    hfield = polar_pushforward(f, HYPERBOLA, Branch.X).as_callable(bindings)
-    ff = frame_original(f, bindings)
-    done = attempts = 0
-    while done < 10 and attempts < 1000:
-        attempts += 1
-        phi = rng.uniform(-1.2, 1.2)
-        rho = rng.uniform(0.3, 1.0)
-        exp_a, exp_r = hfield(phi, rho)
-        if abs(exp_a) < 0.05 or abs(exp_r) < 0.05:
-            continue
-        x0 = (rho * math.cosh(phi), rho * math.sinh(phi))
-        num_a = _orbit_derivative(ff, x0, lambda u, v: math.atanh(v / u), 1e-4)
-        num_r = _orbit_derivative(ff, x0, lambda u, v: math.sqrt(u * u - v * v), 1e-4)
-        if abs(num_a - exp_a) / abs(exp_a) > 1e-9 or abs(num_r - exp_r) / abs(exp_r) > 1e-9:
-            return CheckResult(
-                "hyperbolic-finite-difference", False, done,
-                f"phi={phi:.4f} rho={rho:.4f}: ({num_a}, {num_r}) vs ({exp_a}, {exp_r})",
-            )
-        done += 1
-    return CheckResult("hyperbolic-finite-difference", True, done)
+    return _finite_difference(
+        "hyperbolic-finite-difference", f, bindings, seed, HYPERBOLA, (-1.2, 1.2), 10, 1e-9
+    )
 
 
 def check_bridge_conjugacy(f: VectorField, w: Weights, bindings, seed: int) -> CheckResult:
@@ -454,8 +478,7 @@ def check_bridge_conjugacy(f: VectorField, w: Weights, bindings, seed: int) -> C
     raw_h = polar_pushforward(f, HYPERBOLA, Branch.X)
     des_h = desingularize_polar(raw_h)
     cf = blow_up_in_chart(f, w, ChartId.K1)
-    raw_k = cf.as_callable(bindings, desingularized=False)
-    des_k = cf.as_callable(bindings, desingularized=True)
+    des_k = cf.as_callable(bindings)
     raw_hf = raw_h.as_callable(bindings)
     des_hf = des_h.as_callable(bindings)
     for i in range(20):
@@ -464,10 +487,11 @@ def check_bridge_conjugacy(f: VectorField, w: Weights, bindings, seed: int) -> C
         r1, y1 = bridge_beta1(phi, rho)
         ch, sh = math.cosh(phi), math.sinh(phi)
         sech2 = 1.0 / (ch * ch)
-        for hfield, kfield, scale in ((raw_hf, raw_k, 1.0), (des_hf, des_k, ch**w.k)):
+        kv = des_k(r1, y1)
+        # the undivided K1 field is r1^k times the desingularized one
+        for hfield, scale in ((raw_hf, r1**w.k), (des_hf, ch**w.k)):
             da, dr = hfield(phi, rho)
             lhs = (rho * sh * da + ch * dr, sech2 * da)
-            kv = kfield(r1, y1)
             rhs = (scale * kv[0], scale * kv[1])
             err = math.hypot(lhs[0] - rhs[0], lhs[1] - rhs[1])
             norm = max(1e-12, math.hypot(*rhs))

@@ -1,12 +1,15 @@
 import math
 import random
 import struct
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from desing import selfcheck
 from desing.charts import (
     OVERLAPS,
     ChartField,
@@ -25,12 +28,13 @@ from desing.selfcheck import (
     check_chart_pushforward,
     check_chart_pushforward_numeric,
     check_compatibility,
+    check_rescaling,
     check_transition_roundtrip,
     demo_system,
     _random_quasihomogeneous,
 )
 from desing.vectorfield import Param, VectorField
-from desing.weights import Weights
+from desing.weights import Weights, infer_weights
 
 a = Poly.var("a")
 F = demo_system()
@@ -151,6 +155,34 @@ def test_pushforward_identity_symbolic():
 def test_pushforward_identity_numeric_weighted():
     res = check_chart_pushforward_numeric(seed=11)
     assert res.passed, res.detail
+
+
+def _halved_beta_over_alpha(f, w, chart):
+    """The chart field with the (beta/alpha)*s*w*g term of Q halved:
+    (beta/alpha)*s*w*g is beta*w*P, so half of it is added back to Q."""
+    cf = blow_up_in_chart(f, w, chart)
+    r, angular = Poly.var(cf.radial_var), Poly.var(cf.angular_var)
+    p = cf.desing[0].shift({cf.radial_var: 1})
+    q = cf.desing[1] + Fraction(w.beta, 2) * angular * p
+    assert r * p == cf.desing[0] and not (q - cf.desing[1]).is_zero()
+    return replace(cf, desing=(cf.desing[0], q.reordered(cf.desing[1].vars)))
+
+
+@pytest.mark.parametrize("source", ["demo", "weighted_cubic.vf"])
+def test_rescaling_check_fails_on_a_halved_beta_over_alpha(source, monkeypatch):
+    # the undivided field is derived from the desingularized one, so only a
+    # comparison with f itself can see a wrong chart field
+    if source == "demo":
+        f, bindings = F, {"a": Fraction(1)}
+    else:
+        text = (Path(__file__).resolve().parents[1] / "inputs" / source).read_text(encoding="utf-8")
+        f, bindings = lower_to_polynomials(parse_field_spec(text)), {}
+    w = infer_weights(f)
+    assert check_rescaling(f, w, bindings, seed=11).passed
+    monkeypatch.setattr(selfcheck, "blow_up_in_chart", _halved_beta_over_alpha)
+    res = check_rescaling(f, w, bindings, seed=11)
+    assert not res.passed
+    assert res.name == "raw-vs-desing-rescaling" and "relative defect" in res.detail
 
 
 def test_embed():

@@ -264,21 +264,29 @@ def test_analyze_hyperbolic_wing_far_out(tmp_path, capsys):
     assert second["eigenvalues"] == [[0.0, 0.0], [pytest.approx(7.07106781187e99), 0.0]]
 
 
+# the coefficient 2*10^400, and the eigenvalue -2*10^400 of the divisor point
+# w = 0, lie beyond the float range
+HUGE = "var x y; dx/dt = 0; dy/dt = y^3 - 2*10^400*x^2*y;"
+# the divisor polynomial's Cauchy bound 2^1100 lies about 1100 bisection
+# levels above its roots near 1
+FAR = "var x y; dx/dt = 0; dy/dt = (y + (2^1100 + 3)*x)*(y - x)*(y - 2*x)*(2*y - 7*x);"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "source, argv",
     [
-        ["analyze"],
-        ["analyze", "--model", "hyperbolic-x"],
-        ["portrait", "--grid", "0:1:1,0:1:1"],
-        ["verify"],
+        (HUGE, ["analyze"]),
+        (HUGE, ["analyze", "--model", "hyperbolic-x"]),
+        (HUGE, ["portrait", "--grid", "0:1:1,0:1:1"]),
+        (HUGE, ["verify"]),
+        (FAR, ["analyze"]),
+        (FAR, ["analyze", "--model", "directional"]),
     ],
-    ids=["analyze-sphere", "analyze-hyperbolic-x", "portrait", "verify"],
+    ids=["analyze-sphere", "analyze-hyperbolic-x", "portrait", "verify", "far-root-sphere", "far-root-directional"],
 )
-def test_value_beyond_float_range_exits_1(tmp_path, capsys, argv):
-    # the coefficient 2*10^400, and the eigenvalue -2*10^400 of the divisor
-    # point w = 0, lie beyond the float range
+def test_value_beyond_float_range_exits_1(tmp_path, capsys, source, argv):
     path = tmp_path / "huge.vf"
-    path.write_text("var x y; dx/dt = 0; dy/dt = y^3 - 2*10^400*x^2*y;")
+    path.write_text(source)
     command, *options = argv
     code, out, err = run(capsys, command, str(path), *options)
     assert code == 1

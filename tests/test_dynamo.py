@@ -20,7 +20,6 @@ from desing.dynamo import (
     hausdorff_defect,
     integrate,
     observed_order,
-    rescaling_check,
     sample_portrait,
 )
 from desing.errors import NonFiniteField
@@ -197,34 +196,6 @@ def test_divisor_seeds_stay_on_divisor():
     ff = frame_chart(cf, A1)
     tr = integrate(ff, (0.0, 0.25), 2.0, 1e-2)
     assert max(abs(u) for _, u, _ in tr.points) < 1e-12
-
-
-def test_rescaling_exact_point():
-    cf = blow_up_in_chart(F, W, ChartId.K1)
-    res = rescaling_check(cf, [(0.5, 1.0)], A1)
-    assert res.checked == 1
-    assert res.max_angle_defect == pytest.approx(0.0, abs=1e-12)
-    # raw/desing length ratio equals the radial coordinate (k = 1)
-    raw = cf.as_callable(A1, desingularized=False)
-    des = cf.as_callable(A1, desingularized=True)
-    assert math.hypot(*raw(0.5, 1.0)) / math.hypot(*des(0.5, 1.0)) == pytest.approx(0.5)
-
-
-def test_rescaling_many_points():
-    import random
-
-    rng = random.Random(8)
-    cf = blow_up_in_chart(F, W, ChartId.K2)
-    pts = [(rng.uniform(0.01, 2.0), rng.uniform(-3.0, 3.0)) for _ in range(100)]
-    res = rescaling_check(cf, pts, A1)
-    assert res.max_angle_defect < 1e-10
-    assert res.max_ratio_defect < 1e-10
-
-
-def test_rescaling_requires_positive_radial():
-    cf = blow_up_in_chart(F, W, ChartId.K1)
-    with pytest.raises(ValueError):
-        rescaling_check(cf, [(0.0, 1.0)], A1)
 
 
 def test_conjugacy_reference_seed():

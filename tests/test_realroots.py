@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
@@ -592,3 +593,20 @@ def test_float_point_refuses_what_the_bound_does_not_cover():
 def test_isolation_matches_exact_isolation(factors):
     for f in factors:
         assert isolate_squarefree(f) == _isolate_exact(f)
+
+
+def test_isolation_deeper_than_the_recursion_limit():
+    # (x + 2^1100 + 3)(x - 1)(x - 2)(2x - 7): the Cauchy bound is 2^1100, so
+    # the roots near 1 lie about 1100 bisection levels down
+    f = _trim(_int_times(_int_times([2**1100 + 3, 1], [-1, 1]), _int_times([-2, 1], [-7, 2])))
+    got = isolate_squarefree(f)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:
+        want = _isolate_exact(f)  # the recursive order
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+    exact, intervals = got
+    assert exact == [] and len(intervals) == 4
+    assert all(lo < r < hi for (lo, hi), r in zip(intervals, (-(2**1100) - 3, 1, 2, F(7, 2))))
