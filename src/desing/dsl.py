@@ -18,7 +18,10 @@ sum or product may have any length.
 
 The parser expands as it goes: each rule returns a `Poly`, and `+`, `-`,
 `*` and `^` are applied left to right as they are read, so a FieldSpec holds
-the two right-hand sides already expanded.
+the two right-hand sides already expanded.  A sum folds into one term map,
+built as repeated `Poly.__add__` would build it, without copying the left
+operand at every `+`.  A power whose leading coefficient would exceed
+`_MAX_COEFF_BITS` bits is rejected at its exponent, before it expands.
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import Poly
+from .poly import _ZERO, Poly
 from .vectorfield import Param, VectorField
 
 _MAX_EXPONENT = 10_000
+# bits of a power's leading coefficient, checked at `^` before expanding
+_MAX_COEFF_BITS = 65_536
 # the parser recurses once per level of parentheses
 _MAX_NESTING = 100
 
@@ -194,12 +199,23 @@ class _Parser:
 
     def expr(self) -> Poly:
         out = self.term()
+        # `Poly.__add__` folded into one term map: a variable first seen
+        # mid-sum pads the keys so far at the end, as `Poly._remapped` does
+        vs, terms = out.vars, dict(out.terms)
         while self.at_symbol("+") or self.at_symbol("-"):
-            if self.next().text == "+":
-                out = out + self.term()
-            else:
-                out = out - self.term()
-        return out
+            minus = self.next().text == "-"
+            q = self.term()
+            new = () if q.vars == vs else tuple(v for v in q.vars if v not in vs)
+            if new:
+                vs, terms = vs + new, {e + (0,) * len(new): c for e, c in terms.items()}
+            for e, c in (q.terms if q.vars == vs else q._remapped(vs)).items():
+                s = terms.get(e, _ZERO)
+                s = s - c if minus else s + c
+                if s:
+                    terms[e] = s
+                else:
+                    terms.pop(e, None)
+        return Poly._raw(vs, terms)
 
     def term(self) -> Poly:
         out = self.factor()
@@ -218,7 +234,15 @@ class _Parser:
         out = self.base()
         if self.at_symbol("^"):
             self.next()
-            out = out ** self.nat_exponent()
+            tok = self.peek()
+            n = self.nat_exponent()
+            if out.terms:
+                # the leading coefficient's n-th power leads the result
+                c = out._leading()[1]
+                bits = n * max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                if bits > _MAX_COEFF_BITS:
+                    self.fail(f"coefficient of about {bits} bits exceeds the supported bound of {_MAX_COEFF_BITS} bits", tok)
+            out = out**n
         return out
 
     def nat_exponent(self) -> int:

@@ -27,6 +27,11 @@ Two kinds of operation live side by side:
   `charts`); the general ones stay as the independent reference the
   self-checks compare against.
 
+`*` and `**` take a one-pass route when an operand or the base is a single
+term: a monomial factor shifts every exponent vector by one vector, which is
+injective and cancels nothing, so the pass yields the general loop's terms
+in the general loop's order.
+
 `Poly(...)` validates and normalises its input.  Polynomials built inside
 the package go through `Poly._raw` instead, which trusts its caller to pass
 a tuple of distinct names and a fresh dict of exponent tuples (right length,
@@ -36,6 +41,7 @@ non-negative ints) to nonzero Fractions, and adopts that dict uncopied.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import NotDivisible
@@ -201,8 +207,16 @@ class Poly:
         if q is None:
             return NotImplemented
         vs = Poly._union_vars(self, q)
-        a = self._remapped(vs)
-        b = q._remapped(vs)
+        a = self.terms if self.vars == vs else self._remapped(vs)
+        b = q.terms if q.vars == vs else q._remapped(vs)
+        # A one-term operand shifts every exponent of the other by one vector:
+        # injective and never cancelling, so one pass over the other operand,
+        # in the order the double loop meets its terms, builds the same dict.
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            ((em, cm),) = a.items()
+            return Poly._raw(vs, {tuple(map(add, em, e)): cm * c for e, c in b.items()})
         terms: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -219,6 +233,10 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"polynomial power must be a non-negative integer, got {n!r}")
+        if n and len(self.terms) == 1:
+            # a monomial's power is one term, which binary powering reaches too
+            ((e, c),) = self.terms.items()
+            return Poly._raw(self.vars, {tuple(k * n for k in e): c**n})
         result = Poly.const(1, self.vars)
         base = self
         while n:
@@ -432,32 +450,24 @@ class Poly:
     def format(self, display: "Mapping[str, str] | None" = None) -> str:
         """Canonical rendering: graded-lex descending, signs folded into
         coefficients, `^` for powers, explicit `*` between factors."""
-        if not self.terms:
-            return "0"
-        disp = dict(display or {})
-        pieces = []
+        disp = display or {}
+        names = [disp.get(v, v) for v in self.vars]
+        out = []
         for exps in sorted(self.terms, key=_grlex, reverse=True):
             c = self.terms[exps]
-            factors = []
-            for v, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                name = disp.get(v, v)
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mono = "*".join(factors)
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+            num, den = c.numerator, c.denominator
+            if num < 0:
+                num = -num
+                out.append(" - " if out else "-")
+            elif out:
+                out.append(" + ")
+            mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+            if num != 1 or den != 1 or not mono:
+                out.append(f"{num}/{den}" if den != 1 else str(num))
+                if mono:
+                    out.append("*")
+            out.append(mono)
+        return "".join(out) or "0"
 
     def __str__(self):
         return self.format()

@@ -109,6 +109,18 @@ def test_ambiguous_weights_one_line_error(tmp_path, capsys, src, message):
     assert err.splitlines() == [f"weights: {message}"]
 
 
+def test_power_with_a_huge_coefficient_one_line_error(tmp_path, capsys):
+    # rejected at the exponent, before 10^10000 is raised to the 10000th power
+    path = tmp_path / "huge.vf"
+    path.write_text("var x y; dx/dt = (10^10000)^10000*x; dy/dt = y;")
+    code, out, err = run(capsys, "weights", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "weights: 1:29: coefficient of about 332200000 bits exceeds the supported bound of 65536 bits"
+    ]
+
+
 @pytest.mark.parametrize(
     "name, argv, message",
     [

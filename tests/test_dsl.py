@@ -1,12 +1,14 @@
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.errors import ParseError
 from desing.poly import Poly, poly_vars
+from test_poly import ref_mul, ref_pow
 
 QUADRATIC_SRC = "param a > 0; var x y; dx/dt = a*x^2 - 2*x*y; dy/dt = y^2 - a*x*y;"
 
@@ -100,19 +102,22 @@ def test_binomial_identity_lowering():
 # A tree is ("num", Fraction), ("name", str), ("neg", tree), ("pow", tree, int)
 # or (op, left, right) with op one of "add", "sub", "mul".
 
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "pow": operator.pow}
+# the parser folds sums itself and multiplies through Poly's one-term passes;
+# the reference adds with Poly.__add__ and multiplies with the double loop
+_REFERENCE = dict(_OPS, mul=ref_mul, pow=ref_pow)
 
 
-def interpret(tree, leaf):
-    """Fold `tree` with the ring operations of whatever `leaf` returns."""
+def interpret(tree, leaf, ops=_OPS):
+    """Fold `tree` with the ring operations `ops` on whatever `leaf` returns."""
     kind = tree[0]
     if kind in ("num", "name"):
         return leaf(tree)
     if kind == "neg":
-        return -interpret(tree[1], leaf)
+        return -interpret(tree[1], leaf, ops)
     if kind == "pow":
-        return interpret(tree[1], leaf) ** tree[2]
-    return _BINARY[kind](interpret(tree[1], leaf), interpret(tree[2], leaf))
+        return ops["pow"](interpret(tree[1], leaf, ops), tree[2])
+    return ops[kind](interpret(tree[1], leaf, ops), interpret(tree[2], leaf, ops))
 
 
 def eval_tree(tree, env):
@@ -120,7 +125,7 @@ def eval_tree(tree, env):
 
 
 def poly_tree(tree):
-    return interpret(tree, lambda t: Poly.const(t[1]) if t[0] == "num" else Poly.var(t[1]))
+    return interpret(tree, lambda t: Poly.const(t[1]) if t[0] == "num" else Poly.var(t[1]), _REFERENCE)
 
 
 def random_tree(rng, depth):
@@ -184,6 +189,44 @@ def test_random_trees_roundtrip_through_renderer():
         expanded = poly_tree(tree)
         assert parsed.vars == expanded.vars
         assert list(parsed.terms.items()) == list(expanded.terms.items())
+
+
+@pytest.mark.parametrize(
+    "expr, variables, terms",
+    [
+        ("x - x + x", ("x",), [((1,), 1)]),
+        ("x + 1 - x + x", ("x",), [((0,), 1), ((1,), 1)]),  # a cancelled key re-enters at the end
+        ("1 + x + a*y", ("x", "a", "y"), [((0, 0, 0), 1), ((1, 0, 0), 1), ((0, 1, 1), 1)]),
+        ("y^2 - 3*(a - a) + x*y", ("y", "a", "x"), [((2, 0, 0), 1), ((1, 0, 1), 1)]),
+        ("1 + 2 - 1/2", (), [((), Fraction(5, 2))]),
+        ("0 + 0 - 0", (), []),
+        ("x*0 - 0*y + 0", ("x", "y"), []),
+    ],
+)
+def test_sum_fold_keeps_variable_and_term_order(expr, variables, terms):
+    # the sum adds term by term as Poly.__add__ does: variables join where the
+    # sum first meets them and a key that cancels re-enters at the end
+    parsed = parse_field_spec(f"param a; var x y; dx/dt = {expr}; dy/dt = 0;").rhs[0]
+    assert (parsed.vars, list(parsed.terms.items())) == (variables, terms)
+
+
+def test_coefficient_bound_at_the_exponent():
+    # the power's leading coefficient is 2^(8191*n): 65536 bits at n = 8
+    src = "var x y; dx/dt = (2^8191*x + y)^{n}; dy/dt = 0;"
+    assert parse_field_spec(src.format(n=8)).rhs[0].terms[(8, 0)] == 2 ** (8191 * 8)
+    with pytest.raises(ParseError, match="coefficient of about 73728 bits exceeds the supported bound of 65536") as exc:
+        parse_field_spec(src.format(n=9))
+    assert (exc.value.line, exc.value.column) == (1, src.index("{n}") + 1)
+    with pytest.raises(ParseError, match="65544 bits"):
+        parse_field_spec("var x y; dx/dt = (1/2^8192)^8*x; dy/dt = 0;")
+
+
+def test_coefficient_bound_admits_the_input_corpus():
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "inputs").glob("*.vf")) + sorted((root / "tests" / "golden" / "inputs").glob("*.vf"))
+    assert files
+    for path in files:
+        parse_field_spec(path.read_text(encoding="utf-8"))
 
 
 def test_nesting_limit_at_the_offending_parenthesis():

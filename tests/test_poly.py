@@ -11,7 +11,7 @@ from desing.charts import ChartId, blow_up_in_chart
 from desing.errors import NotDivisible
 from desing.polar import SPHERE, desingularize_polar, polar_pushforward
 from desing.poly import Poly, float_evaluator, poly_vars
-from desing.quotient import COS, RADIAL, SIN, TRIG
+from desing.quotient import COS, NAMES, RADIAL, SIN, TRIG
 from desing.selfcheck import (
     check_exact_division,
     check_ring_axioms,
@@ -207,6 +207,124 @@ def signed_monomials(draw, pool=("r", "w", "c", "a", "x")):
 def identical(p, q):
     """Same variables in the same order and the same terms in the same order."""
     return p.vars == q.vars and list(p.terms.items()) == list(q.terms.items())
+
+
+# -- the one-pass products, powers and printing against the general bodies -------
+
+
+def ref_mul(p, other):
+    """`Poly.__mul__` without its one-term pass: the general double loop."""
+    q = p._lift(other)
+    vs = Poly._union_vars(p, q)
+    a = p._remapped(vs)
+    b = q._remapped(vs)
+    terms = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = terms.get(e, Fraction(0)) + ca * cb
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return Poly._raw(vs, terms)
+
+
+def ref_pow(p, n):
+    """`Poly.__pow__` without its one-term pass: binary powering by `ref_mul`."""
+    result = Poly.const(1, p.vars)
+    base = p
+    while n:
+        if n & 1:
+            result = ref_mul(result, base)
+        n >>= 1
+        if n:
+            base = ref_mul(base, base)
+    return result
+
+
+def ref_format(p, display=None):
+    """`Poly.format` as a list of (sign, body) pieces over `abs(c)`."""
+    if not p.terms:
+        return "0"
+    disp = dict(display or {})
+    pieces = []
+    for exps in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
+        c = p.terms[exps]
+        factors = []
+        for v, e in zip(p.vars, exps):
+            if not e:
+                continue
+            name = disp.get(v, v)
+            factors.append(name if e == 1 else f"{name}^{e}")
+        mono = "*".join(factors)
+        mag = abs(c)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        pieces.append(("-" if c < 0 else "+", body))
+    sign, body = pieces[0]
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+@st.composite
+def one_terms(draw, pool=("a", "x", "y", "r", "w")):
+    names = tuple(draw(st.lists(st.sampled_from(pool), max_size=4, unique=True)))
+    exps = tuple(draw(st.integers(0, 3)) for _ in names)
+    return Poly(names, {exps: draw(coefficients)})
+
+
+operands = st.one_of(polys(), one_terms(), st.just(Poly.zero()), st.just(Poly.zero(("y", "a"))),
+                     coefficients, st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_terms(), operands)
+def test_one_term_products_are_the_double_loop(m, other):
+    # a one-term operand on either side, over disjoint and reordered variables
+    assert identical(m * other, ref_mul(m, other))
+    if isinstance(other, Poly):
+        assert identical(other * m, ref_mul(other, m))
+    else:
+        assert identical(other * m, ref_mul(m, other))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), operands)
+def test_products_are_the_double_loop(p, other):
+    assert identical(p * other, ref_mul(p, other))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(one_terms(), polys(max_exp=1)), st.integers(0, 12))
+def test_powers_are_binary_powering(p, n):
+    if len(p.terms) > 1:
+        n %= 4  # the general path, kept small
+    assert identical(p**n, ref_pow(p, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(pool=("a", "x", "c", "s", "r")), st.sampled_from(sorted(NAMES)), st.booleans())
+def test_format_is_the_piecewise_rendering(p, sigma, displayed):
+    # the display map is the one `QuotientPoly.pretty` passes
+    angle, radius = NAMES[sigma]
+    cos, sin = (fn.__name__ for fn in TRIG[sigma])
+    display = {COS: f"{cos}({angle})", SIN: f"{sin}({angle})", RADIAL: radius} if displayed else None
+    assert p.format(display) == ref_format(p, display)
+
+
+def test_format_edge_cases():
+    cases = [Poly.zero(), Poly.const(-1), Poly.const(Fraction(-3, 2), ("x",)), -x, Fraction(1, 7) * x * y**2,
+             -x**2 + 1, 2 * x - Fraction(5, 3) * a * y + Fraction(-1, 2)]
+    for p in cases:
+        assert p.format() == ref_format(p)
+        assert p.format({"x": "cos(theta)"}) == ref_format(p, {"x": "cos(theta)"})
 
 
 @settings(max_examples=100, deadline=None)
