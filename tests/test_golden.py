@@ -11,7 +11,10 @@ the chart far out on the hyperboloid.  K3 and K4 reflect K1 and K2 when the
 pure radial exponent is odd; the antipodal_cubic field (weights (1, 1, 2))
 pins the reflection w -> -w with an even time factor, and the weighted_12
 field (weights (1, 2, 1)) one that keeps w and reverses time, next to a K4
-that cannot be reflected.  The dense fields of degree 8, 12 and 16
+that cannot be reflected.  The irrational_zero field has members at
+irrational roots with an exactly zero diagonal entry, in K1 and K2 and in the
+K3 and K4 mapped from them with time factor -1: the reflected zeros print as
+0, never as -0.0.  The dense fields of degree 8, 12 and 16
 have irrational divisor roots, so their JSON reports pin the isolating
 interval endpoints: a change to the bisection path fails here even when the
 classification is unchanged.  The huge_e60 and huge_e100 fields have
@@ -64,7 +67,7 @@ def _cases():
                 cases[f"blowup-{name}-{model}.{ext}"] = ["blowup", path, "--model", model, "--format", fmt]
     for fmt, ext in (("text", "txt"), ("json", "json")):
         cases[f"analyze-cubic.{ext}"] = ["analyze", CUBIC, "--format", fmt]
-    for name in ("eps_merge", "unit_interval", "antipodal_cubic", "weighted_12"):
+    for name in ("eps_merge", "unit_interval", "antipodal_cubic", "weighted_12", "irrational_zero"):
         for fmt, ext in (("text", "txt"), ("json", "json")):
             cases[f"analyze-{name}.{ext}"] = ["analyze", GOLDEN / "inputs" / f"{name}.vf", "--format", fmt]
     for fmt, ext in (("text", "txt"), ("json", "json")):
