@@ -39,6 +39,7 @@ from .equilibria import (
 )
 from .errors import DesingError
 from .polar import MODELS, desingularize_polar, polar_pushforward
+from .poly import rational_text
 from .vectorfield import VectorField
 from .weights import infer_weights
 
@@ -202,7 +203,7 @@ def _weights_payload(w):
 def _num(value):
     """JSON value for a coordinate: exact rationals as strings, floats as-is."""
     if isinstance(value, Fraction):
-        return str(value)
+        return rational_text(value.numerator, value.denominator)
     return float(value)
 
 
@@ -243,12 +244,12 @@ def _eigen_payload(eq):
         "coords": [_num(c) for c in eq.coords],
         "coords_float": list(eq.coords_float),
         "exact": eq.exact,
-        "interval": None if eq.interval is None else [str(v) for v in eq.interval],
+        "interval": None if eq.interval is None else [_num(v) for v in eq.interval],
         "jacobian": [[_num(x) for x in row] for row in eq.jacobian],
         "eigenvalues": [[x, 0.0] for x in eq.eigenvalues],  # [re, im] of a real eigenvalue
         "eigenvalues_exact": None
         if eq.eigenvalues_exact is None
-        else [str(v) for v in eq.eigenvalues_exact],
+        else [_num(v) for v in eq.eigenvalues_exact],
         "classification": eq.classification,
     }
 
@@ -318,11 +319,11 @@ def render_analysis_text(report: GlobalReport) -> str:
     for i, m in enumerate(report.equilibria, 1):
         lines.append(f"  [{i}] {angle_label} = {m.angle:.12g}  {m.classification}")
         for e in m.members:
-            coords = ", ".join(str(c) if isinstance(c, Fraction) else f"{c:.12g}" for c in e.coords)
+            coords = ", ".join(_num(c) if isinstance(c, Fraction) else f"{c:.12g}" for c in e.coords)
             eig = ", ".join(f"{x:.12g}" for x in e.eigenvalues)
             exact = ""
             if e.eigenvalues_exact is not None:
-                exact = " (exact: " + ", ".join(str(v) for v in e.eigenvalues_exact) + ")"
+                exact = " (exact: " + ", ".join(_num(v) for v in e.eigenvalues_exact) + ")"
             lines.append(f"      {e.chart}: coords ({coords}); eigenvalues {eig}{exact}")
     lines.append("")
     lines.append("flow (sign of the angular component between equilibria):")

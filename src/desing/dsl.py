@@ -20,12 +20,14 @@ The parser expands as it goes: each rule returns a `Poly`, and `+`, `-`,
 `*` and `^` are applied left to right as they are read, so a FieldSpec holds
 the two right-hand sides already expanded.  A sum folds into one term map,
 built as repeated `Poly.__add__` would build it, without copying the left
-operand at every `+`.  A power whose leading coefficient would exceed
-`_MAX_COEFF_BITS` bits is rejected at its exponent, before it expands.
+operand at every `+`.  A literal whose numerator or denominator exceeds
+`_MAX_COEFF_BITS` bits is rejected at its token, and a power whose leading
+coefficient would exceed that bound at its exponent, before it expands.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -239,9 +241,7 @@ class _Parser:
             if out.terms:
                 # the leading coefficient's n-th power leads the result
                 c = out._leading()[1]
-                bits = n * max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-                if bits > _MAX_COEFF_BITS:
-                    self.fail(f"coefficient of about {bits} bits exceeds the supported bound of {_MAX_COEFF_BITS} bits", tok)
+                self.check_bits(n * max(c.numerator.bit_length(), c.denominator.bit_length()), tok)
             out = out**n
         return out
 
@@ -250,10 +250,32 @@ class _Parser:
         if tok.kind != "NUMBER" or "." in tok.text:
             self.fail("exponent must be a non-negative integer literal", tok)
         self.next()
-        value = int(tok.text)
-        if value > _MAX_EXPONENT:
-            self.fail(f"exponent {value} exceeds the supported bound {_MAX_EXPONENT}", tok)
+        digits = tok.text.lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+            self.fail(f"exponent {digits} exceeds the supported bound {_MAX_EXPONENT}", tok)
+        return int(digits)
+
+    def literal(self, tok: Token) -> Fraction:
+        """The exact value of a NUMBER token, also one with more digits than
+        `int` converts from text; over budget when its numerator or
+        denominator has more than `_MAX_COEFF_BITS` bits."""
+        try:
+            value = Fraction(tok.text)
+        except ValueError:  # too many digits for `int`
+            whole, _, frac = tok.text.partition(".")
+            whole, frac = whole.lstrip("0"), frac.rstrip("0")
+            # lower bounds from the digits alone: the numerator is at least
+            # 10^(len(whole) - 1), the denominator at least 2^len(frac)
+            self.check_bits(max(int((len(whole) - 1) * math.log2(10)) + 1, len(frac) + 1), tok)
+            from decimal import Decimal
+
+            value = Fraction(Decimal(tok.text))
+        self.check_bits(max(value.numerator.bit_length(), value.denominator.bit_length()), tok)
         return value
+
+    def check_bits(self, bits: int, tok: Token):
+        if bits > _MAX_COEFF_BITS:
+            self.fail(f"coefficient of about {bits} bits exceeds the supported bound of {_MAX_COEFF_BITS} bits", tok)
 
     def base(self) -> Poly:
         tok = self.peek()
@@ -264,16 +286,17 @@ class _Parser:
             return Poly.var(tok.text)
         if tok.kind == "NUMBER":
             self.next()
-            value = Fraction(tok.text)
+            value = self.literal(tok)
             if self.at_symbol("/"):
                 self.next()
                 den = self.peek()
                 if den.kind != "NUMBER" or "." in den.text:
                     self.fail("denominator must be an integer literal", den)
                 self.next()
-                if int(den.text) == 0:
+                q = self.literal(den)
+                if not q:
                     self.fail("zero denominator in rational literal", den)
-                value = value / int(den.text)
+                value = value / q
             return Poly.const(value)
         if self.at_symbol("("):
             if self.depth == _MAX_NESTING:

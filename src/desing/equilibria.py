@@ -19,7 +19,8 @@ and its two entries a and d are its eigenvalues.  With no tolerance at all:
 A focus cannot occur: the eigenvalues are real, the sorted diagonal.  At a
 rational root a and d are exact.  At an irrational root `value_at_root`
 gives each a rational with its exact sign, exactly 0 when the entry vanishes
-there; the Jacobian, and so the printed eigenvalues, hold those rounded once.
+there.  A chart point stores (a, d) and its class is read from them; the
+printed Jacobian and eigenvalues of an irrational point round them once.
 
 Each divisor point is keyed by its owning chart and exact root: K1 and K3
 own their roots with |w| <= 1, K2 and K4 those with |w| < 1.  The chart
@@ -40,7 +41,8 @@ for K4, and dividing by r^k adds the time factor t = (-1)^k:
 
 So the report maps the partner's equilibria instead of isolating roots
 again: roots are mirrored and reversed when eps = -1, and the Jacobian is
-t * R * diag(a, d) * R = t * diag(a, d).  With an even radial exponent no
+t * R * diag(a, d) * R = t * diag(a, d), classified again from those exact
+entries.  With an even radial exponent no
 real r gives x = -r^alpha, and the chart is computed directly.
 
 A hyperboloid wing point is its chart point seen through the bridge
@@ -127,15 +129,17 @@ class Equilibrium:
     """A divisor equilibrium in one chart or polar model.
 
     `coords` follows the frame convention: (radial, angular) in directional
-    charts, (angle, radius) in polar models.  Entries are exact Fractions
-    when available, floats otherwise; the Jacobian is diagonal, and its
-    eigenvalues and the root's enclosure are derived from it and the root.
+    charts, (angle, radius) in polar models; entries are exact Fractions
+    when available, floats otherwise.  `diagonal` is the diagonal Jacobian's
+    (a, d) in that order: exact at chart points, cosh-scaled floats at wing
+    points off the axis.  The Jacobian, its eigenvalues and the root's
+    enclosure derive from the diagonal and the root.
     """
 
     chart: str
     coords: tuple
     exact: bool
-    jacobian: tuple
+    diagonal: tuple
     classification: str
     divisor_angle: float
     root: "RealRoot | None" = None  # the root w of a directional chart point (0, w)
@@ -150,14 +154,23 @@ class Equilibrium:
         return None if self.root is None or self.root.exact else (self.root.lo, self.root.hi)
 
     @property
+    def jacobian(self) -> tuple:
+        """diag(a, d) as a 2x2 matrix: exact at an exact point, else with
+        the diagonal rounded once."""
+        a, d = self.diagonal
+        if self.exact:
+            return ((a, Fraction(0)), (Fraction(0), d))
+        return ((float(a), 0.0), (0.0, float(d)))
+
+    @property
     def eigenvalues_exact(self) -> "tuple[Fraction, Fraction] | None":
-        """The sorted diagonal of an exact Jacobian, else None."""
-        return tuple(sorted((self.jacobian[0][0], self.jacobian[1][1]))) if self.exact else None
+        """The sorted diagonal of an exact point, else None."""
+        return tuple(sorted(self.diagonal)) if self.exact else None
 
     @property
     def eigenvalues(self) -> "tuple[float, float]":
         """The sorted diagonal rounded to floats."""
-        return tuple(sorted((float(self.jacobian[0][0]), float(self.jacobian[1][1]))))
+        return tuple(sorted(float(x) for x in self.diagonal))
 
 
 class ChartEquilibria(list):
@@ -262,8 +275,9 @@ def _solve_unit_radius(alpha: int, beta: int, a2: float, b2: float) -> float:
     return (lo + hi) / 2.0
 
 
-def divisor_direction(chart: ChartId, w_value: float, weights: Weights) -> "tuple[float, float]":
-    """Unit-circle representative of a chart divisor point (0, w)."""
+def divisor_angle(chart: ChartId, w_value: float, weights: Weights) -> float:
+    """The angle of the unit-circle representative of a chart divisor point
+    (0, w)."""
     alpha, beta = weights.alpha, weights.beta
     if (alpha, beta) == (1, 1):
         t = 1.0 / math.hypot(1.0, w_value)
@@ -271,25 +285,20 @@ def divisor_direction(chart: ChartId, w_value: float, weights: Weights) -> "tupl
         t = _solve_unit_radius(alpha, beta, 1.0, w_value * w_value)
     else:
         t = _solve_unit_radius(alpha, beta, w_value * w_value, 1.0)
-    return embed(chart, weights, (t, w_value))
-
-
-def divisor_angle(chart: ChartId, w_value: float, weights: Weights) -> float:
-    x, y = divisor_direction(chart, w_value, weights)
+    x, y = embed(chart, weights, (t, w_value))
     return math.atan2(y, x) % TWO_PI
 
 
-def _member(cf: ChartField, root: RealRoot, a, d, cls: str) -> Equilibrium:
-    """The divisor equilibrium of class `cls` at a root with the Jacobian
-    diag(a, d) there: exact at a rational root; at an irrational one printed
-    at the enclosure's midpoint, with a and d rounded once."""
+def _member(cf: ChartField, root: RealRoot, a: Fraction, d: Fraction) -> Equilibrium:
+    """The divisor equilibrium at a root with the exact Jacobian diag(a, d)
+    there, classified from it: exact at a rational root, and at an
+    irrational one printed at the enclosure's midpoint."""
     if root.exact:
         zero, w = Fraction(0), root.value
     else:
         zero, w = 0.0, float((root.lo + root.hi) / 2)
-        a, d = float(a), float(d)
     angle = divisor_angle(cf.chart, float(w), cf.weights)
-    return Equilibrium(cf.chart.value, (zero, w), root.exact, ((a, zero), (zero, d)), cls, angle, root)
+    return Equilibrium(cf.chart.value, (zero, w), root.exact, (a, d), classify_exact(a, d), angle, root)
 
 
 def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
@@ -305,20 +314,16 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
     diagonal = (P, _derivative(coeffs))
     out = ChartEquilibria(1 if coeffs[-1] > 0 else -1)
     for root in real_roots(coeffs):
-        if root.exact:
-            a, d = (value_at_root(e, root) / den for e in diagonal)
-            out.append(_member(cf, root, a, d, classify_exact(a, d)))
-        else:
-            out.append(_interval_equilibrium(cf, root, den, diagonal))
+        a, d = (value_at_root(e, root) / den for e in diagonal)
+        out.append(_member(cf, root, a, d) if root.exact else _interval_equilibrium(cf, root, a, d))
     return out
 
 
-def _interval_equilibrium(cf: ChartField, root: RealRoot, den: int, diagonal) -> Equilibrium:
+def _interval_equilibrium(cf: ChartField, root: RealRoot, a: Fraction, d: Fraction) -> Equilibrium:
     """The classified divisor equilibrium at an irrational root.  Each
-    diagonal entry is the rational `value_at_root` gives, over `den`: it has
-    the exact sign there, and is 0 when the entry vanishes at the root."""
-    a, d = (value_at_root(e, root) / den for e in diagonal)
-    return _member(cf, root, a, d, classify_exact(a, d))
+    diagonal entry is the rational `value_at_root` gives: it has the exact
+    sign there, and is 0 when the entry vanishes at the root."""
+    return _member(cf, root, a, d)
 
 
 # -- reflected charts ----------------------------------------------------------------
@@ -336,11 +341,6 @@ def _reflection(chart: ChartId, w: Weights) -> "tuple[ChartId, int, int] | None"
     return partner, 1 - 2 * (angular % 2), 1 - 2 * (w.k % 2)
 
 
-def _signed(s: int, x):
-    """s * x for s = +-1, with a float zero kept as 0.0 rather than -0.0."""
-    return x if s > 0 or not x else -x
-
-
 def _mirrored(root: RealRoot) -> RealRoot:
     """The root -x for a root x, as `real_roots` returns it from the
     mirrored polynomial.  The factor f(-x) is made leading positive, as
@@ -354,25 +354,19 @@ def _mirrored(root: RealRoot) -> RealRoot:
     return RealRoot(None, -root.hi, -root.lo, root.multiplicity, tuple(factor))
 
 
-# a reversed time factor swaps the stable and unstable node
-_REVERSED = {CLASS_STABLE_NODE: CLASS_UNSTABLE_NODE, CLASS_UNSTABLE_NODE: CLASS_STABLE_NODE}
-
-
 def _reflected_equilibria(
     cf: ChartField, bound: Mapping, partner: ChartEquilibria, eps: int, t: int
 ) -> ChartEquilibria:
     """The chart's divisor equilibria mapped from its reflection partner's.
 
     A partner point (0, w') is the point (0, eps*w') here, and with the time
-    factor t a partner Jacobian diag(a, d) becomes t * diag(a, d), of the
-    partner's class with the nodes swapped when t = -1."""
+    factor t a partner Jacobian diag(a, d) becomes t * diag(a, d): exact, so
+    a zero entry stays 0 and t = -1 swaps the nodes."""
     _, _, coeffs = _on_divisor(cf, bound)
     out = ChartEquilibria(1 if coeffs[-1] > 0 else -1)
     for eq in reversed(partner) if eps < 0 else partner:
-        root = _mirrored(eq.root) if eps < 0 else eq.root
-        (a, _), (_, d) = eq.jacobian
-        cls = eq.classification if t > 0 else _REVERSED.get(eq.classification, eq.classification)
-        out.append(_member(cf, root, _signed(t, a), _signed(t, d), cls))
+        a, d = eq.diagonal
+        out.append(_member(cf, _mirrored(eq.root) if eps < 0 else eq.root, t * a, t * d))
     return out
 
 
@@ -472,9 +466,9 @@ def _wing_equilibrium(eq: Equilibrium, model: str, k: int) -> Equilibrium:
     Elsewhere the entries are scaled by cosh(phi)^k > 0, so the class, a
     certified zero and the eigenvalue order carry over.
     """
-    (a, zero), (_, d) = eq.jacobian
+    a, d = eq.diagonal
     if eq.exact and eq.coords[1] == 0:
-        return Equilibrium(model, (zero, zero), True, ((d, zero), (zero, a)), eq.classification, 0.0)
+        return Equilibrium(model, (Fraction(0), Fraction(0)), True, (d, a), eq.classification, 0.0)
     root = eq.root
     # an enclosure narrow against 1 - |w| gives cosh(phi) to about 2^-37
     while not root.exact and (root.hi - root.lo) * 2**36 > 1 - max(-root.lo, root.hi):
@@ -490,8 +484,8 @@ def _wing_equilibrium(eq: Equilibrium, model: str, k: int) -> Equilibrium:
         da, dd = (math.copysign(_sqrt_float(x * x * cosh_2k), x) for x in (a, d))
     else:
         scale = _sqrt_float(cosh_2k)
-        da, dd = scale * a, scale * d
-    return Equilibrium(model, (phi, Fraction(0)), False, ((dd, 0.0), (0.0, da)), eq.classification, phi)
+        da, dd = scale * float(a), scale * float(d)
+    return Equilibrium(model, (phi, Fraction(0)), False, (dd, da), eq.classification, phi)
 
 
 def _wing_picture(eqs: ChartEquilibria, model: str, k: int):

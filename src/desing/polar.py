@@ -2,7 +2,8 @@
 
 The blow-up substitutes x = radius*c, y = radius*s where (c, s) satisfies
 c^2 + sigma*s^2 = 1 and differentiates through the parametrization.  Both
-images are monomials, so the substitution is `Poly.monomial_map`.  The
+images are monomials, so the substitution is one exponent rewrite per term,
+x^m*y^n -> r^(m+n)*c^m*s^n, for any field, homogeneous or not.  The
 resulting 2x2 linear system for (radial', angular') has determinant exactly
 radius in the quotient ring, so the solve needs one division by the radial
 variable and nothing else.  One formula serves both signatures: the solve
@@ -103,6 +104,33 @@ def _check_names(f: VectorField):
         )
 
 
+def _push(poly: Poly, sx: str, sy: str) -> Poly:
+    """`poly` with sx = r*c and sy = r*s, one exponent rewrite per term that
+    merges none: x^m*y^n*rest -> r^(m+n)*c^m*s^n*rest.  Returns exactly what
+    `substitute` returns: the other variables in order, then each image's as
+    the terms first use sx and sy."""
+    images = {sx: (RADIAL, COS), sy: (RADIAL, SIN)}
+    state = [(i, images[v]) for i, v in enumerate(poly.vars) if v in images]
+    rest = [i for i, v in enumerate(poly.vars) if v not in images]
+    vs = [poly.vars[i] for i in rest]
+    used = {}  # a used state variable's index -> c or s
+    for exps in poly.terms:
+        for i, image in state:
+            if exps[i] and i not in used:
+                used[i] = image[1]
+                vs += [n for n in image if n not in vs]
+    pos = {v: j for j, v in enumerate(vs)}
+    ir, pad = pos.get(RADIAL), [0] * (len(vs) - len(rest))
+    terms = {}
+    for exps, coeff in poly.terms.items():
+        new = [exps[i] for i in rest] + pad
+        for i, n in used.items():
+            new[pos[n]] = exps[i]
+            new[ir] += exps[i]
+        terms[tuple(new)] = coeff
+    return Poly._raw(tuple(vs), terms)
+
+
 def polar_pushforward(f: VectorField, sigma: int, branch: Branch = Branch.X) -> PolarField:
     """Induced field on the blown-up space, solved exactly in the quotient ring."""
     if sigma not in (SPHERE, HYPERBOLA):
@@ -118,16 +146,11 @@ def polar_pushforward(f: VectorField, sigma: int, branch: Branch = Branch.X) -> 
             )
     if sigma == SPHERE:
         branch = Branch.X
-    c, s, r = Poly.var(COS), Poly.var(SIN), Poly.var(RADIAL)
     (sx, sy), f1, f2 = f.state_vars, f.f1, f.f2
     if branch is Branch.Y:
         sx, sy, f1, f2 = sy, sx, f2, f1
-    sub = {sx: r * c, sy: r * s}
-
-    def push(poly):
-        return reduce_poly(poly.monomial_map({v: b for v, b in sub.items() if v in poly.vars}), sigma)
-
-    F1, F2 = push(f1), push(f2)
+    F1, F2 = (reduce_poly(_push(p, sx, sy), sigma) for p in (f1, f2))
+    c, s = Poly.var(COS), Poly.var(SIN)
     # rows (x', y') = [[c, -sigma*r*s], [s, r*c]] (radial', angular');
     # det == r * (c^2 + sigma*s^2) == r.  A product by s, or a sum of reduced
     # terms, keeps the c-degree at most 1, so only the products by c reduce.

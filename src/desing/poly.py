@@ -17,15 +17,15 @@ Two kinds of operation live side by side:
 * General ones: `substitute` composes with arbitrary polynomials and
   `div_exact` runs grlex long division by any divisor.
 * Monomial ones, which are exponent rewrites costing one pass over the
-  terms: `monomial_map` substitutes signed monomials (x -> -r^2,
-  y -> r*w), `shift` divides by c times a monomial, and `bind` substitutes
+  terms: `shift` divides by c times a monomial, and `bind` substitutes
   rationals.  Each returns exactly what the general operation returns for
   the same arguments, variable order and term order included, so
   `float_evaluator`, which sums in term order, sees the same polynomial
-  either way.  The polar blow-up and `QuotientPoly` use these (the
-  directional charts are read off the field's terms in closed form, see
-  `charts`); the general ones stay as the independent reference the
-  self-checks compare against.
+  either way.  The pipeline uses only these and exponent rewrites of its
+  own (the directional charts are read off the field's terms in closed
+  form, see `charts`, and the polar blow-up maps x^m*y^n to
+  r^(m+n)*c^m*s^n, see `polar`); the general ones stay as the independent
+  reference the self-checks compare against.
 
 `*` and `**` take a one-pass route when an operand or the base is a single
 term: a monomial factor shifts every exponent vector by one vector, which is
@@ -296,59 +296,6 @@ class Poly:
         if bad:
             raise ValueError(f"binding for unknown variable(s) {bad}; have {self.vars}")
 
-    def monomial_map(self, images: Mapping[str, "Poly"]) -> "Poly":
-        """`substitute` for images that are signed monomials (+-1 times a
-        power product), as one exponent rewrite per term.
-
-        Returns exactly `self.substitute(images)`: unbound variables first,
-        then each image's variables in the order the terms first use them,
-        and the terms in the same order.  Monomials the map merges add their
-        coefficients, as in `substitute`.
-        """
-        self._check_bound(images)
-        for v, img in images.items():
-            if len(img.terms) != 1 or next(iter(img.terms.values())) not in (1, -1):
-                raise ValueError(f"image of {v} is not a signed monomial: {img}")
-        # substitute's variable order: an image's variables join when a term
-        # first uses the variable it replaces
-        out = [v for v in self.vars if v not in images]
-        pending = [(i, images[v].vars) for i, v in enumerate(self.vars) if v in images]
-        for exps in self.terms:
-            if not pending:
-                break
-            for i, names in pending:
-                if exps[i]:
-                    out.extend([n for n in names if n not in out])
-            pending = [(i, names) for i, names in pending if not exps[i]]
-        vs = tuple(out)
-        pos = {v: j for j, v in enumerate(vs)}
-        plan = []  # per variable of self: (image sign, ((target index, exponent), ...))
-        for v in self.vars:
-            img = images.get(v)
-            if img is None:
-                plan.append((1, ((pos[v], 1),)))
-            elif all(n in pos for n in img.vars):
-                ((iexps, sign),) = img.terms.items()
-                plan.append((sign, tuple((pos[n], k) for n, k in zip(img.vars, iexps) if k)))
-            else:  # v has exponent 0 in every term
-                plan.append((1, ()))
-        terms: dict = {}
-        for exps, c in self.terms.items():
-            new = [0] * len(vs)
-            for e, (sign, targets) in zip(exps, plan):
-                if e:
-                    if sign < 0 and e & 1:
-                        c = -c
-                    for t, k in targets:
-                        new[t] += e * k
-            key = tuple(new)
-            s = terms.get(key, _ZERO) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return Poly._raw(vs, terms)
-
     def bind(self, values: Mapping[str, Scalar]) -> "Poly":
         """`substitute` for rational values: drop the bound variables and fold
         their powers into the coefficients.  Returns exactly
@@ -463,7 +410,7 @@ class Poly:
                 out.append(" + ")
             mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
             if num != 1 or den != 1 or not mono:
-                out.append(f"{num}/{den}" if den != 1 else str(num))
+                out.append(rational_text(num, den))
                 if mono:
                     out.append("*")
             out.append(mono)
@@ -474,6 +421,18 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.format()!r})"
+
+
+def rational_text(num: int, den: int) -> str:
+    """The reduced fraction num/den (den > 0) as `str(Fraction)` writes it,
+    also past `int`'s digit limit for conversion to text, which `Decimal`
+    does not have."""
+    try:
+        return f"{num}/{den}" if den != 1 else str(num)
+    except ValueError:
+        from decimal import Decimal
+
+        return f"{Decimal(num)}/{Decimal(den)}" if den != 1 else str(Decimal(num))
 
 
 def poly_vars(*names: str) -> "tuple[Poly, ...]":

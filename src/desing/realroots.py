@@ -474,19 +474,13 @@ def rational_roots(p, mult: int, width: Fraction) -> "list[RealRoot]":
     return found
 
 
-def refine_apart(root: RealRoot, c: "Fraction | int") -> RealRoot:
-    """The same root with an enclosure that excludes the rational c, or exact.
+def compare_root(root: RealRoot, c: "Fraction | int") -> int:
+    """The exact sign of root - c, for a rational c.
 
     Refines a copy until the enclosure misses c, which terminates because an
     enclosed root is irrational."""
     while not root.exact and root.lo < c < root.hi:
         root = refine_root(root, (root.hi - root.lo) / 2)
-    return root
-
-
-def compare_root(root: RealRoot, c: "Fraction | int") -> int:
-    """The exact sign of root - c, for a rational c."""
-    root = refine_apart(root, c)
     if root.exact:
         return (root.value > c) - (root.value < c)
     return 1 if c <= root.lo else -1  # enclosure endpoints are never roots

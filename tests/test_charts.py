@@ -100,7 +100,7 @@ def _reflected_desing(f, w, source: ChartId, target: ChartId):
         src.radial_var: -Poly.var(tgt.radial_var),
         src.angular_var: eps * Poly.var(tgt.angular_var),
     }
-    g_r, g_w = (p.monomial_map({v: images[v] for v in p.vars if v in images}) for p in src.desing)
+    g_r, g_w = (p.substitute({v: images[v] for v in p.vars if v in images}) for p in src.desing)
     return tgt.desing, (-t * g_r, t * eps * g_w)
 
 
@@ -353,7 +353,7 @@ def test_orientation_and_halves_derived():
 
 def _blow_up_general(f: VectorField, w: Weights, chart: ChartId):
     """(raw, desing) by the general route the closed form replaced: push f
-    through the embedding with `monomial_map`, solve the triangular system
+    through the embedding with `substitute`, solve the triangular system
     for (r', w') with `shift`, and divide by r^k."""
     probe = ChartField(chart, w, ())
     radial, angular = probe.radial_var, probe.angular_var
@@ -368,7 +368,7 @@ def _blow_up_general(f: VectorField, w: Weights, chart: ChartId):
         sub = {sx: (r**alpha) * wv, sy: sign * r**beta}
 
     def push(poly):
-        return poly.monomial_map({v: b for v, b in sub.items() if v in poly.vars})
+        return poly.substitute({v: b for v, b in sub.items() if v in poly.vars})
 
     F1, F2 = push(f.f1), push(f.f2)
     if x_radial:

@@ -3,11 +3,12 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from desing.cli import _parse, build_parser, main
+from desing.cli import _num, _parse, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "inputs"
@@ -119,6 +120,51 @@ def test_power_with_a_huge_coefficient_one_line_error(tmp_path, capsys):
     assert err.splitlines() == [
         "weights: 1:29: coefficient of about 332200000 bits exceeds the supported bound of 65536 bits"
     ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_coefficients_past_the_int_text_limit_print_exactly(tmp_path, capsys, fmt):
+    # int refuses to convert more than 4300 digits to text by default; the
+    # parser reads such literals and the printer writes them digit for
+    # digit, up to the coefficient budget: 10^19728 has 65535 bits
+    digits, budget = "7" * 5000, "1" + "0" * 19728
+    for rhs, printed in (("10^5000", "1" + "0" * 5000), (digits, digits), (budget, budget)):
+        path = tmp_path / "huge.vf"
+        path.write_text(f"var x y; dx/dt = {rhs}*x^2 - x*y; dy/dt = y^2 - x*y;")
+        code, out, err = run(capsys, "blowup", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert printed in out
+        code, out, err = run(capsys, "weights", str(path))
+        assert (code, out, err) == (0, "(alpha, beta, k) = (1, 1, 1)\n", "")
+
+
+def test_exact_values_past_the_int_text_limit_render():
+    # the analyze reports write exact roots, enclosures and eigenvalues with
+    # `_num`; isolating a root with this many digits takes tens of seconds
+    assert _num(Fraction(-(10**5000) - 1, 10**5001)) == "-1" + "0" * 4999 + "1/1" + "0" * 5001
+    assert _num(Fraction(7 * 10**5000)) == "7" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "rhs, message",
+    [
+        ("1" * 20000 + "*x", "1:18: coefficient of about 66436 bits exceeds the supported bound of 65536 bits"),
+        ("9" * 19729 + "*x", "1:18: coefficient of about 65539 bits exceeds the supported bound of 65536 bits"),
+        ("1" * 10**6 + "*x", "1:18: coefficient of about 3321925 bits exceeds the supported bound of 65536 bits"),
+        ("1/" + "9" * 20000 + "*x", "1:20: coefficient of about 66436 bits exceeds the supported bound of 65536 bits"),
+        ("0." + "0" * 70000 + "1*x", "1:18: coefficient of about 70002 bits exceeds the supported bound of 65536 bits"),
+        ("x^" + "9" * 5000, "1:20: exponent " + "9" * 5000 + " exceeds the supported bound 10000"),
+    ],
+    ids=["integer", "exact-bits", "million-digits", "denominator", "decimal", "exponent"],
+)
+def test_literal_past_the_budget_one_line_error(tmp_path, capsys, rhs, message):
+    # rejected at the literal's token; the million digits by their count,
+    # without converting them
+    path = tmp_path / "huge.vf"
+    path.write_text(f"var x y; dx/dt = {rhs}; dy/dt = y;")
+    code, out, err = run(capsys, "weights", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"weights: {message}"]
 
 
 @pytest.mark.parametrize(

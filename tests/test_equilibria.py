@@ -25,7 +25,6 @@ from desing.equilibria import (
     _owned_points,
     _reflected_equilibria,
     _reflection,
-    _REVERSED,
     _sqrt_float,
     global_divisor_report,
 )
@@ -117,7 +116,7 @@ def test_node_eigenvalues_do_not_cancel(jac, small):
     a, d = jac
     assert classify_exact(a, d) == CLASS_UNSTABLE_NODE
     zero = Fraction(0)
-    eq = Equilibrium("K1", (zero, zero), True, ((a, zero), (zero, d)), CLASS_UNSTABLE_NODE, 0.0)
+    eq = Equilibrium("K1", (zero, zero), True, (a, d), CLASS_UNSTABLE_NODE, 0.0)
     assert eq.eigenvalues_exact == (d, a)
     assert eq.eigenvalues == (small, 1e9)
     assert [z.imag for z in eq.eigenvalues] == [0.0, 0.0]
@@ -519,10 +518,11 @@ _RATIONALS = st.just(Fraction(0)) | st.fractions()
 @example(Fraction(0), Fraction(-3, 2))
 @example(Fraction(5), Fraction(0))
 def test_time_reversal_swaps_the_nodes(a, d):
-    # a reflected chart with time factor -1 maps the partner's class through
-    # _REVERSED instead of classifying diag(-a, -d) again
+    # a reflected chart with time factor -1 classifies diag(-a, -d): the
+    # partner's class with the nodes swapped
+    swapped = {CLASS_STABLE_NODE: CLASS_UNSTABLE_NODE, CLASS_UNSTABLE_NODE: CLASS_STABLE_NODE}
     c = classify_exact(a, d)
-    assert classify_exact(-a, -d) == _REVERSED.get(c, c)
+    assert classify_exact(-a, -d) == swapped.get(c, c)
 
 
 def test_zero_field_reports_degenerate_charts():

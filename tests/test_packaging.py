@@ -1,4 +1,5 @@
-"""The package has no runtime dependency, and the CLI imports only what it uses."""
+"""The package has no runtime dependency, the CLI imports only what it uses,
+and the general substitution and division serve only as references."""
 
 import ast
 import subprocess
@@ -34,3 +35,16 @@ def test_no_runtime_dependency():
             else:
                 continue
             assert not any(n == "numpy" or n.startswith("numpy.") for n in names), path.name
+
+
+def test_general_substitution_and_division_are_reference_only():
+    # every production substitution is an exponent rewrite (`shift`, `bind`
+    # and the blow-ups' own) and every division a `shift`; `substitute` and
+    # `div_exact` are the independent references of the self-checks and tests
+    callers = {"substitute": set(), "div_exact": set()}
+    for path in sorted((SRC / "desing").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in callers:
+                callers[node.func.attr].add(path.name)
+    assert callers["substitute"] <= {"selfcheck.py"}
+    assert callers["div_exact"] == set()

@@ -1,13 +1,18 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.errors import NotDivisible, SingularAngle
 from desing.polar import (
     Branch,
     HYPERBOLA,
     SPHERE,
+    _push,
     bridge_alpha1,
     bridge_beta1,
     bridge_beta2,
@@ -15,7 +20,7 @@ from desing.polar import (
     polar_pushforward,
 )
 from desing.poly import Poly, poly_vars
-from desing.quotient import COS, RADIAL, SIN, QuotientPoly
+from desing.quotient import COS, RADIAL, SIN, QuotientPoly, reduce_poly
 from desing.selfcheck import (
     check_bridge_conjugacy,
     check_hyperbolic_finite_difference,
@@ -25,6 +30,7 @@ from desing.selfcheck import (
 )
 from desing.vectorfield import Param, VectorField
 from desing.weights import Weights
+from test_poly import identical, polys
 
 c, s, r, a = poly_vars(COS, SIN, RADIAL, "a")
 F = demo_system()
@@ -86,6 +92,92 @@ def test_y_branch_swaps_roles():
     hx = polar_pushforward(swapped, HYPERBOLA, Branch.X)
     assert hy.angular == hx.angular
     assert hy.radial == hx.radial
+
+
+# -- the exponent rewrite against the general substitution ---------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(pool=("a", "x", "b", "y")), st.sampled_from([("x", "y"), ("y", "x")]), st.data())
+def test_push_is_substitute(p, state, data):
+    # the image variables join in the order the terms first use each state
+    # variable, which the finished components below cannot tell apart; a
+    # variable of the image's name that no term uses is shared, as in
+    # `substitute`
+    dead = data.draw(st.lists(st.sampled_from((RADIAL, COS, SIN)), max_size=2, unique=True))
+    order = list(p.vars)
+    for v in dead:
+        order.insert(data.draw(st.integers(0, len(order))), v)
+    p = p.reordered(order)
+    sx, sy = state
+    sub = {sx: r * c, sy: r * s}
+    assert identical(_push(p, sx, sy), p.substitute({v: b for v, b in sub.items() if v in p.vars}))
+
+
+def ref_pushforward(f, sigma, branch):
+    """(angular, radial, k) of `polar_pushforward` by the general route:
+    x = r*c and y = r*s composed in with `substitute`."""
+    if sigma == SPHERE:
+        branch = Branch.X
+    (sx, sy), f1, f2 = f.state_vars, f.f1, f.f2
+    if branch is Branch.Y:
+        sx, sy, f1, f2 = sy, sx, f2, f1
+    sub = {sx: r * c, sy: r * s}
+    F1, F2 = (reduce_poly(p.substitute({v: b for v, b in sub.items() if v in p.vars}), sigma) for p in (f1, f2))
+    order = f.param_names() + (COS, SIN, RADIAL)
+    radial = QuotientPoly(sigma, (reduce_poly(c * F1, sigma) + sigma * s * F2).reordered(order)).base
+    angular = QuotientPoly(sigma, (reduce_poly(c * F2, sigma) - s * F1).shift({RADIAL: 1}).reordered(order)).base
+    degs = [p.min_degree_in(RADIAL) - d for p, d in ((angular, 0), (radial, 1)) if not p.is_zero()]
+    return angular, radial, min(degs) if degs else None
+
+
+def _same_pushforward(f, sigma, branch):
+    angular, radial, k = ref_pushforward(f, sigma, branch)
+    pf = polar_pushforward(f, sigma, branch)
+    pd = desingularize_polar(pf)
+    assert pf.k == k
+    expected = [angular, radial] + [p.shift({RADIAL: k}) if k else p for p in (angular, radial)]
+    got = [pf.angular.base, pf.radial.base, pd.angular.base, pd.radial.base]
+    for p, q in zip(got, expected):
+        assert identical(p, q)
+
+
+@st.composite
+def polar_fields(draw):
+    """Fields over any two state variable names and 0-2 parameters, each
+    component over its own order of a subset of them, with every term
+    vanishing at the origin; a component may be zero or miss a state
+    variable."""
+    names = draw(st.permutations(("x", "y", "u", "a", "b")))
+    state, params = tuple(names[:2]), tuple(names[2 : 2 + draw(st.integers(0, 2))])
+    comps = []
+    for _ in range(2):
+        pool = draw(st.permutations(state + params))
+        vs = tuple(pool[: draw(st.integers(1, len(pool)))])
+        at_state = [i for i, v in enumerate(vs) if v in state]
+        exps = st.tuples(*[st.integers(0, 3)] * len(vs))
+        coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+        terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+        comps.append(Poly(vs, {e: v for e, v in terms.items() if any(e[i] for i in at_state)}))
+    return VectorField(*comps, state, tuple(Param(n) for n in params))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polar_fields(), st.sampled_from([SPHERE, HYPERBOLA]), st.sampled_from(list(Branch)))
+def test_pushforward_is_the_substitution(f, sigma, branch):
+    # variables, term order and coefficients of all four components, since
+    # `shift` sorts by grlex over the variable order and the float
+    # evaluators sum in term order
+    _same_pushforward(f, sigma, branch)
+
+
+def test_pushforward_of_the_input_files_is_the_substitution():
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted(root.glob("inputs/*.vf")) + sorted(root.glob("tests/golden/inputs/*.vf")):
+        f = lower_to_polynomials(parse_field_spec(path.read_text(encoding="utf-8")))
+        for sigma in (SPHERE, HYPERBOLA):
+            for branch in Branch:
+                _same_pushforward(f, sigma, branch)
 
 
 def test_polar_rejects_constant_terms():

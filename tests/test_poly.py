@@ -197,13 +197,6 @@ def polys(draw, pool=("a", "x", "y", "r", "w"), max_exp=3):
     return Poly(names, draw(st.dictionaries(exps, coefficients, max_size=6)))
 
 
-@st.composite
-def signed_monomials(draw, pool=("r", "w", "c", "a", "x")):
-    names = tuple(draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)))
-    exps = tuple(draw(st.integers(0, 3)) for _ in names)
-    return Poly(names, {exps: draw(st.sampled_from((1, -1)))})
-
-
 def identical(p, q):
     """Same variables in the same order and the same terms in the same order."""
     return p.vars == q.vars and list(p.terms.items()) == list(q.terms.items())
@@ -325,25 +318,6 @@ def test_format_edge_cases():
     for p in cases:
         assert p.format() == ref_format(p)
         assert p.format({"x": "cos(theta)"}) == ref_format(p, {"x": "cos(theta)"})
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_monomial_map_is_substitute(data):
-    # image variables may coincide with unbound ones, so monomials can merge
-    p = data.draw(polys())
-    bound = data.draw(st.lists(st.sampled_from(p.vars), unique=True))
-    images = {v: data.draw(signed_monomials()) for v in bound}
-    assert identical(p.monomial_map(images), p.substitute(images))
-
-
-def test_monomial_map_rejects_non_monomial_images():
-    with pytest.raises(ValueError):
-        (x * y).monomial_map({"x": r + c})
-    with pytest.raises(ValueError):
-        (x * y).monomial_map({"x": 2 * r})
-    with pytest.raises(ValueError):
-        x.monomial_map({"z": r})
 
 
 @settings(max_examples=100, deadline=None)
