@@ -29,9 +29,10 @@ y' = beta*r^(beta-1)*w*r' + r^beta*w' in K1/K3 and dividing by r^k gives
 
 and in K2/K4 the same with the roles of (f1, alpha) and (f2, beta)
 swapped, the radial state variable set to s and the angular one to w.
-`blow_up_in_chart` reads both off the terms of f1 and f2 in one pass; the
-undivided field is r^k times them.  Both chart fields are grlex-descending
-over params + (r, w).
+`blow_up_in_chart` reads both off the integer numerators of f1 and f2 in
+one pass, r*P over alpha times f1's denominator and Q over alpha times the
+lcm of both denominators; the undivided field is r^k times them.  Both
+chart fields are grlex-descending over params + (r, w).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .errors import NameCollision, NotDivisible, OutOfDomain
@@ -160,28 +162,29 @@ def blow_up_in_chart(f: VectorField, w: Weights, chart: ChartId) -> ChartField:
     sr, sw = f.state_vars if x_radial else f.state_vars[::-1]
     order = f.param_names() + (radial, angular)
 
-    def at_sign(poly):
-        """(parameter exponents, exponent of w, coefficient) per term of
+    def at_sign(poly, k):
+        """(parameter exponents, exponent of w, k * numerator) per term of
         poly with the radial state variable set to s and the other to w."""
         idx = [poly.vars.index(v) if v in poly.vars else None for v in order[:-2] + (sr, sw)]
-        for exps, c in poly.terms.items():
+        for exps, n in poly.nums.items():
             e = [exps[i] if i is not None else 0 for i in idx]
-            yield tuple(e[:-2]), e[-1], -c if s < 0 and e[-2] % 2 else c
+            yield tuple(e[:-2]), e[-1], -k * n if s < 0 and e[-2] % 2 else k * n
 
-    P: dict = {}  # r*P(w)
+    # r*P(w) over a*g.den, and Q(w) over a*lcm(g.den, h.den)
+    den = lcm(g.den, h.den)
+    P: dict = {}
     Q: dict = {}
-    cp, cq = Fraction(s, a), Fraction(-b * s, a)
-    for pe, n, c in at_sign(g):
-        P[pe + (1, n)] = P.get(pe + (1, n), 0) + cp * c
-        Q[pe + (0, n + 1)] = Q.get(pe + (0, n + 1), 0) + cq * c
-    for pe, n, c in at_sign(h):
+    for pe, n, c in at_sign(g, s):
+        P[pe + (1, n)] = P.get(pe + (1, n), 0) + c
+        Q[pe + (0, n + 1)] = Q.get(pe + (0, n + 1), 0) - b * (den // g.den) * c
+    for pe, n, c in at_sign(h, a * (den // h.den)):
         Q[pe + (0, n)] = Q.get(pe + (0, n), 0) + c
 
-    def grlex(terms):
+    def grlex(terms, den):
         kept = sorted((e for e, c in terms.items() if c), key=lambda e: (sum(e), e), reverse=True)
-        return Poly._raw(order, {e: terms[e] for e in kept})
+        return Poly._normal(order, {e: terms[e] for e in kept}, den)
 
-    return ChartField(chart, w, (grlex(P), grlex(Q)), f.params)
+    return ChartField(chart, w, (grlex(P, a * g.den), grlex(Q, a * den)), f.params)
 
 
 # -- transitions -------------------------------------------------------------------
@@ -223,7 +226,8 @@ def _laurent_substitute(p: Poly, subs: "dict[str, tuple[Poly, int]]", wvar: str)
     """Substitute var -> numerator / wvar^power; return (numerator, power)."""
     term_data = []
     max_den = 0
-    for exps, c in p.terms.items():
+    # the numerators substituted, then divided by p.den once
+    for exps, c in p.nums.items():
         num = Poly.const(c)
         den = 0
         for v, e in zip(p.vars, exps):
@@ -241,7 +245,7 @@ def _laurent_substitute(p: Poly, subs: "dict[str, tuple[Poly, int]]", wvar: str)
     total = Poly.zero()
     for num, den in term_data:
         total = total + num * wp ** (max_den - den)
-    return total, max_den
+    return Poly._normal(total.vars, total.nums, total.den * p.den), max_den
 
 
 def compatibility_defect(

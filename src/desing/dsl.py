@@ -18,11 +18,13 @@ sum or product may have any length.
 
 The parser expands as it goes: each rule returns a `Poly`, and `+`, `-`,
 `*` and `^` are applied left to right as they are read, so a FieldSpec holds
-the two right-hand sides already expanded.  A sum folds into one term map,
-built as repeated `Poly.__add__` would build it, without copying the left
-operand at every `+`.  A literal whose numerator or denominator exceeds
-`_MAX_COEFF_BITS` bits is rejected at its token, and a power whose leading
-coefficient would exceed that bound at its exponent, before it expands.
+the two right-hand sides already expanded.  A sum folds into one map of
+integer numerators over the lcm of its terms' denominators, built as
+repeated `Poly.__add__` would build it, without copying the left operand
+at every `+`.  A literal whose numerator or denominator exceeds
+`_MAX_COEFF_BITS` bits is rejected at its token, a power whose leading
+coefficient would exceed that bound at its exponent, and a product whose
+leading coefficient would at its `*`, each before it expands.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import _ZERO, Poly
+from .poly import Poly, _grlex
 from .vectorfield import Param, VectorField
 
 _MAX_EXPONENT = 10_000
-# bits of a power's leading coefficient, checked at `^` before expanding
+# bits of a literal, and of a power's or product's leading coefficient,
+# checked at its token before expanding
 _MAX_COEFF_BITS = 65_536
 # the parser recurses once per level of parentheses
 _MAX_NESTING = 100
@@ -200,31 +203,52 @@ class _Parser:
         return expr
 
     def expr(self) -> Poly:
-        out = self.term()
-        # `Poly.__add__` folded into one term map: a variable first seen
-        # mid-sum pads the keys so far at the end, as `Poly._remapped` does
-        vs, terms = out.vars, dict(out.terms)
+        # `Poly.__add__` folded into one map of numerators over the lcm of
+        # the terms' denominators.  Each term's variables not seen before
+        # are appended, as repeated `+` appends them, so mapping every term
+        # to the final variables leaves the keys and their order unchanged.
+        parts = [(1, self.term())]
+        vs = parts[0][1].vars
         while self.at_symbol("+") or self.at_symbol("-"):
-            minus = self.next().text == "-"
+            sign = -1 if self.next().text == "-" else 1
             q = self.term()
-            new = () if q.vars == vs else tuple(v for v in q.vars if v not in vs)
-            if new:
-                vs, terms = vs + new, {e + (0,) * len(new): c for e, c in terms.items()}
-            for e, c in (q.terms if q.vars == vs else q._remapped(vs)).items():
-                s = terms.get(e, _ZERO)
-                s = s - c if minus else s + c
+            if q.vars != vs:
+                vs += tuple(v for v in q.vars if v not in vs)
+            parts.append((sign, q))
+        if len(parts) == 1:
+            return parts[0][1]
+        den = math.lcm(*(q.den for _, q in parts))
+        terms: dict = {}
+        for sign, q in parts:
+            k = sign * (den // q.den)
+            for e, n in (q.nums if q.vars == vs else q._remapped(vs)).items():
+                s = terms.get(e, 0) + k * n
                 if s:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return Poly._raw(vs, terms)
+        return Poly._normal(vs, terms, den)
 
     def term(self) -> Poly:
         out = self.factor()
         while self.at_symbol("*"):
-            self.next()
-            out = out * self.factor()
+            tok = self.next()
+            q = self.factor()
+            if out.nums and q.nums:
+                self.check_product(out, q, tok)
+            out = out * q
         return out
+
+    def check_product(self, p: Poly, q: Poly, tok: Token):
+        """The budget at `*`: the product's grlex-leading coefficient is the
+        product of the operands' leading coefficients over their joint
+        variables.  Its size is bounded by the sum of the operands' largest
+        numerator and denominator bits, so it is computed only past that."""
+        if _bits(p) + _bits(q) <= _MAX_COEFF_BITS:
+            return
+        vs = Poly._union_vars(p, q)
+        c = _lead(p, vs) * _lead(q, vs)
+        self.check_bits(max(c.numerator.bit_length(), c.denominator.bit_length()), tok)
 
     def factor(self) -> Poly:
         if self.at_symbol("-"):
@@ -238,9 +262,9 @@ class _Parser:
             self.next()
             tok = self.peek()
             n = self.nat_exponent()
-            if out.terms:
+            if out.nums:
                 # the leading coefficient's n-th power leads the result
-                c = out._leading()[1]
+                c = _lead(out, out.vars)
                 self.check_bits(n * max(c.numerator.bit_length(), c.denominator.bit_length()), tok)
             out = out**n
         return out
@@ -309,6 +333,17 @@ class _Parser:
             return out
         self.fail(f"expected identifier, number or '(', found {tok.text!r}"
                   if tok.text else "unexpected end of input")
+
+
+def _bits(p: Poly) -> int:
+    """Bits of the largest numerator or of the denominator of p."""
+    return max(max(map(abs, p.nums.values())).bit_length(), p.den.bit_length())
+
+
+def _lead(p: Poly, variables: "tuple[str, ...]") -> Fraction:
+    """p's grlex-leading coefficient with its terms over `variables`."""
+    nums = p.nums if p.vars == variables else p._remapped(variables)
+    return Fraction(nums[max(nums, key=_grlex)], p.den)
 
 
 # -- public operations -----------------------------------------------------------------

@@ -59,7 +59,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
-from math import isqrt, lcm
+from math import isqrt
 from typing import Mapping
 
 from .charts import ChartField, ChartId, blow_up_in_chart, embed, overlap_sign
@@ -231,36 +231,35 @@ class GlobalReport:
 
 def classify_exact(a: Fraction, d: Fraction) -> str:
     """The class of the divisor Jacobian diag(a, d) from exact values or
-    values with the exact signs: no tolerances."""
-    if a * d < 0:
-        return CLASS_SADDLE
+    values with the exact signs: no tolerances.  Only the two signs are
+    read, so huge entries cost no product."""
     if not a or not d:
         return CLASS_NON_HYPERBOLIC
+    if (a < 0) != (d < 0):
+        return CLASS_SADDLE
     return CLASS_STABLE_NODE if a < 0 else CLASS_UNSTABLE_NODE
 
 
 # -- chart-local analysis ----------------------------------------------------------------
 
 
-def _on_divisor(cf: ChartField, bound: Mapping) -> "tuple[int, list[int], list[int]]":
+def _on_divisor(cf: ChartField, bound: Mapping) -> "list[tuple[list[int], int]]":
     """P and Q of the chart field (r*P(w), Q(w)) with the parameters bound,
-    as trimmed integer coefficient lists in w over one positive common
+    each as its trimmed integer coefficient list in w and its positive
     denominator; DegenerateChart when Q vanishes identically.  Every term
     of r*P(w) carries r^1, so its w exponents and coefficients are P's."""
     wv = cf.angular_var
     lists = []
     for p in cf.desing:
         p = bind_params(p, bound)
-        cs = [Fraction(0)] * (p.degree_in(wv) + 1 if p.terms else 0)
+        cs = [0] * (p.degree_in(wv) + 1 if p.nums else 0)
         idx = p.vars.index(wv) if wv in p.vars else None
-        for exps, c in p.terms.items():
-            cs[exps[idx] if idx is not None else 0] += c
-        lists.append(cs)
-    if not lists[1]:
+        for exps, n in p.nums.items():
+            cs[exps[idx] if idx is not None else 0] += n
+        lists.append((cs, p.den))
+    if not lists[1][0]:
         raise DegenerateChart(cf.chart.value)
-    den = lcm(*(c.denominator for cs in lists for c in cs))
-    P, Q = ([c.numerator * (den // c.denominator) for c in cs] for cs in lists)
-    return den, P, Q
+    return lists
 
 
 def _solve_unit_radius(alpha: int, beta: int, a2: float, b2: float) -> float:
@@ -309,12 +308,12 @@ def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
     record the chart as degenerate.
     """
     bound = check_param_bindings(cf.params, bindings)
-    # the diagonal P(w) and Q'(w) of the Jacobian on the divisor, over den
-    den, P, coeffs = _on_divisor(cf, bound)
-    diagonal = (P, _derivative(coeffs))
+    # the diagonal P(w) and Q'(w) of the Jacobian on the divisor, each over its den
+    (P, den_p), (coeffs, den_q) = _on_divisor(cf, bound)
+    diagonal = ((P, den_p), (_derivative(coeffs), den_q))
     out = ChartEquilibria(1 if coeffs[-1] > 0 else -1)
     for root in real_roots(coeffs):
-        a, d = (value_at_root(e, root) / den for e in diagonal)
+        a, d = (value_at_root(e, root) / den for e, den in diagonal)
         out.append(_member(cf, root, a, d) if root.exact else _interval_equilibrium(cf, root, a, d))
     return out
 
@@ -362,7 +361,7 @@ def _reflected_equilibria(
     A partner point (0, w') is the point (0, eps*w') here, and with the time
     factor t a partner Jacobian diag(a, d) becomes t * diag(a, d): exact, so
     a zero entry stays 0 and t = -1 swaps the nodes."""
-    _, _, coeffs = _on_divisor(cf, bound)
+    coeffs = _on_divisor(cf, bound)[1][0]
     out = ChartEquilibria(1 if coeffs[-1] > 0 else -1)
     for eq in reversed(partner) if eps < 0 else partner:
         a, d = eq.diagonal

@@ -114,7 +114,7 @@ def _push(poly: Poly, sx: str, sy: str) -> Poly:
     rest = [i for i, v in enumerate(poly.vars) if v not in images]
     vs = [poly.vars[i] for i in rest]
     used = {}  # a used state variable's index -> c or s
-    for exps in poly.terms:
+    for exps in poly.nums:
         for i, image in state:
             if exps[i] and i not in used:
                 used[i] = image[1]
@@ -122,13 +122,13 @@ def _push(poly: Poly, sx: str, sy: str) -> Poly:
     pos = {v: j for j, v in enumerate(vs)}
     ir, pad = pos.get(RADIAL), [0] * (len(vs) - len(rest))
     terms = {}
-    for exps, coeff in poly.terms.items():
+    for exps, num in poly.nums.items():
         new = [exps[i] for i in rest] + pad
         for i, n in used.items():
             new[pos[n]] = exps[i]
             new[ir] += exps[i]
-        terms[tuple(new)] = coeff
-    return Poly._raw(tuple(vs), terms)
+        terms[tuple(new)] = num
+    return Poly._raw(tuple(vs), terms, poly.den)
 
 
 def polar_pushforward(f: VectorField, sigma: int, branch: Branch = Branch.X) -> PolarField:

@@ -1,10 +1,21 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial carries an ordered tuple of variable names and a map from
-exponent vectors (one non-negative integer per variable) to nonzero
-`fractions.Fraction` coefficients.  All arithmetic is exact; floats only
-appear in `float_evaluator`, which compiles polynomials into one float
-function and is the single place where a field becomes floats.
+A polynomial carries an ordered tuple of variable names, a map `nums` from
+exponent vectors (one non-negative integer per variable) to nonzero integer
+numerators, and one positive common denominator `den`, in the style of
+FLINT's `fmpq_poly`.  The representation is canonical: gcd(den, every
+numerator) == 1, so an integer polynomial has den == 1 and two polynomials
+over the same variables are equal exactly when their `den` and `nums` are.
+`terms` is the derived read-only view of the rational coefficients
+nums[e]/den.  Arithmetic runs on the integers and normalises once per
+result, by one gcd over its numerators; floats only appear in
+`float_evaluator`, which compiles polynomials into one float function and
+is the single place where a field becomes floats.
+
+Scaling every coefficient of a computation by one nonzero rational changes
+none of its cancellations, so the integer loops insert, merge and drop
+exactly the terms the rational loops did, in the same order: term order is
+the order of the rational representation, which `float_evaluator` sums in.
 
 Term order is graded lexicographic (total degree first, then the exponent
 vector, both descending) everywhere an order matters: canonical printing
@@ -34,21 +45,23 @@ in the general loop's order.
 
 `Poly(...)` validates and normalises its input.  Polynomials built inside
 the package go through `Poly._raw` instead, which trusts its caller to pass
-a tuple of distinct names and a fresh dict of exponent tuples (right length,
-non-negative ints) to nonzero Fractions, and adopts that dict uncopied.
+a tuple of distinct names, a fresh dict of exponent tuples (right length,
+non-negative ints) to nonzero ints and a canonical `den`, and adopts that
+dict uncopied; `Poly._normal` does the same for a `den` that may share a
+factor with every numerator, and divides it out.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import NotDivisible
 
 Scalar = Union[int, Fraction]
-
-_ZERO = Fraction(0)
 
 
 def _grlex(exps):
@@ -56,7 +69,7 @@ def _grlex(exps):
 
 
 class Poly:
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "nums", "den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Sequence[int], Scalar]):
         vs = tuple(variables)
@@ -72,16 +85,36 @@ class Poly:
             c = Fraction(coeff)
             if c:
                 clean[e] = c
+        # the lcm of reduced denominators is coprime to the numerators it makes
+        den = lcm(*(c.denominator for c in clean.values()))
         self.vars = vs
-        self.terms = clean
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.den = den
 
     @classmethod
-    def _raw(cls, variables: "tuple[str, ...]", terms: dict) -> "Poly":
-        """Trusted constructor: adopt `terms` as is (see the module docstring)."""
+    def _raw(cls, variables: "tuple[str, ...]", nums: dict, den: int = 1) -> "Poly":
+        """Trusted constructor: adopt `nums` as is (see the module docstring)."""
         p = object.__new__(cls)
         p.vars = variables
-        p.terms = terms
+        p.nums = nums
+        p.den = den
         return p
+
+    @classmethod
+    def _normal(cls, variables: "tuple[str, ...]", nums: dict, den: int) -> "Poly":
+        """`_raw` for a positive `den` that may share a factor with every
+        numerator: one gcd makes the representation canonical."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {e: n // g for e, n in nums.items()}
+                den //= g
+        return cls._raw(variables, nums, den)
+
+    @property
+    def terms(self) -> "Mapping[tuple[int, ...], Fraction]":
+        """Read-only view: exponent vector -> rational coefficient, in term order."""
+        return _Rationals(self.nums, self.den)
 
     # -- constructors -------------------------------------------------------
 
@@ -92,34 +125,34 @@ class Poly:
     @classmethod
     def const(cls, value: Scalar, variables: Sequence[str] = ()) -> "Poly":
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): Fraction(value)})
+        return cls(vs, {(0,) * len(vs): value})
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls._raw((name,), {(1,): Fraction(1)})
+        return cls._raw((name,), {(1,): 1})
 
     # -- basic queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
             return 0
         i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self.nums), default=0)
 
     def min_degree_in(self, name: str) -> int:
         """Smallest exponent of `name` over all terms (0 for the zero poly)."""
-        if name not in self.vars or not self.terms:
+        if name not in self.vars or not self.nums:
             return 0
         i = self.vars.index(name)
-        return min(e[i] for e in self.terms)
+        return min(e[i] for e in self.nums)
 
     def effective_vars(self) -> "tuple[str, ...]":
         """Variables that actually occur with positive degree."""
         used = [False] * len(self.vars)
-        for e in self.terms:
+        for e in self.nums:
             for i, x in enumerate(e):
                 if x:
                     used[i] = True
@@ -128,15 +161,16 @@ class Poly:
     # -- variable bookkeeping -----------------------------------------------
 
     def _remapped(self, variables: "tuple[str, ...]") -> dict:
+        """A fresh copy of `nums` with the exponent vectors over `variables`."""
         if variables == self.vars:
-            return dict(self.terms)
+            return dict(self.nums)
         idx = [variables.index(v) for v in self.vars]
         out = {}
-        for exps, c in self.terms.items():
+        for exps, n in self.nums.items():
             new = [0] * len(variables)
             for i, e in zip(idx, exps):
                 new[i] = e
-            out[tuple(new)] = c
+            out[tuple(new)] = n
         return out
 
     @staticmethod
@@ -156,59 +190,71 @@ class Poly:
             raise ValueError(f"duplicate variable names: {vs}")
         keep = tuple(v for v in self.vars if v in vs)
         dropped = self if keep == self.vars else Poly._raw(keep, self._drop_dead(keep))
-        return Poly._raw(vs, dropped._remapped(vs))
+        return Poly._raw(vs, dropped._remapped(vs), self.den)
 
     def _drop_dead(self, keep: "tuple[str, ...]") -> dict:
         sel = [self.vars.index(v) for v in keep]
-        return {tuple(e[i] for i in sel): c for e, c in self.terms.items()}
+        return {tuple(e[i] for i in sel): n for e, n in self.nums.items()}
 
     # -- ring operations ----------------------------------------------------
 
     def _lift(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Poly._raw((), {(): Fraction(other)} if other else {})
+        if isinstance(other, int):
+            return Poly._raw((), {(): other} if other else {})
+        if isinstance(other, Fraction):
+            return Poly._raw((), {(): other.numerator} if other else {}, other.denominator)
         return None
 
     def __add__(self, other):
         q = self._lift(other)
         if q is None:
             return NotImplemented
+        return self._plus(q, 1)
+
+    __radd__ = __add__
+
+    def _plus(self, q: "Poly", sign: int) -> "Poly":
+        """self + sign*q over the lcm of the two denominators."""
         vs = Poly._union_vars(self, q)
+        den = self.den if self.den == q.den else lcm(self.den, q.den)
         terms = self._remapped(vs)
-        for e, c in q._remapped(vs).items():
-            s = terms.get(e, _ZERO) + c
+        if den != self.den:
+            k = den // self.den
+            terms = {e: k * n for e, n in terms.items()}
+        k = sign * (den // q.den)
+        for e, n in (q.nums if q.vars == vs else q._remapped(vs)).items():
+            s = terms.get(e, 0) + k * n
             if s:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return Poly._raw(vs, terms)
-
-    __radd__ = __add__
+        return Poly._normal(vs, terms, den)
 
     def __neg__(self):
-        return Poly._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.vars, {e: -n for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         q = self._lift(other)
         if q is None:
             return NotImplemented
-        return self + (-q)
+        return self._plus(q, -1)
 
     def __rsub__(self, other):
         q = self._lift(other)
         if q is None:
             return NotImplemented
-        return q + (-self)
+        return q._plus(self, -1)
 
     def __mul__(self, other):
         q = self._lift(other)
         if q is None:
             return NotImplemented
         vs = Poly._union_vars(self, q)
-        a = self.terms if self.vars == vs else self._remapped(vs)
-        b = q.terms if q.vars == vs else q._remapped(vs)
+        a = self.nums if self.vars == vs else self._remapped(vs)
+        b = q.nums if q.vars == vs else q._remapped(vs)
+        den = self.den * q.den
         # A one-term operand shifts every exponent of the other by one vector:
         # injective and never cancelling, so one pass over the other operand,
         # in the order the double loop meets its terms, builds the same dict.
@@ -216,43 +262,46 @@ class Poly:
             a, b = b, a
         if len(a) == 1:
             ((em, cm),) = a.items()
-            return Poly._raw(vs, {tuple(map(add, em, e)): cm * c for e, c in b.items()})
+            return Poly._normal(vs, {tuple(map(add, em, e)): cm * n for e, n in b.items()}, den)
         terms: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                s = terms.get(e, _ZERO) + ca * cb
+                s = terms.get(e, 0) + ca * cb
                 if s:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return Poly._raw(vs, terms)
+        return Poly._normal(vs, terms, den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"polynomial power must be a non-negative integer, got {n!r}")
-        if n and len(self.terms) == 1:
+        if n and len(self.nums) == 1:
             # a monomial's power is one term, which binary powering reaches too
-            ((e, c),) = self.terms.items()
-            return Poly._raw(self.vars, {tuple(k * n for k in e): c**n})
-        result = Poly.const(1, self.vars)
-        base = self
+            ((e, c),) = self.nums.items()
+            return Poly._raw(self.vars, {tuple(k * n for k in e): c**n}, self.den**n)
+        # powers of the numerators over den**n: by Gauss's lemma the content
+        # of N**n is content(N)**n, coprime to den**n, so no gcd is needed
+        den = self.den**n
+        result = Poly._raw(self.vars, {(0,) * len(self.vars): 1})
+        base = Poly._raw(self.vars, self.nums)
         while n:
             if n & 1:
                 result = result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return Poly._raw(self.vars, result.nums, den)
 
     # -- equality is variable-order independent ------------------------------
 
     def _key(self):
-        return frozenset(
-            (frozenset((v, e) for v, e in zip(self.vars, exps) if e), c)
-            for exps, c in self.terms.items()
+        return self.den, frozenset(
+            (frozenset((v, e) for v, e in zip(self.vars, exps) if e), n)
+            for exps, n in self.nums.items()
         )
 
     def __eq__(self, other):
@@ -260,6 +309,8 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
+        if self.vars == other.vars:
+            return self.den == other.den and self.nums == other.nums
         return self._key() == other._key()
 
     def __hash__(self):
@@ -279,9 +330,10 @@ class Poly:
         keep = tuple(v for v in self.vars if v not in bound)
         sel = [self.vars.index(v) for v in keep]
         power_cache: dict = {}
+        # the numerators composed, then divided by den once
         acc = Poly.zero(keep)
-        for exps, c in self.terms.items():
-            term = Poly(keep, {tuple(exps[i] for i in sel): c})
+        for exps, n in self.nums.items():
+            term = Poly._raw(keep, {tuple(exps[i] for i in sel): n})
             for v, e in zip(self.vars, exps):
                 if v in bound and e:
                     key = (v, e)
@@ -289,7 +341,7 @@ class Poly:
                         power_cache[key] = bound[v] ** e
                     term = term * power_cache[key]
             acc = acc + term
-        return acc
+        return Poly._normal(acc.vars, acc.nums, acc.den * self.den)
 
     def _check_bound(self, bindings) -> None:
         bad = [v for v in bindings if v not in self.vars]
@@ -299,36 +351,43 @@ class Poly:
     def bind(self, values: Mapping[str, Scalar]) -> "Poly":
         """`substitute` for rational values: drop the bound variables and fold
         their powers into the coefficients.  Returns exactly
-        `self.substitute(values)`, variable and term order included."""
+        `self.substitute(values)`, variable and term order included.
+
+        With v = a/b bound and E its largest exponent, a term's numerator
+        takes a^e*b^(E-e) and den takes b^E, so the numerators stay integers
+        and are divided by one gcd at the end."""
         self._check_bound(values)
         keep = [i for i, v in enumerate(self.vars) if v not in values]
-        bound = [(i, Fraction(values[v])) for i, v in enumerate(self.vars) if v in values]
+        bound = []
+        den = self.den
+        for i, v in enumerate(self.vars):
+            if v in values:
+                val = Fraction(values[v])
+                top = max((e[i] for e in self.nums), default=0) if val.denominator != 1 else 0
+                bound.append((i, val.numerator, val.denominator, top))
+                den *= val.denominator**top
         powers: dict = {}
         terms: dict = {}
-        for exps, c in self.terms.items():
-            for i, val in bound:
+        for exps, n in self.nums.items():
+            for i, a, b, top in bound:
                 e = exps[i]
-                if e:
+                if e or top:
                     pw = powers.get((i, e))
                     if pw is None:
-                        pw = powers[(i, e)] = val**e
-                    c = c * pw
+                        pw = powers[(i, e)] = a**e * b ** (top - e) if top else a**e
+                    n = n * pw
             key = tuple(exps[i] for i in keep)
             if key in terms:
-                s = terms[key] + c
+                s = terms[key] + n
                 if s:
                     terms[key] = s
                 else:
                     del terms[key]
-            elif c:
-                terms[key] = c
-        return Poly._raw(tuple(self.vars[i] for i in keep), terms)
+            elif n:
+                terms[key] = n
+        return Poly._normal(tuple(self.vars[i] for i in keep), terms, den)
 
     # -- exact division -------------------------------------------------------
-
-    def _leading(self):
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
 
     def div_exact(self, divisor: "Poly | Scalar") -> "Poly":
         """Return h with h * divisor == self, exactly.
@@ -336,7 +395,8 @@ class Poly:
         Raises NotDivisible when no such polynomial exists.  With graded-lex
         leading terms, exact divisibility guarantees the leading term of the
         running remainder is always divisible by the divisor's leading term,
-        so a single failed step certifies failure.
+        so a single failed step certifies failure.  The long division runs on
+        the rational coefficients; nothing in the pipeline divides this way.
         """
         q = self._lift(divisor)
         if q is None:
@@ -344,9 +404,10 @@ class Poly:
         if q.is_zero():
             raise ZeroDivisionError("exact division by the zero polynomial")
         vs = Poly._union_vars(self, q)
-        rem = self._remapped(vs)
-        den = Poly(vs, q._remapped(vs))
-        de, dc = den._leading()
+        rem = dict(_Rationals(self._remapped(vs), self.den))
+        dterms = dict(_Rationals(q._remapped(vs), q.den))
+        de = max(dterms, key=_grlex)
+        dc = dterms[de]
         quot: dict = {}
         while rem:
             le = max(rem, key=_grlex)
@@ -355,10 +416,10 @@ class Poly:
             if any(d < 0 for d in diff):
                 raise NotDivisible(f"{self} is not divisible by {q}")
             qc = lc / dc
-            quot[diff] = quot.get(diff, _ZERO) + qc
-            for ee, cc in den.terms.items():
+            quot[diff] = quot.get(diff, 0) + qc
+            for ee, cc in dterms.items():
                 key = tuple(a + b for a, b in zip(diff, ee))
-                s = rem.get(key, _ZERO) - qc * cc
+                s = rem.get(key, 0) - qc * cc
                 if s:
                     rem[key] = s
                 else:
@@ -379,18 +440,21 @@ class Poly:
         c0 = Fraction(coeff)
         if not c0:
             raise ZeroDivisionError("exact division by the zero polynomial")
+        # n/den divided by a/b is (n*b)/(den*a), with the sign of a moved up
+        a, b = c0.numerator, c0.denominator
+        mult = b if a > 0 else -b
         vs = self.vars + tuple(v for v in monomial if v not in self.vars)
         pad = (0,) * (len(vs) - len(self.vars))
         drop = [(vs.index(v), e) for v, e in monomial.items() if e]
         terms: dict = {}
-        for exps, c in sorted(self.terms.items(), key=lambda t: _grlex(t[0]), reverse=True):
+        for exps, n in sorted(self.nums.items(), key=lambda t: _grlex(t[0]), reverse=True):
             new = list(exps + pad)
             for i, e in drop:
                 new[i] -= e
                 if new[i] < 0:
                     raise NotDivisible(f"{self} is not divisible by {dict(monomial)}")
-            terms[tuple(new)] = c if c0 == 1 else c / c0
-        return Poly._raw(vs, terms)
+            terms[tuple(new)] = n * mult
+        return Poly._normal(vs, terms, self.den * abs(a))
 
     # -- printing --------------------------------------------------------------
 
@@ -400,9 +464,11 @@ class Poly:
         disp = display or {}
         names = [disp.get(v, v) for v in self.vars]
         out = []
-        for exps in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[exps]
-            num, den = c.numerator, c.denominator
+        for exps in sorted(self.nums, key=_grlex, reverse=True):
+            num, den = self.nums[exps], self.den
+            if den != 1:
+                g = gcd(num, den)
+                num, den = num // g, den // g
             if num < 0:
                 num = -num
                 out.append(" - " if out else "-")
@@ -421,6 +487,25 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.format()!r})"
+
+
+class _Rationals(Mapping):
+    """`Poly.terms`: the numerators over den as Fractions, in term order."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, exps):
+        return Fraction(self._nums[exps], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self):
+        return len(self._nums)
 
 
 def rational_text(num: int, den: int) -> str:
@@ -452,15 +537,25 @@ def float_evaluator(
     first.  Each value sums the terms left to right in term order, each
     term evaluated as `c * x1**e1 * x2**e2 ...` with c the coefficient
     rounded to a float and exponent-0 factors left out (exact, as
-    c * 1.0 == c).  Powers stay `**`, so an overflowing power raises
-    OverflowError.  The generated source holds one statement per term (a
-    single sum of thousands of terms would overflow the compiler's
-    recursion limit) and only generated names and float literals.
+    c * 1.0 == c).  c is the int true division num / den, which rounds
+    correctly as `float(Fraction)` does.  Powers stay `**`, so an
+    overflowing power raises OverflowError.  The generated source
+    (`float_source`) holds one statement per term (a single sum of thousands
+    of terms would overflow the compiler's recursion limit) and only
+    generated names and float literals.
 
     With `angle`, a pair of float functions such as (cos, sin), the function
     takes one angle in place of the first two variables and sets them to
     the pair's values at it; an overflowing cosh raises OverflowError too.
     """
+    source = float_source(polys, order, angle is not None)
+    namespace: dict = {"cos": angle[0], "sin": angle[1]} if angle else {}
+    exec(compile(source, "<float_evaluator>", "exec"), namespace)
+    return namespace["field"]
+
+
+def float_source(polys: Sequence[Poly], order: Sequence[str], angle: bool = False) -> str:
+    """The source text `float_evaluator` compiles."""
     order = tuple(order)
     names = [f"x{i}" for i in range(len(order))]
     lines = [f"def field({', '.join(['p'] + names[2:] if angle else names)}):"]
@@ -468,12 +563,12 @@ def float_evaluator(
         lines += ["    x0 = cos(p)", "    x1 = sin(p)"]
     for k, p in enumerate(polys):
         lines.append(f"    a{k} = 0.0")
-        terms = p.terms if p.vars == order else p.reordered(order).terms
-        for exps, c in terms.items():
-            factors = [repr(float(c))]
+        if p.vars != order:
+            p = p.reordered(order)
+        den = p.den
+        for exps, n in p.nums.items():
+            factors = [repr(n / den)]
             factors += [f"x{i}" if e == 1 else f"x{i}**{e}" for i, e in enumerate(exps) if e]
             lines.append(f"    a{k} += {' * '.join(factors)}")
     lines.append(f"    return ({''.join(f'a{k}, ' for k in range(len(polys)))})")
-    namespace: dict = {"cos": angle[0], "sin": angle[1]} if angle else {}
-    exec(compile("\n".join(lines), "<float_evaluator>", "exec"), namespace)
-    return namespace["field"]
+    return "\n".join(lines)

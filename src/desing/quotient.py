@@ -7,13 +7,16 @@ normal forms:
     sigma = -1  models the unit hyperbola,  (c, s) = (cosh, sinh)
 
 Both relations are monic in c^2, so rewriting c^2 -> 1 - sigma*s^2 gives a
-unique normal form with c-degree <= 1 in every term.  `QuotientPoly` is that
-normal form and defines no arithmetic: sums and products are computed in
-`Poly` and reduced with `reduce_poly` wherever a c^2 can appear.  Reduction
-is a ring homomorphism, reduce(reduce(p)*reduce(q)) == reduce(p*q), which
-`verify` checks on random polynomials.  The radial variable r and any
-parameters are untouched by reduction, which makes division by powers of r
-termwise exact whenever it is possible at all.
+unique normal form with c-degree <= 1 in every term.  The rewrite has
+integer coefficients, so `reduce_poly` works on a `Poly`'s integer
+numerators and keeps its denominator, dividing out once a common factor
+that cancellation leaves.  `QuotientPoly` is that normal form and defines
+no arithmetic: sums and products are computed in `Poly` and reduced with
+`reduce_poly` wherever a c^2 can appear.  Reduction is a ring
+homomorphism, reduce(reduce(p)*reduce(q)) == reduce(p*q), which `verify`
+checks on random polynomials.  The radial variable r and any parameters are
+untouched by reduction, which makes division by powers of r termwise exact
+whenever it is possible at all.
 
 Floats enter only through `TRIG`, the one table of (cos, sin) or
 (cosh, sinh) by signature, and `poly.float_evaluator`.
@@ -42,15 +45,14 @@ NAMES = {1: ("theta", "r"), -1: ("phi", "rho")}
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-
 
 def reduce_poly(base: Poly, sigma: int) -> Poly:
     """Rewrite every power c^e with e >= 2 using c^2 = 1 - sigma*s^2.
 
     Each term c^(2q+e)*m becomes c^e*m*(1 - sigma*s^2)^q, expanded by the
     binomial theorem in ascending powers of s, and the results are summed
-    into one term map in the order they are met.
+    into one map of integer numerators over `base`'s denominator in the
+    order they are met.
     """
     if COS not in base.vars or base.degree_in(COS) <= 1:
         return base
@@ -58,7 +60,7 @@ def reduce_poly(base: Poly, sigma: int) -> Poly:
     ci, si = vs.index(COS), vs.index(SIN)
     pad = [0] * (len(vs) - len(base.vars))
     terms: dict = {}
-    for exps, coeff in base.terms.items():
+    for exps, coeff in base.nums.items():
         q, rem = divmod(exps[ci], 2)
         stripped = list(exps) + pad
         stripped[ci] = rem
@@ -66,12 +68,12 @@ def reduce_poly(base: Poly, sigma: int) -> Poly:
             key = list(stripped)
             key[si] += 2 * j
             key = tuple(key)
-            s = terms.get(key, _ZERO) + coeff * (comb(q, j) * (-sigma) ** j)
+            s = terms.get(key, 0) + coeff * (comb(q, j) * (-sigma) ** j)
             if s:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-    return Poly._raw(vs, terms)
+    return Poly._normal(vs, terms, base.den)
 
 
 class QuotientPoly:

@@ -207,7 +207,7 @@ def check_polar_solve_roundtrip(seed: int) -> CheckResult:
     def drop_state_constants(p):
         # the blow-up needs f(0, 0) = 0 identically in the parameters
         ix, iy = p.vars.index("x"), p.vars.index("y")
-        return Poly(p.vars, {e: c for e, c in p.terms.items() if e[ix] or e[iy]})
+        return Poly._normal(p.vars, {e: n for e, n in p.nums.items() if e[ix] or e[iy]}, p.den)
 
     c, s, r = Poly.var(COS), Poly.var(SIN), Poly.var(RADIAL)
     sub = {"x": r * c, "y": r * s}

@@ -40,7 +40,7 @@ class Weights:
 def _state_exponents(poly: Poly, sx: str, sy: str):
     ix = poly.vars.index(sx) if sx in poly.vars else None
     iy = poly.vars.index(sy) if sy in poly.vars else None
-    for exps in poly.terms:
+    for exps in poly.nums:
         m = exps[ix] if ix is not None else 0
         n = exps[iy] if iy is not None else 0
         yield (m, n)

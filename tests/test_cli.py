@@ -122,6 +122,24 @@ def test_power_with_a_huge_coefficient_one_line_error(tmp_path, capsys):
     ]
 
 
+def test_product_with_a_huge_coefficient_one_line_error(tmp_path, capsys):
+    # two literals of 39,864 bits each: the product's leading coefficient
+    # 10^24000 has 79,727 bits and is rejected at the `*` between them
+    big = "1" + "0" * 12000
+    src = f"var x y; dx/dt = {big}*{big}*x^2 - x*y; dy/dt = y^2 - x*y;"
+    path = tmp_path / "huge.vf"
+    path.write_text(src)
+    code, out, err = run(capsys, "weights", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"weights: 1:{src.index('*') + 1}: coefficient of about 79727 bits exceeds the supported bound of 65536 bits"
+    ]
+    # the bound is on the exact product: 1/10^12000 * 10^12000 is 1
+    path.write_text(src.replace("= ", "= 1/", 1))
+    code, out, err = run(capsys, "weights", str(path))
+    assert (code, out, err) == (0, "(alpha, beta, k) = (1, 1, 1)\n", "")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_coefficients_past_the_int_text_limit_print_exactly(tmp_path, capsys, fmt):
     # int refuses to convert more than 4300 digits to text by default; the

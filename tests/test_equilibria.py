@@ -509,6 +509,32 @@ def test_classify_exact_table():
     assert classify_exact(Fr(1), Fr(0)) == CLASS_NON_HYPERBOLIC
 
 
+_CLASS_BY_SIGNS = {
+    (-1, -1): CLASS_STABLE_NODE,
+    (-1, 0): CLASS_NON_HYPERBOLIC,
+    (-1, 1): CLASS_SADDLE,
+    (0, -1): CLASS_NON_HYPERBOLIC,
+    (0, 0): CLASS_NON_HYPERBOLIC,
+    (0, 1): CLASS_NON_HYPERBOLIC,
+    (1, -1): CLASS_SADDLE,
+    (1, 0): CLASS_NON_HYPERBOLIC,
+    (1, 1): CLASS_UNSTABLE_NODE,
+}
+
+
+@pytest.mark.parametrize("signs", sorted(_CLASS_BY_SIGNS))
+@pytest.mark.parametrize("magnitude", [Fraction(1), Fraction(3, 7), Fraction(2**20_000 + 1, 3**12_000),
+                                       Fraction(5**8_000, 2**20_000 - 1)])
+def test_classify_exact_reads_only_the_signs(signs, magnitude):
+    # every sign pair, with small entries and 20,000-bit ones, keeps the
+    # class a*d < 0 gave; entries of different sizes must not matter either
+    sa, sd = signs
+    want = _CLASS_BY_SIGNS[signs]
+    assert classify_exact(sa * magnitude, sd * magnitude) == want
+    assert classify_exact(sa * magnitude, sd / magnitude) == want
+    assert classify_exact(sa * magnitude, sd * Fraction(1, 2)) == want
+
+
 _RATIONALS = st.just(Fraction(0)) | st.fractions()
 
 

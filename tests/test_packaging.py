@@ -1,5 +1,6 @@
 """The package has no runtime dependency, the CLI imports only what it uses,
-and the general substitution and division serve only as references."""
+the general substitution and division serve only as references, and only
+`poly.py` reads the rational coefficient view."""
 
 import ast
 import subprocess
@@ -48,3 +49,14 @@ def test_general_substitution_and_division_are_reference_only():
                 callers[node.func.attr].add(path.name)
     assert callers["substitute"] <= {"selfcheck.py"}
     assert callers["div_exact"] == set()
+
+
+def test_only_poly_reads_the_rational_view():
+    # `Poly.terms` builds a Fraction per coefficient; the package works on
+    # the integer numerators `nums` over `den`, and leaves the view to tests
+    readers = set()
+    for path in sorted((SRC / "desing").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "terms":
+                readers.add(path.name)
+    assert readers <= {"poly.py"}

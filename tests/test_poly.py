@@ -206,11 +206,12 @@ def identical(p, q):
 
 
 def ref_mul(p, other):
-    """`Poly.__mul__` without its one-term pass: the general double loop."""
+    """`Poly.__mul__` without its one-term pass: the general double loop, on
+    the rational coefficients."""
     q = p._lift(other)
     vs = Poly._union_vars(p, q)
-    a = p._remapped(vs)
-    b = q._remapped(vs)
+    a = p.reordered(vs).terms
+    b = q.reordered(vs).terms
     terms = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -220,7 +221,7 @@ def ref_mul(p, other):
                 terms[e] = s
             else:
                 terms.pop(e, None)
-    return Poly._raw(vs, terms)
+    return Poly(vs, terms)
 
 
 def ref_pow(p, n):
@@ -487,3 +488,336 @@ def test_polar_view_binds_parameters_exactly():
     for angle, radius in ((0.3, 0.5), (2.0, 1.5), (4.1, 0.0)):
         expected = reference(math.cos(angle), math.sin(angle), radius)
         assert bits(field(angle, radius)) == bits(expected)
+
+
+# -- integer numerators against the rational loops they replaced -------------------------
+# `Ref` is the Fraction-dict polynomial the package used before its
+# coefficients became integer numerators over one denominator: the same
+# loops, copied, on exponent tuple -> Fraction maps.
+
+
+class Ref:
+    __slots__ = ("vars", "terms")
+
+    def __init__(self, variables, terms):
+        self.vars = tuple(variables)
+        self.terms = terms
+
+    @classmethod
+    def of(cls, p):
+        return cls(p.vars, dict(p.terms.items())) if isinstance(p, Poly) else p
+
+    @classmethod
+    def const(cls, value, variables=()):
+        vs = tuple(variables)
+        return cls(vs, {(0,) * len(vs): Fraction(value)} if value else {})
+
+    def _remapped(self, variables):
+        if variables == self.vars:
+            return dict(self.terms)
+        idx = [variables.index(v) for v in self.vars]
+        out = {}
+        for exps, c in self.terms.items():
+            new = [0] * len(variables)
+            for i, e in zip(idx, exps):
+                new[i] = e
+            out[tuple(new)] = c
+        return out
+
+    @staticmethod
+    def _union_vars(p, q):
+        if p.vars == q.vars:
+            return p.vars
+        return p.vars + tuple(v for v in q.vars if v not in p.vars)
+
+    def reordered(self, variables):
+        vs = tuple(variables)
+        keep = tuple(v for v in self.vars if v in vs)
+        sel = [self.vars.index(v) for v in keep]
+        dropped = Ref(keep, {tuple(e[i] for i in sel): c for e, c in self.terms.items()})
+        return Ref(vs, dropped._remapped(vs))
+
+    def _lift(self, other):
+        if isinstance(other, Ref):
+            return other
+        return Ref((), {(): Fraction(other)} if other else {})
+
+    def __add__(self, other):
+        q = self._lift(other)
+        vs = Ref._union_vars(self, q)
+        terms = self._remapped(vs)
+        for e, c in q._remapped(vs).items():
+            s = terms.get(e, Fraction(0)) + c
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+        return Ref(vs, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Ref(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return self._lift(other) + (-self)
+
+    def __mul__(self, other):
+        q = self._lift(other)
+        vs = Ref._union_vars(self, q)
+        a = self.terms if self.vars == vs else self._remapped(vs)
+        b = q.terms if q.vars == vs else q._remapped(vs)
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            ((em, cm),) = a.items()
+            return Ref(vs, {tuple(x + y for x, y in zip(em, e)): cm * c for e, c in b.items()})
+        terms = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                s = terms.get(e, Fraction(0)) + ca * cb
+                if s:
+                    terms[e] = s
+                else:
+                    terms.pop(e, None)
+        return Ref(vs, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n and len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return Ref(self.vars, {tuple(k * n for k in e): c**n})
+        result = Ref.const(1, self.vars)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def substitute(self, bindings):
+        bound = {v: (b if isinstance(b, Ref) else Ref.const(b)) for v, b in bindings.items()}
+        keep = tuple(v for v in self.vars if v not in bound)
+        sel = [self.vars.index(v) for v in keep]
+        power_cache = {}
+        acc = Ref(keep, {})
+        for exps, c in self.terms.items():
+            term = Ref(keep, {tuple(exps[i] for i in sel): c})
+            for v, e in zip(self.vars, exps):
+                if v in bound and e:
+                    if (v, e) not in power_cache:
+                        power_cache[(v, e)] = bound[v] ** e
+                    term = term * power_cache[(v, e)]
+            acc = acc + term
+        return acc
+
+    def bind(self, values):
+        keep = [i for i, v in enumerate(self.vars) if v not in values]
+        bound = [(i, Fraction(values[v])) for i, v in enumerate(self.vars) if v in values]
+        powers = {}
+        terms = {}
+        for exps, c in self.terms.items():
+            for i, val in bound:
+                e = exps[i]
+                if e:
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[(i, e)] = val**e
+                    c = c * pw
+            key = tuple(exps[i] for i in keep)
+            if key in terms:
+                s = terms[key] + c
+                if s:
+                    terms[key] = s
+                else:
+                    del terms[key]
+            elif c:
+                terms[key] = c
+        return Ref(tuple(self.vars[i] for i in keep), terms)
+
+    def shift(self, monomial, coeff=1):
+        c0 = Fraction(coeff)
+        vs = self.vars + tuple(v for v in monomial if v not in self.vars)
+        pad = (0,) * (len(vs) - len(self.vars))
+        drop = [(vs.index(v), e) for v, e in monomial.items() if e]
+        terms = {}
+        for exps, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+            new = list(exps + pad)
+            for i, e in drop:
+                new[i] -= e
+                if new[i] < 0:
+                    raise NotDivisible("a term lacks the monomial")
+            terms[tuple(new)] = c if c0 == 1 else c / c0
+        return Ref(vs, terms)
+
+    def format(self, display=None):
+        disp = display or {}
+        names = [disp.get(v, v) for v in self.vars]
+        out = []
+        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+            c = self.terms[exps]
+            num, den = c.numerator, c.denominator
+            if num < 0:
+                num = -num
+                out.append(" - " if out else "-")
+            elif out:
+                out.append(" + ")
+            mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+            if num != 1 or den != 1 or not mono:
+                out.append(f"{num}/{den}" if den != 1 else str(num))
+                if mono:
+                    out.append("*")
+            out.append(mono)
+        return "".join(out) or "0"
+
+
+def ref_reduce(base, sigma):
+    if COS not in base.vars or max((e[base.vars.index(COS)] for e in base.terms), default=0) <= 1:
+        return base
+    vs = base.vars if SIN in base.vars else base.vars + (SIN,)
+    ci, si = vs.index(COS), vs.index(SIN)
+    pad = [0] * (len(vs) - len(base.vars))
+    terms = {}
+    for exps, coeff in base.terms.items():
+        q, rem = divmod(exps[ci], 2)
+        stripped = list(exps) + pad
+        stripped[ci] = rem
+        for j in range(q + 1):
+            key = list(stripped)
+            key[si] += 2 * j
+            key = tuple(key)
+            s = terms.get(key, Fraction(0)) + coeff * (math.comb(q, j) * (-sigma) ** j)
+            if s:
+                terms[key] = s
+            else:
+                terms.pop(key, None)
+    return Ref(vs, terms)
+
+
+def ref_float_source(polys, order, angle=False):
+    order = tuple(order)
+    names = [f"x{i}" for i in range(len(order))]
+    lines = [f"def field({', '.join(['p'] + names[2:] if angle else names)}):"]
+    if angle:
+        lines += ["    x0 = cos(p)", "    x1 = sin(p)"]
+    for k, p in enumerate(polys):
+        lines.append(f"    a{k} = 0.0")
+        terms = p.terms if p.vars == order else p.reordered(order).terms
+        for exps, c in terms.items():
+            factors = [repr(float(c))]
+            factors += [f"x{i}" if e == 1 else f"x{i}**{e}" for i, e in enumerate(exps) if e]
+            lines.append(f"    a{k} += {' * '.join(factors)}")
+    lines.append(f"    return ({''.join(f'a{k}, ' for k in range(len(polys)))})")
+    return "\n".join(lines)
+
+
+def same(p, ref):
+    """The same variables, rational terms in the same order, and the
+    canonical representation: den > 0, no zero numerator, gcd 1."""
+    assert isinstance(p, Poly)
+    assert p.vars == ref.vars
+    assert list(p.terms.items()) == list(ref.terms.items())
+    assert p.den > 0 and all(p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+
+
+def same_outcome(run_poly, run_ref):
+    """Both raise the same exception type, or give the same value."""
+    try:
+        expected = run_ref()
+    except (NotDivisible, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            run_poly()
+        return None
+    return run_poly(), expected
+
+
+huge = st.builds(Fraction, st.integers(-(2**2000), 2**2000).filter(bool), st.integers(1, 2**2000))
+# mostly the small coefficients, whose denominators share factors and cancel
+mixed = st.one_of(coefficients, coefficients, coefficients, huge)
+scalars = st.one_of(mixed, st.integers(-3, 3), st.just(Fraction(0)))
+
+
+@st.composite
+def mixed_polys(draw, pool=("a", "x", "y", "r", "w"), max_exp=3):
+    names = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)))
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(names))
+    return Poly(names, draw(st.dictionaries(exps, mixed, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_polys(), st.one_of(mixed_polys(), scalars))
+def test_ring_operations_match_the_rational_loops(p, q):
+    rp, rq = Ref.of(p), Ref.of(q)
+    same(p + q, rp + rq)
+    same(q + p, rq + rp)
+    same(p - q, rp - rq)
+    same(q - p, rq - rp)
+    same(-p, -rp)
+    same(p * q, rp * rq)
+    same(q * p, rq * rp)
+    assert (p + q == q + p) and hash(p + q) == hash(q + p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mixed_polys(max_exp=2), one_terms()), st.integers(0, 4))
+def test_powers_match_the_rational_loops(p, n):
+    same(p**n, Ref.of(p) ** n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bind_and_substitute_match_the_rational_loops(data):
+    p = data.draw(mixed_polys())
+    values = data.draw(st.dictionaries(st.sampled_from(p.vars), st.one_of(st.just(0), mixed), max_size=3))
+    same(p.bind(values), Ref.of(p).bind(values))
+    images = data.draw(st.dictionaries(
+        st.sampled_from(p.vars), st.one_of(mixed_polys(pool=("u", "v", "x"), max_exp=2), scalars), max_size=2))
+    same(p.substitute(images), Ref.of(p).substitute({v: Ref.of(b) for v, b in images.items()}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_polys(), st.dictionaries(st.sampled_from(("a", "x", "r", "z")), st.integers(0, 2), max_size=2),
+       st.one_of(mixed, st.just(1)))
+def test_shift_matches_the_rational_loop(p, monomial, coeff):
+    outcome = same_outcome(lambda: p.shift(monomial, coeff), lambda: Ref.of(p).shift(monomial, coeff))
+    if outcome:
+        same(*outcome)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_polys(pool=("a", "c", "s", "r"), max_exp=4), mixed_polys(pool=("c", "s", "r"), max_exp=3),
+       st.sampled_from((1, -1)))
+def test_reduce_poly_matches_the_rational_loop(p, q, sigma):
+    from desing.quotient import reduce_poly
+
+    same(reduce_poly(p, sigma), ref_reduce(Ref.of(p), sigma))
+    # products reach c^2 and cancel after reduction, which tests the gcd
+    same(reduce_poly(p * q, sigma), ref_reduce(Ref.of(p) * Ref.of(q), sigma))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_polys(pool=("a", "x", "c", "s", "r")), st.booleans())
+def test_format_matches_the_rational_loop(p, displayed):
+    display = {COS: "cosh(phi)", SIN: "sinh(phi)", RADIAL: "rho"} if displayed else None
+    assert p.format(display) == Ref.of(p).format(display)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mixed_polys(pool=("x", "y", "z")), min_size=1, max_size=3), st.booleans(), st.randoms())
+def test_float_source_matches_the_rational_loop(ps, angle, rnd):
+    from desing.poly import float_source
+
+    order = ["x", "y", "z"]
+    rnd.shuffle(order)
+    outcome = same_outcome(lambda: float_source(ps, order, angle),
+                           lambda: ref_float_source([Ref.of(p) for p in ps], order, angle))
+    if outcome:
+        assert outcome[0] == outcome[1]
