@@ -19,8 +19,7 @@ and its two entries a and d are its eigenvalues.  With no tolerance at all:
 A focus cannot occur: the eigenvalues are real, the sorted diagonal.  At a
 rational root a and d are exact.  At an irrational root `value_at_root`
 gives each a rational with its exact sign, exactly 0 when the entry vanishes
-there.  A chart point stores (a, d) and its class is read from them; the
-printed Jacobian and eigenvalues of an irrational point round them once.
+there.
 
 Each divisor point is keyed by its owning chart and exact root: K1 and K3
 own their roots with |w| <= 1, K2 and K4 those with |w| < 1.  The chart
@@ -28,7 +27,6 @@ transitions map |w| = 1 to |w| = 1 for any weights, so every direction has
 exactly one owner, and ownership is decided exactly on an isolating
 enclosure.  Flow signs along the divisor follow from the root
 multiplicities and the sign of the leading coefficient, with no evaluation.
-The angle of a point's direction on the unit circle is for display only.
 
 K3 and K4 cover the halves of the blow-up sphere antipodal to K1 and K2,
 and on the paper's hyperbola they are the sheet x = -rho*cosh(phi) opposite
@@ -48,15 +46,27 @@ real r gives x = -r^alpha, and the chart is computed directly.
 A hyperboloid wing point is its chart point seen through the bridge
 beta(phi, rho) = (rho*cosh(phi), tanh(phi)) onto the x-chart (y-chart): the
 desingularized wing field is the chart field pushed through beta times
-cosh(phi)^k.  With the chart Jacobian diag(a, d), the wing Jacobian in
-(phi, rho) order is cosh(phi)^k * diag(d, a), and the wing point keeps the
-chart's class.
+cosh(phi)^k.  With the chart Jacobian J = diag(a, d), the wing Jacobian
+cosh(phi)^k * Dbeta^-1 * J * Dbeta is cosh(phi)^k * diag(d, a) in (phi, rho)
+order: at the axis w = 0 the chart point's reordered, exactly.  The wing
+point keeps the chart's class.
+
+A report stores exact data only.  A chart point is its chart, the weights,
+its root, (a, d) and its class; a wing point is its chart point, the model
+and k; a merged point holds its members in the order the pairing found them,
+and a flow arc the merged points at its ends.  Every float a report prints
+(an enclosed root's coordinate, an angle or phi, a rounded or cosh-scaled
+diagonal, an arc's ends, a note), and the member order sorted by angle, is
+derived when a renderer first reads it, and kept.  As in `realroots`, decisions are exact and numbers
+are made only for output, so a value beyond the float range fails in the
+renderer, after the exact analysis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import takewhile
 from math import isqrt
@@ -124,36 +134,17 @@ DERIVATION_NOTES = (
 )
 
 
-@dataclass(frozen=True)
-class Equilibrium:
-    """A divisor equilibrium in one chart or polar model.
+class _Views:
+    """What a renderer prints of a divisor point, derived from its `exact`,
+    `coords` and `diagonal` when first read, and kept."""
 
-    `coords` follows the frame convention: (radial, angular) in directional
-    charts, (angle, radius) in polar models; entries are exact Fractions
-    when available, floats otherwise.  `diagonal` is the diagonal Jacobian's
-    (a, d) in that order: exact at chart points, cosh-scaled floats at wing
-    points off the axis.  The Jacobian, its eigenvalues and the root's
-    enclosure derive from the diagonal and the root.
-    """
+    interval = None  # a wing point prints no enclosure
 
-    chart: str
-    coords: tuple
-    exact: bool
-    diagonal: tuple
-    classification: str
-    divisor_angle: float
-    root: "RealRoot | None" = None  # the root w of a directional chart point (0, w)
-
-    @property
+    @cached_property
     def coords_float(self) -> "tuple[float, ...]":
         return tuple(float(c) for c in self.coords)
 
-    @property
-    def interval(self) -> "tuple[Fraction, Fraction] | None":
-        """The isolating enclosure of an irrational root, else None."""
-        return None if self.root is None or self.root.exact else (self.root.lo, self.root.hi)
-
-    @property
+    @cached_property
     def jacobian(self) -> tuple:
         """diag(a, d) as a 2x2 matrix: exact at an exact point, else with
         the diagonal rounded once."""
@@ -162,15 +153,107 @@ class Equilibrium:
             return ((a, Fraction(0)), (Fraction(0), d))
         return ((float(a), 0.0), (0.0, float(d)))
 
-    @property
+    @cached_property
     def eigenvalues_exact(self) -> "tuple[Fraction, Fraction] | None":
         """The sorted diagonal of an exact point, else None."""
         return tuple(sorted(self.diagonal)) if self.exact else None
 
-    @property
+    @cached_property
     def eigenvalues(self) -> "tuple[float, float]":
         """The sorted diagonal rounded to floats."""
         return tuple(sorted(float(x) for x in self.diagonal))
+
+
+@dataclass(frozen=True)
+class Equilibrium(_Views):
+    """A divisor equilibrium (0, w) of one directional chart: the chart, the
+    weights, the root w, the exact diagonal (a, d) of the divisor Jacobian
+    in (r, w) order and the class read from it."""
+
+    chart: str
+    weights: Weights
+    root: RealRoot
+    diagonal: tuple
+    classification: str
+
+    @property
+    def exact(self) -> bool:
+        return self.root.exact
+
+    @cached_property
+    def interval(self) -> "tuple[Fraction, Fraction] | None":
+        """The isolating enclosure of an irrational root, else None."""
+        return None if self.root.exact else (self.root.lo, self.root.hi)
+
+    @cached_property
+    def coords(self) -> tuple:
+        """(0, w), as floats at the midpoint of an irrational root's enclosure."""
+        root = self.root
+        return (Fraction(0), root.value) if root.exact else (0.0, float((root.lo + root.hi) / 2))
+
+    @cached_property
+    def angle(self) -> float:
+        """The angle of the direction on the unit circle."""
+        return divisor_angle(ChartId(self.chart), float(self.coords[1]), self.weights)
+
+
+@dataclass(frozen=True)
+class WingEquilibrium(_Views):
+    """A chart divisor point with |w| < 1 on its hyperboloid wing: that
+    point, the model and k.  Its `angle` phi, its coordinates (phi, rho) and
+    its diagonal in (phi, rho) order are exact at the axis w = 0 only."""
+
+    point: Equilibrium
+    model: str
+    k: int
+
+    @property
+    def chart(self) -> str:
+        return self.model
+
+    @property
+    def classification(self) -> str:
+        return self.point.classification
+
+    @property
+    def exact(self) -> bool:
+        return self.point.exact and self.point.root.value == 0
+
+    @cached_property
+    def _w(self) -> Fraction:
+        """w, or the midpoint of an enclosure narrow against 1 - |w|, which
+        gives cosh(phi) to about 2^-37."""
+        root = self.point.root
+        while not root.exact and (root.hi - root.lo) * 2**36 > 1 - max(-root.lo, root.hi):
+            root = refine_root(root, (root.hi - root.lo) / 2)
+        return root.value if root.exact else (root.lo + root.hi) / 2
+
+    @cached_property
+    def angle(self) -> float:
+        """phi = atanh(w), from the exact w: atanh of the rounded w loses
+        digits as |w| nears 1, and the log form cancels near 0."""
+        if self.exact:
+            return 0.0
+        n, m = self._w.numerator, self._w.denominator
+        return math.atanh(n / m) if 2 * abs(n) <= m else (math.log(m + n) - math.log(m - n)) / 2.0
+
+    @cached_property
+    def coords(self) -> tuple:
+        return (Fraction(0) if self.exact else self.angle, Fraction(0))
+
+    @cached_property
+    def diagonal(self) -> tuple:
+        """cosh(phi)^k * (d, a), rounded once off the axis; the scale is > 0,
+        so a certified zero and the eigenvalue order carry over."""
+        a, d = self.point.diagonal
+        if self.exact:
+            return (d, a)
+        cosh_2k = (1 / (1 - self._w**2)) ** self.k  # cosh(phi)^(2k)
+        if self.point.exact:
+            # x*cosh(phi)^k = sign(x)*sqrt(x^2*cosh(phi)^(2k))
+            return tuple(math.copysign(_sqrt_float(x * x * cosh_2k), x) for x in (d, a))
+        scale = _sqrt_float(cosh_2k)
+        return (scale * float(d), scale * float(a))
 
 
 class ChartEquilibria(list):
@@ -184,31 +267,47 @@ class ChartEquilibria(list):
         self.lead_sign = lead_sign
 
 
-@dataclass
+@dataclass(frozen=True)
 class MergedEquilibrium:
-    """One divisor point; its angle and class are those of the first exact
-    member, or else the first member."""
+    """One divisor point: the members that see its direction, stored in the
+    order `_owned_points` pairs them; they share the class.  When first read,
+    `members` orders them for printing by (angle, chart), and the point's
+    angle is that of the first exact member there, or else the first's."""
 
-    members: "list[Equilibrium]"
+    points: tuple
 
-    @property
-    def _representative(self) -> Equilibrium:
-        return next((e for e in self.members if e.exact), self.members[0])
+    @cached_property
+    def members(self) -> "list[Equilibrium | WingEquilibrium]":
+        return sorted(self.points, key=lambda e: (e.angle, e.chart))
 
-    @property
+    @cached_property
     def angle(self) -> float:
-        return self._representative.divisor_angle
+        return next((e for e in self.members if e.exact), self.members[0]).angle
 
     @property
     def classification(self) -> str:
-        return self._representative.classification
+        return self.points[0].classification
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowArc:
-    start: "float | None"  # None encodes an unbounded end (hyperbolic models)
-    end: "float | None"
+    """The sign of the angular component on the divisor between two
+    consecutive points.  `tail` and `head` are the merged points at its
+    ends, None at an unbounded end of a wing; only the one arc of an empty
+    circle has fixed ends, the angles 0 and 2*pi.  `start` and `end` are the
+    ends' angles."""
+
+    tail: "MergedEquilibrium | float | None"
+    head: "MergedEquilibrium | float | None"
     sign: int
+
+    @property
+    def start(self) -> "float | None":
+        return self.tail.angle if isinstance(self.tail, MergedEquilibrium) else self.tail
+
+    @property
+    def end(self) -> "float | None":
+        return self.head.angle if isinstance(self.head, MergedEquilibrium) else self.head
 
 
 @dataclass
@@ -221,9 +320,17 @@ class GlobalReport:
     equilibria: "list[MergedEquilibrium]"
     flow: "list[FlowArc]"
     degenerate_charts: "list[str]" = field(default_factory=list)
-    notes: "list[str]" = field(default_factory=list)
     polar_raw: "PolarField | None" = None
     polar_desing: "PolarField | None" = None
+
+    @property
+    def notes(self) -> "list[str]":
+        return [
+            f"non-hyperbolic divisor equilibrium at angle {m.angle:.12g}: "
+            "a further blow-up would be needed there (not performed)"
+            for m in self.equilibria
+            if m.classification == CLASS_NON_HYPERBOLIC
+        ]
 
 
 # -- classification ------------------------------------------------------------------
@@ -290,14 +397,8 @@ def divisor_angle(chart: ChartId, w_value: float, weights: Weights) -> float:
 
 def _member(cf: ChartField, root: RealRoot, a: Fraction, d: Fraction) -> Equilibrium:
     """The divisor equilibrium at a root with the exact Jacobian diag(a, d)
-    there, classified from it: exact at a rational root, and at an
-    irrational one printed at the enclosure's midpoint."""
-    if root.exact:
-        zero, w = Fraction(0), root.value
-    else:
-        zero, w = 0.0, float((root.lo + root.hi) / 2)
-    angle = divisor_angle(cf.chart, float(w), cf.weights)
-    return Equilibrium(cf.chart.value, (zero, w), root.exact, (a, d), classify_exact(a, d), angle, root)
+    there, classified from it."""
+    return Equilibrium(cf.chart.value, cf.weights, root, (a, d), classify_exact(a, d))
 
 
 def divisor_equilibria(cf: ChartField, bindings: Mapping) -> ChartEquilibria:
@@ -398,7 +499,7 @@ def _owned_points(charts: "dict[ChartId, ChartEquilibria]"):
     for chart, eqs in charts.items():
         for i, e in enumerate(eqs):
             sides.setdefault((chart, compare_root(e.root, 0)), []).append(i)
-    points = [(chart, i, 0, [charts[chart][i]]) for chart in charts for i in sides.get((chart, 0), ())]
+    points = [(chart, i, 0, (charts[chart][i],)) for chart in charts for i in sides.get((chart, 0), ())]
     for a, b in _HALVES:
         sa, sb = overlap_sign(a, b), overlap_sign(b, a)
         by_abs = sides.get((a, sa), [])[::sa]  # increasing |w|
@@ -409,7 +510,7 @@ def _owned_points(charts: "dict[ChartId, ChartEquilibria]"):
                 xs, ys = ys, xs
             chart, k, side = xs  # K1 or K3; |w| - 1 has the sign of side * (w - side)
             owner = xs if side * compare_root(charts[chart][k].root, side) <= 0 else ys
-            points.append((*owner, [charts[a][i], charts[b][j]]))
+            points.append((*owner, (charts[a][i], charts[b][j])))
 
     def circle_order(point):
         chart, i, side, _ = point
@@ -423,15 +524,13 @@ def _circle_picture(charts: "dict[ChartId, ChartEquilibria]"):
     """The merged divisor points and the flow arcs between them."""
     merged, signs = [], []
     for chart, i, _, members in _owned_points(charts):
-        members.sort(key=lambda e: (e.divisor_angle, e.chart))
         merged.append(MergedEquilibrium(members))
         # the arc leaves the owner root in the direction of increasing angle
         orient = chart.orientation
         signs.append(orient * _sign_below(charts[chart], i + (orient > 0)))
     if not merged:
         return [], [FlowArc(0.0, TWO_PI, _sign_below(charts[ChartId.K1], 0))]
-    angles = [m.angle for m in merged]
-    arcs = [FlowArc(a, b, sign) for a, b, sign in zip(angles, angles[1:] + angles[:1], signs)]
+    arcs = [FlowArc(a, b, sign) for a, b, sign in zip(merged, merged[1:] + merged[:1], signs)]
     return merged, arcs
 
 
@@ -450,55 +549,16 @@ def _sqrt_float(q: Fraction) -> float:
     return math.ldexp(s | (rem != 0 or s * s != t), -e)
 
 
-def _wing_equilibrium(eq: Equilibrium, model: str, k: int) -> Equilibrium:
-    """A chart divisor equilibrium with |w| < 1 on its hyperboloid wing.
-
-    The bridge beta(phi, rho) = (rho*cosh(phi), tanh(phi)) takes the wing
-    onto the x-chart (resp. y-chart) with |w| < 1, and the desingularized
-    wing field is the chart field pushed through it times cosh(phi)^k.  At
-    the equilibrium its Jacobian is cosh(phi)^k * Dbeta^-1 * J * Dbeta, with
-    J = diag(a, d) the chart member's Jacobian in (r, w) order (see the
-    module docstring), so the wing Jacobian in (phi, rho) order is
-    cosh(phi)^k * diag(d, a).
-
-    At the axis (w = 0) that is the chart member reordered, exactly.
-    Elsewhere the entries are scaled by cosh(phi)^k > 0, so the class, a
-    certified zero and the eigenvalue order carry over.
-    """
-    a, d = eq.diagonal
-    if eq.exact and eq.coords[1] == 0:
-        return Equilibrium(model, (Fraction(0), Fraction(0)), True, (d, a), eq.classification, 0.0)
-    root = eq.root
-    # an enclosure narrow against 1 - |w| gives cosh(phi) to about 2^-37
-    while not root.exact and (root.hi - root.lo) * 2**36 > 1 - max(-root.lo, root.hi):
-        root = refine_root(root, (root.hi - root.lo) / 2)
-    w = root.value if root.exact else (root.lo + root.hi) / 2
-    n, m = w.numerator, w.denominator
-    # phi = atanh(n/m) from the exact w: atanh of the rounded w loses digits
-    # as |w| nears 1, and the log form cancels near 0
-    phi = math.atanh(n / m) if 2 * abs(n) <= m else (math.log(m + n) - math.log(m - n)) / 2.0
-    cosh_2k = (1 / (1 - w * w)) ** k  # cosh(phi)^(2k)
-    if eq.exact:
-        # rounded once: x*cosh(phi)^k = sign(x)*sqrt(x^2*cosh(phi)^(2k))
-        da, dd = (math.copysign(_sqrt_float(x * x * cosh_2k), x) for x in (a, d))
-    else:
-        scale = _sqrt_float(cosh_2k)
-        da, dd = scale * float(a), scale * float(d)
-    return Equilibrium(model, (phi, Fraction(0)), False, (dd, da), eq.classification, phi)
-
-
 def _wing_picture(eqs: ChartEquilibria, model: str, k: int):
     """The wing's divisor points and flow arcs.  The wing holds the chart
     roots with |w| < 1, in increasing w and so increasing angle; because
     cosh(angle) > 0, the chart gives each arc's sign directly."""
     first = sum(1 for e in eqs if compare_root(e.root, -1) <= 0)
     inside = list(takewhile(lambda e: compare_root(e.root, 1) < 0, eqs[first:]))
-    wing = [_wing_equilibrium(e, model, k) for e in inside]
-    merged = [MergedEquilibrium([e]) for e in wing]
-    angles = [e.divisor_angle for e in wing]
+    merged = [MergedEquilibrium((WingEquilibrium(e, model, k),)) for e in inside]
     arcs = [
-        FlowArc(a, b, _sign_below(eqs, k))
-        for k, (a, b) in enumerate(zip([None] + angles, angles + [None]), first)
+        FlowArc(a, b, _sign_below(eqs, i))
+        for i, (a, b) in enumerate(zip([None] + merged, merged + [None]), first)
     ]
     return merged, arcs
 
@@ -559,12 +619,6 @@ def global_divisor_report(
         merged, flow = _wing_picture(found[chart], model, w.k)
     else:
         merged, flow = _circle_picture(found)
-    notes = [
-        f"non-hyperbolic divisor equilibrium at angle {m.angle:.12g}: "
-        "a further blow-up would be needed there (not performed)"
-        for m in merged
-        if m.classification == CLASS_NON_HYPERBOLIC
-    ]
     polar_raw = polar_desing = None
     if model in MODELS and (w.alpha, w.beta) == (1, 1):
         polar_raw = polar_pushforward(f, *MODELS[model])
@@ -578,7 +632,6 @@ def global_divisor_report(
         equilibria=merged,
         flow=flow,
         degenerate_charts=degenerate,
-        notes=notes,
         polar_raw=polar_raw,
         polar_desing=polar_desing,
     )

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -346,6 +347,9 @@ HUGE = "var x y; dx/dt = 0; dy/dt = y^3 - 2*10^400*x^2*y;"
 # the divisor polynomial's Cauchy bound 2^1100 lies about 1100 bisection
 # levels above its roots near 1
 FAR = "var x y; dx/dt = 0; dy/dt = (y + (2^1100 + 3)*x)*(y - x)*(y - 2*x)*(2*y - 7*x);"
+# the report on K1's exact root -(2^1100 + 3) is exact; the printed angle and
+# eigenvalue of that point lie beyond the float range
+BEYOND = "var x y; dx/dt = 0; dy/dt = (y + (2^1100 + 3)*x)*(y - x);"
 
 
 @pytest.mark.parametrize(
@@ -357,8 +361,12 @@ FAR = "var x y; dx/dt = 0; dy/dt = (y + (2^1100 + 3)*x)*(y - x)*(y - 2*x)*(2*y -
         (HUGE, ["verify"]),
         (FAR, ["analyze"]),
         (FAR, ["analyze", "--model", "directional"]),
+        (BEYOND, ["analyze"]),
     ],
-    ids=["analyze-sphere", "analyze-hyperbolic-x", "portrait", "verify", "far-root-sphere", "far-root-directional"],
+    ids=[
+        "analyze-sphere", "analyze-hyperbolic-x", "portrait", "verify", "far-root-sphere", "far-root-directional",
+        "exact-root-beyond-floats",
+    ],
 )
 def test_value_beyond_float_range_exits_1(tmp_path, capsys, source, argv):
     path = tmp_path / "huge.vf"
@@ -369,6 +377,36 @@ def test_value_beyond_float_range_exits_1(tmp_path, capsys, source, argv):
     assert out == ""
     assert err.startswith(f"{command}: value beyond the float range (")
     assert err.count("\n") == 1
+
+
+STEP_LIMIT = "portrait: the grid and --t-end/--step ask for more than 1000000 RK4 steps\n"
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--grid=0:1:3000,0:1:3000"],
+        ["--grid=0:1:1,0:1:1", "--step", "1e-300", "--t-end", "1"],
+        ["--grid=0:1:1,0:1:1", "--step", "1e-300", "--t-end", "1e300"],  # t_end / step is inf
+    ],
+    ids=["grid", "step", "infinite-quotient"],
+)
+def test_portrait_beyond_the_step_limit_exits_1_at_once(capsys, options):
+    start = time.process_time()
+    code, out, err = run(capsys, "portrait", QUADRATIC, "--param", "a=1", *options)
+    assert (code, out, err) == (1, "", STEP_LIMIT)
+    assert time.process_time() - start < 1
+
+
+def test_portrait_step_limit_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr("desing.cli._MAX_RK4_STEPS", 8)
+    argv = ["portrait", QUADRATIC, "--param", "a=1", "--grid=0.1:0.1:1,0.1:0.1:1", "--t-end", "1"]
+    code, out, _ = run(capsys, *argv, "--step", "0.25")  # 2 orbits of 4 steps
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2 * 5
+    code, out, err = run(capsys, *argv, "--step", "0.24")  # 2 orbits of 5 steps
+    assert (code, out) == (1, "")
+    assert "more than 8 RK4 steps" in err
 
 
 def test_portrait_csv(tmp_path, capsys):

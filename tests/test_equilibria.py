@@ -1,15 +1,17 @@
 import math
 import random
 import sys
+from dataclasses import is_dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from desing.charts import ChartField, ChartId, blow_up_in_chart, transition
-from desing.cli import main
+from desing.cli import _param_binding, main
 from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.equilibria import (
     CLASS_NON_HYPERBOLIC,
@@ -30,6 +32,7 @@ from desing.equilibria import (
 )
 from desing.errors import DegenerateChart, DesingError, UnboundParameter
 from desing.poly import Poly, poly_vars
+from desing.realroots import RealRoot
 from desing.selfcheck import (
     _random_quasihomogeneous,
     check_bridge_conjugacy,
@@ -38,6 +41,7 @@ from desing.selfcheck import (
 )
 from desing.vectorfield import Param, VectorField
 from desing.weights import Weights, infer_weights
+from test_golden import _cases as _golden_cases
 
 F = demo_system()
 W = Weights(1, 1, 1)
@@ -115,8 +119,7 @@ def test_node_eigenvalues_do_not_cancel(jac, small):
     # det is tiny against tr^2, where (tr - sqrt(disc)) / 2 would round to 0
     a, d = jac
     assert classify_exact(a, d) == CLASS_UNSTABLE_NODE
-    zero = Fraction(0)
-    eq = Equilibrium("K1", (zero, zero), True, (a, d), CLASS_UNSTABLE_NODE, 0.0)
+    eq = Equilibrium("K1", W, RealRoot(Fraction(0), None, None, 1, (0, 1)), (a, d), CLASS_UNSTABLE_NODE)
     assert eq.eigenvalues_exact == (d, a)
     assert eq.eigenvalues == (small, 1e9)
     assert [z.imag for z in eq.eigenvalues] == [0.0, 0.0]
@@ -590,6 +593,61 @@ def test_eps_field_keeps_close_roots_apart():
     assert len(report.flow) == 6
 
 
+# K1's roots w = -(2^1100 + 3) and 1 are exact, and the float of the first
+# overflows: its angle and eigenvalues are beyond the float range
+BEYOND_FLOAT_FIELD = _dy_only(lambda x, y: (y + (2**1100 + 3) * x) * (y - x))
+
+
+def test_report_needs_no_float():
+    report = global_divisor_report(BEYOND_FLOAT_FIELD, infer_weights(BEYOND_FLOAT_FIELD), {})
+    classes = [m.classification for m in report.equilibria]
+    assert len(classes) == 6
+    assert (classes.count(CLASS_NON_HYPERBOLIC), classes.count(CLASS_SADDLE)) == (4, 2)
+    with pytest.raises(OverflowError):
+        [m.angle for m in report.equilibria]
+
+
+def _floats(obj):
+    """The floats held by obj: in its instance attributes, those of every
+    dataclass it holds, and the items of every tuple or list it holds."""
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _floats(item)
+    elif is_dataclass(obj):
+        for value in vars(obj).values():
+            yield from _floats(value)
+
+
+def _analyze_golden_reports():
+    for argv in _golden_cases().values():
+        if argv[0] != "analyze":
+            continue
+        options = dict(zip(argv[2::2], argv[3::2]))
+        yield Path(argv[1]).read_text(), options.get("--param"), options.get("--model", "sphere")
+
+
+def test_a_report_stores_no_float():
+    # each point stores exact data only: every float of a display is derived
+    # (and kept) when a renderer first reads it, none while the report is built
+    cases = set(_analyze_golden_reports())
+    assert len(cases) == 20
+    for src, param, model in sorted(cases):
+        f = lower_to_polynomials(parse_field_spec(src))
+        bindings = dict([_param_binding(param)]) if param else {}
+        report = global_divisor_report(f, infer_weights(f), bindings, model=model)
+        assert list(_floats(report.equilibria)) == []
+        for arc in report.flow:
+            ends = (arc.tail, arc.head)
+            if ends == (0.0, 2 * math.pi):  # an empty circle's one arc
+                assert report.equilibria == []
+            else:
+                assert list(_floats(arc)) == []
+    report = global_divisor_report(BEYOND_FLOAT_FIELD, infer_weights(BEYOND_FLOAT_FIELD), {})
+    assert list(_floats((report.equilibria, report.flow))) == []
+
+
 def test_big_rational_field_has_six_points():
     # K1's interval root near 3.3e12 lies within 1e-9 rad of pi/2, where K2's
     # exact root w = 0 sits
@@ -706,11 +764,15 @@ def test_merged_members_share_the_classification(seed):
 # -- reflected charts -------------------------------------------------------------------
 
 
+def _shown(e) -> str:
+    return repr((e, e.coords, e.jacobian, e.eigenvalues, e.eigenvalues_exact, e.angle))
+
+
 def _assert_reflections_match(f, w, bindings) -> int:
     """Map every reflectable chart from its partner and compare with the
-    direct path: the lead sign and each member by repr, which tells -0.0
-    from 0.0 where == does not.  Returns the number of
-    charts with a reflection partner."""
+    direct path: the lead sign, and each member's stored data and derived
+    views by repr, which tells -0.0 from 0.0 where == does not.  Returns the
+    number of charts with a reflection partner."""
     direct = {}
     for chart in ChartId:
         try:
@@ -733,7 +795,7 @@ def _assert_reflections_match(f, w, bindings) -> int:
         got = _reflected_equilibria(blow_up_in_chart(f, w, chart), bindings, direct[partner], eps, t)
         want = direct[chart]
         assert got.lead_sign == want.lead_sign
-        assert [repr(e) for e in got] == [repr(e) for e in want]
+        assert [_shown(e) for e in got] == [_shown(e) for e in want]
     return reflected
 
 

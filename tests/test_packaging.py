@@ -1,6 +1,7 @@
 """The package has no runtime dependency, the CLI imports only what it uses,
-the general substitution and division serve only as references, and only
-`poly.py` reads the rational coefficient view."""
+the general substitution and division serve only as references, only
+`poly.py` reads the rational coefficient view, and the functions that build
+a divisor report make no display float."""
 
 import ast
 import subprocess
@@ -60,3 +61,32 @@ def test_only_poly_reads_the_rational_view():
             if isinstance(node, ast.Attribute) and node.attr == "terms":
                 readers.add(path.name)
     assert readers <= {"poly.py"}
+
+
+def test_report_builders_make_no_display_float():
+    # a divisor point stores exact data, and every float of a display (its
+    # coordinates, angle and cosh-scaled diagonal) is derived when a renderer
+    # reads it: the functions that build a report round nothing
+    builders = {
+        "global_divisor_report", "divisor_equilibria", "_interval_equilibrium", "_member",
+        "_reflected_equilibria", "_owned_points", "_circle_picture", "_wing_picture",
+    }
+    path = SRC / "desing" / "equilibria.py"
+    module = ast.parse(path.read_text(), str(path))
+    banned = {"float", "divisor_angle", "_sqrt_float"}
+    for node in module.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            banned |= {alias.asname or alias.name for alias in node.names}
+    calls = {}
+    for node in module.body:
+        if isinstance(node, ast.FunctionDef) and node.name in builders:
+            calls[node.name] = sorted(
+                ast.unparse(call.func)
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and (
+                    isinstance(call.func, ast.Name) and call.func.id in banned
+                    or isinstance(call.func, ast.Attribute) and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "math"
+                )
+            )
+    assert calls == {name: [] for name in builders}
