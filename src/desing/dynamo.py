@@ -7,20 +7,32 @@ one-sided Hausdorff distance after arc-length resampling, since the
 desingularization only reparametrizes time and pointwise-in-t comparison
 would be meaningless.
 
-All of it is plain Python floats; curves are lists of (x, y) pairs.  The
-curve comparison finds each sample's nearest segment with the expressions a
-full scan over all segments would use, but skips blocks of 16 consecutive
-segments, and the skip is exact.  The computed projection point `a + t*s`
-(t clipped to [0, 1]) lies on the segment up to three roundings of at most
-4 ulps of the block's largest coordinate M in all, and the segment lies in
-the block's bounding box.  So with the box widened by 8 ulps of M, the
-squared distance from the sample to the widened box is at most the squared
-length of the computed difference vector, up to a few relative roundings on
-either side.  A block is skipped only when that box distance exceeds
-`best^2 * (1 + 1e-9) + DBL_MIN`, a margin far above those roundings (the
-absolute term covers subnormal underflow), so no segment in it computes to
-a distance below the current best: the minimum is the full scan's, bit for
-bit, and the blocks only change how many segments are evaluated.
+All of it is plain Python floats; curves are lists of (x, y) pairs.  One RK4
+loop, the lazy `_Stepper`, computes every orbit: `integrate` drains it, and
+`conjugacy_check` steps the chart orbit only as far as the comparison reads
+it.  That comparison cuts both curves at the shorter one's arc length L and
+reads the chart curve only up to its first point whose running length
+exceeds L; the running sums of a prefix are those of the whole curve, added
+in the same order.  So once the chart curve's running length exceeds the
+plane curve's, no later point changes the defect, bit for bit.
+
+The curve comparison finds each sample's nearest segment with the
+expressions a full scan over all segments would use, but skips groups of 8
+blocks of 16 consecutive segments, and blocks within a group, and the skip
+is exact.  The computed projection point `a + t*s` (t clipped to [0, 1])
+lies on the segment up to three roundings of at most 4 ulps of the block's
+largest coordinate M in all, and the segment lies in the block's bounding
+box.  So with the box widened by 8 ulps of M, the squared distance from the
+sample to the widened box is at most the squared length of the computed
+difference vector, up to a few relative roundings on either side.  A block
+is skipped only when that box distance exceeds `best^2 * (1 + 1e-9) +
+DBL_MIN`, a margin far above those roundings (the absolute term covers
+subnormal underflow), so no segment in it computes to a distance below the
+current best: the minimum is the full scan's, bit for bit, and the blocks
+only change how many segments are evaluated.  A group's box is the bounding
+box of its blocks' widened boxes, and rounded subtraction is monotone, so
+its computed distance is at most each of its blocks' and skipping the group
+skips only blocks the test would skip one by one.
 """
 
 from __future__ import annotations
@@ -29,11 +41,11 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, islice
 from typing import Callable, Mapping, Sequence
 
 from .charts import ChartField, embed_points
-from .errors import NonFiniteField
+from .errors import DesingError, NonFiniteField
 from .polar import PolarField
 from .vectorfield import VectorField
 
@@ -106,6 +118,79 @@ def _linspace(start: float, stop: float, num: int) -> "list[float]":
     return [i * step + start for i in range(div)] + [stop]
 
 
+class _Stepper:
+    """`integrate`'s RK4 orbit, stepped lazily: iterating yields each (t, u, v)
+    point as it is computed, and `termination` says how the orbit ended once
+    iteration has.  The seed, its field value and the arguments are checked
+    before the first point is yielded."""
+
+    termination = None
+
+    def __init__(self, field: FrameField, x0: Sequence[float], t_end: float, h: float, backward: bool = False):
+        self.field, self.x0, self.t_end, self.h, self.backward = field, x0, t_end, h, backward
+
+    def __iter__(self):
+        x0, t_end, h, backward = self.x0, self.t_end, self.h, self.backward
+        if h <= 0:
+            raise ValueError("step size must be positive")
+        if t_end <= 0:
+            raise ValueError("t_end must be positive")
+        func, radial_index = self.field.func, self.field.radial_index
+        u, v = float(x0[0]), float(x0[1])
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise NonFiniteField(f"initial point {x0} is not finite")
+        seed = (0.0, u, v)
+        # the state never holds -0.0, so the sign of a zero increment, the one bit
+        # where -h * sum and h * (negated sum) differ, never shows
+        u, v = u + 0.0, v + 0.0
+        try:
+            k1u, k1v = func(u, v)
+        except OverflowError:
+            # as for an overflow in a later step, the orbit leaves the domain
+            yield seed
+            self.termination = TERM_LEFT_DOMAIN
+            return
+        if not (math.isfinite(k1u) and math.isfinite(k1v)):
+            raise NonFiniteField(f"field is not finite at the initial point {x0}")
+        yield seed
+
+        t = 0.0
+        termination = TERM_MAX_TIME
+        while t < t_end:
+            step = min(h, t_end - t)
+            if t + step == t:
+                # a full step that cannot advance t is an underflow; a vanishing
+                # final partial step just means t_end is within rounding of t
+                termination = TERM_STEP_UNDERFLOW if step == h else TERM_MAX_TIME
+                break
+            dt = -step if backward else step
+            try:
+                if t > 0.0:  # the first step's first stage is the seed's value
+                    k1u, k1v = func(u, v)
+                k2u, k2v = func(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+                k3u, k3v = func(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+                k4u, k4v = func(u + dt * k3u, v + dt * k3v)
+            except OverflowError:
+                # float ** or cosh overflows when the orbit escapes within one step
+                termination = TERM_LEFT_DOMAIN
+                break
+            nu = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            nv = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            if not (math.isfinite(nu) and math.isfinite(nv)):
+                termination = TERM_LEFT_DOMAIN
+                break
+            if abs(nu) > MAX_COORD or abs(nv) > MAX_COORD:
+                termination = TERM_LEFT_DOMAIN
+                break
+            if radial_index is not None and (nu, nv)[radial_index] < 0:
+                termination = TERM_LEFT_DOMAIN
+                break
+            t += step
+            u, v = nu, nv
+            yield (t, u, v)
+        self.termination = termination
+
+
 def integrate(
     field: FrameField,
     x0: Sequence[float],
@@ -118,82 +203,25 @@ def integrate(
     step underflow.  With `backward` every stage and the update step by -h
     (t still counts up from 0): as negation commutes with float products and
     sums, the points are the negated field's, bit for bit."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    func, radial_index = field.func, field.radial_index
-    u, v = float(x0[0]), float(x0[1])
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise NonFiniteField(f"initial point {x0} is not finite")
-    points = [(0.0, u, v)]
-    # the state never holds -0.0, so the sign of a zero increment, the one bit
-    # where -h * sum and h * (negated sum) differ, never shows
-    u, v = u + 0.0, v + 0.0
-    try:
-        k1u, k1v = func(u, v)
-    except OverflowError:
-        # as for an overflow in a later step, the orbit leaves the domain
-        return Trajectory(field.frame, points, TERM_LEFT_DOMAIN)
-    if not (math.isfinite(k1u) and math.isfinite(k1v)):
-        raise NonFiniteField(f"field is not finite at the initial point {x0}")
-
-    t = 0.0
-    termination = TERM_MAX_TIME
-    while t < t_end:
-        step = min(h, t_end - t)
-        if t + step == t:
-            # a full step that cannot advance t is an underflow; a vanishing
-            # final partial step just means t_end is within rounding of t
-            termination = TERM_STEP_UNDERFLOW if step == h else TERM_MAX_TIME
-            break
-        dt = -step if backward else step
-        try:
-            if t > 0.0:  # the first step's first stage is the seed's value
-                k1u, k1v = func(u, v)
-            k2u, k2v = func(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-            k3u, k3v = func(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-            k4u, k4v = func(u + dt * k3u, v + dt * k3v)
-        except OverflowError:
-            # float ** or cosh overflows when the orbit escapes within one step
-            termination = TERM_LEFT_DOMAIN
-            break
-        nu = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        nv = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (math.isfinite(nu) and math.isfinite(nv)):
-            termination = TERM_LEFT_DOMAIN
-            break
-        if abs(nu) > MAX_COORD or abs(nv) > MAX_COORD:
-            termination = TERM_LEFT_DOMAIN
-            break
-        if radial_index is not None and (nu, nv)[radial_index] < 0:
-            termination = TERM_LEFT_DOMAIN
-            break
-        t += step
-        u, v = nu, nv
-        points.append((t, u, v))
-    return Trajectory(field.frame, points, termination)
+    orbit = _Stepper(field, x0, t_end, h, backward)
+    points = list(orbit)
+    return Trajectory(field.frame, points, orbit.termination)
 
 
 # -- curve comparison ----------------------------------------------------------------
 
 _BLOCK = 16  # segments per bounding box in the nearest-segment search
+_GROUP = 8  # blocks per group box
+_CHUNK = 64  # chart points stepped and embedded at a time in `conjugacy_check`
+_MAX_SAMPLES = 10**5  # arc-length samples one curve comparison may take
 _DBL_MIN = sys.float_info.min  # smallest normal float; covers subnormal roundings
 
 
 def _arc_lengths(points) -> "tuple[list[float], list[float]]":
-    """Segment lengths and running arc lengths (starting at 0.0) of a polyline."""
-    lens = []
-    cum = [0.0]
-    total = 0.0
-    x0, y0 = points[0]
-    for x1, y1 in points[1:]:
-        length = math.hypot(x1 - x0, y1 - y0)
-        lens.append(length)
-        total += length
-        cum.append(total)
-        x0, y0 = x1, y1
-    return lens, cum
+    """Segment lengths and running arc lengths (starting at 0.0, added in
+    order) of a polyline."""
+    lens = list(map(math.dist, points, points[1:]))
+    return lens, list(accumulate(lens, initial=0.0))
 
 
 def _arc_truncate(points, lens, cum, length: float):
@@ -245,41 +273,67 @@ def _segment_blocks(poly) -> list:
     return blocks
 
 
+def _nearest_in_block(px, py, segs, best: float) -> float:
+    """The smaller of `best` and the sample's distance to each segment."""
+    for ax, ay, sx, sy, dd in segs:
+        t = ((px - ax) * sx + (py - ay) * sy) / dd
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        dx = px - (ax + t * sx)
+        dy = py - (ay + t * sy)
+        d = math.sqrt(dx * dx + dy * dy)
+        if d < best:
+            best = d
+    return best
+
+
 def _min_dist_to_polyline(samples, poly) -> "list[float]":
     """Each sample's distance to the nearest segment of `poly`.
 
     The distance to a segment is sqrt(dx*dx + dy*dy) of the sample minus its
     projection a + t*s, t = clip(((p - a) . s) / |s|^2, 0, 1).  The search
-    starts at the block that held the previous sample's nearest segment and
-    skips a block whose widened box is provably farther than the best so far
-    (module docstring), so each minimum is the full scan's, bit for bit."""
+    starts at the block that held the previous sample's nearest segment, then
+    skips a group of _GROUP blocks, and within a group a block, whose widened
+    box is provably farther than the best so far (module docstring), so each
+    minimum is the full scan's, bit for bit."""
     if len(poly) == 1:
         x0, y0 = poly[0]
         return [math.hypot(px - x0, py - y0) for px, py in samples]
     blocks = _segment_blocks(poly)
+    groups = []
+    for lo in range(0, len(blocks), _GROUP):
+        boxes = blocks[lo : lo + _GROUP]
+        groups.append((
+            min(b[0] for b in boxes), max(b[1] for b in boxes),
+            min(b[2] for b in boxes), max(b[3] for b in boxes),
+            range(lo, lo + len(boxes)),
+        ))
     start = 0
     out = []
     for px, py in samples:
-        best = bound = math.inf
-        for k in chain(range(start, len(blocks)), range(start)):
-            x_lo, x_hi, y_lo, y_hi, segs = blocks[k]
-            bx = x_lo - px if px < x_lo else (px - x_hi if px > x_hi else 0.0)
-            by = y_lo - py if py < y_lo else (py - y_hi if py > y_hi else 0.0)
+        best = _nearest_in_block(px, py, blocks[start][4], math.inf)
+        bound = best * best * (1.0 + 1e-9) + _DBL_MIN
+        nearest = start
+        for gx_lo, gx_hi, gy_lo, gy_hi, members in groups:
+            bx = gx_lo - px if px < gx_lo else (px - gx_hi if px > gx_hi else 0.0)
+            by = gy_lo - py if py < gy_lo else (py - gy_hi if py > gy_hi else 0.0)
             if bx * bx + by * by > bound:
                 continue
-            for ax, ay, sx, sy, dd in segs:
-                t = ((px - ax) * sx + (py - ay) * sy) / dd
-                if t < 0.0:
-                    t = 0.0
-                elif t > 1.0:
-                    t = 1.0
-                dx = px - (ax + t * sx)
-                dy = py - (ay + t * sy)
-                d = math.sqrt(dx * dx + dy * dy)
+            for k in members:
+                if k == start:
+                    continue
+                x_lo, x_hi, y_lo, y_hi, segs = blocks[k]
+                bx = x_lo - px if px < x_lo else (px - x_hi if px > x_hi else 0.0)
+                by = y_lo - py if py < y_lo else (py - y_hi if py > y_hi else 0.0)
+                if bx * bx + by * by > bound:
+                    continue
+                d = _nearest_in_block(px, py, segs, best)
                 if d < best:
-                    best = d
-                    start = k
-            bound = best * best * (1.0 + 1e-9) + _DBL_MIN
+                    best, nearest = d, k
+                    bound = best * best * (1.0 + 1e-9) + _DBL_MIN
+        start = nearest
         out.append(best)
     return out
 
@@ -292,6 +346,9 @@ def hausdorff_defect(curve_a, curve_b) -> float:
     common = min(a_cum[-1], b_cum[-1])
     a = _arc_truncate(curve_a, a_lens, a_cum, common)
     b, _, _ = _arc_truncate(curve_b, b_lens, b_cum, common)
+    length = a[2][-1]
+    if length / 1e-3 > _MAX_SAMPLES - 1:  # _arc_resample takes ceil(length / 1e-3) + 1
+        raise DesingError(f"comparing curves of arc length {length:.3g} needs more than {_MAX_SAMPLES} samples")
     samples = _arc_resample(*a, 1e-3)
     return max(_min_dist_to_polyline(samples, b))
 
@@ -309,18 +366,29 @@ def conjugacy_check(
 ) -> float:
     """Defect of the orbit correspondence between a chart and the plane.
 
-    Integrates the desingularized chart field, pushes the polyline through
-    the chart embedding, integrates the original field from the embedded
-    start point, and compares the two curves as sets.  Away from the divisor
+    Integrates the original field from the embedded chart seed and the
+    desingularized chart field, pushes the chart polyline through the chart
+    embedding, and compares the two curves as sets.  Away from the divisor
     the two fields differ only by the positive factor radial^k, so both
     polylines trace the same orbit and the defect measures numerics only.
+    The chart orbit is stepped only until its curve is longer than the
+    plane's, which leaves the defect unchanged (module docstring).
     """
     if float(x0_chart[0]) <= 0:
         raise ValueError("conjugacy check needs a seed with positive radial coordinate")
-    chart_traj = integrate(frame_chart(cf, bindings), x0_chart, t_end, h)
-    embedded = embed_points(cf.chart, cf.weights, chart_traj.coords())
-    plane_traj = integrate(frame_original(f, bindings), embedded[0], t_end, h)
-    return hausdorff_defect(embedded, plane_traj.coords())
+    steps = iter(_Stepper(frame_chart(cf, bindings), x0_chart, t_end, h))
+    _, r0, w0 = next(steps)  # the chart seed is checked as `integrate` checks it
+    chart = embed_points(cf.chart, cf.weights, [(r0, w0)])
+    plane = integrate(frame_original(f, bindings), chart[0], t_end, h).coords()
+    length = _arc_lengths(plane)[1][-1]
+    # the comparison reads the chart curve only up to its first point beyond
+    # the plane curve's length (module docstring), so the rest is never stepped
+    total = 0.0
+    while total <= length and (chunk := [(r, w) for _, r, w in islice(steps, _CHUNK)]):
+        for point in embed_points(cf.chart, cf.weights, chunk):
+            total += math.dist(chart[-1], point)  # the running sum of `_arc_lengths`
+            chart.append(point)
+    return hausdorff_defect(chart, plane)
 
 
 def sample_portrait(field: FrameField, grid: GridSpec) -> "list[Trajectory]":

@@ -489,6 +489,23 @@ def test_verify_on_input_field(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_of_escaping_orbits_fails_in_one_line(tmp_path, capsys):
+    # both orbits of a conjugacy comparison leave the domain within 7 points,
+    # and their common arc length of about 1e5 would take 1e8 samples
+    path = tmp_path / "escape.vf"
+    path.write_text("var x y; dx/dt = -1000*x^2 - 2000*x*y; dy/dt = 1000*y^2 - 3000*x*y;")
+    start = time.process_time()
+    code, out, err = run(capsys, "verify", str(path), "--seed", "0")
+    assert time.process_time() - start < 2
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line for line in lines if "samples" in line] == [
+        "FAIL field-specific-suite (0 cases) comparing curves of arc length 1.01e+05 needs more than 100000 samples"
+    ]
+    assert lines[-1] == "14/17 checks passed (seed 0)"
+    assert "Traceback" not in out
+
+
 def test_verify_rejects_a_non_integer_seed_variable(capsys, monkeypatch):
     monkeypatch.setenv("DESING_SEED", "abc")
     assert run(capsys, "verify") == (2, "", "verify: DESING_SEED must be an integer, got 'abc'\n")

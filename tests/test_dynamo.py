@@ -1,4 +1,5 @@
 import math
+import random
 import struct
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.dynamo import (
     FrameField,
     GridSpec,
+    _arc_lengths,
     _min_dist_to_polyline,
     conjugacy_check,
     frame_chart,
@@ -22,7 +24,7 @@ from desing.dynamo import (
     observed_order,
     sample_portrait,
 )
-from desing.errors import NonFiniteField
+from desing.errors import DesingError, NonFiniteField
 from desing.polar import HYPERBOLA, SPHERE, Branch, desingularize_polar, polar_pushforward
 from desing.poly import Poly, float_evaluator, poly_vars
 from desing.quotient import COS, RADIAL, SIN, TRIG
@@ -306,26 +308,36 @@ def numpy_min_dist(samples, poly):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_pruned_minimum_is_the_full_scan_bit_for_bit(data):
-    # a random walk near (1e3, 1e3) long enough for several blocks, repeated
-    # points included, sampled within 1e-12 of its segments (about 10 ulps)
-    # and farther out, in random order so the search starts anywhere
-    steps = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)) | st.just((0.0, 0.0))
-    walk = data.draw(st.lists(steps, min_size=1, max_size=80))
+    # a random walk near (1e3, 1e3) of up to 600 points, so up to five
+    # groups of blocks, repeated points included, which may walk back along
+    # itself to near its start, so that far blocks hold near segments;
+    # sampled within 1e-12 of its segments (about 10 ulps) and farther out,
+    # along the curve as the curve comparison samples it or in random order
+    # so the search starts anywhere
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    walk = [
+        (0.0, 0.0) if rng.random() < 0.1 else (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        for _ in range(data.draw(st.integers(1, 600)))
+    ]
     x, y = data.draw(st.tuples(st.floats(999.0, 1001.0), st.floats(999.0, 1001.0)))
     poly = [(x, y)]
     for dx, dy in walk:
         x, y = x + dx, y + dy
         poly.append((x, y))
+    if data.draw(st.booleans()):
+        ox, oy = data.draw(st.tuples(st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3)))
+        poly += [(x + ox, y + oy) for x, y in reversed(poly)]
     near = st.tuples(
         st.integers(0, len(poly) - 2), st.floats(0.0, 1.0),
         st.floats(-1e-12, 1e-12), st.floats(-1e-12, 1e-12),
     )
     samples = []
-    for j, f, ex, ey in data.draw(st.lists(near, min_size=1, max_size=20)):
+    for j, f, ex, ey in sorted(data.draw(st.lists(near, min_size=1, max_size=40))):
         (ax, ay), (bx, by) = poly[j], poly[j + 1]
         samples.append((ax + f * (bx - ax) + ex, ay + f * (by - ay) + ey))
     samples += data.draw(st.lists(st.tuples(st.floats(990.0, 1010.0), st.floats(990.0, 1010.0)), max_size=5))
-    samples = data.draw(st.permutations(samples))
+    if data.draw(st.booleans()):
+        samples = data.draw(st.permutations(samples))
     got = _min_dist_to_polyline(samples, poly)
     assert bits(got) == bits(full_scan(samples, poly))
     assert bits(got) == bits(numpy_min_dist(samples, poly))
@@ -383,12 +395,13 @@ def numpy_hausdorff(curve_a, curve_b):
     return max(numpy_min_dist(samples, b))
 
 
-def conjugacy_curves(chart, x0):
-    """The two curves `conjugacy_check` compares for a demo-field seed."""
-    cf = blow_up_in_chart(F, W, chart)
-    chart_traj = integrate(frame_chart(cf, A1), x0, 1.0, 1e-3)
+def conjugacy_curves(chart, x0, f=F, w=W, bindings=A1, h=1e-3):
+    """The two whole curves, the chart orbit pushed to the plane and the plane
+    orbit, that `conjugacy_check` compares."""
+    cf = blow_up_in_chart(f, w, chart)
+    chart_traj = integrate(frame_chart(cf, bindings), x0, 1.0, h)
     embedded = [embed(cf.chart, cf.weights, (u, v)) for _, u, v in chart_traj.points]
-    return embedded, integrate(frame_original(F, A1), embedded[0], 1.0, 1e-3).coords()
+    return embedded, integrate(frame_original(f, bindings), embedded[0], 1.0, h).coords()
 
 
 @pytest.mark.parametrize("chart", list(ChartId))
@@ -401,6 +414,70 @@ def test_hausdorff_defect_agrees_with_numpy(chart, x0):
     want = numpy_hausdorff(a, b)
     assert 0.0 < want < 1e-6
     assert abs(hausdorff_defect(a, b) - want) <= 1e-8 * want
+
+
+CUBIC = lower_to_polynomials(parse_field_spec("var x y; dx/dt = x^2; dy/dt = y^3;"))  # inputs/weighted_cubic.vf
+ZERO = VectorField(Poly.zero(("x", "y")), Poly.zero(("x", "y")), ("x", "y"))
+PREFIX_FIELDS = {"demo": (F, W, A1), "weighted-cubic": (CUBIC, infer_weights(CUBIC), {}), "zero": (ZERO, Weights(1, 1, 0), {})}
+# (0.3, 0.4) is a verify-like seed, on whose orbits the chart runs ahead; from
+# (2.0, -0.5), where r > 1, the plane orbit is the longer one; from (0.45, 2.0)
+# orbits leave the domain in most charts
+PREFIX_SEEDS = [(0.3, 0.4), (2.0, -0.5), (0.45, 2.0)]
+
+
+def defect_or_error(compute):
+    try:
+        return struct.pack("<d", compute())
+    except DesingError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("h", [1e-3, 2e-3])
+@pytest.mark.parametrize("x0", PREFIX_SEEDS)
+@pytest.mark.parametrize("chart", list(ChartId))
+@pytest.mark.parametrize("field", sorted(PREFIX_FIELDS))
+def test_conjugacy_check_is_the_defect_of_the_whole_orbits(field, chart, x0, h):
+    # `conjugacy_check` steps the chart orbit only until it is longer than
+    # the plane orbit: the defect is that of the whole curves, bit for bit
+    f, w, bindings = PREFIX_FIELDS[field]
+    cf = blow_up_in_chart(f, w, chart)
+    got = defect_or_error(lambda: conjugacy_check(f, cf, x0, bindings, 1.0, h))
+    assert got == defect_or_error(lambda: hausdorff_defect(*conjugacy_curves(chart, x0, f, w, bindings, h)))
+
+
+def test_prefix_cases_cover_both_orders_and_escapes():
+    kinds = set()
+    for field, chart, x0 in [(fd, c, x0) for fd in ("demo", "weighted-cubic") for c in ChartId for x0 in PREFIX_SEEDS]:
+        f, w, bindings = PREFIX_FIELDS[field]
+        cf = blow_up_in_chart(f, w, chart)
+        chart_traj = integrate(frame_chart(cf, bindings), x0, 1.0, 1e-3)
+        embedded, plane = conjugacy_curves(chart, x0, f, w, bindings)
+        kinds.add("chart ahead" if _arc_lengths(embedded)[1][-1] > _arc_lengths(plane)[1][-1] else "plane ahead")
+        kinds.add(chart_traj.termination)
+    assert kinds == {"chart ahead", "plane ahead", "max-time", "left-domain"}
+
+
+def test_a_comparison_beyond_the_sample_limit_is_refused():
+    # curves of arc length 101 would take 101,001 samples
+    a = [(0.0, 0.0), (101.0, 0.0)]
+    with pytest.raises(DesingError, match="more than 100000 samples"):
+        hausdorff_defect(a, a)
+    assert hausdorff_defect([(0.0, 0.0), (99.0, 0.0)], a) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([(0.0, 0.0), (1.0, -1.0)]) | st.tuples(finite, finite), min_size=1, max_size=40))
+def test_arc_lengths_are_the_running_hypot_sum_bit_for_bit(points):
+    lens, cum = [], [0.0]
+    x0, y0 = points[0]
+    for x1, y1 in points[1:]:
+        length = math.hypot(x1 - x0, y1 - y0)
+        lens.append(length)
+        cum.append(cum[-1] + length)
+        x0, y0 = x1, y1
+    got_lens, got_cum = _arc_lengths(points)
+    assert bits(got_lens) == bits(lens)
+    assert bits(got_cum) == bits(cum)
 
 
 def test_portrait_counts():

@@ -1,7 +1,7 @@
 """The package has no runtime dependency, the CLI imports only what it uses,
 the general substitution and division serve only as references, only
-`poly.py` reads the rational coefficient view, and the functions that build
-a divisor report make no display float."""
+`poly.py` reads the rational coefficient view, the functions that build a
+divisor report make no display float, and one RK4 loop serves every orbit."""
 
 import ast
 import subprocess
@@ -90,3 +90,30 @@ def test_report_builders_make_no_display_float():
                 )
             )
     assert calls == {name: [] for name in builders}
+
+
+def test_one_rk4_loop():
+    # `integrate` and `conjugacy_check` share one RK4 step: only the lazy
+    # stepper evaluates a frame's function (`func(...)` or `<frame>.func(...)`),
+    # and `integrate` only drains it
+    path = SRC / "desing" / "dynamo.py"
+    module = ast.parse(path.read_text(), str(path))
+    scopes = [(node.name, node) for node in module.body if isinstance(node, ast.FunctionDef)]
+    scopes += [
+        (f"{cls.name}.{node.name}", node)
+        for cls in module.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+    ]
+    evaluators = {
+        name
+        for name, node in scopes
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and (
+            isinstance(call.func, ast.Name) and call.func.id == "func"
+            or isinstance(call.func, ast.Attribute) and call.func.attr == "func"
+        )
+    }
+    assert evaluators == {"_Stepper.__iter__"}
+    integrate = dict(scopes)["integrate"]
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+    assert not [type(node).__name__ for node in ast.walk(integrate) if isinstance(node, loops)]
