@@ -41,10 +41,10 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
-from .charts import ChartField, embed_points
+from .charts import ChartField, embed
 from .errors import DesingError, NonFiniteField
 from .polar import PolarField
 from .vectorfield import VectorField
@@ -212,7 +212,6 @@ def integrate(
 
 _BLOCK = 16  # segments per bounding box in the nearest-segment search
 _GROUP = 8  # blocks per group box
-_CHUNK = 64  # chart points stepped and embedded at a time in `conjugacy_check`
 _MAX_SAMPLES = 10**5  # arc-length samples one curve comparison may take
 _DBL_MIN = sys.float_info.min  # smallest normal float; covers subnormal roundings
 
@@ -378,16 +377,18 @@ def conjugacy_check(
         raise ValueError("conjugacy check needs a seed with positive radial coordinate")
     steps = iter(_Stepper(frame_chart(cf, bindings), x0_chart, t_end, h))
     _, r0, w0 = next(steps)  # the chart seed is checked as `integrate` checks it
-    chart = embed_points(cf.chart, cf.weights, [(r0, w0)])
+    chart = [embed(cf.chart, cf.weights, (r0, w0))]
     plane = integrate(frame_original(f, bindings), chart[0], t_end, h).coords()
     length = _arc_lengths(plane)[1][-1]
     # the comparison reads the chart curve only up to its first point beyond
     # the plane curve's length (module docstring), so the rest is never stepped
     total = 0.0
-    while total <= length and (chunk := [(r, w) for _, r, w in islice(steps, _CHUNK)]):
-        for point in embed_points(cf.chart, cf.weights, chunk):
-            total += math.dist(chart[-1], point)  # the running sum of `_arc_lengths`
-            chart.append(point)
+    for _, r, w in steps:
+        point = embed(cf.chart, cf.weights, (r, w))
+        total += math.dist(chart[-1], point)  # the running sum of `_arc_lengths`
+        chart.append(point)
+        if total > length:
+            break
     return hausdorff_defect(chart, plane)
 
 

@@ -374,7 +374,10 @@ def check_conjugacy(f: VectorField, w: Weights, bindings, seed: int) -> CheckRes
             blown_up[chart] = blow_up_in_chart(f, w, chart)
         cf = blown_up[chart]
         x0 = (rng.uniform(0.05, 0.5), rng.uniform(lo, hi))
-        defect = conjugacy_check(f, cf, x0, bindings, t_end=1.0, h=1e-3)
+        try:
+            defect = conjugacy_check(f, cf, x0, bindings, t_end=1.0, h=1e-3)
+        except DesingError as exc:
+            return CheckResult("conjugacy", False, i, f"{chart} seed {x0}: {exc}")
         worst = max(worst, defect)
         if defect >= 1e-6:
             return CheckResult("conjugacy", False, i, f"{chart} seed {x0}: defect {defect:.3e}")

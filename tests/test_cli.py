@@ -500,7 +500,8 @@ def test_verify_of_escaping_orbits_fails_in_one_line(tmp_path, capsys):
     assert (code, err) == (1, "")
     lines = out.splitlines()
     assert [line for line in lines if "samples" in line] == [
-        "FAIL field-specific-suite (0 cases) comparing curves of arc length 1.01e+05 needs more than 100000 samples"
+        "FAIL conjugacy (0 cases) K4 seed (0.1710477295954721, -0.23543461163934148): "
+        "comparing curves of arc length 1.01e+05 needs more than 100000 samples"
     ]
     assert lines[-1] == "14/17 checks passed (seed 0)"
     assert "Traceback" not in out

@@ -309,16 +309,22 @@ def numpy_min_dist(samples, poly):
 @given(data=st.data())
 def test_pruned_minimum_is_the_full_scan_bit_for_bit(data):
     # a random walk near (1e3, 1e3) of up to 600 points, so up to five
-    # groups of blocks, repeated points included, which may walk back along
-    # itself to near its start, so that far blocks hold near segments;
-    # sampled within 1e-12 of its segments (about 10 ulps) and farther out,
-    # along the curve as the curve comparison samples it or in random order
-    # so the search starts anywhere
+    # groups of blocks, repeated points and axis-parallel segments included,
+    # which may walk back along itself to near its start, so that far blocks
+    # hold near segments; sampled within 1e-12 of its segments (about 10 ulps)
+    # and farther out, along the curve as the curve comparison samples it or
+    # in random order so the search starts anywhere.  The first steps are
+    # drawn, so they shrink; the rest come from a drawn rng, with each
+    # coordinate often 0, +-1 or 0.5 as drawn floats often are
+    steps = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)) | st.just((0.0, 0.0))
+    walk = data.draw(st.lists(steps, min_size=1, max_size=80))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
-    walk = [
-        (0.0, 0.0) if rng.random() < 0.1 else (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        for _ in range(data.draw(st.integers(1, 600)))
-    ]
+
+    def coord():
+        return rng.choice((0.0, 1.0, -1.0, 0.5)) if rng.random() < 0.3 else rng.uniform(-1.0, 1.0)
+
+    for _ in range(data.draw(st.integers(0, 520))):
+        walk.append((0.0, 0.0) if rng.random() < 0.1 else (coord(), coord()))
     x, y = data.draw(st.tuples(st.floats(999.0, 1001.0), st.floats(999.0, 1001.0)))
     poly = [(x, y)]
     for dx, dy in walk:
