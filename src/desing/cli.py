@@ -425,13 +425,22 @@ def _cmd_portrait(args) -> int:
         w = infer_weights(f)
         frame = frame_chart(blow_up_in_chart(f, w, ChartId(args.frame)), bindings)
     grid = GridSpec(u0, u1, nu, v0, v1, nv, t_end=args.t_end, step=args.step)
-    trajectories = sample_portrait(frame, grid)
-    rows = ["frame,traj_id,t,u,v"]
-    for tid, tr in enumerate(trajectories):
-        # %-formatting a point prints the bytes of :.17g at less cost per row
-        row = f"{tr.frame},{tid},%.17g,%.17g,%.17g"
-        rows.extend(row % point for point in tr.points)
-    _emit("\n".join(rows) + "\n", args.output)
+    # the whole text is built before anything is written, so a seed that
+    # raises leaves no output file; each trajectory is formatted as it arrives
+    parts = ["frame,traj_id,t,u,v\n"]
+    # "%.17g" of each distinct time, formatted once: the text is a function of
+    # the float, and times start at 0.0 and grow, so they are never -0.0 or NaN
+    times = {}
+    for tid, tr in enumerate(sample_portrait(frame, grid)):
+        cells = []
+        for t, u, v in tr.points:
+            text = times.get(t)
+            if text is None:
+                text = times[t] = "%.17g" % t
+            cells += (text, u, v)
+        # one %-call per trajectory prints the bytes of :.17g per coordinate
+        parts.append((f"{tr.frame},{tid},%s,%.17g,%.17g\n" * len(tr.points)) % tuple(cells))
+    _emit("".join(parts), args.output)
     return 0
 
 

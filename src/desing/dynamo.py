@@ -8,7 +8,8 @@ desingularization only reparametrizes time and pointwise-in-t comparison
 would be meaningless.
 
 All of it is plain Python floats; curves are lists of (x, y) pairs.  One RK4
-loop, the lazy `_Stepper`, computes every orbit: `integrate` drains it, and
+loop, the lazy `_Stepper`, computes every orbit: `integrate` drains it,
+`sample_portrait` yields a portrait's orbits one at a time, and
 `conjugacy_check` steps the chart orbit only as far as the comparison reads
 it.  That comparison cuts both curves at the shorter one's arc length L and
 reads the chart curve only up to its first point whose running length
@@ -42,7 +43,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .charts import ChartField, embed
 from .errors import DesingError, NonFiniteField
@@ -157,11 +158,15 @@ class _Stepper:
         t = 0.0
         termination = TERM_MAX_TIME
         while t < t_end:
-            step = min(h, t_end - t)
+            rest = t_end - t
+            # the final step takes in a rest of up to h * (1 + 1e-9), so a
+            # rounding sliver of t is never a step of its own: the orbit ends
+            # at t_end itself, in at most ceil(t_end / h) steps
+            final = rest <= h * (1.0 + 1e-9)
+            step = rest if final else h
             if t + step == t:
-                # a full step that cannot advance t is an underflow; a vanishing
-                # final partial step just means t_end is within rounding of t
-                termination = TERM_STEP_UNDERFLOW if step == h else TERM_MAX_TIME
+                # a rest is at least one ulp of t, so only a full step underflows
+                termination = TERM_STEP_UNDERFLOW
                 break
             dt = -step if backward else step
             try:
@@ -185,7 +190,7 @@ class _Stepper:
             if radial_index is not None and (nu, nv)[radial_index] < 0:
                 termination = TERM_LEFT_DOMAIN
                 break
-            t += step
+            t = t_end if final else t + step
             u, v = nu, nv
             yield (t, u, v)
         self.termination = termination
@@ -198,7 +203,8 @@ def integrate(
     h: float,
     backward: bool = False,
 ) -> Trajectory:
-    """Classic RK4 with fixed step h, stopping at t_end, domain exit
+    """Classic RK4 with fixed step h, stopping at t_end (reached exactly: the
+    final step takes in a rest of up to h * (1 + 1e-9)), domain exit
     (radial < 0, |coordinate| > 1e6, or a stage evaluation overflowing) or
     step underflow.  With `backward` every stage and the update step by -h
     (t still counts up from 0): as negation commutes with float products and
@@ -392,14 +398,13 @@ def conjugacy_check(
     return hausdorff_defect(chart, plane)
 
 
-def sample_portrait(field: FrameField, grid: GridSpec) -> "list[Trajectory]":
+def sample_portrait(field: FrameField, grid: GridSpec) -> "Iterator[Trajectory]":
     """Forward and backward trajectories from every grid seed (fwd, then bwd,
-    per seed, row-major over the grid)."""
-    out = []
+    per seed, row-major over the grid), integrated lazily: each one when the
+    caller asks for it, so a caller that consumes them in turn holds one."""
     for seed in grid.seeds():
-        out.append(integrate(field, seed, grid.t_end, grid.step))
-        out.append(integrate(field, seed, grid.t_end, grid.step, backward=True))
-    return out
+        yield integrate(field, seed, grid.t_end, grid.step)
+        yield integrate(field, seed, grid.t_end, grid.step, backward=True)
 
 
 def observed_order(field: FrameField, x0, t_end: float, h: float) -> float:

@@ -1,15 +1,23 @@
 import argparse
+import contextlib
 import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desing.cli import _num, _parse, build_parser, main
+from desing.dynamo import Trajectory, sample_portrait
+from desing.errors import DesingError, NonFiniteField
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "inputs"
@@ -452,6 +460,114 @@ def test_portrait_seed_whose_field_overflows_leaves_the_domain(capsys):
     assert [r[1:] for r in rows if r[3] != "0"] == [["2", "0", "800", "1"], ["3", "0", "800", "1"]]
 
 
+def test_portrait_final_step_takes_in_the_rounding_sliver(capsys):
+    # ten steps of 0.1 add up to 0.99999999999999989: the last step takes in
+    # the rest, so no step of 1.1e-16 repeats the point
+    argv = ["portrait", QUADRATIC, "--param", "a=1", "--grid=0.1:0.1:1,0.1:0.1:1", "--t-end", "1", "--step", "0.1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    for tid in ("0", "1"):
+        ts = [t for _, i, t, _, _ in rows if i == tid]
+        assert len(ts) == 11
+        assert ts[-2:] == ["0.89999999999999991", "1"]
+
+
+def reference_csv(trajectories) -> str:
+    """The portrait CSV written row by row, one %.17g per cell."""
+    rows = ["frame,traj_id,t,u,v"]
+    for tid, tr in enumerate(trajectories):
+        row = f"{tr.frame},{tid},%.17g,%.17g,%.17g"
+        rows.extend(row % point for point in tr.points)
+    return "\n".join(rows) + "\n"
+
+
+_COORDS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]
+)
+# an orbit's times start at 0.0 and grow; 1-point orbits have only the seed
+_TIMES = st.lists(st.floats(0.0, 1e3, exclude_min=True), max_size=20).map(lambda ts: [0.0] + sorted(set(ts)))
+
+
+@st.composite
+def _portraits(draw):
+    shared = draw(_TIMES)
+    same = st.just(shared) | st.integers(1, len(shared)).map(lambda n: shared[:n])
+    trajectories = []
+    for _ in range(draw(st.integers(0, 6))):
+        ts = draw(same | _TIMES)
+        frame = draw(st.sampled_from(["original", "K1", "hyperbolic-x"]))
+        trajectories.append(Trajectory(frame, [(t, draw(_COORDS), draw(_COORDS)) for t in ts], "max-time"))
+    return trajectories
+
+
+@settings(max_examples=150, deadline=None)
+@given(trajectories=_portraits())
+def test_portrait_csv_is_the_per_row_reference(trajectories):
+    expected = reference_csv(trajectories)
+    argv = ["portrait", QUADRATIC, "--param", "a=1", "--grid=0:1:1,0:1:1"]
+    stdout = io.StringIO()
+    with mock.patch("desing.cli.sample_portrait", lambda frame, grid: iter(trajectories)):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.csv"
+            assert main([*argv, "-o", str(path)]) == 0
+            assert path.read_bytes() == expected.encode()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+    assert stdout.getvalue() == expected
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--grid=0:1:0,0:1:3"],  # no seeds: the header alone
+        ["--grid=0.1:0.1:1,0.1:0.1:1", "--t-end", "1", "--step", "0.1"],
+        ["--frame", "K1", "--grid", "0:1:5,-1:1:5", "--t-end", "0.2", "--step", "0.01"],
+        ["--frame", "hyperbolic-x", "--grid=0:800:2,1:1:1", "--t-end", "0.1"],  # an orbit of one point
+    ],
+    ids=["empty", "sliver", "chart", "overflow"],
+)
+def test_portrait_csv_of_a_grid_is_the_per_row_reference(capsys, monkeypatch, options):
+    seen = []
+
+    def recording(frame, grid):
+        for tr in sample_portrait(frame, grid):
+            seen.append(tr)
+            yield tr
+
+    monkeypatch.setattr("desing.cli.sample_portrait", recording)
+    code, out, _ = run(capsys, "portrait", QUADRATIC, "--param", "a=1", *options)
+    assert code == 0
+    assert out == reference_csv(seen)
+
+
+def test_portrait_seed_that_raises_writes_nothing(tmp_path, capsys, monkeypatch):
+    def failing(frame, grid):
+        yield Trajectory("original", [(0.0, 0.1, 0.1)], "max-time")
+        raise NonFiniteField("field is not finite at the initial point (0.2, 0.1)")
+
+    monkeypatch.setattr("desing.cli.sample_portrait", failing)
+    path = tmp_path / "p.csv"
+    code, out, err = run(capsys, "portrait", QUADRATIC, "--param", "a=1", "--grid=0:1:2,0:1:1", "-o", str(path))
+    assert (code, out) == (1, "")
+    assert err == "portrait: field is not finite at the initial point (0.2, 0.1)\n"
+    assert not path.exists()
+
+
+def test_portrait_memory_stays_streamed(tmp_path):
+    # each trajectory is formatted and dropped as it arrives: the peak is the
+    # text's parts, the joined text and its encoding, not every orbit's points
+    path = tmp_path / "p.csv"
+    argv = ["portrait", QUADRATIC, "--param", "a=1", "--grid=0.1:0.5:16,0.1:0.5:16", "--t-end", "1", "--step", "0.01"]
+    tracemalloc.start()
+    try:
+        assert main([*argv, "-o", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size
+
+
 def test_analyze_degenerate_field(tmp_path, capsys):
     # f = (x*(x - y), y*(x - y)): every ray is invariant, the whole divisor is
     # a line of equilibria; all four charts are degenerate
@@ -505,6 +621,36 @@ def test_verify_of_escaping_orbits_fails_in_one_line(tmp_path, capsys):
     ]
     assert lines[-1] == "14/17 checks passed (seed 0)"
     assert "Traceback" not in out
+
+
+# the demo's field-specific checks, in the order verify prints them after the
+# nine checks that do not read the field's bindings
+FIELD_CHECKS = [
+    "check_compatibility", "check_golden_forms", "check_global_counts", "check_bridge_conjugacy",
+    "check_polar_finite_difference", "check_hyperbolic_finite_difference", "check_divisor_invariance",
+    "check_rk4_order", "check_rescaling", "check_conjugacy",
+]
+
+
+@pytest.mark.parametrize("raising", [FIELD_CHECKS[:1], FIELD_CHECKS], ids=["first", "all"])
+def test_verify_check_that_raises_fails_alone(capsys, monkeypatch, raising):
+    # a DesingError fails the check that raised it, under that check's name,
+    # and every later check still runs
+    code, plain, _ = run(capsys, "verify")
+    assert code == 0
+    lines = plain.splitlines()
+    assert lines[9] == "PASS chart-compatibility (8 cases)"
+
+    def boom(*args):
+        raise DesingError("boom")
+
+    for name in raising:
+        monkeypatch.setattr(f"desing.selfcheck.{name}", boom)
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (1, "")
+    failed = range(9, 9 + len(raising))
+    expected = [f"FAIL {line.split()[1]} (0 cases) boom" if i in failed else line for i, line in enumerate(lines[:-1])]
+    assert out.splitlines() == expected + [f"{19 - len(raising)}/19 checks passed (seed 0)"]
 
 
 def test_verify_rejects_a_non_integer_seed_variable(capsys, monkeypatch):

@@ -47,6 +47,41 @@ def test_zero_field_constant_trajectory():
     assert all((u, v) == (0.3, -0.7) for _, u, v in tr.points)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    h=st.sampled_from([0.1, 0.01, 0.3, 0.7, 1.0]) | st.floats(1e-3, 10.0),
+    n=st.integers(1, 1000),
+    scale=st.sampled_from([1.0, 0.1, 0.01, 1e-7, 1.0 + 1e-12, 1.0 - 1e-12]) | st.floats(1e-3, 1.0),
+)
+@example(h=0.1, n=10, scale=1.0)  # t = 0.99999999999999989 after ten steps once took an 11th
+@example(h=0.0025, n=400, scale=1.0)  # the h/4 orbit of verify's rk4-order check
+def test_orbit_ends_at_t_end_in_at_most_ceil_steps(h, n, scale):
+    # t_end near a multiple of h: a rounding sliver left after the last full
+    # step is taken into the final step instead of a step of its own
+    t_end = n * h * scale
+    assume(t_end > 0.0 and t_end / h <= 1000)
+    tr = integrate(plane(lambda u, v: (0.0, 0.0)), (0.3, -0.7), t_end, h)
+    ts = [t for t, _, _ in tr.points]
+    assert tr.termination == "max-time"
+    assert ts[-1] == t_end
+    assert len(ts) - 1 <= math.ceil(t_end / h)
+    assert all(a < b for a, b in zip(ts, ts[1:]))
+
+
+def test_sample_portrait_integrates_each_orbit_when_asked():
+    seeds = []
+
+    def func(u, v):
+        seeds.append((u, v))
+        return (0.0, 0.0)
+
+    orbits = sample_portrait(plane(func), GridSpec(0.0, 1.0, 2, 0.0, 1.0, 2, t_end=0.1, step=0.1))
+    assert seeds == []
+    first = next(orbits)
+    assert first.points[0][1:] == (0.0, 0.0) and len(seeds) == 4  # one RK4 step
+    assert len(list(orbits)) == 7
+
+
 def test_linear_field_exponential():
     # (x, -y) from (1, 1): endpoint (e, 1/e) forward, (1/e, e) backward
     ff = plane(lambda u, v: (u, -v))
@@ -174,7 +209,7 @@ def test_chart_overflow_ends_in_left_domain():
 def test_hyperbolic_overflow_ends_in_left_domain():
     # cosh overflows on the x-hyperbola of the demo field at a = 1
     pf = desingularize_polar(polar_pushforward(F, HYPERBOLA, Branch.X))
-    trajs = sample_portrait(frame_polar(pf, A1), GridSpec(-1.0, 1.0, 4, 0.1, 1.0, 3, t_end=1.0, step=0.005))
+    trajs = list(sample_portrait(frame_polar(pf, A1), GridSpec(-1.0, 1.0, 4, 0.1, 1.0, 3, t_end=1.0, step=0.005)))
     assert len(trajs) == 24
     assert any(tr.termination == "left-domain" for tr in trajs)
     assert all(math.isfinite(u) and math.isfinite(v) for tr in trajs for _, u, v in tr.points)
@@ -489,20 +524,20 @@ def test_arc_lengths_are_the_running_hypot_sum_bit_for_bit(points):
 def test_portrait_counts():
     ff = frame_chart(blow_up_in_chart(F, W, ChartId.K1), A1)
     grid = GridSpec(0.0, 1.0, 5, -1.0, 1.0, 5, t_end=0.2, step=1e-2)
-    trajectories = sample_portrait(ff, grid)
+    trajectories = list(sample_portrait(ff, grid))
     assert len(trajectories) == 50  # forward and backward per seed
     assert all(tr.frame == "K1" for tr in trajectories)
 
 
 def test_portrait_empty_grid():
     ff = frame_original(F, A1)
-    assert sample_portrait(ff, GridSpec(0, 1, 0, 0, 1, 5)) == []
+    assert list(sample_portrait(ff, GridSpec(0, 1, 0, 0, 1, 5))) == []
 
 
 def test_portrait_divisor_rows_stay():
     ff = frame_chart(blow_up_in_chart(F, W, ChartId.K1), A1)
     grid = GridSpec(0.0, 0.0, 1, -1.0, 1.0, 3, t_end=0.5, step=1e-2)
-    for tr in sample_portrait(ff, grid):
+    for tr in list(sample_portrait(ff, grid)):
         assert max(abs(u) for _, u, _ in tr.points) < 1e-12
 
 
