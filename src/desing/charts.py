@@ -83,18 +83,13 @@ _CHART_INFO = {
 }
 
 
-def embed_points(chart: ChartId, weights: Weights, points) -> "list[tuple]":
-    """Chart points (r, w) -> plane points (x, y); exact for rational input
-    with integer weights, float otherwise."""
-    alpha, beta, sign = weights.alpha, weights.beta, chart.sign
-    if chart.x_radial:
-        return [(sign * r**alpha, r**beta * w) for r, w in points]
-    return [(r**alpha * w, sign * r**beta) for r, w in points]
-
-
 def embed(chart: ChartId, weights: Weights, point):
-    """One chart point through `embed_points`."""
-    return embed_points(chart, weights, (point,))[0]
+    """Chart point (r, w) -> plane point (x, y); exact for rational input
+    with integer weights, float otherwise."""
+    r, w = point
+    if chart.x_radial:
+        return (chart.sign * r**weights.alpha, r**weights.beta * w)
+    return (r**weights.alpha * w, chart.sign * r**weights.beta)
 
 
 @dataclass(frozen=True)
@@ -131,14 +126,6 @@ class ChartField:
         parameters bound; the undivided field is r^k times it."""
         polys = bind_components(self.desing, self.params, bindings)
         return float_evaluator(polys, (self.radial_var, self.angular_var))
-
-    def pretty(self) -> str:
-        r, w = self.radial_var, self.angular_var
-        raw = self.raw
-        return (
-            f"{self.chart}: {r}' = {raw[0]}, {w}' = {raw[1]} "
-            f"(desingularized: {r}' = {self.desing[0]}, {w}' = {self.desing[1]})"
-        )
 
 
 def blow_up_in_chart(f: VectorField, w: Weights, chart: ChartId) -> ChartField:

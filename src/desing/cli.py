@@ -4,7 +4,13 @@ Subcommands: weights, blowup, analyze, portrait, verify.  Exit codes:
 0 success, 1 domain error (bad input field, unbound parameter, failed
 verification, a value beyond the float range, a portrait beyond the RK4 step
 limit), 2 usage error.  Output is deterministic for a fixed configuration and
-seed; DESING_SEED overrides the property-check seed.
+seed; DESING_SEED overrides the property-check seed.  `verify` checks the
+parameter bindings before any check runs, so an unbound, out-of-sign or
+unknown parameter exits 1 with one stderr line, as in `analyze`.
+
+Each command derives its output once and builds all of it before writing a
+byte; `_emit` alone writes the finished parts, to stdout or to the -o file.
+So a command that fails writes nothing.
 
 A command line that starts with a command name is parsed by that command's
 parser alone: building the whole tree costs more than a small blow-up, and
@@ -186,12 +192,14 @@ def _load_field(path: str) -> VectorField:
     return lower_to_polynomials(parse_field_spec(_read_source(path)))
 
 
-def _emit(text: str, output: "str | None"):
+def _emit(parts, output: "str | None"):
+    """Write a command's finished output, an iterable of strings, to stdout
+    or to the -o file; the one writer of command output."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def render_json(payload) -> str:
@@ -348,52 +356,50 @@ def render_analysis_text(report: GlobalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _blowup_text(w, payload) -> str:
+    """`blowup`'s text, laid out from the strings of its payload: one line per
+    chart in sorted order, or the raw and desingularized polar forms."""
+    lines = [f"weights: {w}"]
+    if "charts" in payload:
+        for name, c in sorted(payload["charts"].items()):
+            r, a = c["radial"], c["angular"]
+            (raw_r, raw_a), (des_r, des_a) = c["raw"], c["desingularized"]
+            lines.append(f"{name}: {r}' = {raw_r}, {a}' = {raw_a} "
+                         f"(desingularized: {r}' = {des_r}, {a}' = {des_a})")
+    else:
+        for key in ("raw", "desingularized"):
+            p = payload[key]
+            lines += [f"{key}:", f"{p['angle']}' = {p['angular']}", f"{p['radius']}' = {p['radial']}"]
+    return "\n".join(lines) + "\n"
+
+
 # -- subcommands -------------------------------------------------------------------
 
 
 def _cmd_weights(args) -> int:
     f = _load_field(args.input)
     w = infer_weights(f)
-    if args.format == "json":
-        _emit(render_json(_weights_payload(w)), args.output)
-    else:
-        _emit(f"{w}\n", args.output)
+    text = render_json(_weights_payload(w)) if args.format == "json" else f"{w}\n"
+    _emit((text,), args.output)
     return 0
 
 
 def _cmd_blowup(args) -> int:
     f = _load_field(args.input)
     w = infer_weights(f)
+    payload = {"weights": _weights_payload(w)}
     if args.model == MODEL_DIRECTIONAL:
         try:
             names = [ChartId(c.strip()) for c in args.charts.split(",") if c.strip()]
         except ValueError as exc:
             raise DesingError(f"unknown chart in --charts: {exc}")
-        cfs = {c.value: blow_up_in_chart(f, w, c) for c in names}
-        payload = {
-            "weights": _weights_payload(w),
-            "charts": {n: _chart_payload(cf) for n, cf in cfs.items()},
-        }
-        if args.format == "json":
-            _emit(render_json(payload), args.output)
-            return 0
-        lines = [f"weights: {w}"]
-        for name in sorted(cfs):
-            lines.append(cfs[name].pretty())
-        _emit("\n".join(lines) + "\n", args.output)
-        return 0
-    raw = polar_pushforward(f, *MODELS[args.model])
-    des = desingularize_polar(raw)
-    payload = {
-        "weights": _weights_payload(w),
-        "raw": _polar_payload(raw),
-        "desingularized": _polar_payload(des),
-    }
-    if args.format == "json":
-        _emit(render_json(payload), args.output)
-        return 0
-    lines = [f"weights: {w}", "raw:", raw.pretty(), "desingularized:", des.pretty()]
-    _emit("\n".join(lines) + "\n", args.output)
+        payload["charts"] = {c.value: _chart_payload(blow_up_in_chart(f, w, c)) for c in names}
+    else:
+        raw = polar_pushforward(f, *MODELS[args.model])
+        payload["raw"] = _polar_payload(raw)
+        payload["desingularized"] = _polar_payload(desingularize_polar(raw))
+    text = render_json(payload) if args.format == "json" else _blowup_text(w, payload)
+    _emit((text,), args.output)
     return 0
 
 
@@ -401,10 +407,8 @@ def _cmd_analyze(args) -> int:
     f = _load_field(args.input)
     w = infer_weights(f)
     report = global_divisor_report(f, w, dict(args.param), model=args.model)
-    if args.format == "json":
-        _emit(render_json(analysis_payload(report)), args.output)
-    else:
-        _emit(render_analysis_text(report), args.output)
+    text = render_json(analysis_payload(report)) if args.format == "json" else render_analysis_text(report)
+    _emit((text,), args.output)
     return 0
 
 
@@ -425,8 +429,8 @@ def _cmd_portrait(args) -> int:
         w = infer_weights(f)
         frame = frame_chart(blow_up_in_chart(f, w, ChartId(args.frame)), bindings)
     grid = GridSpec(u0, u1, nu, v0, v1, nv, t_end=args.t_end, step=args.step)
-    # the whole text is built before anything is written, so a seed that
-    # raises leaves no output file; each trajectory is formatted as it arrives
+    # every part is built before anything is written, so a seed that raises
+    # leaves no output file; each trajectory is formatted as it arrives
     parts = ["frame,traj_id,t,u,v\n"]
     # "%.17g" of each distinct time, formatted once: the text is a function of
     # the float, and times start at 0.0 and grow, so they are never -0.0 or NaN
@@ -440,7 +444,7 @@ def _cmd_portrait(args) -> int:
             cells += (text, u, v)
         # one %-call per trajectory prints the bytes of :.17g per coordinate
         parts.append((f"{tr.frame},{tid},%s,%.17g,%.17g\n" * len(tr.points)) % tuple(cells))
-    _emit("".join(parts), args.output)
+    _emit(parts, args.output)
     return 0
 
 
@@ -462,7 +466,7 @@ def _cmd_verify(args) -> int:
         lines.append(f"{status} {r.name} ({r.cases} cases){detail}")
     failed = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - failed}/{len(results)} checks passed (seed {seed})")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(("\n".join(lines) + "\n",), args.output)
     return 1 if failed else 0
 
 

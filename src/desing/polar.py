@@ -87,12 +87,6 @@ class PolarField:
         polys = bind_components((self.angular.base, self.radial.base), self.params, bindings)
         return float_evaluator(polys, (COS, SIN, RADIAL), TRIG[self.sigma])
 
-    def pretty(self) -> str:
-        return (
-            f"{self.angle_name}' = {self.angular.pretty()}\n"
-            f"{self.radial_name}' = {self.radial.pretty()}"
-        )
-
 
 def _check_names(f: VectorField):
     taken = set(f.param_names())

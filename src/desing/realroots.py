@@ -477,13 +477,16 @@ def rational_roots(p, mult: int, width: Fraction) -> "list[RealRoot]":
 def compare_root(root: RealRoot, c: "Fraction | int") -> int:
     """The exact sign of root - c, for a rational c.
 
-    Refines a copy until the enclosure misses c, which terminates because an
-    enclosed root is irrational."""
-    while not root.exact and root.lo < c < root.hi:
-        root = refine_root(root, (root.hi - root.lo) / 2)
+    An enclosure holds one simple root of its factor and no other, and the
+    factor is nonzero at both endpoints; so for lo < c < hi its sign at c
+    times its sign at lo is 0 when c is the root and 1 exactly when the root
+    lies above c."""
     if root.exact:
         return (root.value > c) - (root.value < c)
-    return 1 if c <= root.lo else -1  # enclosure endpoints are never roots
+    if not root.lo < c < root.hi:
+        return 1 if c <= root.lo else -1  # enclosure endpoints are never roots
+    f, lo = root.factor, root.lo
+    return _sign_at(f, c.numerator, c.denominator) * _sign_at(f, lo.numerator, lo.denominator)
 
 
 def _compare_roots(a: RealRoot, b: RealRoot) -> int:

@@ -47,7 +47,7 @@ from .errors import DesingError, NotDivisible
 from .polar import Branch, HYPERBOLA, SPHERE, bridge_beta1, desingularize_polar, polar_pushforward
 from .poly import Poly
 from .quotient import COS, NAMES, RADIAL, SIN, TRIG, QuotientPoly, reduce_poly
-from .vectorfield import Param, VectorField
+from .vectorfield import Param, VectorField, check_param_bindings
 from .weights import Weights, infer_weights
 
 
@@ -543,7 +543,8 @@ def check_golden_forms(f: VectorField, w: Weights) -> CheckResult:
 
 def _guarded(name: str, check, *args) -> CheckResult:
     """The field-specific check's result, or its FAIL when it raises a
-    DesingError (an unbound parameter, say), so the checks after it still run."""
+    DesingError (a chart variable that collides with a field name, say), so
+    the checks after it still run."""
     try:
         return check(*args)
     except DesingError as exc:
@@ -557,6 +558,7 @@ def run_all(seed: int = 0, f: "VectorField | None" = None, bindings=None) -> "li
     bindings = dict(bindings or {})
     is_demo = f == demo_system()
     w = infer_weights(f)
+    check_param_bindings(f.params, bindings)  # a bad binding is the caller's error, not a FAIL
     results = [
         check_ring_axioms(seed),
         check_reduction_homomorphism(seed + 1),

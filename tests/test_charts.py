@@ -17,7 +17,6 @@ from desing.charts import (
     blow_up_in_chart,
     compatibility_defect,
     embed,
-    embed_points,
     overlap_sign,
     transition,
 )
@@ -211,7 +210,7 @@ def _embed_written_out(chart, weights, point):
     ids=["1-1", "2-1", "1-2"],
 )
 @pytest.mark.parametrize("chart", list(ChartId))
-def test_embed_points_matches_embed_bit_for_bit(src, weights, chart):
+def test_embed_matches_written_out_bit_for_bit(src, weights, chart):
     cf = blow_up_in_chart(lower_to_polynomials(parse_field_spec(src)), weights, chart)
     rng = random.Random(f"{chart}-{weights}")
     points = [(0.0, 0.0), (0.0, -0.0), (1e-200, -0.0), (5e-324, 3.0), (1e100, -1e200), (-0.25, 7.5)]
@@ -221,11 +220,10 @@ def test_embed_points_matches_embed_bit_for_bit(src, weights, chart):
     def bits(pts):
         return [struct.pack("<dd", *p) for p in pts]
 
-    listed = embed_points(chart, weights, points)
-    assert bits(listed) == bits([embed(cf.chart, cf.weights, p) for p in points])
-    assert bits(listed) == bits([_embed_written_out(chart, weights, p) for p in points])
+    embedded = [embed(cf.chart, cf.weights, p) for p in points]
+    assert bits(embedded) == bits([_embed_written_out(chart, weights, p) for p in points])
     rational = [(Fraction(3, 2), Fraction(-4, 5)), (Fraction(0), Fraction(7))]
-    assert embed_points(chart, weights, rational) == [_embed_written_out(chart, weights, p) for p in rational]
+    assert [embed(chart, weights, p) for p in rational] == [_embed_written_out(chart, weights, p) for p in rational]
 
 
 # -- transitions ------------------------------------------------------------------

@@ -15,9 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from desing.charts import ChartId, blow_up_in_chart
 from desing.cli import _num, _parse, build_parser, main
+from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.dynamo import Trajectory, sample_portrait
 from desing.errors import DesingError, NonFiniteField
+from desing.polar import MODELS, desingularize_polar, polar_pushforward
+from desing.weights import infer_weights
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "inputs"
@@ -300,6 +304,28 @@ def test_blowup_sphere(capsys):
     assert "theta'" in out and "cos(theta)" in out
 
 
+def test_blowup_text_is_laid_out_from_the_fields(capsys):
+    # the chart lines in sorted order and each polar block, from the fields
+    f = lower_to_polynomials(parse_field_spec(Path(QUADRATIC).read_text()))
+    w = infer_weights(f)
+    lines = [f"weights: {w}"]
+    for chart in (ChartId.K1, ChartId.K3, ChartId.K4):
+        cf = blow_up_in_chart(f, w, chart)
+        r, a = cf.radial_var, cf.angular_var
+        lines.append(
+            f"{chart}: {r}' = {cf.raw[0]}, {a}' = {cf.raw[1]} "
+            f"(desingularized: {r}' = {cf.desing[0]}, {a}' = {cf.desing[1]})"
+        )
+    assert run(capsys, "blowup", QUADRATIC, "--charts", "K4,K1,K3") == (0, "\n".join(lines) + "\n", "")
+    for model, key in MODELS.items():
+        raw = polar_pushforward(f, *key)
+        lines = [f"weights: {w}"]
+        for name, pf in (("raw", raw), ("desingularized", desingularize_polar(raw))):
+            a, r = pf.angle_name, pf.radial_name
+            lines += [f"{name}:", f"{a}' = {pf.angular.pretty()}", f"{r}' = {pf.radial.pretty()}"]
+        assert run(capsys, "blowup", QUADRATIC, "--model", model) == (0, "\n".join(lines) + "\n", "")
+
+
 def test_blowup_hyperbolic_json(capsys):
     code, out, _ = run(capsys, "blowup", QUADRATIC, "--model", "hyperbolic-x", "--format", "json")
     assert code == 0
@@ -555,8 +581,9 @@ def test_portrait_seed_that_raises_writes_nothing(tmp_path, capsys, monkeypatch)
 
 
 def test_portrait_memory_stays_streamed(tmp_path):
-    # each trajectory is formatted and dropped as it arrives: the peak is the
-    # text's parts, the joined text and its encoding, not every orbit's points
+    # each trajectory is formatted and dropped as it arrives, and the parts
+    # are written as they are: the peak is the parts and one part's encoding,
+    # not every orbit's points or a joined copy of the text
     path = tmp_path / "p.csv"
     argv = ["portrait", QUADRATIC, "--param", "a=1", "--grid=0.1:0.5:16,0.1:0.5:16", "--t-end", "1", "--step", "0.01"]
     tracemalloc.start()
@@ -565,7 +592,7 @@ def test_portrait_memory_stays_streamed(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * path.stat().st_size
+    assert peak < 1.5 * path.stat().st_size
 
 
 def test_analyze_degenerate_field(tmp_path, capsys):
@@ -651,6 +678,21 @@ def test_verify_check_that_raises_fails_alone(capsys, monkeypatch, raising):
     failed = range(9, 9 + len(raising))
     expected = [f"FAIL {line.split()[1]} (0 cases) boom" if i in failed else line for i, line in enumerate(lines[:-1])]
     assert out.splitlines() == expected + [f"{19 - len(raising)}/19 checks passed (seed 0)"]
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ([], "parameter 'a' has no binding"),
+        (["--param", "a=-1"], "parameter 'a' is declared positive but bound to -1"),
+        (["--param", "a=1", "--param", "b=1"], "binding for unknown parameter(s) ['b']"),
+    ],
+    ids=["unbound", "out-of-sign", "unknown"],
+)
+def test_verify_binding_error_exits_in_one_line(capsys, params, message):
+    # the bindings are checked once, before any check runs, as analyze does
+    assert run(capsys, "verify", QUADRATIC, *params) == (1, "", f"verify: {message}\n")
+    assert run(capsys, "analyze", QUADRATIC, *params) == (1, "", f"analyze: {message}\n")
 
 
 def test_verify_rejects_a_non_integer_seed_variable(capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """The package has no runtime dependency, the CLI imports only what it uses,
 the general substitution and division serve only as references, only
 `poly.py` reads the rational coefficient view, the functions that build a
-divisor report make no display float, and one RK4 loop serves every orbit."""
+divisor report make no display float, one RK4 loop serves every orbit, and
+`cli._emit` alone writes command output."""
 
 import ast
 import subprocess
@@ -117,3 +118,34 @@ def test_one_rk4_loop():
     integrate = dict(scopes)["integrate"]
     loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
     assert not [type(node).__name__ for node in ast.walk(integrate) if isinstance(node, loops)]
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def test_cli_writes_command_output_only_through_emit():
+    # stdout is named, written or a file opened for writing only in `_emit`,
+    # and every print goes to stderr
+    path = SRC / "desing" / "cli.py"
+    module = ast.parse(path.read_text(), str(path))
+    writers = set()
+    for top in module.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout":
+                writers.add(name)
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in ("write", "writelines", "write_text", "write_bytes"):
+                writers.add(name)
+            elif isinstance(func, ast.Name) and func.id == "open" and _opens_for_writing(node):
+                writers.add(name)
+            elif isinstance(func, ast.Name) and func.id == "print":
+                target = next((k.value for k in node.keywords if k.arg == "file"), None)
+                assert target is not None and ast.unparse(target) == "sys.stderr", (name, ast.unparse(node))
+    assert writers == {"_emit"}

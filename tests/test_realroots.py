@@ -551,6 +551,30 @@ def test_refine_jumps_onto_a_dyadic_root():
     assert refine(f, F(0), F(1), F(1, 10**12), (699051 / 2**20, 1e-9)) == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(squarefree_factors(), st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=3))
+def test_compare_root_matches_sympy(factors, ts):
+    # at each enclosure's endpoints, its midpoint and points inside it, or
+    # at and around an exact root, against the sign of CRootOf - c
+    sympy = pytest.importorskip("sympy")
+    for f in factors:
+        roots = real_roots([F(c) for c in f])
+        exact = sympy.Poly(f[::-1], sympy.Symbol("x")).real_roots()
+        assert len(roots) == len(exact)
+        for root, want in zip(roots, exact):
+            if root.exact:
+                lo, hi = root.value - 1, root.value + 1
+            else:
+                lo, hi = root.lo, root.hi
+            for c in (lo, hi, (lo + hi) / 2, root.value, *(lo + t * (hi - lo) for t in ts)):
+                if c is None:
+                    continue
+                # 50 digits of the difference, however small: enclosures reach 2^-1100
+                diff = want - sympy.Rational(c.numerator, c.denominator)
+                diff = diff.evalf(50, maxn=5000, strict=True)
+                assert compare_root(root, c) == int(sympy.sign(diff))
+
+
 # n/d that underflows to a subnormal or to zero, or overflows a float
 _OFF_FLOAT_POINTS = [(1, 2**1060), (-3, 2**1080), (1, 2**1200), (2**1100, 3), (-(2**1100), 7), (5, 3 * 2**1030)]
 
