@@ -229,9 +229,7 @@ def _laurent_substitute(p: Poly, subs: "dict[str, tuple[Poly, int]]", wvar: str)
         term_data.append((num, den))
         max_den = max(max_den, den)
     wp = Poly.var(wvar)
-    total = Poly.zero()
-    for num, den in term_data:
-        total = total + num * wp ** (max_den - den)
+    total = Poly.sum([(1, num * wp ** (max_den - den)) for num, den in term_data])
     return Poly._normal(total.vars, total.nums, total.den * p.den), max_den
 
 

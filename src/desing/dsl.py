@@ -11,20 +11,20 @@ Grammar (LL(1); `^` for powers, implicit multiplication disallowed):
     factor     := ["-"] base ["^" NAT] ;
     base       := IDENT | RATIONAL | "(" expr ")" ;
 
-Rational literals accept `p/q` and decimal forms; decimals are converted
-exactly (0.5 -> 1/2), so no floats ever enter the symbolic core.  Comments
-run from `#` to end of line.  Parentheses nest at most 100 levels deep; a
-sum or product may have any length.
+Numbers are ASCII digits, as identifiers are ASCII.  Rational literals
+accept `p/q` and decimal forms; decimals are converted exactly (0.5 -> 1/2),
+so no floats ever enter the symbolic core.  Comments run from `#` to end of
+line.  Parentheses nest at most 100 levels deep; a sum or product may have
+any length.  A token keeps only its offset in the source, and an error's
+`line:column` (from 1, a column per character) is counted from it.
 
-The parser expands as it goes: each rule returns a `Poly`, and `+`, `-`,
-`*` and `^` are applied left to right as they are read, so a FieldSpec holds
-the two right-hand sides already expanded.  A sum folds into one map of
-integer numerators over the lcm of its terms' denominators, built as
-repeated `Poly.__add__` would build it, without copying the left operand
-at every `+`.  A literal whose numerator or denominator exceeds
-`_MAX_COEFF_BITS` bits is rejected at its token, a power whose leading
-coefficient would exceed that bound at its exponent, and a product whose
-leading coefficient would at its `*`, each before it expands.
+The parser expands as it goes: each rule returns a `Poly`, and `*` and `^`
+are applied left to right as they are read, so a FieldSpec holds the two
+right-hand sides already expanded.  A sum is one `Poly.sum` of its signed
+terms.  A literal whose numerator or denominator exceeds `_MAX_COEFF_BITS`
+bits is rejected at its token, a power whose leading coefficient would
+exceed that bound at its exponent, and a product whose leading coefficient
+would at its `*`, each before it expands.
 """
 
 from __future__ import annotations
@@ -60,44 +60,36 @@ class FieldSpec:
 class Token:
     kind: str  # IDENT NUMBER SYMBOL EOF
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the source
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<newline>\n)
-      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<number>\d+(?:\.\d+)?)
-      | (?P<symbol>[;=+\-*^()/>])
+    r"""(?P<skip>[ \t\r\n]+|\#[^\n]*)
+      | (?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
+      | (?P<SYMBOL>[;=+\-*^()/>])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
+def _error(source: str, pos: int, message: str) -> ParseError:
+    """A ParseError at offset `pos`: line and column count from 1, a line
+    ends at each newline and a column is one character."""
+    line_start = source.rfind("\n", 0, pos) + 1
+    return ParseError(message, source.count("\n", 0, pos) + 1, pos - line_start + 1)
+
+
 def _lex(source: str) -> "list[Token]":
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup == "newline":
-            line += 1
-            col = 1
-        else:
-            if m.lastgroup == "ident":
-                tokens.append(Token("IDENT", text, line, col))
-            elif m.lastgroup == "number":
-                tokens.append(Token("NUMBER", text, line, col))
-            elif m.lastgroup == "symbol":
-                tokens.append(Token("SYMBOL", text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, col))
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _error(source, m.start(), f"unexpected character {m.group()!r}")
+        if kind != "skip":
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("EOF", "", len(source)))
     return tokens
 
 
@@ -105,8 +97,9 @@ def _lex(source: str) -> "list[Token]":
 
 
 class _Parser:
-    def __init__(self, tokens: "list[Token]"):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _lex(source)
         self.pos = 0
         self.depth = 0  # open parentheses
 
@@ -119,8 +112,7 @@ class _Parser:
         return tok
 
     def fail(self, message: str, tok: "Token | None" = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise _error(self.source, (tok or self.peek()).pos, message)
 
     def expect_symbol(self, sym: str) -> Token:
         tok = self.peek()
@@ -203,31 +195,11 @@ class _Parser:
         return expr
 
     def expr(self) -> Poly:
-        # `Poly.__add__` folded into one map of numerators over the lcm of
-        # the terms' denominators.  Each term's variables not seen before
-        # are appended, as repeated `+` appends them, so mapping every term
-        # to the final variables leaves the keys and their order unchanged.
         parts = [(1, self.term())]
-        vs = parts[0][1].vars
         while self.at_symbol("+") or self.at_symbol("-"):
             sign = -1 if self.next().text == "-" else 1
-            q = self.term()
-            if q.vars != vs:
-                vs += tuple(v for v in q.vars if v not in vs)
-            parts.append((sign, q))
-        if len(parts) == 1:
-            return parts[0][1]
-        den = math.lcm(*(q.den for _, q in parts))
-        terms: dict = {}
-        for sign, q in parts:
-            k = sign * (den // q.den)
-            for e, n in (q.nums if q.vars == vs else q._remapped(vs)).items():
-                s = terms.get(e, 0) + k * n
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly._normal(vs, terms, den)
+            parts.append((sign, self.term()))
+        return Poly.sum(parts)
 
     def term(self) -> Poly:
         out = self.factor()
@@ -351,7 +323,7 @@ def _lead(p: Poly, variables: "tuple[str, ...]") -> Fraction:
 
 def parse_field_spec(source: str) -> FieldSpec:
     """Parse DSL text into a FieldSpec; parsing is deterministic."""
-    return _Parser(_lex(source)).file()
+    return _Parser(source).file()
 
 
 def lower_to_polynomials(spec: FieldSpec) -> VectorField:

@@ -8,7 +8,7 @@ numerator) == 1, so an integer polynomial has den == 1 and two polynomials
 over the same variables are equal exactly when their `den` and `nums` are.
 `terms` is the derived read-only view of the rational coefficients
 nums[e]/den.  Arithmetic runs on the integers and normalises once per
-result, by one gcd over its numerators; floats only appear in
+result, by at most one gcd over its numerators; floats only appear in
 `float_evaluator`, which compiles polynomials into one float function and
 is the single place where a field becomes floats.
 
@@ -37,6 +37,9 @@ Two kinds of operation live side by side:
   form, see `charts`, and the polar blow-up maps x^m*y^n to
   r^(m+n)*c^m*s^n, see `polar`); the general ones stay as the independent
   reference the self-checks compare against.
+
+Every sum, binary `+` and `-` included, is one n-ary `Poly.sum`, which
+skips the normalising gcd when no two terms met: the sum is canonical then.
 
 `*` and `**` take a one-pass route when an operand or the base is a single
 term: a monomial factor shifts every exponent vector by one vector, which is
@@ -211,25 +214,47 @@ class Poly:
         q = self._lift(other)
         if q is None:
             return NotImplemented
-        return self._plus(q, 1)
+        return Poly.sum(((1, self), (1, q)))
 
     __radd__ = __add__
 
-    def _plus(self, q: "Poly", sign: int) -> "Poly":
-        """self + sign*q over the lcm of the two denominators."""
-        vs = Poly._union_vars(self, q)
-        den = self.den if self.den == q.den else lcm(self.den, q.den)
-        terms = self._remapped(vs)
-        if den != self.den:
-            k = den // self.den
+    @staticmethod
+    def sum(parts: "Sequence[tuple[int, Poly]]") -> "Poly":
+        """The sum of `(sign, poly)` parts, sign 1 or -1, built as repeated
+        `+` and `-` build it: variables join where first met, the first
+        part's terms come first and a cancelled key re-enters at the end.
+        The empty sum is zero over no variables.
+
+        The gcd that makes the sum canonical is taken only if two terms met.
+        If none did, no prime p divides it: with p^e exactly dividing den, the
+        lcm of the parts' denominators, the part whose denominator carries
+        p^e is canonical, so one of its numerators is prime to p, and so is
+        the scale den/den_q."""
+        if not parts:
+            return Poly._raw((), {})
+        vs = parts[0][1].vars
+        for _, q in parts:
+            if q.vars != vs:
+                vs += tuple(v for v in q.vars if v not in vs)
+        den = lcm(*(q.den for _, q in parts))
+        sign, first = parts[0]
+        k = sign * (den // first.den)
+        terms = first._remapped(vs)
+        if k != 1:
             terms = {e: k * n for e, n in terms.items()}
-        k = sign * (den // q.den)
-        for e, n in (q.nums if q.vars == vs else q._remapped(vs)).items():
-            s = terms.get(e, 0) + k * n
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+        added = len(terms)
+        for sign, q in parts[1:]:
+            k = sign * (den // q.den)
+            added += len(q.nums)
+            for e, n in (q.nums if q.vars == vs else q._remapped(vs)).items():
+                s = terms.get(e, 0) + k * n
+                if s:
+                    terms[e] = s
+                else:
+                    terms.pop(e, None)
+        # a meeting leaves fewer terms than were added
+        if len(terms) == added:
+            return Poly._raw(vs, terms, den)
         return Poly._normal(vs, terms, den)
 
     def __neg__(self):
@@ -239,13 +264,13 @@ class Poly:
         q = self._lift(other)
         if q is None:
             return NotImplemented
-        return self._plus(q, -1)
+        return Poly.sum(((1, self), (-1, q)))
 
     def __rsub__(self, other):
         q = self._lift(other)
         if q is None:
             return NotImplemented
-        return q._plus(self, -1)
+        return Poly.sum(((1, q), (-1, self)))
 
     def __mul__(self, other):
         q = self._lift(other)
@@ -330,8 +355,8 @@ class Poly:
         keep = tuple(v for v in self.vars if v not in bound)
         sel = [self.vars.index(v) for v in keep]
         power_cache: dict = {}
-        # the numerators composed, then divided by den once
-        acc = Poly.zero(keep)
+        # the numerators composed, summed, then divided by den once
+        parts = [(1, Poly._raw(keep, {}))]
         for exps, n in self.nums.items():
             term = Poly._raw(keep, {tuple(exps[i] for i in sel): n})
             for v, e in zip(self.vars, exps):
@@ -340,7 +365,8 @@ class Poly:
                     if key not in power_cache:
                         power_cache[key] = bound[v] ** e
                     term = term * power_cache[key]
-            acc = acc + term
+            parts.append((1, term))
+        acc = Poly.sum(parts)
         return Poly._normal(acc.vars, acc.nums, acc.den * self.den)
 
     def _check_bound(self, bindings) -> None:

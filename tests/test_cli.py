@@ -176,6 +176,20 @@ def test_exact_values_past_the_int_text_limit_render():
     assert _num(Fraction(7 * 10**5000)) == "7" + "0" * 5000
 
 
+def test_numbers_are_ascii_digits(tmp_path, capsys):
+    # identifiers are ASCII, and so are numbers: an Arabic-Indic three or a
+    # fullwidth two is an unexpected character at its line:column
+    path = tmp_path / "digits.vf"
+    for rhs, message in (("\u0663*x^2", "2:9: unexpected character '\u0663'"),
+                         ("3*x^\uff12", "2:13: unexpected character '\uff12'")):
+        path.write_text(f"var x y;\ndx/dt = {rhs};\ndy/dt = y^2;\n", encoding="utf-8")
+        code, out, err = run(capsys, "weights", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"weights: {message}"]
+    path.write_text("var x y;\ndx/dt = 3*x^2;\ndy/dt = y^2;\n", encoding="utf-8")
+    assert run(capsys, "weights", str(path)) == (0, "(alpha, beta, k) = (1, 1, 1)\n", "")
+
+
 @pytest.mark.parametrize(
     "rhs, message",
     [

@@ -1,10 +1,15 @@
 import operator
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from desing import dsl
 from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.errors import ParseError
 from desing.poly import Poly, poly_vars
@@ -103,8 +108,9 @@ def test_binomial_identity_lowering():
 # or (op, left, right) with op one of "add", "sub", "mul".
 
 _OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "pow": operator.pow}
-# the parser folds sums itself and multiplies through Poly's one-term passes;
-# the reference adds with Poly.__add__ and multiplies with the double loop
+# the parser adds with one Poly.sum per sum and multiplies through Poly's
+# one-term passes; the reference adds with binary Poly.__add__ and multiplies
+# with the double loop
 _REFERENCE = dict(_OPS, mul=ref_mul, pow=ref_pow)
 
 
@@ -252,3 +258,109 @@ def test_long_chains_lower_like_short_ones():
     )
     assert hash(spec) == hash(again)
     assert spec == again
+
+
+# -- error positions against the line and column walk ------------------------------
+
+
+_WALK_RE = re.compile(
+    r"""(?P<ws>[ \t\r]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<newline>\n)
+      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<number>\d+(?:\.\d+)?)
+      | (?P<symbol>[;=+\-*^()/>])
+    """,
+    re.VERBOSE,
+)
+
+
+def line_column_walk(source):
+    """The lexer as it was before tokens kept only their offsets: it counts
+    a line and a column along every token, and a newline token starts the
+    next line.  Returns (kind, text, line, column) per token, EOF included,
+    or raises at an unexpected character.  Its numbers are any Unicode
+    decimal digits, so the sources below use ASCII digits only."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(source):
+        m = _WALK_RE.match(source, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+        text = m.group(0)
+        if m.lastgroup == "newline":
+            line += 1
+            col = 1
+        else:
+            if m.lastgroup in ("ident", "number", "symbol"):
+                tokens.append((m.lastgroup.upper(), text, line, col))
+            col += len(text)
+        pos = m.end()
+    tokens.append(("EOF", "", line, col))
+    return tokens
+
+
+_VALID = "param a > 0;\nvar x y;\ndx/dt = a*x^2 - 2*x*y;\ndy/dt = y^2 - 1/2*a*x*y + 0.5;\n"
+_GAPS = ("", " ", "  ", "\t", "\n", "\r\n", " # note\n", "\t# note\r\n", "\n\n\t")
+_STRAYS = ("?", "$", "\u00e9", "\u00a0", "!")
+
+
+@st.composite
+def edited_files(draw):
+    """A valid file with its gaps redrawn (an empty gap can merge two
+    tokens), then cut short, with one ';' dropped or a stray character put
+    in; or fragments of DSL text in any order."""
+    if draw(st.booleans()):
+        fragments = [" ", "\t", "\n", "\r\n", "# note\n", "# no end", "var x y;", "param a;", "dx/dt",
+                     "dy/dt", "=", "x", "y", "a", "*", "^", "2", "1/2", "0.5", "+", "-", "(", ")", ";",
+                     *_STRAYS]
+        return "".join(draw(st.lists(st.sampled_from(fragments), max_size=30)))
+    source = "".join(draw(st.sampled_from(_GAPS)) + t[1] for t in line_column_walk(_VALID))
+    edit = draw(st.sampled_from(("none", "cut", "drop ;", "stray")))
+    at = draw(st.integers(0, len(source)))
+    if edit == "cut":
+        source = source[:at]
+    elif edit == "drop ;":
+        semis = [i for i, ch in enumerate(source) if ch == ";"]
+        i = semis[at % len(semis)]
+        source = source[:i] + source[i + 1:]
+    elif edit == "stray":
+        source = source[:at] + draw(st.sampled_from(_STRAYS)) + source[at:]
+    return source
+
+
+@settings(max_examples=400, deadline=None)
+@given(edited_files())
+def test_error_positions_match_the_line_and_column_walk(source):
+    # every token's offset converts to the line and column the walk counts,
+    # and a ParseError reads the line and column of the offset it was raised
+    # at, with the message the lexer or parser gave
+    raised = []
+    real = dsl._error
+
+    def recording(src, pos, message):
+        raised.append((pos, message))
+        return real(src, pos, message)
+
+    with mock.patch.object(dsl, "_error", recording):
+        try:
+            parse_field_spec(source)
+            err = None
+        except ParseError as exc:
+            err = exc
+    try:
+        walk = line_column_walk(source)
+    except ParseError as expected:
+        assert err is not None
+        assert (err.line, err.column, str(err)) == (expected.line, expected.column, str(expected))
+        return
+    tokens = dsl._lex(source)
+    assert [(t.kind, t.text) for t in tokens] == [w[:2] for w in walk]
+    for t, (_, _, line, col) in zip(tokens, walk):
+        e = real(source, t.pos, "")
+        assert (e.line, e.column) == (line, col)
+    if err is not None:
+        ((pos, message),) = raised
+        ((_, _, line, col),) = [w for t, w in zip(tokens, walk) if t.pos == pos]
+        assert (err.line, err.column, str(err)) == (line, col, f"{line}:{col}: {message}")

@@ -1,8 +1,9 @@
 """The package has no runtime dependency, the CLI imports only what it uses,
 the general substitution and division serve only as references, only
-`poly.py` reads the rational coefficient view, the functions that build a
-divisor report make no display float, one RK4 loop serves every orbit, and
-`cli._emit` alone writes command output."""
+`poly.py` reads the rational coefficient view, the parser builds no
+polynomial from raw numerators, the functions that build a divisor report
+make no display float, one RK4 loop serves every orbit, `cli._emit` alone
+writes command output, and README's Library block runs as written."""
 
 import ast
 import subprocess
@@ -62,6 +63,18 @@ def test_only_poly_reads_the_rational_view():
             if isinstance(node, ast.Attribute) and node.attr == "terms":
                 readers.add(path.name)
     assert readers <= {"poly.py"}
+
+
+def test_parser_builds_no_polynomial_from_raw_numerators():
+    # the parser composes polynomials with `Poly` operations only; the
+    # trusted constructors stay inside the arithmetic
+    path = SRC / "desing" / "dsl.py"
+    used = {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("_raw", "_normal")
+    }
+    assert used == set()
 
 
 def test_report_builders_make_no_display_float():
@@ -149,3 +162,27 @@ def test_cli_writes_command_output_only_through_emit():
                 target = next((k.value for k in node.keywords if k.arg == "file"), None)
                 assert target is not None and ast.unparse(target) == "sys.stderr", (name, ast.unparse(node))
     assert writers == {"_emit"}
+
+
+def test_readme_library_block_runs(monkeypatch, capsys):
+    # the ```python block runs from the repository root, and each `# value`
+    # comment is what the line prints or what it assigns
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), namespace)
+    printed = iter(capsys.readouterr().out.splitlines())
+    checked = []
+    for line in block.splitlines():
+        code, _, value = (part.strip() for part in line.partition("#"))
+        if code.startswith("print("):
+            shown = next(printed)
+            if value:
+                assert shown == value
+                checked.append(value)
+        elif value:
+            assert repr(namespace[code.split("=")[0].strip()]) == value
+            checked.append(value)
+    assert next(printed, None) is None
+    assert checked == ["Weights(alpha=1, beta=1, k=1)", "a*r1 - 2*r1*y1 | -2*a*y1 + 3*y1^2", "6"]

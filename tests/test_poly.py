@@ -821,3 +821,100 @@ def test_float_source_matches_the_rational_loop(ps, angle, rnd):
                            lambda: ref_float_source([Ref.of(p) for p in ps], order, angle))
     if outcome:
         assert outcome[0] == outcome[1]
+
+
+# -- the n-ary sum against a Fraction fold ----------------------------------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def sum_parts(draw):
+    """Signed parts over overlapping and disjoint variables whose
+    denominators are products of distinct small primes, so often coprime;
+    exponents 0-1 make keys meet, and a part may repeat an earlier one with
+    the opposite sign, so that keys cancel and re-enter."""
+    parts = []
+    for _ in range(draw(st.integers(1, 6))):
+        if parts and draw(st.integers(0, 3)) == 0:
+            sign, p = draw(st.sampled_from(parts))
+            parts.append((-sign, p))
+            continue
+        names = tuple(draw(st.lists(st.sampled_from(("x", "y", "z", "u", "v")), max_size=3, unique=True)))
+        den = math.prod(draw(st.sets(st.sampled_from(PRIMES), max_size=3)))
+        coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.just(den))
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 1)] * len(names)), coeffs, max_size=4))
+        parts.append((draw(st.sampled_from((1, -1))), Poly(names, terms)))
+    return parts
+
+
+def fraction_sum(parts):
+    """The parts added one at a time on exponent -> Fraction maps over the
+    variables in the order they are met."""
+    vs = ()
+    for _, p in parts:
+        vs += tuple(v for v in p.vars if v not in vs)
+    terms = {}
+    for sign, p in parts:
+        for e, c in p.terms.items():
+            key = tuple(dict(zip(p.vars, e)).get(v, 0) for v in vs)
+            s = terms.get(key, 0) + sign * c
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+    return vs, list(terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_parts())
+def test_sum_is_the_fraction_fold(parts):
+    total = Poly.sum(parts)
+    vs, terms = fraction_sum(parts)
+    assert total.vars == vs
+    assert list(total.terms.items()) == terms
+    assert total.den == math.lcm(*(c.denominator for _, c in terms))
+    assert all(total.nums.values()) and math.gcd(total.den, *total.nums.values()) == 1
+    # repeated binary `+` and `-` build the same polynomial
+    acc = parts[0][1] if parts[0][0] == 1 else -parts[0][1]
+    for sign, p in parts[1:]:
+        acc = acc + p if sign == 1 else acc - p
+    assert identical(acc, total)
+
+
+def test_empty_sum_is_zero_over_no_variables():
+    assert identical(Poly.sum([]), Poly.zero())
+
+
+def first_primes(n):
+    primes = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_merge_free_sum_takes_no_gcd(monkeypatch):
+    # 1/2*x + 1/3*x^2 + ... + 1/p_3000*x^3000: no two terms meet, so the sum
+    # over the product of the primes is canonical without a gcd over its
+    # 3000 numerators; in the parser the only gcds left are the terms' own
+    import desing.poly
+    from desing.dsl import parse_field_spec
+
+    primes = first_primes(3000)
+    parts = [(1, Fraction(1, p) * x**i) for i, p in enumerate(primes, 1)]
+    calls = []
+    monkeypatch.setattr(desing.poly, "gcd", lambda *args: calls.append(len(args)) or math.gcd(*args))
+    total = Poly.sum(parts)
+    assert calls == []
+    assert total.den == math.prod(primes)
+    assert list(total.terms.items()) == [((i,), Fraction(1, p)) for i, p in enumerate(primes, 1)]
+    # a sum in which two terms meet still normalises, once
+    Poly.sum(parts + [(-1, parts[0][1])])
+    assert calls == [3000]
+    calls.clear()
+    source = " + ".join(f"1/{p}*x^{i}" for i, p in enumerate(primes, 1))
+    assert identical(parse_field_spec(f"var x y; dx/dt = {source}; dy/dt = y;").rhs[0], total)
+    assert max(calls) == 2
