@@ -12,18 +12,18 @@ Each command derives its output once and builds all of it before writing a
 byte; `_emit` alone writes the finished parts, to stdout or to the -o file.
 So a command that fails writes nothing.
 
-A command line that starts with a command name is parsed by that command's
-parser alone: building the whole tree costs more than a small blow-up, and
-a process runs one command.  The full tree (`build_parser`) is built only
-when the first argument is not a command name (no arguments, `-h`, `--`, an
-unknown name) or when the command's parser leaves arguments it does not
-recognize; argparse's top-level parser then prints the usage, help or error
-text, so every message and exit code is the one the full tree gives.
+`main` parses every command line with the one parser tree of
+`build_parser`, built on its first call and reused for the life of the
+process: in-process callers (the benchmark, the tests, library users) call
+`main` many times, and building the tree costs over ten times what parsing
+with it does.  Parsing leaves the tree as it was; an appended `--param` list
+is a copy, never the shared default.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 
 from .charts import ChartId, blow_up_in_chart
-from .dsl import parse_field_spec, lower_to_polynomials
+from .dsl import _MAX_COEFF_BITS, parse_field_spec, lower_to_polynomials
 from .dynamo import GridSpec, frame_chart, frame_original, frame_polar, sample_portrait
 from .equilibria import (
     DERIVATION_NOTES,
@@ -62,9 +62,27 @@ def _param_binding(text: str):
     if not sep or not name:
         raise argparse.ArgumentTypeError(f"expected name=value, got {text!r}")
     try:
-        return (name.strip(), Fraction(value.strip()))
+        return (name.strip(), _rational(value.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational value in {text!r}: {exc}")
+
+
+def _rational(text: str) -> Fraction:
+    """`Fraction(text)` within the DSL's coefficient budget: a numerator or
+    denominator of more than `_MAX_COEFF_BITS` bits is refused, one that only
+    an exponent makes that large before it is built.  A nonzero mantissa of m
+    digits times 10^e has a numerator or denominator of at least 10^(|e| - m),
+    so such an exponent bounds the value's size (`0e99999` is refused too)."""
+    mantissa, e, exponent = text.lower().partition("e")
+    try:
+        shift = abs(int(exponent)) - sum(map(str.isdecimal, mantissa)) if e else 0
+    except ValueError:
+        shift = 0  # no exponent: Fraction names the fault
+    if shift <= _MAX_COEFF_BITS / math.log2(10):
+        value = Fraction(text)
+        if max(value.numerator.bit_length(), value.denominator.bit_length()) <= _MAX_COEFF_BITS:
+            return value
+    raise ValueError(f"numerator or denominator exceeds the supported bound of {_MAX_COEFF_BITS} bits")
 
 
 def _grid(text: str):
@@ -96,16 +114,10 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_common(p):
-    p.add_argument("input", help="vector-field file ('-' for stdin)")
-    p.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        type=_param_binding,
-        metavar="NAME=VALUE",
-        help="bind a parameter to an exact rational (repeatable)",
-    )
+def _add_common(p, nargs=None, input_help="vector-field file ('-' for stdin)"):
+    p.add_argument("input", nargs=nargs, help=input_help)
+    p.add_argument("--param", action="append", default=[], type=_param_binding, metavar="NAME=VALUE",
+                   help="bind a parameter to an exact rational (repeatable)")
     p.add_argument("-o", "--output", default=None, help="write output to a file")
 
 
@@ -136,14 +148,11 @@ def _portrait_args(p):
 
 
 def _verify_args(p):
-    p.add_argument("input", nargs="?", default=None, help="optional field file ('-' for stdin)")
-    p.add_argument(
-        "--param", action="append", default=[], type=_param_binding, metavar="NAME=VALUE"
-    )
-    p.add_argument("-o", "--output", default=None)
+    _add_common(p, nargs="?", input_help="optional field file ('-' for stdin)")
     p.add_argument("--seed", type=int, default=0, help="property-check seed (DESING_SEED overrides)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="desing",
@@ -153,20 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_line, add_args, _) in _COMMANDS.items():
         add_args(sub.add_parser(name, help=help_line))
     return top
-
-
-def _parse(argv) -> argparse.Namespace:
-    """The parsed command line: by the named command's parser alone unless
-    that parser leaves arguments unrecognized (see the module docstring)."""
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"desing {argv[0]}")
-        command[1](parser)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -481,7 +476,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][2](args)
     except (DesingError, OSError) as exc:

@@ -3,7 +3,8 @@ the general substitution and division serve only as references, only
 `poly.py` reads the rational coefficient view, the parser builds no
 polynomial from raw numerators, the functions that build a divisor report
 make no display float, one RK4 loop serves every orbit, `cli._emit` alone
-writes command output, and README's Library block runs as written."""
+writes command output, one parser tree parses every command line, and
+README's Library block runs as written."""
 
 import ast
 import subprocess
@@ -162,6 +163,21 @@ def test_cli_writes_command_output_only_through_emit():
                 target = next((k.value for k in node.keywords if k.arg == "file"), None)
                 assert target is not None and ast.unparse(target) == "sys.stderr", (name, ast.unparse(node))
     assert writers == {"_emit"}
+
+
+def test_one_parser_tree_parses_every_command_line():
+    # `cli.build_parser` alone makes argument parsers and `cli.main` alone
+    # parses with them, so no second parse path has to be kept in step
+    callers = {"ArgumentParser": set(), "parse_args": set(), "parse_known_args": set()}
+    for path in sorted((SRC / "desing").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name in callers:
+                        callers[name].add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"ArgumentParser": {"cli.build_parser"}, "parse_args": {"cli.main"}, "parse_known_args": set()}
 
 
 def test_readme_library_block_runs(monkeypatch, capsys):
