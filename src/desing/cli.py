@@ -6,7 +6,11 @@ verification, a value beyond the float range, a portrait beyond the RK4 step
 limit), 2 usage error.  Output is deterministic for a fixed configuration and
 seed; DESING_SEED overrides the property-check seed.  `verify` checks the
 parameter bindings before any check runs, so an unbound, out-of-sign or
-unknown parameter exits 1 with one stderr line, as in `analyze`.
+unknown parameter exits 1 with one stderr line, as in `analyze`.  Bare
+`verify` runs every check of `selfcheck` on the demo field; `verify FILE`
+runs only the checks that read FILE (see `selfcheck`), and a check that
+raises prints as its FAIL line.  A `--param` value is read by the DSL's
+number reader, `dsl.exact_rational`.
 
 Each command derives its output once and builds all of it before writing a
 byte; `_emit` alone writes the finished parts, to stdout or to the -o file.
@@ -32,7 +36,7 @@ import sys
 from fractions import Fraction
 
 from .charts import ChartId, blow_up_in_chart
-from .dsl import _MAX_COEFF_BITS, parse_field_spec, lower_to_polynomials
+from .dsl import _MAX_COEFF_BITS, OverBudget, exact_rational, lower_to_polynomials, parse_field_spec
 from .dynamo import GridSpec, frame_chart, frame_original, frame_polar, sample_portrait
 from .equilibria import (
     DERIVATION_NOTES,
@@ -58,31 +62,20 @@ _MAX_RK4_STEPS = 10**6
 
 
 def _param_binding(text: str):
+    """NAME=VALUE, the value read as the DSL reads a number literal (in
+    `Fraction`'s syntax) within its coefficient budget."""
     name, sep, value = text.partition("=")
     if not sep or not name:
         raise argparse.ArgumentTypeError(f"expected name=value, got {text!r}")
     try:
-        return (name.strip(), _rational(value.strip()))
+        return (name.strip(), exact_rational(value.strip()))
+    except OverBudget:
+        raise argparse.ArgumentTypeError(
+            f"bad rational value in {text!r}: "
+            f"numerator or denominator exceeds the supported bound of {_MAX_COEFF_BITS} bits"
+        )
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational value in {text!r}: {exc}")
-
-
-def _rational(text: str) -> Fraction:
-    """`Fraction(text)` within the DSL's coefficient budget: a numerator or
-    denominator of more than `_MAX_COEFF_BITS` bits is refused, one that only
-    an exponent makes that large before it is built.  A nonzero mantissa of m
-    digits times 10^e has a numerator or denominator of at least 10^(|e| - m),
-    so such an exponent bounds the value's size (`0e99999` is refused too)."""
-    mantissa, e, exponent = text.lower().partition("e")
-    try:
-        shift = abs(int(exponent)) - sum(map(str.isdecimal, mantissa)) if e else 0
-    except ValueError:
-        shift = 0  # no exponent: Fraction names the fault
-    if shift <= _MAX_COEFF_BITS / math.log2(10):
-        value = Fraction(text)
-        if max(value.numerator.bit_length(), value.denominator.bit_length()) <= _MAX_COEFF_BITS:
-            return value
-    raise ValueError(f"numerator or denominator exceeds the supported bound of {_MAX_COEFF_BITS} bits")
 
 
 def _grid(text: str):
@@ -265,7 +258,7 @@ def analysis_payload(report: GlobalReport):
     return {
         "model": report.model,
         "field": _field_payload(report.field),
-        "bindings": {k: str(v) for k, v in report.bindings.items()},
+        "bindings": {k: _num(v) for k, v in report.bindings.items()},
         "weights": _weights_payload(report.weights),
         "charts": {name: _chart_payload(cf) for name, cf in report.chart_fields.items()},
         "polar": None
@@ -291,7 +284,7 @@ def render_analysis_text(report: GlobalReport) -> str:
     f = report.field
     lines.append(f"field: {f}")
     if report.bindings:
-        shown = ", ".join(f"{k} = {v}" for k, v in sorted(report.bindings.items()))
+        shown = ", ".join(f"{k} = {_num(v)}" for k, v in sorted(report.bindings.items()))
         lines.append(f"bindings: {shown}")
     lines.append(f"weights: {report.weights}")
     lines.append(f"model: {report.model}")

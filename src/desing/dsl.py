@@ -21,7 +21,8 @@ any length.  A token keeps only its offset in the source, and an error's
 The parser expands as it goes: each rule returns a `Poly`, and `*` and `^`
 are applied left to right as they are read, so a FieldSpec holds the two
 right-hand sides already expanded.  A sum is one `Poly.sum` of its signed
-terms.  A literal whose numerator or denominator exceeds `_MAX_COEFF_BITS`
+terms.  A literal is read by `exact_rational`, which reads `--param` values
+too; one whose numerator or denominator exceeds `_MAX_COEFF_BITS`
 bits is rejected at its token, a power whose leading coefficient would
 exceed that bound at its exponent, and a product whose leading coefficient
 would at its `*`, each before it expands.
@@ -29,9 +30,9 @@ would at its `*`, each before it expands.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError
@@ -252,26 +253,15 @@ class _Parser:
         return int(digits)
 
     def literal(self, tok: Token) -> Fraction:
-        """The exact value of a NUMBER token, also one with more digits than
-        `int` converts from text; over budget when its numerator or
-        denominator has more than `_MAX_COEFF_BITS` bits."""
+        """The exact value of a NUMBER token, within the coefficient budget."""
         try:
-            value = Fraction(tok.text)
-        except ValueError:  # too many digits for `int`
-            whole, _, frac = tok.text.partition(".")
-            whole, frac = whole.lstrip("0"), frac.rstrip("0")
-            # lower bounds from the digits alone: the numerator is at least
-            # 10^(len(whole) - 1), the denominator at least 2^len(frac)
-            self.check_bits(max(int((len(whole) - 1) * math.log2(10)) + 1, len(frac) + 1), tok)
-            from decimal import Decimal
-
-            value = Fraction(Decimal(tok.text))
-        self.check_bits(max(value.numerator.bit_length(), value.denominator.bit_length()), tok)
-        return value
+            return exact_rational(tok.text)
+        except OverBudget as exc:
+            self.fail(str(exc), tok)
 
     def check_bits(self, bits: int, tok: Token):
         if bits > _MAX_COEFF_BITS:
-            self.fail(f"coefficient of about {bits} bits exceeds the supported bound of {_MAX_COEFF_BITS} bits", tok)
+            self.fail(str(OverBudget(bits)), tok)
 
     def base(self) -> Poly:
         tok = self.peek()
@@ -305,6 +295,79 @@ class _Parser:
             return out
         self.fail(f"expected identifier, number or '(', found {tok.text!r}"
                   if tok.text else "unexpected end of input")
+
+
+# a rational as `Fraction` reads it: a sign and digits with single `_`s
+# between them, then `/` and an integer, or a decimal part and an exponent;
+# the groups are sign, numerator, denominator, decimal part and exponent
+_RATIONAL_RE = re.compile(
+    r"\s*([-+]?)(?=\.?\d)((?:\d+(?:_\d+)*)?)"
+    r"(?:/(\d+(?:_\d+)*)|(?:\.((?:\d+(?:_\d+)*)?))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*"
+)
+
+
+class OverBudget(ValueError):
+    """A rational whose numerator or denominator has about `bits` bits, more
+    than `_MAX_COEFF_BITS`."""
+
+    def __init__(self, bits: int):
+        super().__init__(f"coefficient of about {bits} bits exceeds the supported bound of {_MAX_COEFF_BITS} bits")
+        self.bits = bits
+
+
+def _int(digits: str) -> int:
+    """`int(digits)`, also past `int`'s limit on the digits it reads from text."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
+
+
+def _pow10_bits(n: int) -> int:
+    """The bits of 10^n for n >= 0, in integers: log2(10) = 3.321928094887362..."""
+    return n * 3_321_928_094_887_362 // 10**15 + 1
+
+
+def exact_rational(text: str) -> Fraction:
+    """The value of `text` as `Fraction(text)` reads it, also with more digits
+    than `int` reads from text: the one reader of the DSL's number literals
+    and of `--param` values.
+
+    OverBudget when its numerator or denominator has more than
+    `_MAX_COEFF_BITS` bits, before it is built where the digits show it: an
+    integer of n significant digits is at least 10^(n - 1), a decimal part of
+    n digits up to its last nonzero one leaves a denominator of at least 2^n,
+    and a mantissa of m digits times 10^e a numerator or denominator of about
+    10^(|e| - m) (so `0e99999` is refused)."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"invalid rational literal {text!r}")
+    sign, num, den, dec, exp = m.groups("")
+    if "_" in text:
+        num, den, dec, exp = (g.replace("_", "") for g in (num, den, dec, exp))
+    e = _int(exp) if exp else 0
+    # without an exponent the digits bound the size only past 0.3 digits per
+    # bit of the budget, as log2(10) > 3.3
+    if exp or len(text) > _MAX_COEFF_BITS * 3 // 10:
+        bits = max(
+            _pow10_bits(len(num.lstrip("0")) - 1),
+            _pow10_bits(len(den.lstrip("0")) - 1),
+            len(dec.rstrip("0")) + 1,
+            _pow10_bits(abs(e) - len(num + dec)) if exp else 0,
+        )
+        if bits > _MAX_COEFF_BITS:
+            raise OverBudget(bits)
+    n, d = _int(num + dec or "0"), _int(den or "1")
+    e -= len(dec)
+    if e >= 0:
+        n *= 10**e
+    else:
+        d *= 10**-e
+    value = Fraction(-n if sign == "-" else n, d)
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if bits > _MAX_COEFF_BITS:
+        raise OverBudget(bits)
+    return value
 
 
 def _bits(p: Poly) -> int:

@@ -4,7 +4,10 @@ Each check returns a CheckResult; the pytest suite reuses the same functions
 so the CLI and the tests cannot drift apart.  Randomized checks draw from a
 seeded generator and are deterministic for a fixed seed.
 
-The production code each check exercises:
+The checks in the order `verify` prints them, with the production code each
+exercises.  Bare `verify` runs all of them on the demo field; `verify FILE`
+only those marked FILE, which read FILE, and those marked unit only for unit
+weights.  Each runs through `_guarded`: a check that raises fails alone.
 
 - ring-axioms: `Poly` addition and multiplication.
 - reduction-homomorphism: `quotient.reduce_poly`, which the polar blow-up runs.
@@ -13,24 +16,24 @@ The production code each check exercises:
   run; it is the independent reference of the two checks below that use it.
 - weights-oracle: `weights.infer_weights` against planted weights.
 - polar-solve-roundtrip: `polar.polar_pushforward`, against `Poly.substitute`.
-- chart-pushforward: `charts.blow_up_in_chart` (unit weights), against
+- chart-pushforward (FILE): `charts.blow_up_in_chart` (unit weights), against
   `Poly.substitute`.
 - chart-pushforward-numeric: `blow_up_in_chart` and `ChartField.as_callable`
   for weights (2, 1, 2), through `_pushforward_defect`.
 - transition-roundtrip: `charts.transition`.
-- chart-compatibility: `blow_up_in_chart` on overlapping charts, through
-  `charts.compatibility_defect`.
+- chart-compatibility (FILE, unit): `blow_up_in_chart` on overlapping charts,
+  through `charts.compatibility_defect`.
 - golden-forms: `blow_up_in_chart` and `polar_pushforward` on the demo field.
 - global-counts: `equilibria.global_divisor_report`, sphere and hyperbolic-x.
-- bridge-conjugacy: `polar.desingularize_polar`, `PolarField.as_callable`,
-  `ChartField.as_callable` and `polar.bridge_beta1`.
-- polar-finite-difference, hyperbolic-finite-difference: `polar_pushforward`
-  and `PolarField.as_callable`, against `dynamo.integrate` of the plane field.
-- divisor-invariance: `dynamo.integrate` in `dynamo.frame_chart`.
-- rk4-order: `dynamo.integrate`, through `dynamo.observed_order`.
-- raw-vs-desing-rescaling: `blow_up_in_chart` and `ChartField.as_callable`,
+- bridge-conjugacy (FILE, unit): `polar.desingularize_polar`,
+  `PolarField.as_callable`, `ChartField.as_callable` and `polar.bridge_beta1`.
+- polar-finite-difference, hyperbolic-finite-difference (FILE, unit):
+  `polar_pushforward` and `PolarField.as_callable`, against `dynamo.integrate`.
+- divisor-invariance (FILE): `dynamo.integrate` in `dynamo.frame_chart`.
+- rk4-order (FILE): `dynamo.integrate`, through `dynamo.observed_order`.
+- raw-vs-desing-rescaling (FILE): `blow_up_in_chart`, `ChartField.as_callable`
   in every chart and for any weights, against `VectorField.as_callable`.
-- conjugacy: `dynamo.conjugacy_check`.
+- conjugacy (FILE): `dynamo.conjugacy_check`.
 """
 
 from __future__ import annotations
@@ -542,9 +545,8 @@ def check_golden_forms(f: VectorField, w: Weights) -> CheckResult:
 
 
 def _guarded(name: str, check, *args) -> CheckResult:
-    """The field-specific check's result, or its FAIL when it raises a
-    DesingError (a chart variable that collides with a field name, say), so
-    the checks after it still run."""
+    """The check's result, or its FAIL when it raises a DesingError (a chart
+    variable that collides with a field name, say): the later checks run."""
     try:
         return check(*args)
     except DesingError as exc:
@@ -552,36 +554,34 @@ def _guarded(name: str, check, *args) -> CheckResult:
 
 
 def run_all(seed: int = 0, f: "VectorField | None" = None, bindings=None) -> "list[CheckResult]":
-    if f is None:
-        f = demo_system()
-        bindings = bindings or {"a": Fraction(1)}
+    """The checks `verify` prints: all on the demo field (a = 1 unless bound), or those that read f."""
+    demo = f is None
+    if demo:
+        f, bindings = demo_system(), bindings or {"a": Fraction(1)}
     bindings = dict(bindings or {})
-    is_demo = f == demo_system()
     w = infer_weights(f)
     check_param_bindings(f.params, bindings)  # a bad binding is the caller's error, not a FAIL
-    results = [
-        check_ring_axioms(seed),
-        check_reduction_homomorphism(seed + 1),
-        check_exact_division(seed + 2),
-        check_substitution_homomorphism(seed + 3),
-        check_weights_oracle(seed + 4),
-        check_polar_solve_roundtrip(seed + 5),
-        check_chart_pushforward(f, w),
-        check_chart_pushforward_numeric(seed + 6),
-        check_transition_roundtrip(seed + 7),
+    unit = (w.alpha, w.beta) == (1, 1)
+    # (runs, name, check, args), built per call: a check rebound after import (bench/tracing.py) runs
+    rows = [
+        (demo, "ring-axioms", check_ring_axioms, (seed,)),
+        (demo, "reduction-homomorphism", check_reduction_homomorphism, (seed + 1,)),
+        (demo, "exact-division", check_exact_division, (seed + 2,)),
+        (demo, "substitution-homomorphism", check_substitution_homomorphism, (seed + 3,)),
+        (demo, "weights-oracle", check_weights_oracle, (seed + 4,)),
+        (demo, "polar-solve-roundtrip", check_polar_solve_roundtrip, (seed + 5,)),
+        (True, "chart-pushforward", check_chart_pushforward, (f, w)),
+        (demo, "chart-pushforward-numeric", check_chart_pushforward_numeric, (seed + 6,)),
+        (demo, "transition-roundtrip", check_transition_roundtrip, (seed + 7,)),
+        (unit, "chart-compatibility", check_compatibility, (f, w)),
+        (demo, "golden-forms", check_golden_forms, (f, w)),
+        (demo, "global-counts", check_global_counts, (f, w)),
+        (unit, "bridge-conjugacy", check_bridge_conjugacy, (f, w, bindings, seed + 8)),
+        (unit, "polar-finite-difference", check_polar_finite_difference, (f, bindings, seed + 9)),
+        (unit, "hyperbolic-finite-difference", check_hyperbolic_finite_difference, (f, bindings, seed + 10)),
+        (True, "divisor-invariance", check_divisor_invariance, (f, w, bindings)),
+        (True, "rk4-order", check_rk4_order, (f, bindings)),
+        (True, "raw-vs-desing-rescaling", check_rescaling, (f, w, bindings, seed + 11)),
+        (True, "conjugacy", check_conjugacy, (f, w, bindings, seed + 12)),
     ]
-    if (w.alpha, w.beta) == (1, 1):
-        results.append(_guarded("chart-compatibility", check_compatibility, f, w))
-        if is_demo:
-            results.append(_guarded("golden-forms", check_golden_forms, f, w))
-            results.append(_guarded("global-counts", check_global_counts, f, w))
-        results.append(_guarded("bridge-conjugacy", check_bridge_conjugacy, f, w, bindings, seed + 8))
-        results.append(_guarded("polar-finite-difference", check_polar_finite_difference, f, bindings, seed + 9))
-        results.append(
-            _guarded("hyperbolic-finite-difference", check_hyperbolic_finite_difference, f, bindings, seed + 10)
-        )
-    results.append(_guarded("divisor-invariance", check_divisor_invariance, f, w, bindings))
-    results.append(_guarded("rk4-order", check_rk4_order, f, bindings))
-    results.append(_guarded("raw-vs-desing-rescaling", check_rescaling, f, w, bindings, seed + 11))
-    results.append(_guarded("conjugacy", check_conjugacy, f, w, bindings, seed + 12))
-    return results
+    return [_guarded(name, check, *args) for runs, name, check, args in rows if runs]

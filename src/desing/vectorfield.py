@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import DesingError, UnboundParameter
-from .poly import Poly, float_evaluator
+from .poly import Poly, float_evaluator, rational_text
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,8 @@ def check_param_bindings(params, bindings: Mapping) -> "dict[str, Fraction]":
         value = Fraction(bindings[p.name])
         if p.positive and value <= 0:
             raise DesingError(
-                f"parameter '{p.name}' is declared positive but bound to {value}"
+                f"parameter '{p.name}' is declared positive but bound to "
+                f"{rational_text(value.numerator, value.denominator)}"
             )
         out[p.name] = value
     unknown = set(bindings) - {p.name for p in params}

@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desing.charts import ChartId, blow_up_in_chart
-from desing.cli import _num, build_parser, main
+from desing.cli import _num, analysis_payload, build_parser, main, render_analysis_text
 from desing.dsl import lower_to_polynomials, parse_field_spec
 from desing.dynamo import Trajectory, sample_portrait
+from desing.equilibria import global_divisor_report
 from desing.errors import DesingError, NonFiniteField
 from desing.polar import MODELS, desingularize_polar, polar_pushforward
 from desing.weights import infer_weights
@@ -174,6 +175,16 @@ def test_exact_values_past_the_int_text_limit_render():
     # `_num`; isolating a root with this many digits takes tens of seconds
     assert _num(Fraction(-(10**5000) - 1, 10**5001)) == "-1" + "0" * 4999 + "1/1" + "0" * 5001
     assert _num(Fraction(7 * 10**5000)) == "7" + "0" * 5000
+
+
+def test_bindings_past_the_int_text_limit_render():
+    # a hand-built report: analyze of a 5,000-digit binding spends seconds in
+    # the root layer before it renders
+    f = lower_to_polynomials(parse_field_spec(Path(QUADRATIC).read_text()))
+    report = global_divisor_report(f, infer_weights(f), {"a": Fraction(1)})
+    report.bindings = {"a": Fraction(7 * (10**5000 - 1) // 9)}
+    assert f"\nbindings: a = {'7' * 5000}\n" in render_analysis_text(report)
+    assert analysis_payload(report)["bindings"] == {"a": "7" * 5000}
 
 
 def test_numbers_are_ascii_digits(tmp_path, capsys):
@@ -660,12 +671,60 @@ def test_verify_of_escaping_orbits_fails_in_one_line(tmp_path, capsys):
         "FAIL conjugacy (0 cases) K4 seed (0.1710477295954721, -0.23543461163934148): "
         "comparing curves of arc length 1.01e+05 needs more than 100000 samples"
     ]
-    assert lines[-1] == "14/17 checks passed (seed 0)"
+    assert lines[-1] == "6/9 checks passed (seed 0)"
     assert "Traceback" not in out
 
 
-# the demo's field-specific checks, in the order verify prints them after the
-# nine checks that do not read the field's bindings
+# the checks that read FILE; the four unit-weight ones run for unit weights only
+FILE_CHECKS = [
+    "chart-pushforward", "chart-compatibility", "bridge-conjugacy", "polar-finite-difference",
+    "hyperbolic-finite-difference", "divisor-invariance", "rk4-order", "raw-vs-desing-rescaling", "conjugacy",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        ([WEIGHTED], [FILE_CHECKS[0], *FILE_CHECKS[5:]]),
+        # the file holds the demo field, but verify FILE runs no demo-only check
+        ([QUADRATIC, "--param", "a=1"], FILE_CHECKS),
+    ],
+    ids=["weighted", "unit"],
+)
+def test_verify_file_runs_only_the_checks_that_read_it(capsys, argv, names):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == names
+    assert lines[-1] == f"{len(names)}/{len(names)} checks passed (seed 0)"
+
+
+@pytest.mark.parametrize(
+    "src, failed",
+    [
+        ("var x y1; dx/dt = x^2 - 2*x*y1; dy1/dt = y1^2 - x*y1;",
+         ["chart-pushforward", "chart-compatibility", "bridge-conjugacy", "divisor-invariance",
+          "raw-vs-desing-rescaling", "conjugacy"]),
+        ("var x y1; dx/dt = x^2; dy1/dt = y1^3;", ["divisor-invariance", "raw-vs-desing-rescaling", "conjugacy"]),
+    ],
+    ids=["unit-weights", "weights-2-1-2"],
+)
+def test_verify_of_a_chart_name_collision_fails_per_check(tmp_path, capsys, src, failed):
+    # a state variable named like a chart variable fails each check that
+    # blows the field up, whatever the weights, and the others still run
+    path = tmp_path / "collide.vf"
+    path.write_text(src)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    fail = "(0 cases) chart variable 'y1' collides with a field variable"
+    assert [line for line in lines if line.startswith("FAIL")] == [f"FAIL {name} {fail}" for name in failed]
+    total = len(lines) - 1
+    assert lines[-1] == f"{total - len(failed)}/{total} checks passed (seed 0)"
+
+
+# the checks bare verify prints after its first nine, in order; like every
+# check, each runs through `_guarded`
 FIELD_CHECKS = [
     "check_compatibility", "check_golden_forms", "check_global_counts", "check_bridge_conjugacy",
     "check_polar_finite_difference", "check_hyperbolic_finite_difference", "check_divisor_invariance",
@@ -700,8 +759,9 @@ def test_verify_check_that_raises_fails_alone(capsys, monkeypatch, raising):
         ([], "parameter 'a' has no binding"),
         (["--param", "a=-1"], "parameter 'a' is declared positive but bound to -1"),
         (["--param", "a=1", "--param", "b=1"], "binding for unknown parameter(s) ['b']"),
+        (["--param", "a=-" + "7" * 5000], "parameter 'a' is declared positive but bound to -" + "7" * 5000),
     ],
-    ids=["unbound", "out-of-sign", "unknown"],
+    ids=["unbound", "out-of-sign", "unknown", "out-of-sign-5000-digits"],
 )
 def test_verify_binding_error_exits_in_one_line(capsys, params, message):
     # the bindings are checked once, before any check runs, as analyze does
@@ -958,10 +1018,15 @@ def test_a_binding_does_not_outlive_its_command_line(capsys):
     assert run(capsys, "analyze", QUADRATIC) == (1, "", "analyze: parameter 'a' has no binding\n")
 
 
-@pytest.mark.parametrize("value", ["1e10000000", "1e-10000000", "1E1_0000000", "0e99999", "1e19729"])
+@pytest.mark.parametrize(
+    "value",
+    ["1e10000000", "1e-10000000", "1E1_0000000", "0e99999", "1e19729",
+     pytest.param("7" * 20000, id="20000-digits")],
+)
 def test_param_past_the_budget_is_a_usage_error(capsys, monkeypatch, value):
     # an exponent is bounded before the value is built (Fraction("1e10000000")
-    # alone takes seconds); 10^19729 has 65537 bits and is refused once built
+    # alone takes seconds); 10^19729 has 65537 bits and is refused once built;
+    # 20,000 digits are refused by their count, as a DSL literal is
     monkeypatch.setenv("COLUMNS", "80")
     start = time.process_time()
     with pytest.raises(SystemExit) as exc:
@@ -981,6 +1046,13 @@ def test_param_within_the_budget_is_exact(value):
     # 5e-19729 is 1/(2^19729 * 5^19728), a denominator of exactly 65536 bits
     args = build_parser().parse_args(["analyze", "q.vf", "--param", f"a={value}"])
     assert args.param == [("a", Fraction(value))]
+
+
+def test_param_past_the_int_text_limit_is_exact():
+    # int reads at most 4300 digits from text; --param reads what the DSL does
+    sevens = 7 * (10**5000 - 1) // 9
+    args = build_parser().parse_args(["analyze", "q.vf", "--param", f"a={'7' * 5000}/3"])
+    assert args.param == [("a", Fraction(sevens, 3))]
 
 
 def _python_m_cli(*argv):

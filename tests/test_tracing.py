@@ -63,6 +63,35 @@ def test_portrait_frame_compile_is_traced(tmp_path, frame, name):
     assert tracer.calls[name] == 1
 
 
+def _check_spans(argv):
+    """Spans per check of `desing.selfcheck` in one traced op of `argv`."""
+    selfcheck = importlib.import_module("desing.selfcheck")
+    checks = {
+        f"selfcheck.{name[len('check_'):]}" for name, fn in vars(selfcheck).items()
+        if name.startswith("check_") and fn.__module__ == selfcheck.__name__
+    }
+    assert len(checks) == 19
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert tracer.run_op(main, argv) == 0
+    finally:
+        tracer.uninstall()
+    return checks, {name: n for name, n in tracer.calls.items() if name in checks}
+
+
+def test_verify_spans_each_check_it_runs(tmp_path):
+    # run_all looks each check up when it is called, so the tracer sees the
+    # checks it runs, and only those; a check list built at import would hold
+    # the unwrapped functions and record no span at all
+    out = ["-o", str(tmp_path / "out.txt")]
+    _, spans = _check_spans(["verify", str(ROOT / "inputs" / "weighted_cubic.vf"), *out])
+    file_checks = ("chart_pushforward", "divisor_invariance", "rk4_order", "rescaling", "conjugacy")
+    assert spans == {f"selfcheck.{name}": 1 for name in file_checks}
+    checks, spans = _check_spans(["verify", *out])
+    assert spans == dict.fromkeys(checks, 1)
+
+
 def test_package_uses_every_name_it_defines():
     # a function, class, method or module constant that no code in
     # src/desing reads is reachable from the tests only
